@@ -4,7 +4,7 @@ invariant-region saturation and constructive circle factors."""
 __version__ = "0.1.0"
 
 from .circle import (CircleLift, DenjoyGapTable, build_denjoy,
-                     denjoy_semiconjugacy, eval_lift, geometric_gap_schedule,
+                     denjoy_semiconjugacy, geometric_gap_schedule,
                      rotation_number)
 from .torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
                     SuspensionMap, TorusMapSpec, make_disk_push,
@@ -16,7 +16,6 @@ from .rotation import (DeviationProfile, RotationCloud, deviation_profile,
 from .skew import (CentralizedSkew, GridGeometry, GridMask, SkewState,
                    build_centralized, check_closed_form, check_commutation,
                    fiber_complement_components, gamma_flow, geometry_for,
-                   iterate_F, make_block, saturate_invariant_region,
                    vertical_orbit_bound)
 from .factor import (ContinuumApprox, FactorMap, TauRegion, build_tau,
                      continuum_Cs, evaluate_h, lower_component,

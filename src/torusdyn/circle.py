@@ -45,17 +45,6 @@ class DenjoyGapTable:
         j = int(np.nonzero(self.indices == n)[0][0])
         return float(self.a[j]), float(self.b[j])
 
-    def to_dict(self):
-        return {
-            "indices": self.indices.tolist(),
-            "base_angle": self.base_angle.tolist(),
-            "length": self.length.tolist(),
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "normalizer": self.normalizer,
-            "truncation_tol": self.truncation_tol,
-        }
-
 
 class CircleLift:
     """Monotone degree-1 lift, evaluable at real arguments (vectorized).
@@ -148,11 +137,6 @@ class CircleLift:
         if self.gap_table is not None:
             return self.gap_table.truncation_tol
         return 0.0
-
-
-def eval_lift(lift, x):
-    """Evaluate a lift at x (array or scalar)."""
-    return lift(x)
 
 
 def _validate_pwa(bx, by):

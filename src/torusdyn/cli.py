@@ -27,6 +27,7 @@ from .serialize import (NAMED_ANGLES, circle_lift_from_definition,
                         write_json)
 from .skew import (build_centralized, check_closed_form,
                    check_commutation)
+from .torus import TorusMapSpec
 from .util import GOLDEN_MEAN, SQRT2_MINUS_1
 
 EXIT_OK = 0
@@ -329,45 +330,21 @@ def cmd_double_factor(args):
     return EXIT_OK
 
 
-class _SwappedMap:
+class _SwappedMap(TorusMapSpec):
     """Coordinate swap conjugate of a torus map (plumbing for the pair)."""
 
     kind = "swapped"
-    k = 0
 
     def __init__(self, spec):
         if spec.k != 0:
             raise ValueError("swap needs a map homotopic to the identity")
         self.spec = spec
 
-    def _swap(self, z):
-        return np.asarray(z, dtype=float)[..., ::-1]
-
     def eval_lift(self, z):
-        return self._swap(self.spec.eval_lift(self._swap(z)))
+        return self.spec.eval_lift(np.asarray(z, dtype=float)[..., ::-1])[..., ::-1]
 
     def eval_inverse(self, z):
-        return self._swap(self.spec.eval_inverse(self._swap(z)))
-
-    def annulus_map(self, z, inverse=False):
-        from .util import wrap01
-
-        z = np.asarray(z, dtype=float)
-        w = z.copy()
-        w[..., 0] = wrap01(z[..., 0])
-        out = self.eval_inverse(w) if inverse else self.eval_lift(w)
-        out[..., 0] = wrap01(out[..., 0])
-        return out
-
-    def eval_torus(self, z):
-        from .util import wrap01
-
-        return wrap01(self.eval_lift(wrap01(np.asarray(z, dtype=float))))
-
-    def eval_torus_inverse(self, z):
-        from .util import wrap01
-
-        return wrap01(self.eval_inverse(wrap01(np.asarray(z, dtype=float))))
+        return self.spec.eval_inverse(np.asarray(z, dtype=float)[..., ::-1])[..., ::-1]
 
     def to_definition(self):
         return {"kind": "swapped", "inner": self.spec.to_definition()}
@@ -376,8 +353,6 @@ class _SwappedMap:
 def _add_common(sub, with_map=True):
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker cap (recorded; computation is single-process)")
     sub.add_argument("--config", default=None,
                      help="JSON file supplying any of the flags")
     if with_map:
@@ -451,43 +426,35 @@ def build_parser():
     s.add_argument("--max-iters", type=int, default=240)
     _add_common(s)
     s.set_defaults(func=cmd_double_factor)
-    return p
+    return p, subs.choices
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        for key, val in file_cfg.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise UsageError(f"unknown config key: {key}")
-            # explicit flags win: only fill values still at their defaults
-            if getattr(args, attr) == _DEFAULTS.get((args.command, attr)):
-                setattr(args, attr, val)
-    return args
-
-
-_DEFAULTS = {}
-
-
-def _record_defaults(parser):
-    for action in parser._subparsers._group_actions[0].choices.items():
-        name, sub = action
-        for a in sub._actions:
-            if a.dest not in ("help",):
-                _DEFAULTS[(name, a.dest)] = a.default
+def _config_defaults(args):
+    """The config file's values by flag destination, unknown keys rejected."""
+    with open(args.config) as fh:
+        file_cfg = json.load(fh)
+    if not isinstance(file_cfg, dict):
+        raise UsageError("the config file must hold a JSON object")
+    out = {}
+    for key, val in file_cfg.items():
+        attr = key.replace("-", "_")
+        if attr in ("func", "command") or not hasattr(args, attr):
+            raise UsageError(f"unknown config key: {key}")
+        out[attr] = val
+    return out
 
 
 def main(argv=None):
-    parser = build_parser()
-    _record_defaults(parser)
+    parser, commands = build_parser()
     try:
         try:
             args = parser.parse_args(argv)
+            if args.config:
+                # explicit flags win: the file only replaces the defaults
+                commands[args.command].set_defaults(**_config_defaults(args))
+                args = parser.parse_args(argv)
         except SystemExit as e:
             return EXIT_OK if e.code in (0, None) else EXIT_USAGE
-        _apply_config_file(args)
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .rotation import recurrence_probe
 from .skew import (GridMask, ball_fiber, close_fibers, component_of,
                    extend_to_envelopes, geometry_for, invariance_defect,
-                   refine_envelopes, saturate_block_orbit,
-                   _union_pairs, _LABEL_STRUCTURE)
+                   refine_envelopes, saturate_block_orbit, _label_x_wrapped)
 from .util import circle_dist, lattice_points_2d, wrap01
 
 
@@ -143,23 +141,9 @@ def lower_component(tau, s):
     else:
         if -shift < n_y:
             obstruction[:, :shift] = fiber[:, -shift:]
-    comp = ~obstruction
-    lab, num = ndimage.label(comp, structure=_LABEL_STRUCTURE)
-    parent = list(range(num + 1))
-    a, b = lab[0, :], lab[-1, :]
-    both = (a > 0) & (b > 0)
-    _union_pairs(parent, a[both], b[both])
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    lut = np.array([find(i) for i in range(num + 1)])
-    lab = lut[lab]
-    bottom = set(np.unique(lab[:, 0])) - {0}
-    fill = np.isin(lab, sorted(bottom))
+    lab = _label_x_wrapped(~obstruction)
+    bottom = np.unique(lab[:, 0])
+    fill = np.isin(lab, bottom[bottom > 0])
     separating = not fill[:, -1].any()
     out = FiberFill(s=float(s), fill=fill, separating=separating,
                     fiber_index=it, shift_cells=shift)

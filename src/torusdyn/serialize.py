@@ -24,8 +24,14 @@ NAMED_ANGLES = {
 }
 
 
+def _kind(d, what):
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ValueError(f'a {what} definition must be a JSON object with a "kind"')
+    return d["kind"]
+
+
 def circle_lift_from_definition(d):
-    kind = d["kind"]
+    kind = _kind(d, "circle lift")
     if kind == "rigid":
         return CircleLift.rigid(_angle(d["alpha"]))
     if kind == "piecewise-affine":
@@ -57,7 +63,7 @@ def _angle(v):
 
 
 def torus_map_from_definition(d):
-    kind = d["kind"]
+    kind = _kind(d, "torus map")
     if kind == "rigid":
         a, b = d["offset"]
         return RigidTranslation(_angle(a), _angle(b))

@@ -6,8 +6,9 @@ subtracted, so bounded fiber orbits correspond to bounded vertical
 deviations of the torus map. The diagonal flow (t, x, ytil) ->
 (t + u, x, ytil - u) commutes with it and is an isometry; orbits of fiber
 sets under both generate the invariant regions the factor construction
-needs. Saturation runs as bulk-synchronous frontier rounds on a boolean
-occupancy grid; the merged result is independent of intra-round ordering.
+needs. Saturation transports the fiber cloud of a half-width block seed
+forwards and backwards and rasterizes each image block into a boolean
+occupancy grid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy import ndimage
 
 from .util import skew_dist, wrap01
 
-_LABEL_STRUCTURE = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,6 @@ class SkewState:
 
     def as_array(self):
         return np.array([self.t, self.x, self.ytil])
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
 class CentralizedSkew:
@@ -52,22 +49,11 @@ class CentralizedSkew:
     def step(self, states, inverse=False):
         s = np.atleast_2d(np.asarray(states, dtype=float))
         t, x, ytil = s[:, 0], s[:, 1], s[:, 2]
-        if not inverse:
-            w = np.stack([x, ytil + t], axis=-1)
-            img = self.spec.eval_lift(w)
-            out = np.stack([
-                wrap01(t + self.rho),
-                wrap01(img[:, 0]),
-                img[:, 1] - t - self.rho,
-            ], axis=-1)
-        else:
-            w = np.stack([x, ytil + t], axis=-1)
-            img = self.spec.eval_inverse(w)
-            out = np.stack([
-                wrap01(t - self.rho),
-                wrap01(img[:, 0]),
-                img[:, 1] - t + self.rho,
-            ], axis=-1)
+        w = np.stack([x, ytil + t], axis=-1)
+        img = self.spec.eval_inverse(w) if inverse else self.spec.eval_lift(w)
+        rho = -self.rho if inverse else self.rho
+        out = np.stack([wrap01(t + rho), wrap01(img[:, 0]), img[:, 1] - t - rho],
+                       axis=-1)
         return out.reshape(np.shape(np.asarray(states, dtype=float)))
 
     def iterate(self, states, n):
@@ -118,12 +104,6 @@ def gamma_flow(states, u):
     s2[:, 0] = wrap01(s2[:, 0] + u)
     s2[:, 2] = s2[:, 2] - u
     return s2.reshape(np.shape(np.asarray(states, dtype=float)))
-
-
-def iterate_F(skew, state, n):
-    if isinstance(state, SkewState):
-        return SkewState.from_array(skew.iterate(state.as_array(), n))
-    return skew.iterate(state, n)
 
 
 @dataclass
@@ -194,6 +174,12 @@ class GridGeometry:
     y_min: float
     y_max: float
 
+    def __post_init__(self):
+        if min(self.n_t, self.n_x, self.n_y) < 1:
+            raise ValueError("grid sizes must be at least 1")
+        if not self.y_max > self.y_min:
+            raise ValueError("the height window needs y_max > y_min")
+
     @property
     def h_t(self):
         return 1.0 / self.n_t
@@ -241,7 +227,7 @@ def geometry_for(skew, center_y=0.0, n_t=256, n_x=256, n_y=512, half_height=None
         half_height = 2.0 * c + 2.0
     if half_height < 2.0 * c + 1.0:
         raise ValueError("window height must be at least 2*c_est + 1")
-    m = int(np.ceil(n_y / (2.0 * half_height)))
+    m = max(int(np.ceil(n_y / (2.0 * half_height))), 1)  # GridGeometry checks n_y
     h_y = 1.0 / m
     y_min = (np.floor(center_y * m) - n_y // 2) * h_y
     return GridGeometry(n_t=n_t, n_x=n_x, n_y=n_y, y_min=float(y_min),
@@ -258,9 +244,6 @@ class GridMask:
     def count(self):
         return int(self.occ.sum())
 
-    def copy(self):
-        return GridMask(self.geom, self.occ.copy(), dict(self.provenance))
-
 
 def ball_fiber(center, radius):
     """Predicate for an open annulus ball, usable as a block fiber set."""
@@ -273,31 +256,6 @@ def ball_fiber(center, radius):
         return dx * dx + (np.asarray(y) - cy) ** 2 < r2
 
     return pred
-
-
-def make_block(fiber_pred, t_center, r, geom):
-    """Rasterize the r-block around t_center swept from a fiber set.
-
-    Fiber i is included when its center time is within r of t_center along
-    the flow (the nearest fiber is always included so the r -> 0 limit is a
-    single fiber slab); its content is the fiber set transported by the flow
-    over the center offset, sampled at cell centers.
-    """
-    if not (0.0 < r <= 0.5):
-        raise ValueError("block half-width must be in (0, 1/2]")
-    occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
-    xc = (np.arange(geom.n_x) + 0.5) * geom.h_x
-    yc = geom.y_min + (np.arange(geom.n_y) + 0.5) * geom.h_y
-    X, Y = np.meshgrid(xc, yc, indexing="ij")
-    nearest = int(geom.t_cell(t_center))
-    for it in range(geom.n_t):
-        u = (it + 0.5) * geom.h_t - t_center
-        u = u - np.round(u)  # signed offset in [-1/2, 1/2]
-        if abs(u) >= r - 1e-12 and it != nearest:
-            continue
-        # Gamma^u carries the fiber set at t_center to height y - u here
-        occ[it] = fiber_pred(X, Y + u)
-    return GridMask(geom, occ, provenance={"block": {"t": float(t_center), "r": float(r)}})
 
 
 def _map_cells(skew, geom, it, ix, iy, inverse):
@@ -325,56 +283,30 @@ def _map_cells(skew, geom, it, ix, iy, inverse):
     return jt, jx, jy
 
 
-def saturate_invariant_region(skew, seed_mask, max_iters=300, patience=25):
-    """Grow the seed under the map and its inverse to a grid fixed point.
+def _block_orbit(skew, pts, geom, rounds):
+    """Transported fiber clouds of the block orbit, round by round.
 
-    Each round advances exact real orbits of the seed cell centers one more
-    step in both directions and rasterizes them into the occupancy grid.
-    Keeping the orbits in real arithmetic avoids the vertical quantization
-    drift that iterating the rasterized map accumulates in the neutral
-    direction; the rasterized union is the same set, evaluated without grid
-    feedback. Growth stops once no round has added a cell for ``patience``
-    consecutive rounds, at max_iters, or when the window's top or bottom row
-    is reached ("window exhausted"). The connected component of the seed is
-    extracted once at the end, using in-fiber 4-adjacency plus
-    flow-transported adjacency between fibers.
+    The n-th image of the half-width block of a cloud W at time 0 is the
+    half-width block of f^n(W) shifted down by n*rho, centered at n*rho.
+    Yields (n, w, u) for n = 0, then +n and -n for each round: the shifted
+    cloud w and the signed flow offsets u (n_t,) in [-1/2, 1/2] of the fiber
+    centers from the block's center.
     """
-    geom = seed_mask.geom
-    occ = seed_mask.occ.copy()
-    it, ix, iy = np.nonzero(seed_mask.occ)
-    t, x, y = geom.centers(it, ix, iy)
-    pts = np.stack([t, x, y], axis=-1)
-    fwd = pts.copy()
-    bwd = pts.copy()
-    status = "max-iters"
-    rounds = 0
-    stale = 0
-    for rounds in range(1, max_iters + 1):
-        fwd = skew.step(fwd)
-        bwd = skew.step(bwd, inverse=True)
-        new = np.zeros_like(occ)
-        for img in (fwd, bwd):
-            jt = geom.t_cell(img[:, 0])
-            jx = geom.x_cell(img[:, 1])
-            jy = geom.y_cell(img[:, 2])
-            keep = (jy >= 0) & (jy < geom.n_y)
-            new[jt[keep], jx[keep], jy[keep]] = True
-        new &= ~occ
-        if not new.any():
-            stale += 1
-            if stale >= patience:
-                status = "fixed-point"
-                break
-            continue
-        stale = 0
-        occ |= new
-        if new[:, :, 0].any() or new[:, :, -1].any():
-            status = "window-exhausted"
-            break
-    comp = component_of(GridMask(geom, occ), seed_mask.occ)
-    prov = dict(seed_mask.provenance)
-    prov.update({"iterations": rounds, "status": status})
-    return GridMask(geom, comp, prov)
+    t_centers = (np.arange(geom.n_t) + 0.5) * geom.h_t
+
+    def offsets(t_center):
+        u = t_centers - t_center
+        u -= np.round(u)
+        return u
+
+    yield 0, pts, offsets(0.0)
+    fwd = bwd = pts
+    for n in range(1, int(rounds) + 1):
+        fwd = skew.spec.annulus_map(fwd)
+        bwd = skew.spec.annulus_map(bwd, inverse=True)
+        shift = np.array([0.0, n * skew.rho])
+        yield n, fwd - shift, offsets(wrap01(n * skew.rho))
+        yield -n, bwd + shift, offsets(wrap01(-n * skew.rho))
 
 
 def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
@@ -386,11 +318,13 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
     cloud exactly under the annulus map and sweeping each iterate across all
     fibers with the flow (a pure shear, rasterized per fiber). This keeps
     fiber-to-fiber structure exactly coherent and avoids per-fiber sampling
-    tails. Returns the occupancy together with the stop status.
+    tails. Growth stops once no round has added a cell for ``patience``
+    consecutive rounds ("fixed-point"), at max_iters ("max-iters"), or when
+    the window's top or bottom row is reached ("window-exhausted").
+    Returns (occ, seed_occ, status, rounds), seed_occ being the seed block.
     """
     pts = np.asarray(fiber_points, dtype=float)
     occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
-    t_centers = (np.arange(geom.n_t) + 0.5) * geom.h_t
     rho = skew.rho
 
     # The flow offsets seen by a column over the run equidistribute with a
@@ -407,14 +341,12 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
         # reaches a given column; the observed maximal gap runs about twice
         # the mean gap
         x_frac = max(len(np.unique(geom.x_cell(pts[:, 0]))) / geom.n_x, 1e-3)
-        cond_gap = 1.0 / (max_iters * x_frac)
+        cond_gap = 1.0 / (max(max_iters, 1) * x_frac)
         sweep_cells = max(gap, cond_gap) / geom.h_y
     sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
 
-    def raster_block(w, t_center):
-        """Mark the half-width block of the cloud w centered at t_center."""
-        u = t_centers - t_center
-        u -= np.round(u)  # offsets in [-1/2, 1/2]
+    def raster_block(w, u):
+        """Mark the half-width block of the cloud w with flow offsets u."""
         jx = geom.x_cell(w[:, 0])
         # fiber i holds the cloud shifted down by its flow offset, swept over
         # the offset gap
@@ -429,19 +361,20 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
             edge |= bool(np.any(jy[keep] == 0)) or bool(np.any(jy[keep] == geom.n_y - 1))
         return edge
 
-    raster_block(pts, 0.0)
+    orbit = _block_orbit(skew, pts, geom, max_iters)
+    _, w, u = next(orbit)
+    raster_block(w, u)
     seed_occ = occ.copy()
     base = occ.sum()
-    fwd = pts.copy()
-    bwd = pts.copy()
     status = "max-iters"
     stale = 0
     rounds = 0
-    for rounds in range(1, max_iters + 1):
-        fwd = skew.spec.annulus_map(fwd)
-        bwd = skew.spec.annulus_map(bwd, inverse=True)
-        edge = raster_block(fwd - np.array([0.0, rounds * rho]), wrap01(rounds * rho))
-        edge |= raster_block(bwd + np.array([0.0, rounds * rho]), wrap01(-rounds * rho))
+    edge = False
+    for n, w, u in orbit:
+        edge |= raster_block(w, u)
+        if n > 0:
+            continue  # a round ends with its backward image
+        rounds = -n
         if edge:
             status = "window-exhausted"
             break
@@ -467,32 +400,17 @@ def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
     (env_min, env_max) arrays of shape (n_t, n_x); columns never touched
     stay at +inf/-inf.
     """
-    pts = np.asarray(fiber_points, dtype=float)
-    t_centers = (np.arange(geom.n_t) + 0.5) * geom.h_t
-    rho = skew.rho
     env_min = np.full((geom.n_t, geom.n_x), np.inf)
     env_max = np.full((geom.n_t, geom.n_x), -np.inf)
-
-    def absorb(w, t_center):
+    for _, w, u in _block_orbit(skew, np.asarray(fiber_points, dtype=float),
+                                geom, rounds):
         jx = geom.x_cell(w[:, 0])
         colmin = np.full(geom.n_x, np.inf)
         colmax = np.full(geom.n_x, -np.inf)
         np.minimum.at(colmin, jx, w[:, 1])
         np.maximum.at(colmax, jx, w[:, 1])
-        u = t_centers - t_center
-        u -= np.round(u)
         np.minimum(env_min, colmin[None, :] - u[:, None], out=env_min)
         np.maximum(env_max, colmax[None, :] - u[:, None], out=env_max)
-
-    absorb(pts, 0.0)
-    fwd = pts.copy()
-    bwd = pts.copy()
-    for n in range(1, int(rounds) + 1):
-        fwd = skew.spec.annulus_map(fwd)
-        bwd = skew.spec.annulus_map(bwd, inverse=True)
-        shift = np.array([0.0, n * rho])
-        absorb(fwd - shift, wrap01(n * rho))
-        absorb(bwd + shift, wrap01(-n * rho))
     return env_min, env_max
 
 
@@ -529,17 +447,44 @@ def close_fibers(occ, x_halo=2, y_halo=1):
     return out
 
 
-def _union_pairs(parent, a, b):
+def _label_x_wrapped(occ, links=()):
+    """Connected components of one fiber (n_x, n_y) or a stack (n_t, n_x, n_y).
+
+    Cells are 4-adjacent inside each fiber, with x wrap. Each link shift
+    sh >= 0 also joins cell (t, x, y) to cell (t + 1, x, y - sh), t
+    wrapping. One ndimage.label call labels every fiber; the x seam and the
+    links then merge labels through a union-find over the unique label
+    pairs. Each component carries the smallest of its merged labels.
+    """
+    structure = np.zeros((3,) * occ.ndim, dtype=bool)
+    structure[(1,) * (occ.ndim - 2)] = _CROSS  # no adjacency across fibers
+    lab, num = ndimage.label(occ, structure=structure)
+    pairs = [(lab[..., 0, :], lab[..., -1, :])]
+    if links:
+        nxt = np.roll(lab, -1, axis=0)
+        n_y = occ.shape[-1]
+        pairs += [(lab[..., sh:], nxt[..., :max(n_y - sh, 0)]) for sh in links]
+    m = num + 1
+    keys = []
+    for a, b in pairs:
+        both = (a > 0) & (b > 0) & (a != b)
+        keys.append(np.unique(a[both].astype(np.int64) * m + b[both]))
+    keys = np.unique(np.concatenate(keys))
+    lut = np.arange(m, dtype=lab.dtype)
+
     def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
+        while lut[i] != i:
+            lut[i] = lut[lut[i]]
+            i = lut[i]
         return i
 
-    for i, j in zip(a, b):
-        ri, rj = find(int(i)), find(int(j))
+    for i, j in zip((keys // m).tolist(), (keys % m).tolist()):
+        ri, rj = find(i), find(j)
         if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+            lut[max(ri, rj)] = min(ri, rj)
+    for i in np.unique(np.concatenate([keys // m, keys % m])).tolist():
+        lut[i] = find(i)
+    return lut[lab]
 
 
 def label_mask(mask):
@@ -549,47 +494,9 @@ def label_mask(mask):
     fibers (t wraps) are adjacent when their y intervals overlap after flow
     transport over one t cell width.
     """
-    geom = mask.geom
-    occ = mask.occ
-    labels = np.zeros(occ.shape, dtype=np.int64)
-    offset = 0
-    for it in range(geom.n_t):
-        lab, num = ndimage.label(occ[it], structure=_LABEL_STRUCTURE)
-        lab = lab.astype(np.int64)
-        lab[lab > 0] += offset
-        labels[it] = lab
-        offset += num
-    parent = list(range(offset + 1))
-
-    sigma = geom.fiber_shift_cells()
-    shifts = sorted({int(np.floor(sigma)), int(np.ceil(sigma))})
-    for it in range(geom.n_t):
-        jt = (it + 1) % geom.n_t
-        # x-wrap inside fiber it
-        a = labels[it, 0, :]
-        b = labels[it, -1, :]
-        both = (a > 0) & (b > 0)
-        _union_pairs(parent, a[both], b[both])
-        # flow-transported adjacency to the next fiber: content at height row
-        # iy here overlaps rows iy - shift there
-        for sh in shifts:
-            if sh >= 0:
-                a = labels[it, :, sh:]
-                b = labels[jt, :, : labels.shape[2] - sh]
-            else:
-                a = labels[it, :, :sh]
-                b = labels[jt, :, -sh:]
-            both = (a > 0) & (b > 0)
-            _union_pairs(parent, a[both], b[both])
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    lut = np.array([find(i) for i in range(offset + 1)], dtype=np.int64)
-    return lut[labels]
+    sigma = mask.geom.fiber_shift_cells()
+    return _label_x_wrapped(mask.occ, links={int(np.floor(sigma)),
+                                             int(np.ceil(sigma))})
 
 
 def component_of(mask, seed_occ):
@@ -662,23 +569,9 @@ def fiber_complement_components(mask, t):
     geom = mask.geom
     it = int(geom.t_cell(t))
     comp = ~mask.occ[it]
-    lab, num = ndimage.label(comp, structure=_LABEL_STRUCTURE)
-    if num == 0:
+    if not comp.any():
         return [], it
-    # x wrap merges
-    parent = list(range(num + 1))
-    a, b = lab[0, :], lab[-1, :]
-    both = (a > 0) & (b > 0)
-    _union_pairs(parent, a[both], b[both])
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    lut = np.array([find(i) for i in range(num + 1)])
-    lab = lut[lab]
+    lab = _label_x_wrapped(comp)
     out = []
     for lbl in np.unique(lab[lab > 0]):
         cells = lab == lbl
@@ -688,8 +581,4 @@ def fiber_complement_components(mask, t):
             touches_bottom=bool(cells[:, 0].any()),
             touches_top=bool(cells[:, -1].any()),
         ))
-    if mask.occ[it].sum() == 0:
-        # degenerate: the whole fiber is one complement component
-        out = [FiberComponent(label=out[0].label, size=out[0].size,
-                              touches_bottom=True, touches_top=True)]
     return out, it

@@ -42,9 +42,6 @@ class TorusMapSpec:
     def eval_inverse(self, z):
         raise NotImplementedError
 
-    def displacement(self, z):
-        return self.eval_lift(z) - apply_twist(self.k, np.asarray(z, dtype=float))
-
     def eval_torus(self, z):
         """Induced map on T^2 (representatives in [0,1))."""
         return wrap01(self.eval_lift(wrap01(np.asarray(z, dtype=float))))
@@ -263,35 +260,17 @@ class ComposedMap(TorusMapSpec):
         return {"kind": self.kind, "maps": [m.to_definition() for m in self.chain]}
 
 
-def eval_lift(spec, z):
-    return spec.eval_lift(z)
-
-
-def eval_inverse(spec, z):
-    return spec.eval_inverse(z)
-
-
 def make_disk_push(center0, center1, radius):
     c0 = np.asarray(center0, dtype=float)
     c1 = np.asarray(center1, dtype=float)
     d = (c1 - c0) - np.round(c1 - c0)
     if np.all(d == 0.0):
-        return _IdentityPush(c0, radius)
+        return _IdentityPush(center0, center1, radius)
     return DiskPush(center0, center1, radius)
 
 
 class _IdentityPush(DiskPush):
     """Push with coincident centers: the identity."""
-
-    def __init__(self, center, radius):
-        radius = float(radius)
-        if not (0.0 < radius < 0.25):
-            raise ValueError("radius must be in (0, 1/4)")
-        self.center0 = wrap01(np.asarray(center, dtype=float))
-        self.center1 = self.center0
-        self.push = np.zeros(2)
-        self.radius = radius
-        self.midpoint = self.center0
 
     def eval_lift(self, z):
         return np.asarray(z, dtype=float).copy()

@@ -69,14 +69,6 @@ def skew_dist(s, r):
     return out
 
 
-def lattice_points_1d(count, seed=0, jitter=0.25):
-    """Deterministic low-discrepancy points on [0,1): golden lattice + seeded jitter."""
-    i = np.arange(count, dtype=float)
-    base = (0.5 + i * GOLDEN_MEAN) % 1.0
-    rng = np.random.default_rng(seed)
-    return (base + jitter * rng.uniform(-1.0, 1.0, count) / max(count, 1)) % 1.0
-
-
 def lattice_points_2d(count, seed=0, jitter=0.25):
     """Deterministic low-discrepancy points on [0,1)^2 (R2 sequence + seeded jitter)."""
     i = np.arange(count, dtype=float)[:, None]

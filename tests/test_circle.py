@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusdyn.circle import (CircleLift, build_denjoy, denjoy_semiconjugacy,
-                             eval_lift, geometric_gap_schedule,
-                             rotation_number)
+                             geometric_gap_schedule, rotation_number)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, circle_dist, wrap01
 
 GOLDEN = GOLDEN_MEAN
@@ -26,8 +25,8 @@ def gap_endpoints_oracle(alpha, lengths_by_index):
 
 def test_rigid_eval_translation():
     lift = CircleLift.rigid(0.25)
-    assert eval_lift(lift, 0.5) == pytest.approx(0.75, abs=1e-15)
-    assert eval_lift(lift, 1.5) == pytest.approx(1.75, abs=1e-15)
+    assert lift(0.5) == pytest.approx(0.75, abs=1e-15)
+    assert lift(1.5) == pytest.approx(1.75, abs=1e-15)
 
 
 @given(x=st.floats(-10, 10))

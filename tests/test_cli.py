@@ -141,6 +141,63 @@ def test_config_file_supplies_flags(tmp_path):
     assert doc["config"]["nmax"] == 50
 
 
+def test_config_file_loses_to_explicit_default_valued_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nmax": 5, "samples": 8}))
+    # --samples 64 is the flag's default, given explicitly: it still wins
+    assert run(["deviations", "--map", RIGID, "--rho", "0.4142135624",
+                "--samples", "64", "--config", str(cfg),
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "deviations.json").read_text())
+    assert doc["config"]["samples"] == 64
+    assert doc["config"]["nmax"] == 5
+    rows = [l for l in (tmp_path / "deviations.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert len(rows) == 6
+
+
+def test_config_file_rejects_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for key in ("bogus", "func"):
+        cfg.write_text(json.dumps({"nmax": 5, key: 1}))
+        assert run(["deviations", "--map", RIGID, "--rho", "0.4142135624",
+                    "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+
+
+def _one_line_usage_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_map_definition_without_kind_is_usage_error(tmp_path, capsys):
+    for bad in ('{"offset":[0.1,0.2]}', '[1, 2]', '"rigid"',
+                '{"kind":"suspension","base":{"alpha":0.1},'
+                '"fiber":{"kind":"rigid","alpha":0.2}}'):
+        assert run(["deviations", "--map", bad, "--rho", "0",
+                    "--out", str(tmp_path)]) == 1
+        _one_line_usage_error(capsys)
+    assert run(["rotnum", "--circle", '{"alpha":0.25}',
+                "--out", str(tmp_path)]) == 1
+    _one_line_usage_error(capsys)
+
+
+def test_factor_rejects_empty_or_negative_resolution(tmp_path, capsys):
+    for res in ("0,0,0", "8,-8,16"):
+        assert run(["factor", "--map", RIGID, "--rho", "0.4142135624",
+                    "--seed-point", "0.5,0", "--resolution", res,
+                    "--out", str(tmp_path)]) == 1
+        _one_line_usage_error(capsys)
+
+
+def test_threads_flag_removed(tmp_path, capsys):
+    assert run(["factor", "--help"]) == 0
+    assert "--threads" not in capsys.readouterr().out
+    assert run(["rotnum", "--rigid", "0.25", "--threads", "2",
+                "--out", str(tmp_path)]) == 1
+
+
 def test_double_factor_rigid_small(tmp_path):
     code = run(["double-factor", "--map", RIGID, "--resolution", "64,64,128",
                 "--grid", "16", "--max-iters", "120", "--out", str(tmp_path)])

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from torusdyn.circle import CircleLift
-from torusdyn.skew import (GridMask, SkewState, ball_fiber, build_centralized,
-                           check_closed_form, check_commutation,
+from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
+                           ball_fiber, build_centralized, check_closed_form,
+                           check_commutation, dilate_mask,
                            fiber_complement_components, gamma_flow,
-                           geometry_for, invariance_defect, iterate_F,
-                           make_block, saturate_invariant_region,
-                           vertical_orbit_bound)
+                           geometry_for, invariance_defect, label_mask,
+                           saturate_block_orbit, vertical_orbit_bound)
 from torusdyn.torus import DehnTwist, RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, skew_dist, wrap01
 
@@ -45,8 +46,8 @@ def test_build_twist_formula():
 
 
 def test_iterate_zero_and_roundtrip(rigid_skew, susp_skew):
-    s = SkewState(0.1, 0.2, 0.3)
-    assert iterate_F(rigid_skew, s, 0) == s
+    s = SkewState(0.1, 0.2, 0.3).as_array()
+    assert np.array_equal(rigid_skew.iterate(s, 0), s)
     for skew in (rigid_skew, susp_skew):
         arr = np.array([[0.1, 0.2, 0.3], [0.9, 0.4, -1.1]])
         back = skew.iterate(skew.iterate(arr, 7), -7)
@@ -55,10 +56,10 @@ def test_iterate_zero_and_roundtrip(rigid_skew, susp_skew):
 
 def test_rigid_closed_orbit(rigid_skew):
     n = 13
-    out = iterate_F(rigid_skew, SkewState(0.1, 0.2, 0.3), n)
-    assert out.t == pytest.approx(wrap01(0.1 + n * B), abs=1e-10)
-    assert out.x == pytest.approx(wrap01(0.2 + n * A), abs=1e-10)
-    assert out.ytil == pytest.approx(0.3, abs=1e-10)
+    t, x, ytil = rigid_skew.iterate(np.array([0.1, 0.2, 0.3]), n)
+    assert t == pytest.approx(wrap01(0.1 + n * B), abs=1e-10)
+    assert x == pytest.approx(wrap01(0.2 + n * A), abs=1e-10)
+    assert ytil == pytest.approx(0.3, abs=1e-10)
 
 
 def test_gamma_flow_properties():
@@ -125,94 +126,89 @@ def test_geometry_rejects_small_window(rigid_skew):
         geometry_for(rigid_skew, half_height=0.5)
 
 
-def test_block_limits(rigid_skew):
-    geom = small_geom(rigid_skew)
-    ball = ball_fiber((0.5, 0.0), 0.1)
-    tiny = make_block(ball, 0.37, 1e-9, geom)
-    fibers = np.nonzero(tiny.occ.any(axis=(1, 2)))[0]
-    assert fibers.size == 1  # single fiber slab
-    assert fibers[0] == geom.t_cell(0.37)
+def ball_cloud(geom, center, radius):
+    """Cell centers of the fiber grid inside an annulus ball."""
+    xc = (np.arange(geom.n_x) + 0.5) * geom.h_x
+    yc = geom.y_min + (np.arange(geom.n_y) + 0.5) * geom.h_y
+    X, Y = np.meshgrid(xc, yc, indexing="ij")
+    inside = ball_fiber(center, radius)(X, Y)
+    return np.column_stack([X[inside], Y[inside]])
 
-    half = make_block(ball, (geom.t_cell(0.3) + 0.5) * geom.h_t, 0.5, geom)
-    fibers = np.nonzero(half.occ.any(axis=(1, 2)))[0]
-    assert fibers.size == geom.n_t - 1  # full width minus the antipodal cell
 
-    with pytest.raises(ValueError):
-        make_block(ball, 0.0, 0.6, geom)
+def raster(geom, states):
+    occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
+    occ[geom.t_cell(states[:, 0]), geom.x_cell(states[:, 1]),
+        geom.y_cell(states[:, 2])] = True
+    return occ
+
+
+def block_states(geom, occ):
+    return np.stack(geom.centers(*np.nonzero(occ)), axis=-1)
 
 
 def test_block_image_is_block(rigid_skew):
-    # the image of a block is the block of the transported fiber set
+    # F(block(W)) = Gamma^rho(block(f W)): the image of the half-width seed
+    # block is the flow-transported block of the mapped fiber cloud
     geom = small_geom(rigid_skew)
-    t0 = (geom.t_cell(0.2) + 0.5) * geom.h_t
-    blk = make_block(ball_fiber((0.5, 0.0), 0.12), t0, 0.25, geom)
-    it, ix, iy = np.nonzero(blk.occ)
-    t, x, y = geom.centers(it, ix, iy)
-    img = rigid_skew.step(np.stack([t, x, y], axis=-1))
-    img_mask = np.zeros_like(blk.occ)
-    img_mask[geom.t_cell(img[:, 0]), geom.x_cell(img[:, 1]),
-             geom.y_cell(img[:, 2])] = True
-    # transported fiber set: the ball moved by the annulus map, re-centered
-    blk2 = make_block(ball_fiber((wrap01(0.5 + A), 0.0), 0.12),
-                      wrap01(t0 + B), 0.25, geom)
+    cloud = ball_cloud(geom, (0.5, 0.0), 0.12)
+    _, blk, _, _ = saturate_block_orbit(rigid_skew, cloud, geom, max_iters=0)
+    img_mask = raster(geom, rigid_skew.step(block_states(geom, blk)))
+    _, blk2, _, _ = saturate_block_orbit(
+        rigid_skew, rigid_skew.spec.annulus_map(cloud), geom, max_iters=0)
+    moved = raster(geom, gamma_flow(block_states(geom, blk2), rigid_skew.rho))
     # Hausdorff slack of one cell: dilate each and require mutual cover
-    from torusdyn.skew import dilate_mask
-
-    assert not (img_mask & ~dilate_mask(blk2.occ)).any()
-    assert not (blk2.occ & ~dilate_mask(img_mask)).any()
+    assert not (img_mask & ~dilate_mask(moved)).any()
+    assert not (moved & ~dilate_mask(img_mask)).any()
 
 
 def test_saturate_identity_returns_seed():
     skew = build_centralized(RigidTranslation(0, 0), 0.0)
-    geom = small_geom(skew)
-    seed = make_block(ball_fiber((0.5, 0.0), 0.12), 0.0, 0.5, geom)
-    sat = saturate_invariant_region(skew, seed, max_iters=30)
-    from torusdyn.skew import component_of
-
-    assert np.array_equal(sat.occ, component_of(seed, seed.occ))
-    assert sat.provenance["status"] == "fixed-point"
+    geom = geometry_for(skew, n_t=16, n_x=16, n_y=32)
+    occ, seed, status, _ = saturate_block_orbit(
+        skew, ball_cloud(geom, (0.5, 0.0), 0.12), geom, max_iters=40)
+    assert np.array_equal(occ, seed)
+    assert status == "fixed-point"
 
 
 def test_saturate_rigid_fills_slab(rigid_skew):
     geom = small_geom(rigid_skew, n=64)
     r = 0.15
-    seed = make_block(ball_fiber((0.5, 0.0), r), 0.0, 0.5, geom)
-    sat = saturate_invariant_region(rigid_skew, seed, max_iters=400)
-    assert sat.provenance["status"] in ("fixed-point", "max-iters")
+    occ, _, status, _ = saturate_block_orbit(
+        rigid_skew, ball_cloud(geom, (0.5, 0.0), r), geom, max_iters=400)
+    assert status in ("fixed-point", "max-iters")
     # analytic slab: |y| <= r + 1/2; the t and x marginals cover everything
-    assert sat.occ.any(axis=(1, 2)).all()
-    assert sat.occ.any(axis=(0, 2)).all()
+    assert occ.any(axis=(1, 2)).all()
+    assert occ.any(axis=(0, 2)).all()
     ys = geom.y_min + (np.arange(geom.n_y) + 0.5) * geom.h_y
-    rows = sat.occ.any(axis=(0, 1))
-    covered = ys[rows]
+    covered = ys[occ.any(axis=(0, 1))]
     assert covered.min() == pytest.approx(-(r + 0.5), abs=3 * geom.h_y)
     assert covered.max() == pytest.approx(r + 0.5, abs=3 * geom.h_y)
-    # one-sided invariance within a one-cell dilation
-    bad = invariance_defect(rigid_skew, sat)
-    assert bad["forward"] <= 1e-4 * sat.count
-    assert bad["backward"] <= 1e-4 * sat.count
+    # invariant within a one-cell dilation
+    assert invariance_defect(rigid_skew, GridMask(geom, occ)) == {
+        "forward": 0, "backward": 0}
 
 
 def test_saturate_monotone_in_iterations(rigid_skew):
     geom = small_geom(rigid_skew, n=32)
-    seed = make_block(ball_fiber((0.5, 0.0), 0.15), 0.0, 0.5, geom)
+    cloud = ball_cloud(geom, (0.5, 0.0), 0.15)
     prev = None
     for iters in (2, 5, 9):
-        sat = saturate_invariant_region(rigid_skew, seed, max_iters=iters,
-                                        patience=10**9)
+        occ, _, _, _ = saturate_block_orbit(rigid_skew, cloud, geom,
+                                            max_iters=iters, patience=10**9,
+                                            sweep_cells=1.0)
         if prev is not None:
-            assert not (prev & ~sat.occ).any()
-        prev = sat.occ
+            assert not (prev & ~occ).any()
+        prev = occ
 
 
 def test_saturate_window_exhaustion():
     # constant vertical drift with rho = 0 escapes any window
     skew = build_centralized(RigidTranslation(0.1, 0.3), 0.0, c_est=0.0)
     geom = geometry_for(skew, n_t=16, n_x=16, n_y=32, half_height=1.0)
-    seed = make_block(ball_fiber((0.5, 0.0), 0.2), 0.0, 0.5, geom)
-    sat = saturate_invariant_region(skew, seed, max_iters=100)
-    assert sat.provenance["status"] == "window-exhausted"
-    assert sat.count > 0  # partial mask carried
+    occ, _, status, _ = saturate_block_orbit(
+        skew, ball_cloud(geom, (0.5, 0.0), 0.2), geom, max_iters=100)
+    assert status == "window-exhausted"
+    assert occ.any()  # partial mask carried
 
 
 def test_fiber_complement_components(rigid_skew):
@@ -227,6 +223,75 @@ def test_fiber_complement_components(rigid_skew):
     empty, _ = fiber_complement_components(GridMask(geom, np.zeros_like(occ)), 0.0)
     assert len(empty) == 1
     assert empty[0].touches_bottom and empty[0].touches_top
+
+
+def flood_fill_labels(occ, shifts=()):
+    """Reference labeling of a (n_t, n_x, n_y) stack by breadth-first search.
+
+    Neighbors: x +-1 (wrapping) and y +-1 inside a fiber, and for each shift
+    sh the cell (t + 1, x, y - sh) of the next fiber (t wrapping), both ways.
+    """
+    n_t, n_x, n_y = occ.shape
+    labels = np.zeros(occ.shape, dtype=np.int64)
+    count = 0
+    for start in zip(*np.nonzero(occ)):
+        if labels[start]:
+            continue
+        count += 1
+        labels[start] = count
+        queue = [start]
+        while queue:
+            t, x, y = queue.pop()
+            nbrs = [(t, (x + 1) % n_x, y), (t, (x - 1) % n_x, y),
+                    (t, x, y + 1), (t, x, y - 1)]
+            for sh in shifts:
+                nbrs += [((t + 1) % n_t, x, y - sh), ((t - 1) % n_t, x, y + sh)]
+            for c in nbrs:
+                if 0 <= c[2] < n_y and occ[c] and not labels[c]:
+                    labels[c] = count
+                    queue.append(c)
+    return labels
+
+
+def assert_same_partition(got, ref, occ):
+    assert np.array_equal(got > 0, occ)
+    pairs = set(zip(got[occ].tolist(), ref[occ].tolist()))
+    assert len(pairs) == len(set(got[occ].tolist())) == len(set(ref[occ].tolist()))
+
+
+def bits(shape):
+    """Boolean arrays with every cell drawn independently."""
+    return arrays(bool, shape, elements=st.booleans(), fill=st.nothing())
+
+
+@given(occ=bits(st.tuples(st.integers(1, 6), st.integers(1, 6))))
+@settings(max_examples=200, deadline=None)
+def test_label_x_wrapped_matches_flood_fill(occ):
+    assert_same_partition(_label_x_wrapped(occ), flood_fill_labels(occ[None])[0],
+                          occ)
+
+
+@given(data=st.data(), n_t=st.integers(1, 4), n_x=st.integers(1, 5),
+       n_y=st.sampled_from((1, 2, 3, 4, 6)),
+       sigma=st.sampled_from((1.0, 2.0, 0.5, 1.5)))
+@settings(max_examples=200, deadline=None)
+def test_label_mask_matches_flood_fill(data, n_t, n_x, n_y, sigma):
+    # these heights give exact cell sizes: an integer sigma links each fiber
+    # to the next by one shift, a non-integer sigma by two
+    geom = GridGeometry(n_t, n_x, n_y, 0.0, n_y / (n_t * sigma))
+    assert geom.fiber_shift_cells() == sigma
+    occ = data.draw(bits((n_t, n_x, n_y)))
+    shifts = {int(np.floor(sigma)), int(np.ceil(sigma))}
+    assert_same_partition(label_mask(GridMask(geom, occ)),
+                          flood_fill_labels(occ, shifts), occ)
+
+
+def test_grid_geometry_rejects_empty_sizes_and_window():
+    for sizes in ((0, 4, 4), (4, -8, 4), (4, 4, 0)):
+        with pytest.raises(ValueError):
+            GridGeometry(*sizes, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        GridGeometry(4, 4, 4, 1.0, 1.0)
 
 
 def test_calibration_consistency(susp_skew):
