@@ -7,8 +7,7 @@ from .circle import (CircleLift, DenjoyGapTable, build_denjoy,
                      denjoy_semiconjugacy, geometric_gap_schedule,
                      rotation_number)
 from .torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
-                    SuspensionMap, TorusMapSpec, make_disk_push,
-                    normalize_isotopy_class)
+                    SuspensionMap, TorusMapSpec, normalize_isotopy_class)
 from .rotation import (DeviationProfile, RotationCloud, deviation_profile,
                        estimate_rotation_set, horizontal_spread,
                        proximality_scan, recurrence_probe,
@@ -22,5 +21,4 @@ from .factor import (ContinuumApprox, FactorMap, TauRegion, build_tau,
                      project_to_torus_factor, verify_equivariance)
 from .gallery import (ObstructionExample, SurgeryGeometry, SuspensionSpec,
                       example_fully_essential, example_unbounded_inessential,
-                      kronecker_separation_probe, no_gap_window,
-                      surgery_geometry, suspension_map)
+                      no_gap_window, surgery_geometry, suspension_map)

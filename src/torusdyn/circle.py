@@ -27,13 +27,11 @@ class DenjoyGapTable:
     """Blow-up data: one gap per orbit index n in [-N, N].
 
     Positions are on the renormalized circle (total length 1). ``a``/``b`` are
-    the left/right gap endpoints, ``base_angle`` the angle frac(n*alpha) the
-    gap collapses to, ``length`` the raw inserted length before renormalizing
-    by ``normalizer`` = 1 + sum(lengths).
+    the left/right gap endpoints, ``length`` the raw inserted length before
+    renormalizing by ``normalizer`` = 1 + sum(lengths).
     """
 
     indices: np.ndarray
-    base_angle: np.ndarray
     length: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -112,8 +110,10 @@ class CircleLift:
         """Lift of the inverse homeomorphism (analytic, no root finding)."""
         if self.kind == KIND_RIGID:
             return CircleLift.rigid(-self.alpha)
-        shift = np.floor(self.by)
-        pairs = list(zip(wrap01(self.by), self.bx - shift))
+        frac = wrap01(self.by)
+        # not floor(by): a tiny negative value reduces to 0.0, not to 1 - eps
+        shift = np.round(self.by - frac)
+        pairs = list(zip(frac, self.bx - shift))
         inv = CircleLift.piecewise_affine(pairs)
         return inv
 
@@ -161,12 +161,19 @@ def _pwa_from_pairs(pairs):
     if np.any(np.diff(bx) <= 0.0):
         raise ValueError("duplicate breakpoints")
     if bx[0] != 0.0:
-        # close the table at 0 using the wrap segment from (bx[-1]-1, by[-1]-1)
+        # close the table at 0 using the wrap segment from (bx[-1]-1, by[-1]-1);
+        # an end breakpoint within rounding of 0 or 1 is moved onto 0 instead
         x0, y0 = bx[-1] - 1.0, by[-1] - 1.0
         t = (0.0 - x0) / (bx[0] - x0)
         v0 = y0 + t * (by[0] - y0)
-        bx = np.concatenate([[0.0], bx])
-        by = np.concatenate([[v0], by])
+        if v0 >= by[0]:
+            bx[0] = 0.0
+        elif v0 <= y0:
+            bx, by = np.roll(bx, 1), np.roll(by, 1)
+            bx[0], by[0] = 0.0, y0
+        else:
+            bx = np.concatenate([[0.0], bx])
+            by = np.concatenate([[v0], by])
     return bx, by
 
 
@@ -261,7 +268,7 @@ def build_denjoy(alpha, gap_schedule=None, N=40):
     # by continuing the supplied schedule for a long stretch
     tail = sum(float(gap_schedule(int(n))) + float(gap_schedule(int(-n)))
                for n in range(N + 1, N + 200))
-    table = DenjoyGapTable(indices=idx, base_angle=theta, length=lengths,
+    table = DenjoyGapTable(indices=idx, length=lengths,
                            a=a, b=b, normalizer=1.0 + S, truncation_tol=tail)
 
     # breakpoint table: endpoints of gaps -N..N-1 mapped onto gaps -N+1..N;
@@ -300,12 +307,10 @@ class DenjoySemiconjugacy:
 
     def __init__(self, gap_table):
         self.table = gap_table
-        S = gap_table.normalizer - 1.0
         order = np.argsort(gap_table.a)
         self._a_un = gap_table.a[order] * gap_table.normalizer
         self._len = gap_table.length[order]
         self._cum = np.concatenate([[0.0], np.cumsum(self._len)])
-        self._S = S
 
     def __call__(self, y):
         u = np.asarray(wrap01(y), dtype=float) * self.table.normalizer

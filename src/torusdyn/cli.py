@@ -19,16 +19,15 @@ from . import __version__
 from .circle import CircleLift, build_denjoy, rotation_number
 from .factor import (build_tau, continuum_Cs, project_to_torus_factor,
                      verify_equivariance)
-from .gallery import (example_fully_essential, example_unbounded_inessential,
-                      obstruction_evidence, surgery_geometry, suspension_map)
+from .gallery import (GALLERY_MANIFEST, example_fully_essential,
+                      example_unbounded_inessential, manifest_suspension,
+                      obstruction_evidence, surgery_geometry)
 from .rotation import deviation_profile, recurrence_probe
-from .serialize import (NAMED_ANGLES, circle_lift_from_definition,
-                        dump_mask, torus_map_from_definition, write_csv,
-                        write_json)
+from .serialize import (circle_lift_from_definition, dump_mask, parse_number,
+                        torus_map_from_definition, write_csv, write_json)
 from .skew import (build_centralized, check_closed_form,
                    check_commutation)
 from .torus import TorusMapSpec
-from .util import GOLDEN_MEAN, SQRT2_MINUS_1
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,8 +40,6 @@ GALLERY_ALIASES = {
     "3.3": "fully-essential",
     "3.4-geometry": "surgery-geometry",
 }
-GALLERY_IDS = ("suspension", "unbounded-inessential", "fully-essential",
-               "surgery-geometry")
 
 
 class UsageError(Exception):
@@ -79,9 +76,9 @@ def _resolved(args, names):
 
 def cmd_rotnum(args):
     if args.rigid is not None:
-        lift = CircleLift.rigid(_named(args.rigid))
+        lift = CircleLift.rigid(parse_number(args.rigid))
     elif args.denjoy is not None:
-        lift = build_denjoy(_named(args.denjoy), N=args.denjoy_order)
+        lift = build_denjoy(parse_number(args.denjoy), N=args.denjoy_order)
     elif args.circle is not None:
         lift = circle_lift_from_definition(json.loads(args.circle))
     else:
@@ -95,15 +92,6 @@ def cmd_rotnum(args):
                {"estimate": est, "error_bound": bound,
                 "truncation_slack": slack}, cfg)
     return EXIT_OK
-
-
-def _named(v):
-    try:
-        return float(v)
-    except ValueError:
-        if v in NAMED_ANGLES:
-            return NAMED_ANGLES[v]
-        raise UsageError(f"not a number or named angle: {v}")
 
 
 def cmd_deviations(args):
@@ -211,19 +199,23 @@ def cmd_factor(args):
 
 def cmd_gallery(args):
     name = GALLERY_ALIASES.get(args.example, args.example)
-    if name not in GALLERY_IDS:
+    if name not in GALLERY_MANIFEST:
+        known = sorted(GALLERY_MANIFEST) + sorted(GALLERY_ALIASES)
         raise UsageError("unknown example id %r; known ids: %s" % (
-            args.example, ", ".join(sorted(GALLERY_IDS) + sorted(GALLERY_ALIASES))))
+            args.example, ", ".join(known)))
     out = _outdir(args)
     cfg = _resolved(args, ["nmax", "seed"])
     cfg["example"] = name
+    manifest = GALLERY_MANIFEST[name]
     if name == "suspension":
-        susp = suspension_map(CircleLift.rigid(GOLDEN_MEAN),
-                              CircleLift.rigid(SQRT2_MINUS_1))
+        susp = manifest_suspension(name)
         skew = build_centralized(susp.torus_map,
                                  susp.rho_base * susp.rho_fiber)
-        comm = check_commutation(skew, seed=args.seed)
-        closed = check_closed_form(skew, seed=args.seed)
+        thresholds = manifest["thresholds"]
+        comm = check_commutation(skew, seed=args.seed,
+                                 threshold=thresholds["commutation"])
+        closed = check_closed_form(skew, seed=args.seed,
+                                   threshold=thresholds["closed_form"])
         prof = deviation_profile(susp.torus_map, (0, 1),
                                  susp.rho_base * susp.rho_fiber,
                                  n_max=args.nmax, samples=64, seed=args.seed)
@@ -239,9 +231,8 @@ def cmd_gallery(args):
             raise CheckFailure("algebra defect above threshold")
         return EXIT_OK
     if name == "surgery-geometry":
-        geo = surgery_geometry((GOLDEN_MEAN, SQRT2_MINUS_1),
-                               gamma=args.gamma, delta=args.delta,
-                               n_scan=args.nscan)
+        geo = surgery_geometry(manifest["alpha"], gamma=args.gamma,
+                               delta=args.delta, n_scan=args.nscan)
         rows = []
         for n in range(-50, 51):
             center_width = geo.fiber_halfwidth(n, geo.center(n))
@@ -260,7 +251,8 @@ def cmd_gallery(args):
     times = recurrence_probe(ex.torus_map, ex.wandering_center,
                              0.8 * ex.wandering_radius, n_max=args.nmax // 5,
                              seed=args.seed)
-    ev = obstruction_evidence(ex, n_max=args.nmax)
+    ev = obstruction_evidence(ex, n_max=args.nmax,
+                              threshold=manifest["thresholds"]["proximality"])
     payload = {
         "probe_points": {"w0": ex.w0, "w1": ex.w1, "w0_edge": ex.w0_edge,
                          "w1_edge": ex.w1_edge},
@@ -350,12 +342,13 @@ class _SwappedMap(TorusMapSpec):
         return {"kind": "swapped", "inner": self.spec.to_definition()}
 
 
-def _add_common(sub, with_map=True):
+def _add_common(sub, groups=("seed", "map")):
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="sampling seed")
+    if "seed" in groups:
+        sub.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub.add_argument("--config", default=None,
                      help="JSON file supplying any of the flags")
-    if with_map:
+    if "map" in groups:
         sub.add_argument("--map", default=None,
                          help="inline JSON torus map definition")
         sub.add_argument("--map-file", default=None,
@@ -377,7 +370,7 @@ def build_parser():
     s.add_argument("--circle", default=None, help="inline JSON circle lift")
     s.add_argument("--n", type=int, default=100_000)
     s.add_argument("--x0", type=float, default=0.0)
-    _add_common(s, with_map=False)
+    _add_common(s, groups=())
     s.set_defaults(func=cmd_rotnum)
 
     s = subs.add_parser("deviations", help="directional deviation table")
@@ -413,10 +406,11 @@ def build_parser():
     s = subs.add_parser("gallery", help="run a gallery example report")
     s.add_argument("example", help="example id")
     s.add_argument("--nmax", type=int, default=10_000)
-    s.add_argument("--gamma", type=float, default=0.7374747)
-    s.add_argument("--delta", type=float, default=0.01)
-    s.add_argument("--nscan", type=int, default=50)
-    _add_common(s, with_map=False)
+    surgery = GALLERY_MANIFEST["surgery-geometry"]
+    s.add_argument("--gamma", type=float, default=surgery["gamma"])
+    s.add_argument("--delta", type=float, default=surgery["delta"])
+    s.add_argument("--nscan", type=int, default=surgery["n_scan"])
+    _add_common(s, groups=("seed",))
     s.set_defaults(func=cmd_gallery)
 
     s = subs.add_parser("double-factor",

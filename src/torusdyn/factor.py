@@ -48,8 +48,7 @@ class TauRegion:
 
 
 def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
-              half_height=None, max_iters=240, refine_rounds=20_000,
-              recurrence_n_max=2000, seed=0):
+              half_height=None, max_iters=240, refine_rounds=20_000, seed=0):
     """Saturate the half-width block over a ball at the given annulus point.
 
     The seed point should come with recurrence evidence; an empty probe
@@ -66,7 +65,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     geom = geometry_for(skew, center_y=y0, n_t=n_t, n_x=n_x, n_y=n_y,
                         half_height=half_height)
     times = recurrence_probe(skew.spec, (x0, wrap01(y0)), max(ball_radius, 0.05),
-                             n_max=recurrence_n_max, seed=seed)
+                             n_max=2000, seed=seed)
     warnings = []
     if not times:
         warnings.append("no recurrence evidence for the seed point")
@@ -113,7 +112,7 @@ class FiberFill:
 
 def _fill_key(tau, s):
     geom = tau.geom
-    it = int(geom.t_cell(wrap01(s)))
+    it = int(geom.t_cell(s))
     shift = int(np.round(s / geom.h_y))
     return it, shift
 
@@ -202,9 +201,9 @@ def evaluate_h(tau, z, tol=None):
         raise ValueError("tol must be positive")
     x, y = float(z[0]), float(z[1])
     ix = int(geom.x_cell(x))
+    iy = int(geom.y_cell(y))
 
     def member(s):
-        iy = int(np.floor((y - geom.y_min) / geom.h_y))
         if iy < 0:
             return True
         if iy >= geom.n_y:

@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circle import CircleLift, build_denjoy, rotation_number
+from .circle import CircleLift, rotation_number
 from .rotation import proximality_scan
-from .torus import ComposedMap, SuspensionMap, TorusMapSpec, make_disk_push
+from .serialize import circle_lift_from_definition
+from .torus import ComposedMap, DiskPush, SuspensionMap, TorusMapSpec
 from .util import GOLDEN_MEAN, SQRT2_MINUS_1, torus_dist, wrap01
 
 
@@ -63,12 +64,12 @@ class SuspensionSpec:
         return (self.rho_base, self.rho_base * self.rho_fiber)
 
 
-def _lift_rho(lift, n=20_000):
+def _lift_rho(lift):
     if lift.kind == "rigid":
         return lift.alpha
     if lift.target_alpha is not None:
         return float(lift.target_alpha)
-    return rotation_number(lift, 0.0, n)[0]
+    return rotation_number(lift, 0.0, 20_000)[0]
 
 
 def suspension_map(base_lift, fiber_lift):
@@ -77,6 +78,13 @@ def suspension_map(base_lift, fiber_lift):
     return SuspensionSpec(base=base_lift, fiber=fiber_lift, torus_map=spec,
                           rho_base=_lift_rho(base_lift),
                           rho_fiber=_lift_rho(fiber_lift))
+
+
+def manifest_suspension(name):
+    """The suspension of a gallery example, built from its manifest entry."""
+    entry = GALLERY_MANIFEST[name]
+    return suspension_map(circle_lift_from_definition(entry["base"]),
+                          circle_lift_from_definition(entry["fiber"]))
 
 
 def suspension_reference_eval(susp, z):
@@ -116,17 +124,17 @@ class ObstructionExample:
     notes: dict = field(default_factory=dict)
 
 
-def example_unbounded_inessential(denjoy_N=40, seed_time=0.32, push_dt=0.012,
-                                  push_radius=0.03):
+def example_unbounded_inessential():
     """Rigid-over-Denjoy suspension composed with a push in a wandering block.
 
     The fiber map has a single orbit of gaps; the push moves the center of
     the time-zero gap block to a nearby time, which is what separates the
     designated probe points while keeping them proximal to gap-edge points.
     """
-    g1 = CircleLift.rigid(GOLDEN_MEAN)
-    g2 = build_denjoy(SQRT2_MINUS_1, N=denjoy_N)
-    susp = suspension_map(g1, g2)
+    m = GALLERY_MANIFEST["unbounded-inessential"]
+    seed_time, push_dt, push_radius = m["seed_time"], m["push_dt"], m["push_radius"]
+    susp = manifest_suspension("unbounded-inessential")
+    g2 = susp.fiber
     a0, b0 = g2.gap_table.gap(0)
     mid = 0.5 * (a0 + b0)
     half = 0.5 * (b0 - a0)
@@ -134,7 +142,7 @@ def example_unbounded_inessential(denjoy_N=40, seed_time=0.32, push_dt=0.012,
         raise ValueError("push radius does not fit inside the gap block")
     w0 = (seed_time, mid)
     w1 = (seed_time + push_dt, mid)
-    push = make_disk_push(w0, w1, push_radius)
+    push = DiskPush(w0, w1, push_radius)
     f = ComposedMap([push, susp.torus_map])
     rho_v = susp.rho_base * susp.rho_fiber
     return ObstructionExample(
@@ -149,21 +157,22 @@ def example_unbounded_inessential(denjoy_N=40, seed_time=0.32, push_dt=0.012,
         wandering_center=(seed_time + 0.5 * push_dt, mid),
         wandering_radius=min(half * 0.95, push_radius + push_dt),
         rho_vertical=rho_v,
-        notes={"gap0": (a0, b0), "denjoy_N": denjoy_N,
+        notes={"gap0": (a0, b0), "denjoy_N": m["fiber"]["N"],
                "truncation_tol": g2.truncation_tol},
     )
 
 
-def example_fully_essential(denjoy_N=40, margin=0.004):
+def example_fully_essential():
     """Denjoy-over-Denjoy suspension with a push between two recurrent times.
 
     The push endpoints sit at times flanking a small materialized base gap,
     so the flow arc between them crosses the base's recurrent set; the
     crossing times within the truncated model are counted and attached.
     """
-    g1 = build_denjoy(GOLDEN_MEAN, N=denjoy_N)
-    g2 = build_denjoy(SQRT2_MINUS_1, N=denjoy_N)
-    susp = suspension_map(g1, g2)
+    m = GALLERY_MANIFEST["fully-essential"]
+    margin = m["margin"]
+    susp = manifest_suspension("fully-essential")
+    g1, g2 = susp.base, susp.fiber
     gt = g1.gap_table
     # find a short base gap flanked by arcs wide enough for the margins
     order = np.argsort(gt.a)
@@ -187,7 +196,7 @@ def example_fully_essential(denjoy_N=40, margin=0.004):
     radius = min(0.045, 0.9 * 0.5 * (b0 - a0))
     if (s1 - s0) > 0.45 * radius:
         radius = min(0.24, max(radius, (s1 - s0) / 0.45 + 1e-3))
-    push = make_disk_push(w0, w1, radius)
+    push = DiskPush(w0, w1, radius)
     f = ComposedMap([push, susp.torus_map])
     crossings = crossing_times(g1, s0, s1, samples=10_000)
     return ObstructionExample(
@@ -204,7 +213,7 @@ def example_fully_essential(denjoy_N=40, margin=0.004):
         rho_vertical=susp.rho_base * susp.rho_fiber,
         notes={"s0": s0, "s1": s1, "crossing_count": len(crossings),
                "base_gap": (float(a_s[choice]), float(b_s[choice])),
-               "denjoy_N": denjoy_N},
+               "denjoy_N": m["fiber"]["N"]},
     )
 
 
@@ -238,12 +247,6 @@ class SurgeryGeometry:
     gamma: float
     delta: float
     n_scan: int
-
-    def segment_points(self, count=512):
-        u = np.array([1.0, self.gamma])
-        u /= np.linalg.norm(u)
-        t = np.linspace(-self.delta, self.delta, count)
-        return wrap01(t[:, None] * u[None, :])
 
     def center(self, n):
         return wrap01(np.asarray(self.alpha, dtype=float) * n)
@@ -361,45 +364,7 @@ def no_gap_window(A, n0):
                        m0=n0 + values[-1] - values[0])
 
 
-# -- separation evidence --------------------------------------------------------
-
-
-@dataclass
-class SeparationEvidence:
-    pair: tuple
-    forward_min: float
-    backward_min: float
-    forward_argmin: int
-    backward_argmin: int
-    threshold: float
-    separated_by_construction: bool
-
-    @property
-    def proximal_some_direction(self):
-        return min(self.forward_min, self.backward_min) < self.threshold
-
-    @property
-    def verdict(self):
-        if self.pair[0] == self.pair[1]:
-            return "trivially equivalent"
-        if self.proximal_some_direction and self.separated_by_construction:
-            return "factor obstruction evidence"
-        if self.proximal_some_direction:
-            return "proximal pair"
-        return "no evidence"
-
-
-def kronecker_separation_probe(spec, w0, w1, n_max=10_000, threshold=1e-2,
-                               separated_by_construction=False):
-    """Proximality scan of a pair, rendered as separation evidence."""
-    scan = proximality_scan(spec, w0, w1, n_max=n_max)
-    return SeparationEvidence(pair=(tuple(map(float, w0)), tuple(map(float, w1))),
-                              forward_min=scan.forward_min,
-                              backward_min=scan.backward_min,
-                              forward_argmin=scan.forward_argmin,
-                              backward_argmin=scan.backward_argmin,
-                              threshold=threshold,
-                              separated_by_construction=separated_by_construction)
+# -- obstruction evidence -------------------------------------------------------
 
 
 def obstruction_evidence(example, n_max=10_000, threshold=1e-2):
@@ -407,16 +372,13 @@ def obstruction_evidence(example, n_max=10_000, threshold=1e-2):
 
     The probe pair (w0, w1) is separated by construction; w0 is checked
     proximal (forward) to the edge point over w1 and proximal (backward)
-    to the edge point over w0.
+    to the edge point over w0. The two pairs' proximality scans are
+    returned as they are.
     """
-    fwd = kronecker_separation_probe(example.torus_map, example.w0,
-                                     example.w1_edge, n_max=n_max,
-                                     threshold=threshold,
-                                     separated_by_construction=True)
-    bwd = kronecker_separation_probe(example.torus_map, example.w0,
-                                     example.w0_edge, n_max=n_max,
-                                     threshold=threshold,
-                                     separated_by_construction=True)
+    fwd = proximality_scan(example.torus_map, example.w0, example.w1_edge,
+                           n_max=n_max)
+    bwd = proximality_scan(example.torus_map, example.w0, example.w0_edge,
+                           n_max=n_max)
     obstruction = (fwd.forward_min < threshold) and (bwd.backward_min < threshold)
     return {"forward_pair": fwd, "backward_pair": bwd,
             "obstruction_evidence": obstruction, "n_max": n_max,

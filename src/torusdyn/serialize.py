@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +17,25 @@ import numpy as np
 from . import __version__
 from .circle import CircleLift, build_denjoy, geometric_gap_schedule
 from .torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
-                    SuspensionMap, TorusMapSpec)
+                    SuspensionMap)
+from .util import GOLDEN_MEAN, SQRT2_MINUS_1
 
-NAMED_ANGLES = {
-    "golden": (5 ** 0.5 - 1) / 2,
-    "sqrt2": 2 ** 0.5 - 1,
-}
+NAMED_ANGLES = {"golden": GOLDEN_MEAN, "sqrt2": SQRT2_MINUS_1}
+
+
+def parse_number(v):
+    """A finite real given as a number, a numeric string or a named angle."""
+    if isinstance(v, str) and v in NAMED_ANGLES:
+        return NAMED_ANGLES[v]
+    if not isinstance(v, bool):
+        try:
+            x = float(v)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise ValueError(f"not a finite number or named angle: {v!r}")
 
 
 def _kind(d, what):
@@ -30,52 +44,72 @@ def _kind(d, what):
     return d["kind"]
 
 
+def _field(d, key):
+    if key not in d:
+        raise ValueError(f'a "{d["kind"]}" definition needs "{key}"')
+    return d[key]
+
+
+def _list(v, what):
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{what} must be a list, not {v!r}")
+    return v
+
+
+def _pair(v, what):
+    if len(_list(v, what)) != 2:
+        raise ValueError(f"{what} must be a pair of numbers, not {v!r}")
+    return parse_number(v[0]), parse_number(v[1])
+
+
+def _integer(v, what):
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be an integer, not {v!r}")
+    return v
+
+
 def circle_lift_from_definition(d):
     kind = _kind(d, "circle lift")
     if kind == "rigid":
-        return CircleLift.rigid(_angle(d["alpha"]))
+        return CircleLift.rigid(parse_number(_field(d, "alpha")))
     if kind == "piecewise-affine":
-        return CircleLift.piecewise_affine(d["breaks"])
+        return CircleLift.piecewise_affine(
+            [_pair(p, "a breakpoint") for p in _list(_field(d, "breaks"), "breaks")])
     if kind == "denjoy-truncated":
-        N = int(d.get("N", 40))
+        N = _integer(d.get("N", 40), "N")
         schedule = None
         if "lengths" in d:
-            lengths = [float(v) for v in d["lengths"]]
+            lengths = [parse_number(v) for v in _list(d["lengths"], "lengths")]
             if len(lengths) != 2 * N + 1:
                 raise ValueError("lengths must have 2N+1 entries")
             schedule = lambda n: lengths[n + N] if abs(n) <= N else 0.0
         elif "total_mass" in d:
-            schedule = geometric_gap_schedule(d["total_mass"])
-        lift = build_denjoy(_angle(d["alpha"]), gap_schedule=schedule, N=N)
+            schedule = geometric_gap_schedule(parse_number(d["total_mass"]))
+        lift = build_denjoy(parse_number(_field(d, "alpha")),
+                            gap_schedule=schedule, N=N)
         if "truncation_tol" in d:
             lift.gap_table = replace(lift.gap_table,
-                                     truncation_tol=float(d["truncation_tol"]))
+                                     truncation_tol=parse_number(d["truncation_tol"]))
         return lift
     raise ValueError(f"unknown circle lift kind: {kind}")
-
-
-def _angle(v):
-    if isinstance(v, str):
-        if v not in NAMED_ANGLES:
-            raise ValueError(f"unknown named angle: {v}")
-        return NAMED_ANGLES[v]
-    return float(v)
 
 
 def torus_map_from_definition(d):
     kind = _kind(d, "torus map")
     if kind == "rigid":
-        a, b = d["offset"]
-        return RigidTranslation(_angle(a), _angle(b))
+        return RigidTranslation(*_pair(_field(d, "offset"), "offset"))
     if kind == "twist":
-        return DehnTwist(d["k"])
+        return DehnTwist(_integer(_field(d, "k"), "k"))
     if kind == "suspension":
-        return SuspensionMap(circle_lift_from_definition(d["base"]),
-                             circle_lift_from_definition(d["fiber"]))
+        return SuspensionMap(circle_lift_from_definition(_field(d, "base")),
+                             circle_lift_from_definition(_field(d, "fiber")))
     if kind == "disk-push":
-        return DiskPush(d["center0"], d["center1"], d["radius"])
+        return DiskPush(_pair(_field(d, "center0"), "center0"),
+                        _pair(_field(d, "center1"), "center1"),
+                        parse_number(_field(d, "radius")))
     if kind == "composed":
-        return ComposedMap([torus_map_from_definition(c) for c in d["maps"]])
+        return ComposedMap([torus_map_from_definition(c)
+                            for c in _list(_field(d, "maps"), "maps")])
     raise ValueError(f"unknown torus map kind: {kind}")
 
 
@@ -147,30 +181,6 @@ def _plain(obj):
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     return obj
-
-
-def write_deviation_csv(path, profile, config):
-    write_csv(path, ["n", "D"],
-              zip(profile.n.tolist(), profile.value.tolist()),
-              dict(config, verdict=profile.verdict, c_est=profile.c_est,
-                   seed=profile.seed))
-
-
-def write_spread_csv(path, table, config):
-    write_csv(path, ["n", "spread_forward", "spread_backward"],
-              zip(table.n.tolist(), table.forward.tolist(),
-                  table.backward.tolist()),
-              dict(config, consistent=table.consistent, seed=table.seed))
-
-
-def write_cloud_csv(path, cloud, config):
-    """Deepest-level cloud points with a hull membership flag column."""
-    pts = cloud.deepest()
-    hull = {tuple(p) for p in cloud.hull.tolist()}
-    rows = [(p[0], p[1], tuple(p) in hull) for p in pts.tolist()]
-    write_csv(path, ["rx", "ry", "on_hull"], rows,
-              dict(config, n=cloud.n_ladder[-1], samples=cloud.samples,
-                   seed=cloud.seed))
 
 
 def rle_encode(bits):

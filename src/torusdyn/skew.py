@@ -83,15 +83,6 @@ class CentralizedSkew:
         ], axis=-1)
         return out.reshape(np.shape(np.asarray(states, dtype=float)))
 
-    def calibrate(self, n=2000, samples=32, seed=0):
-        """Check rho against the sampled vertical rotation number."""
-        from .rotation import vertical_rotation_number
-
-        est, spread = vertical_rotation_number(self.spec, n=n, samples=samples,
-                                               seed=seed)
-        return {"rho": self.rho, "estimate": est, "spread": spread,
-                "n": n, "consistent": abs(est - self.rho) <= 2.0 / n + spread}
-
 
 def build_centralized(spec, rho, c_est=None):
     return CentralizedSkew(spec, rho, c_est=c_est)
@@ -323,6 +314,8 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
     the window's top or bottom row is reached ("window-exhausted").
     Returns (occ, seed_occ, status, rounds), seed_occ being the seed block.
     """
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
     pts = np.asarray(fiber_points, dtype=float)
     occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
     rho = skew.rho
@@ -428,7 +421,7 @@ def extend_to_envelopes(occ, geom, env_min, env_max):
     return occ | solid
 
 
-def close_fibers(occ, x_halo=2, y_halo=1):
+def close_fibers(occ):
     """Morphological closing of each fiber, x-wrap aware.
 
     Regularizes the rasterized region at grid scale: single-column notches
@@ -436,6 +429,7 @@ def close_fibers(occ, x_halo=2, y_halo=1):
     stay put. Used as the grid-scale closure of the region before boundaries
     are extracted.
     """
+    x_halo, y_halo = 2, 1
     structure = np.ones((2 * x_halo + 1, 2 * y_halo + 1), dtype=bool)
     out = np.empty_like(occ)
     for it in range(occ.shape[0]):
@@ -523,12 +517,13 @@ def dilate_mask(occ):
     return out
 
 
-def invariance_defect(skew, mask, chunk=2_000_000):
+def invariance_defect(skew, mask):
     """One-sided check: F(mask) and F^-1(mask) inside mask dilated by a cell.
 
     Returns the number of source cells whose sampled image leaves the
     dilated mask, per direction.
     """
+    chunk = 2_000_000  # source cells per step; bounds the sample arrays' memory
     geom = mask.geom
     dil = dilate_mask(mask.occ)
     idx = np.nonzero(mask.occ)

@@ -15,12 +15,6 @@ import numpy as np
 from .circle import CircleLift
 from .util import wrap01
 
-_CORNER_INSET = 0.25
-
-
-def twist_matrix(k):
-    return np.array([[1, k], [0, 1]], dtype=np.int64)
-
 
 def apply_twist(k, z):
     """Apply [[1, k], [0, 1]] to points with trailing axis (x, y)."""
@@ -207,7 +201,7 @@ class DiskPush(TorusMapSpec):
         out = z.copy()
         if not np.any(active):
             return out
-        wa = w[active] if w.ndim > 1 else w
+        wa = w[active]
         # solve s = eta(|w - s*d| / R) by bisection; phi is strictly decreasing
         lo = np.zeros(wa.shape[:-1])
         hi = np.ones(wa.shape[:-1])
@@ -218,10 +212,7 @@ class DiskPush(TorusMapSpec):
             lo = np.where(phi > 0.0, mid, lo)
             hi = np.where(phi > 0.0, hi, mid)
         s = 0.5 * (lo + hi)
-        if w.ndim > 1:
-            out[active] = z[active] - s[..., None] * self.push
-        else:
-            out = z - s * self.push
+        out[active] = z[active] - s[..., None] * self.push
         return out
 
     def to_definition(self):
@@ -260,25 +251,6 @@ class ComposedMap(TorusMapSpec):
         return {"kind": self.kind, "maps": [m.to_definition() for m in self.chain]}
 
 
-def make_disk_push(center0, center1, radius):
-    c0 = np.asarray(center0, dtype=float)
-    c1 = np.asarray(center1, dtype=float)
-    d = (c1 - c0) - np.round(c1 - c0)
-    if np.all(d == 0.0):
-        return _IdentityPush(center0, center1, radius)
-    return DiskPush(center0, center1, radius)
-
-
-class _IdentityPush(DiskPush):
-    """Push with coincident centers: the identity."""
-
-    def eval_lift(self, z):
-        return np.asarray(z, dtype=float).copy()
-
-    def eval_inverse(self, z):
-        return np.asarray(z, dtype=float).copy()
-
-
 # -- isotopy-class normalization ----------------------------------------------
 
 def normalize_isotopy_class(A):
@@ -293,10 +265,7 @@ def normalize_isotopy_class(A):
     tr = M[0][0] + M[1][1]
     if det != 1 or tr != 2:
         raise ValueError("not unipotent: need det 1 and trace 2")
-    if M[0][1] == 0 and M[1][0] == 0:
-        # already a twist I_k with k possibly 0 (the identity)
-        return ((1, 0), (0, 1)), M[0][1]
-    if M[1][0] == 0:
+    if M[1][0] == 0:  # already a twist, the identity when k = 0
         return ((1, 0), (0, 1)), M[0][1]
     # kernel of A - I is spanned by a primitive integer vector (a, c)
     p, q = M[0][0] - 1, M[0][1]

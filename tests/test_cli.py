@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import numpy as np
+from hypothesis import event, given, settings, strategies as st
 
 from torusdyn.cli import main
 
@@ -31,6 +34,8 @@ def test_rotnum_identity(tmp_path):
 
 def test_rotnum_usage_error(tmp_path):
     assert run(["rotnum", "--out", str(tmp_path)]) == 1
+    assert run(["rotnum", "--rigid", "0.25", "--seed", "3",
+                "--out", str(tmp_path)]) == 1
 
 
 def test_deviations_rigid_zero_column(tmp_path):
@@ -174,13 +179,22 @@ def _one_line_usage_error(capsys):
 def test_map_definition_without_kind_is_usage_error(tmp_path, capsys):
     for bad in ('{"offset":[0.1,0.2]}', '[1, 2]', '"rigid"',
                 '{"kind":"suspension","base":{"alpha":0.1},'
-                '"fiber":{"kind":"rigid","alpha":0.2}}'):
-        assert run(["deviations", "--map", bad, "--rho", "0",
+                '"fiber":{"kind":"rigid","alpha":0.2}}',
+                '{"kind":"rigid"}', '{"kind":"twist"}',
+                '{"kind":"rigid","offset":5}',
+                '{"kind":"rigid","offset":[null,1]}',
+                '{"kind":"composed","maps":5}',
+                '{"kind":"rigid","offset":[NaN,0]}',
+                '{"kind":"rigid","offset":[Infinity,0]}',
+                '{"kind":"disk-push","center0":[0.3,NaN],'
+                '"center1":[0.35,0.5],"radius":0.2}',
+                '{"kind":"twist","k":1.5}'):
+        assert run(["deviations", "--map", bad, "--rho", "0", "--nmax", "3",
                     "--out", str(tmp_path)]) == 1
         _one_line_usage_error(capsys)
-    assert run(["rotnum", "--circle", '{"alpha":0.25}',
-                "--out", str(tmp_path)]) == 1
-    _one_line_usage_error(capsys)
+    for bad in ('{"alpha":0.25}', '{"kind":"piecewise-affine"}'):
+        assert run(["rotnum", "--circle", bad, "--out", str(tmp_path)]) == 1
+        _one_line_usage_error(capsys)
 
 
 def test_factor_rejects_empty_or_negative_resolution(tmp_path, capsys):
@@ -189,6 +203,13 @@ def test_factor_rejects_empty_or_negative_resolution(tmp_path, capsys):
                     "--seed-point", "0.5,0", "--resolution", res,
                     "--out", str(tmp_path)]) == 1
         _one_line_usage_error(capsys)
+
+
+def test_factor_rejects_negative_max_iters(tmp_path, capsys):
+    assert run(["factor", "--map", RIGID, "--rho", "0.4142135624",
+                "--seed-point", "0.5,0", "--resolution", "8,8,16",
+                "--max-iters", "-1", "--out", str(tmp_path)]) == 1
+    _one_line_usage_error(capsys)
 
 
 def test_threads_flag_removed(tmp_path, capsys):
@@ -215,3 +236,78 @@ def test_rotnum_denjoy_cli(tmp_path):
     res = doc["result"]
     golden = (5 ** 0.5 - 1) / 2
     assert abs(res["estimate"] - golden) <= res["error_bound"] + res["truncation_slack"]
+
+
+# -- fuzzed map definitions: every run exits 0 or 1, never with a traceback ----
+
+JUNK = st.sampled_from([None, float("nan"), float("inf"), float("-inf"), True,
+                        "x", "golden", [], {}, [0.1], [0.1, 0.2, 0.3], 0, -1,
+                        1.5, 3])
+ANGLE = st.sampled_from([0.25, -1, 1.5, "golden", "sqrt2", "0.3"])
+
+
+def _sometimes(bad, good):
+    """The good strategy about nine times in ten, the bad one otherwise."""
+    # not i == 0: generation favours small integers
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 5 else good)
+
+
+def _field(good):
+    return _sometimes(JUNK, good)
+
+
+def _drop_a_key(d):
+    return st.sampled_from(sorted(d)).map(
+        lambda key: {k: v for k, v in d.items() if k != key})
+
+
+def _obj(kind, **fields):
+    """A definition whose fields may hold junk, with a key sometimes dropped."""
+    full = st.fixed_dictionaries({"kind": _field(st.just(kind)),
+                                  **{k: _field(v) for k, v in fields.items()}})
+    return full.flatmap(lambda d: _sometimes(_drop_a_key(d), st.just(d)))
+
+
+PAIR = _sometimes(st.lists(ANGLE, max_size=3),
+                  st.tuples(ANGLE, ANGLE).map(list))
+CENTER = _sometimes(PAIR, st.sampled_from([[0.3, 0.5], [0.32, 0.51]]))
+DENJOY_ALPHA = st.sampled_from(["golden", "sqrt2", 0.25])
+CIRCLE = st.one_of(
+    _obj("rigid", alpha=ANGLE),
+    _obj("piecewise-affine",
+         breaks=_sometimes(st.lists(PAIR, max_size=3), st.sampled_from(
+             [[[0, 0.25], [0.5, 0.9]], [[0.1, 0.3]], []]))),
+    _obj("denjoy-truncated", alpha=DENJOY_ALPHA, N=st.integers(-1, 6),
+         total_mass=st.sampled_from([0.3, 0.05, 1.5, -0.1]),
+         truncation_tol=st.just(1e-3)),
+    _obj("denjoy-truncated", alpha=DENJOY_ALPHA, N=st.just(2),
+         lengths=st.lists(_field(st.floats(0.001, 0.05)), min_size=4, max_size=6)),
+)
+MAP = st.recursive(
+    st.one_of(
+        _obj("rigid", offset=PAIR),
+        _obj("twist", k=st.integers(-2, 2)),
+        _obj("suspension", base=CIRCLE, fiber=CIRCLE),
+        _obj("disk-push", center0=CENTER, center1=CENTER,
+             radius=st.sampled_from([0.2, 0.03, 0.3])),
+    ),
+    lambda children: _obj("composed", maps=st.lists(children, min_size=1,
+                                                     max_size=3)),
+    max_leaves=5,
+)
+
+
+@given(d=MAP)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_map_definitions_exit_cleanly(tmp_path_factory, d):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["deviations", "--map", json.dumps(d), "--rho", "0",
+                    "--nmax", "3", "--samples", "2",
+                    "--out", str(tmp_path_factory.mktemp("fuzz"))])
+    text = err.getvalue()
+    event(f"exit code {code}")
+    assert code in (0, 1), text
+    assert "Traceback" not in text
+    if code == 1:
+        assert text.startswith("usage error:") and text.count("\n") == 1, text

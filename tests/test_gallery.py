@@ -5,8 +5,7 @@ import pytest
 
 from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.gallery import (crossing_times, example_fully_essential,
-                              example_unbounded_inessential,
-                              kronecker_separation_probe, no_gap_window,
+                              example_unbounded_inessential, no_gap_window,
                               obstruction_evidence, surgery_geometry,
                               suspension_map, suspension_reference_eval)
 from torusdyn.rotation import (deviation_profile, estimate_rotation_set,
@@ -107,7 +106,8 @@ def test_surgery_schedule_values():
     for n in (-50, -7, 0, 7, 50):
         width = geo.fiber_halfwidth(n, geo.center(n))
         assert width == 2.0 ** (-abs(n) - 10) * geo.delta
-    seg = geo.segment_points(128)
+    u = np.array([1.0, geo.gamma]) / np.hypot(1.0, geo.gamma)
+    seg = wrap01(np.linspace(-geo.delta, geo.delta, 128)[:, None] * u)
     assert geo.fiber_halfwidth(3, seg[0]) == 0.0
     assert geo.fiber_halfwidth(3, seg[-1]) == 0.0
     sampled = geo.fiber_halfwidth(5, seg)
@@ -157,17 +157,6 @@ def test_no_gap_window_exhaustive_small():
             if len(w.values) ** (w.m0 + 1) <= 20_000:
                 for xi in product(w.values, repeat=w.m0 + 1):
                     assert w.check_assignment(m_prime, xi)
-
-
-def test_kronecker_probe_trivial_and_rigid():
-    from torusdyn.torus import RigidTranslation
-
-    r = RigidTranslation(A, B)
-    ev = kronecker_separation_probe(r, (0.2, 0.2), (0.2, 0.2), n_max=5)
-    assert ev.verdict == "trivially equivalent"
-    ev = kronecker_separation_probe(r, (0.1, 0.1), (0.4, 0.1), n_max=50)
-    assert ev.forward_min == pytest.approx(0.3, abs=1e-12)
-    assert ev.verdict == "no evidence"
 
 
 def test_manifest_matches_constructor_defaults(ex32, ex33):

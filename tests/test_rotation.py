@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from torusdyn.circle import CircleLift
-from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1 as _S
 from torusdyn.rotation import (deviation_profile, estimate_rotation_set,
                                horizontal_spread, proximality_scan,
                                recurrence_probe, vertical_rotation_number)

@@ -82,32 +82,3 @@ def test_write_json_sorted_and_deterministic(tmp_path):
     doc = json.loads(p1.read_text())
     assert doc["result"]["flag"] is True
 
-
-def test_rotation_table_emitters(tmp_path):
-    from torusdyn.rotation import (deviation_profile, estimate_rotation_set,
-                                   horizontal_spread)
-    from torusdyn.serialize import (write_cloud_csv, write_deviation_csv,
-                                    write_spread_csv)
-    from torusdyn.torus import RigidTranslation
-
-    r = RigidTranslation(0.3, 0.4)
-    prof = deviation_profile(r, (0, 1), 0.4, n_max=20, samples=4)
-    write_deviation_csv(tmp_path / "d.csv", prof, {"command": "t"})
-    spread = horizontal_spread(r, n_max=20, samples=4)
-    write_spread_csv(tmp_path / "s.csv", spread, {"command": "t"})
-    cloud = estimate_rotation_set(r, n_ladder=(5, 10), samples=4)
-    write_cloud_csv(tmp_path / "c.csv", cloud, {"command": "t"})
-    for name, cols in (("d.csv", 2), ("s.csv", 3), ("c.csv", 3)):
-        lines = (tmp_path / name).read_text().splitlines()
-        data = [l for l in lines if not l.startswith("#")]
-        assert len(data[0].split(",")) == cols
-        assert len(data) > 1
-    # the cloud of a rigid map collapses to one point: its hull is marked
-    rows = [l.split(",") for l in
-            (tmp_path / "c.csv").read_text().splitlines()
-            if not l.startswith("#")][1:]
-    assert any(r[2] == "1" for r in rows)
-    ref = next(r for r in rows if r[2] == "1")
-    for r in rows:
-        assert abs(float(r[0]) - float(ref[0])) <= 1e-12
-        assert abs(float(r[1]) - float(ref[1])) <= 1e-12

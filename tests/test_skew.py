@@ -292,9 +292,3 @@ def test_grid_geometry_rejects_empty_sizes_and_window():
             GridGeometry(*sizes, 0.0, 1.0)
     with pytest.raises(ValueError):
         GridGeometry(4, 4, 4, 1.0, 1.0)
-
-
-def test_calibration_consistency(susp_skew):
-    cal = susp_skew.calibrate(n=2000, samples=16, seed=0)
-    assert cal["consistent"]
-    assert abs(cal["estimate"] - susp_skew.rho) <= 2.0 / cal["n"] + cal["spread"]

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from torusdyn.circle import CircleLift, build_denjoy
-from torusdyn.torus import (ComposedMap, DehnTwist, RigidTranslation,
-                            SuspensionMap, make_disk_push,
-                            normalize_isotopy_class, twist_matrix)
+from torusdyn.serialize import circle_lift_from_definition, torus_map_from_definition
+from torusdyn.torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
+                            SuspensionMap, apply_twist, normalize_isotopy_class)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 
 
@@ -17,7 +17,7 @@ def sample_maps():
         SuspensionMap(CircleLift.rigid(GOLDEN_MEAN),
                       CircleLift.rigid(SQRT2_MINUS_1)),
         SuspensionMap(CircleLift.rigid(GOLDEN_MEAN), build_denjoy(SQRT2_MINUS_1, N=8)),
-        make_disk_push((0.3, 0.5), (0.35, 0.5), 0.2),
+        DiskPush((0.3, 0.5), (0.35, 0.5), 0.2),
     ]
 
 
@@ -38,7 +38,7 @@ def test_equivariance_all_kinds():
         out = spec.eval_lift(z)
         for p in ((1.0, 0.0), (0.0, 1.0)):
             shifted = spec.eval_lift(z + np.array(p))
-            expect = out + twist_matrix(spec.k) @ np.array(p)
+            expect = out + apply_twist(spec.k, p)
             assert np.max(np.abs(shifted - expect)) <= 1e-10, spec.kind
 
 
@@ -66,7 +66,7 @@ def test_inverse_roundtrip_all_kinds():
 def test_composed_matches_sequential():
     rng = np.random.default_rng(2)
     z = rng.uniform(0, 1, (1000, 2))
-    dp = make_disk_push((0.3, 0.5), (0.35, 0.5), 0.2)
+    dp = DiskPush((0.3, 0.5), (0.35, 0.5), 0.2)
     susp = SuspensionMap(CircleLift.rigid(GOLDEN_MEAN),
                          CircleLift.rigid(SQRT2_MINUS_1))
     comp = ComposedMap([dp, susp])
@@ -76,13 +76,13 @@ def test_composed_matches_sequential():
 
 
 def test_disk_push_moves_center_exactly():
-    dp = make_disk_push((0.3, 0.5), (0.35, 0.5), 0.2)
+    dp = DiskPush((0.3, 0.5), (0.35, 0.5), 0.2)
     out = dp.eval_lift(np.array([0.3, 0.5]))
     assert np.max(np.abs(out - [0.35, 0.5])) <= 1e-12
 
 
 def test_disk_push_identity_outside_support():
-    dp = make_disk_push((0.3, 0.5), (0.35, 0.5), 0.2)
+    dp = DiskPush((0.3, 0.5), (0.35, 0.5), 0.2)
     rng = np.random.default_rng(3)
     z = rng.uniform(0, 1, (2000, 2))
     w = z - np.array([0.325, 0.5])
@@ -91,7 +91,7 @@ def test_disk_push_identity_outside_support():
 
 
 def test_disk_push_inverse_in_disk():
-    dp = make_disk_push((0.3, 0.5), (0.35, 0.5), 0.2)
+    dp = DiskPush((0.3, 0.5), (0.35, 0.5), 0.2)
     rng = np.random.default_rng(4)
     z = np.array([0.325, 0.5]) + 0.19 * (rng.uniform(-1, 1, (1000, 2)))
     back = dp.eval_inverse(dp.eval_lift(z))
@@ -99,16 +99,16 @@ def test_disk_push_inverse_in_disk():
 
 
 def test_disk_push_degenerate_is_identity():
-    dp = make_disk_push((0.3, 0.5), (0.3, 0.5), 0.2)
+    dp = DiskPush((0.3, 0.5), (0.3, 0.5), 0.2)
     z = np.random.default_rng(5).uniform(0, 1, (100, 2))
     assert np.array_equal(dp.eval_lift(z), z)
 
 
 def test_disk_push_rejections():
     with pytest.raises(ValueError):
-        make_disk_push((0.1, 0.1), (0.3, 0.1), 0.2)  # too far for the radius
+        DiskPush((0.1, 0.1), (0.3, 0.1), 0.2)  # too far for the radius
     with pytest.raises(ValueError):
-        make_disk_push((0.1, 0.1), (0.11, 0.1), 0.3)  # radius >= 1/4
+        DiskPush((0.1, 0.1), (0.11, 0.1), 0.3)  # radius >= 1/4
 
 
 def test_normalize_examples():
@@ -155,3 +155,83 @@ def test_normalize_random_conjugates(j, seed):
     # verify the conjugation identity in exact integers
     Cinv = ((C[1][1], -C[0][1]), (-C[1][0], C[0][0]))
     assert _mat_mul(Cinv, _mat_mul(A, C)) == ((1, k), (0, 1))
+
+
+# -- properties of every map kind, built from random definitions ----------------
+
+EQUIVARIANCE_TOL = 1e-10
+ROUNDTRIP_TOL = 1e-8
+
+reals = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def pwa_definitions(draw):
+    """Piecewise-affine lifts: positive x and y steps, winding one."""
+    size = draw(st.integers(1, 5))
+    gx = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=size, max_size=size)))
+    gy = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=size, max_size=size)))
+    bx = np.concatenate([[0.0], np.cumsum(gx)[:-1]]) / gx.sum()
+    by = draw(reals) + np.concatenate([[0.0], np.cumsum(gy)[:-1]]) / gy.sum()
+    return {"kind": "piecewise-affine", "breaks": np.column_stack([bx, by]).tolist()}
+
+
+@st.composite
+def denjoy_definitions(draw):
+    d = {"kind": "denjoy-truncated",
+         "alpha": draw(st.sampled_from(["golden", "sqrt2"]) | st.floats(0.05, 0.95)),
+         "N": draw(st.integers(1, 8)), "total_mass": draw(st.floats(0.05, 0.5))}
+    try:  # alphas too close to a small-denominator rational are refused
+        circle_lift_from_definition(d)
+    except ValueError:
+        reject()
+    return d
+
+
+circle_definitions = (st.builds(lambda a: {"kind": "rigid", "alpha": a}, reals)
+                      | pwa_definitions() | denjoy_definitions())
+
+
+@st.composite
+def disk_push_definitions(draw):
+    c0 = np.array([draw(st.floats(0.0, 1.0, exclude_max=True)) for _ in range(2)])
+    radius = draw(st.floats(0.01, 0.249))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    push = draw(st.floats(0.0, 0.48)) * radius * np.array([np.cos(angle), np.sin(angle)])
+    return {"kind": "disk-push", "center0": c0.tolist(),
+            "center1": (c0 + push).tolist(), "radius": radius}
+
+
+simple_definitions = st.one_of(
+    st.builds(lambda a, b: {"kind": "rigid", "offset": [a, b]}, reals, reals),
+    st.builds(lambda k: {"kind": "twist", "k": k}, st.integers(-3, 3)),
+    st.builds(lambda b, f: {"kind": "suspension", "base": b, "fiber": f},
+              circle_definitions, circle_definitions),
+    disk_push_definitions(),
+)
+map_definitions = simple_definitions | st.builds(
+    lambda maps: {"kind": "composed", "maps": maps},
+    st.lists(simple_definitions, min_size=1, max_size=3))
+
+
+@given(d=circle_definitions, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_circle_lifts_degree_one(d, seed):
+    lift = circle_lift_from_definition(d)
+    x = np.sort(np.random.default_rng(seed).uniform(-2.0, 2.0, 200))
+    gx = lift(x)
+    assert np.max(np.abs(lift(x + 1.0) - gx - 1.0)) <= EQUIVARIANCE_TOL
+    assert np.all(np.diff(gx) > 0.0)
+
+
+@given(d=map_definitions, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_every_kind_equivariant_and_invertible(d, seed):
+    spec = torus_map_from_definition(d)
+    z = np.random.default_rng(seed).uniform(-1.0, 2.0, (200, 2))
+    out = spec.eval_lift(z)
+    for p in ((1.0, 0.0), (0.0, 1.0)):
+        shifted = spec.eval_lift(z + np.array(p))
+        assert np.max(np.abs(shifted - out - apply_twist(spec.k, p))) <= EQUIVARIANCE_TOL
+    assert np.max(np.abs(spec.eval_lift(spec.eval_inverse(z)) - z)) <= ROUNDTRIP_TOL
+    assert np.max(np.abs(spec.eval_inverse(out) - z)) <= ROUNDTRIP_TOL
