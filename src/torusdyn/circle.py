@@ -245,6 +245,10 @@ def build_denjoy(alpha, gap_schedule=None, N=40):
         raise ValueError("N must be >= 1")
     if gap_schedule is None:
         gap_schedule = geometric_gap_schedule()
+    # before allocating 2N+1 gaps: a geometric schedule underflows to 0
+    # beyond N of about 1074
+    if not (gap_schedule(N) > 0.0 and gap_schedule(-N) > 0.0):
+        raise ValueError("gap lengths must be positive")
     idx = np.arange(-N, N + 1)
     lengths = np.array([float(gap_schedule(int(n))) for n in idx])
     if np.any(lengths <= 0.0):

@@ -63,6 +63,18 @@ def _load_map(args):
     raise UsageError("a torus map definition is required (--map or --map-file)")
 
 
+def _numbers(text, count, flag, cast=parse_number):
+    """The ``count`` comma-separated values of a list flag."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise UsageError(f"--{flag} takes {count} comma-separated values, "
+                         f"not {text!r}")
+    try:
+        return tuple(cast(p) for p in parts)
+    except ValueError as e:
+        raise UsageError(f"--{flag}: {e}") from None
+
+
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -76,9 +88,9 @@ def _resolved(args, names):
 
 def cmd_rotnum(args):
     if args.rigid is not None:
-        lift = CircleLift.rigid(parse_number(args.rigid))
+        lift = CircleLift.rigid(args.rigid)
     elif args.denjoy is not None:
-        lift = build_denjoy(parse_number(args.denjoy), N=args.denjoy_order)
+        lift = build_denjoy(args.denjoy, N=args.denjoy_order)
     elif args.circle is not None:
         lift = circle_lift_from_definition(json.loads(args.circle))
     else:
@@ -98,7 +110,7 @@ def cmd_deviations(args):
     spec = _load_map(args)
     if args.rho is None:
         raise UsageError("--rho is required")
-    v = tuple(float(c) for c in args.v.split(","))
+    v = _numbers(args.v, 2, "v")
     prof = deviation_profile(spec, v, args.rho, n_max=args.nmax,
                              samples=args.samples, seed=args.seed)
     cfg = _resolved(args, ["rho", "nmax", "samples", "seed"])
@@ -120,7 +132,7 @@ def cmd_skeworbit(args):
     if args.rho is None:
         raise UsageError("--rho is required")
     skew = build_centralized(spec, args.rho)
-    t, x, y = (float(c) for c in args.state.split(","))
+    t, x, y = _numbers(args.state, 3, "state")
     cur = np.array([[t, x, y]])
     rows = [(0, t, x, y)]
     lo = hi = y
@@ -149,9 +161,9 @@ def cmd_factor(args):
         raise UsageError("--rho is required")
     if args.seed_point is None:
         raise UsageError("--seed-point is required")
-    sx, sy = (float(c) for c in args.seed_point.split(","))
+    sx, sy = _numbers(args.seed_point, 2, "seed-point")
     skew = build_centralized(spec, args.rho, c_est=args.c_est)
-    n_t, n_x, n_y = (int(c) for c in args.resolution.split(","))
+    n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
     tau = build_tau(skew, (sx, sy), ball_radius=args.ball_radius,
                     n_t=n_t, n_x=n_x, n_y=n_y, half_height=args.window,
                     max_iters=args.max_iters, seed=args.seed)
@@ -203,10 +215,15 @@ def cmd_gallery(args):
         known = sorted(GALLERY_MANIFEST) + sorted(GALLERY_ALIASES)
         raise UsageError("unknown example id %r; known ids: %s" % (
             args.example, ", ".join(known)))
+    manifest = GALLERY_MANIFEST[name]
+    for flag, key in (("gamma", "gamma"), ("delta", "delta"), ("nscan", "n_scan")):
+        if getattr(args, flag) is None:  # only surgery-geometry has the key
+            setattr(args, flag, manifest.get(key))
+        elif name != "surgery-geometry":
+            raise UsageError(f"--{flag} applies only to surgery-geometry")
     out = _outdir(args)
     cfg = _resolved(args, ["nmax", "seed"])
     cfg["example"] = name
-    manifest = GALLERY_MANIFEST[name]
     if name == "suspension":
         susp = manifest_suspension(name)
         skew = build_centralized(susp.torus_map,
@@ -287,7 +304,7 @@ def cmd_double_factor(args):
         raise UsageError("rotation cloud not a point; the map is not a "
                          "pseudo-rotation, refusing")
     rho1, rho2 = pts.mean(axis=0)
-    n_t, n_x, n_y = (int(c) for c in args.resolution.split(","))
+    n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
     out = _outdir(args)
     cfg = _resolved(args, ["resolution", "seed"])
     cfg["map"] = spec.to_definition()
@@ -362,54 +379,54 @@ def build_parser():
     subs = p.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("rotnum", help="rotation number of a circle lift")
-    s.add_argument("--rigid", default=None,
+    s.add_argument("--rigid", type=parse_number, default=None,
                    help="rigid rotation angle (number or golden/sqrt2)")
-    s.add_argument("--denjoy", default=None,
+    s.add_argument("--denjoy", type=parse_number, default=None,
                    help="truncated blow-up targeting this angle")
     s.add_argument("--denjoy-order", type=int, default=40)
     s.add_argument("--circle", default=None, help="inline JSON circle lift")
     s.add_argument("--n", type=int, default=100_000)
-    s.add_argument("--x0", type=float, default=0.0)
+    s.add_argument("--x0", type=parse_number, default=0.0)
     _add_common(s, groups=())
     s.set_defaults(func=cmd_rotnum)
 
     s = subs.add_parser("deviations", help="directional deviation table")
     s.add_argument("--v", default="0,1", help="direction, e.g. 0,1")
-    s.add_argument("--rho", type=float, default=None)
+    s.add_argument("--rho", type=parse_number, default=None)
     s.add_argument("--nmax", type=int, default=10_000)
     s.add_argument("--samples", type=int, default=64)
     _add_common(s)
     s.set_defaults(func=cmd_deviations)
 
     s = subs.add_parser("skeworbit", help="skew-product orbit dump")
-    s.add_argument("--rho", type=float, default=None)
+    s.add_argument("--rho", type=parse_number, default=None)
     s.add_argument("--state", default="0,0,0", help="t,x,ytil")
     s.add_argument("--nmax", type=int, default=10_000)
     _add_common(s)
     s.set_defaults(func=cmd_skeworbit)
 
     s = subs.add_parser("factor", help="circle-factor pipeline")
-    s.add_argument("--rho", type=float, default=None)
+    s.add_argument("--rho", type=parse_number, default=None)
     s.add_argument("--seed-point", default=None, help="x,ytil")
-    s.add_argument("--ball-radius", type=float, default=0.15)
+    s.add_argument("--ball-radius", type=parse_number, default=0.15)
     s.add_argument("--resolution", default="256,256,512")
-    s.add_argument("--window", type=float, default=None,
+    s.add_argument("--window", type=parse_number, default=None,
                    help="half height override")
     s.add_argument("--sladder", type=int, default=64)
-    s.add_argument("--tol", type=float, default=None)
+    s.add_argument("--tol", type=parse_number, default=None)
     s.add_argument("--grid", type=int, default=48)
     s.add_argument("--max-iters", type=int, default=240)
-    s.add_argument("--c-est", type=float, default=None)
+    s.add_argument("--c-est", type=parse_number, default=None)
     _add_common(s)
     s.set_defaults(func=cmd_factor)
 
     s = subs.add_parser("gallery", help="run a gallery example report")
     s.add_argument("example", help="example id")
     s.add_argument("--nmax", type=int, default=10_000)
-    surgery = GALLERY_MANIFEST["surgery-geometry"]
-    s.add_argument("--gamma", type=float, default=surgery["gamma"])
-    s.add_argument("--delta", type=float, default=surgery["delta"])
-    s.add_argument("--nscan", type=int, default=surgery["n_scan"])
+    # surgery-geometry only; None takes the manifest's value
+    s.add_argument("--gamma", type=parse_number, default=None)
+    s.add_argument("--delta", type=parse_number, default=None)
+    s.add_argument("--nscan", type=int, default=None)
     _add_common(s, groups=("seed",))
     s.set_defaults(func=cmd_gallery)
 
@@ -424,7 +441,11 @@ def build_parser():
 
 
 def _config_defaults(args):
-    """The config file's values by flag destination, unknown keys rejected."""
+    """The config file's values by flag destination, unknown keys rejected.
+
+    Values are passed on as text, so argparse converts and checks them with
+    the flag's own type, as it does a string default.
+    """
     with open(args.config) as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
@@ -434,7 +455,7 @@ def _config_defaults(args):
         attr = key.replace("-", "_")
         if attr in ("func", "command") or not hasattr(args, attr):
             raise UsageError(f"unknown config key: {key}")
-        out[attr] = val
+        out[attr] = val if isinstance(val, str) else json.dumps(val)
     return out
 
 
@@ -459,7 +480,7 @@ def main(argv=None):
     except WindowExhausted as e:
         print(f"window exhausted: {e}", file=sys.stderr)
         return EXIT_WINDOW
-    except (ValueError, json.JSONDecodeError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

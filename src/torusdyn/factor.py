@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .rotation import recurrence_probe
 from .skew import (GridMask, ball_fiber, close_fibers, component_of,
                    extend_to_envelopes, geometry_for, invariance_defect,
-                   refine_envelopes, saturate_block_orbit, _label_x_wrapped)
+                   refine_envelopes, saturate_block_orbit, _CROSS,
+                   _label_x_wrapped)
 from .util import circle_dist, lattice_points_2d, wrap01
 
 
@@ -71,9 +73,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
         warnings.append("no recurrence evidence for the seed point")
     # fiber cloud: cell centers of the rasterized seed ball
     pred = ball_fiber((x0, y0), ball_radius)
-    xc = (np.arange(geom.n_x) + 0.5) * geom.h_x
-    yc = geom.y_min + (np.arange(geom.n_y) + 0.5) * geom.h_y
-    X, Y = np.meshgrid(xc, yc, indexing="ij")
+    _, X, Y = geom.centers(0, *np.indices((geom.n_x, geom.n_y)))
     inside = pred(X, Y)
     pts = np.column_stack([X[inside], Y[inside]])
     occ, seed_occ, status, rounds = saturate_block_orbit(
@@ -103,18 +103,9 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
 class FiberFill:
     """Flood fill of a time-zero fiber complement from the bottom edge."""
 
-    s: float
     fill: np.ndarray  # bool (n_x, n_y): the lower complement component
     separating: bool
-    fiber_index: int
     shift_cells: int
-
-
-def _fill_key(tau, s):
-    geom = tau.geom
-    it = int(geom.t_cell(s))
-    shift = int(np.round(s / geom.h_y))
-    return it, shift
 
 
 def lower_component(tau, s):
@@ -125,28 +116,25 @@ def lower_component(tau, s):
     through 4-adjacency with x wrap. A fill touching the top row is returned
     flagged not separating.
     """
-    key = _fill_key(tau, s)
-    cached = tau._fills.get(key)
+    geom = tau.geom
+    it = int(geom.t_cell(s))
+    shift = int(np.round(s / geom.h_y))
+    cached = tau._fills.get((it, shift))
     if cached is not None:
         return cached
-    geom = tau.geom
-    it, shift = key
     fiber = tau.mask.occ[it]
     obstruction = np.zeros_like(fiber)
-    n_y = geom.n_y
-    if shift >= 0:
-        if shift < n_y:
-            obstruction[:, shift:] = fiber[:, : n_y - shift]
-    else:
-        if -shift < n_y:
-            obstruction[:, :shift] = fiber[:, -shift:]
+    # rows [lo, hi) receive fiber rows [lo - shift, hi - shift); the guard
+    # keeps a negative hi from slicing from the end
+    lo, hi = max(shift, 0), min(geom.n_y + shift, geom.n_y)
+    if lo < hi:
+        obstruction[:, lo:hi] = fiber[:, lo - shift:hi - shift]
     lab = _label_x_wrapped(~obstruction)
     bottom = np.unique(lab[:, 0])
     fill = np.isin(lab, bottom[bottom > 0])
     separating = not fill[:, -1].any()
-    out = FiberFill(s=float(s), fill=fill, separating=separating,
-                    fiber_index=it, shift_cells=shift)
-    tau._fills[key] = out
+    out = FiberFill(fill=fill, separating=separating, shift_cells=shift)
+    tau._fills[it, shift] = out
     return out
 
 
@@ -166,19 +154,11 @@ class ContinuumApprox:
 def continuum_Cs(tau, s):
     """Boundary cells of the lower fill: obstruction cells adjacent to it."""
     fl = lower_component(tau, s)
-    geom = tau.geom
-    fill = fl.fill
-    grown = fill.copy()
-    grown[1:, :] |= fill[:-1, :]
-    grown[:-1, :] |= fill[1:, :]
-    grown[0, :] |= fill[-1, :]
-    grown[-1, :] |= fill[0, :]
-    grown[:, 1:] |= fill[:, :-1]
-    grown[:, :-1] |= fill[:, 1:]
-    boundary = grown & ~fill
-    ix, iy = np.nonzero(boundary)
-    xs = (ix + 0.5) * geom.h_x
-    ys = geom.y_min + (iy + 0.5) * geom.h_y
+    # x wraps; the empty rows padded onto y stop the wrap there
+    grown = ndimage.maximum_filter(np.pad(fl.fill, ((0, 0), (1, 1))),
+                                   footprint=_CROSS, mode="wrap")[:, 1:-1]
+    ix, iy = np.nonzero(grown & ~fl.fill)
+    _, xs, ys = tau.geom.centers(0, ix, iy)
     return ContinuumApprox(s=float(s), points=np.column_stack([xs, ys]), fill=fl)
 
 

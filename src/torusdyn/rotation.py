@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import convex_hull, lattice_points_2d, torus_dist, wrap01
+from .util import lattice_points_2d, torus_dist, wrap01
 
 
 @dataclass
@@ -20,7 +20,6 @@ class RotationCloud:
 
     n_ladder: list
     points: dict  # n -> (samples, 2) array
-    hull: np.ndarray  # convex hull of the deepest ladder level
     samples: int
     seed: int
 
@@ -68,8 +67,7 @@ def estimate_rotation_set(spec, n_ladder=(100, 1000, 10_000), samples=64, seed=0
         cur = spec.eval_lift(cur)
         if n in marks:
             points[n] = (cur - z0) / n
-    hull = convex_hull(points[n_ladder[-1]])
-    return RotationCloud(n_ladder=list(n_ladder), points=points, hull=hull,
+    return RotationCloud(n_ladder=list(n_ladder), points=points,
                          samples=samples, seed=seed)
 
 

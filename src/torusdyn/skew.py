@@ -18,9 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .util import skew_dist, wrap01
+from .util import circle_dist, skew_dist, wrap01
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# (x, y) offsets of the invariance samples in cells: the center and four
+# corners inset to +-1/4 so exact gridline hits stay in their cell
+_INSET = np.array([(0.0, 0.0), (-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25),
+                   (0.25, 0.25)])
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,16 @@ class CheckResult:
         return self.defect <= self.threshold
 
 
+def _sample_states(rng, samples):
+    """Random states: t and x uniform in [0, 1), ytil uniform in [-2, 2)."""
+    return np.column_stack([rng.uniform(0, 1, samples), rng.uniform(0, 1, samples),
+                            rng.uniform(-2, 2, samples)])
+
+
 def check_commutation(skew, samples=1000, seed=0, threshold=1e-9):
     """Max defect of F(Gamma^u s) vs Gamma^u(F s) over random states and u."""
     rng = np.random.default_rng(seed)
-    s = np.column_stack([
-        rng.uniform(0, 1, samples),
-        rng.uniform(0, 1, samples),
-        rng.uniform(-2, 2, samples),
-    ])
+    s = _sample_states(rng, samples)
     u = rng.uniform(-2, 2, samples)
     a = skew.step(gamma_flow(s, u))
     b = gamma_flow(skew.step(s), u)
@@ -124,12 +130,7 @@ def check_commutation(skew, samples=1000, seed=0, threshold=1e-9):
 def check_closed_form(skew, n_values=(1, -1, 7, -7, 25, 50, -50), samples=150,
                       seed=0, threshold=1e-7):
     """Max defect of the iterated map against the conjugation closed form."""
-    rng = np.random.default_rng(seed)
-    s = np.column_stack([
-        rng.uniform(0, 1, samples),
-        rng.uniform(0, 1, samples),
-        rng.uniform(-2, 2, samples),
-    ])
+    s = _sample_states(np.random.default_rng(seed), samples)
     worst = 0.0
     for n in n_values:
         a = skew.iterate(s, n)
@@ -184,12 +185,10 @@ class GridGeometry:
         return (self.y_max - self.y_min) / self.n_y
 
     def t_cell(self, t):
-        i = np.floor(wrap01(t) * self.n_t).astype(np.int64)
-        return np.minimum(i, self.n_t - 1)
+        return _wrapped_cell(t, self.n_t)
 
     def x_cell(self, x):
-        i = np.floor(wrap01(x) * self.n_x).astype(np.int64)
-        return np.minimum(i, self.n_x - 1)
+        return _wrapped_cell(x, self.n_x)
 
     def y_cell(self, y):
         """Cell index of a height; may fall outside [0, n_y)."""
@@ -204,6 +203,11 @@ class GridGeometry:
     def fiber_shift_cells(self):
         """Gamma transport over one t cell, measured in y cells."""
         return self.h_t / self.h_y
+
+
+def _wrapped_cell(v, n):
+    """Cell index in [0, n) of a circle coordinate."""
+    return np.minimum(np.floor(wrap01(v) * n).astype(np.int64), n - 1)
 
 
 def geometry_for(skew, center_y=0.0, n_t=256, n_x=256, n_y=512, half_height=None):
@@ -242,36 +246,10 @@ def ball_fiber(center, radius):
     r2 = float(radius) ** 2
 
     def pred(x, y):
-        dx = np.abs(np.asarray(x) - cx) % 1.0
-        dx = np.minimum(dx, 1.0 - dx)
+        dx = circle_dist(x, cx)
         return dx * dx + (np.asarray(y) - cy) ** 2 < r2
 
     return pred
-
-
-def _map_cells(skew, geom, it, ix, iy, inverse):
-    """Image cell indices of the given cells under one skew-product step.
-
-    Samples the cell center and four (x, y) corners inset by a quarter cell;
-    the time coordinate advances rigidly so no time sampling is needed.
-    Returns index arrays possibly outside the y window.
-    """
-    t, x, y = geom.centers(it, ix, iy)
-    # corner samples inset to +-h/4 so exact gridline hits stay in their cell
-    offs = [(0.0, 0.0), (-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25), (0.25, 0.25)]
-    pts = []
-    for ox, oy in offs:
-        pts.append(np.stack([
-            t,
-            x + ox * geom.h_x,
-            y + oy * geom.h_y,
-        ], axis=-1))
-    pts = np.concatenate(pts, axis=0)
-    img = skew.step(pts, inverse=inverse)
-    jt = geom.t_cell(img[:, 0])
-    jx = geom.x_cell(img[:, 1])
-    jy = geom.y_cell(img[:, 2])
-    return jt, jx, jy
 
 
 def _block_orbit(skew, pts, geom, rounds):
@@ -283,7 +261,7 @@ def _block_orbit(skew, pts, geom, rounds):
     cloud w and the signed flow offsets u (n_t,) in [-1/2, 1/2] of the fiber
     centers from the block's center.
     """
-    t_centers = (np.arange(geom.n_t) + 0.5) * geom.h_t
+    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
 
     def offsets(t_center):
         u = t_centers - t_center
@@ -348,7 +326,7 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
         jx2 = np.broadcast_to(jx[None, :], yy.shape)
         edge = False
         for dy in ((0.0,) if sweep == 0.0 else (-sweep, sweep)):
-            jy = np.floor((yy + dy - geom.y_min) / geom.h_y).astype(np.int64)
+            jy = geom.y_cell(yy + dy)
             keep = (jy >= 0) & (jy < geom.n_y)
             occ[it[keep], jx2[keep], jy[keep]] = True
             edge |= bool(np.any(jy[keep] == 0)) or bool(np.any(jy[keep] == geom.n_y - 1))
@@ -415,7 +393,7 @@ def extend_to_envelopes(occ, geom, env_min, env_max):
     and circle-over-circle suspensions); the extension only restores the
     extreme rows that finite rasterization missed.
     """
-    y_centers = geom.y_min + (np.arange(geom.n_y) + 0.5) * geom.h_y
+    y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
     solid = ((y_centers[None, None, :] >= env_min[:, :, None])
              & (y_centers[None, None, :] <= env_max[:, :, None]))
     return occ | solid
@@ -429,16 +407,11 @@ def close_fibers(occ):
     stay put. Used as the grid-scale closure of the region before boundaries
     are extracted.
     """
-    x_halo, y_halo = 2, 1
-    structure = np.ones((2 * x_halo + 1, 2 * y_halo + 1), dtype=bool)
-    out = np.empty_like(occ)
-    for it in range(occ.shape[0]):
-        f = np.pad(occ[it], ((x_halo, x_halo), (y_halo, y_halo)), mode="wrap")
-        f[:, :y_halo] = False
-        f[:, -y_halo:] = False
-        closed = ndimage.binary_closing(f, structure=structure)
-        out[it] = closed[x_halo:-x_halo, y_halo:-y_halo]
-    return out
+    # x padded by wrapping, y by empty rows; the structure spans one fiber
+    f = np.pad(occ, ((0, 0), (2, 2), (1, 1)), mode="wrap")
+    f[:, :, [0, -1]] = False
+    closed = ndimage.binary_closing(f, structure=np.ones((1, 5, 3), dtype=bool))
+    return closed[:, 2:-2, 1:-1]
 
 
 def _label_x_wrapped(occ, links=()):
@@ -503,42 +476,36 @@ def component_of(mask, seed_occ):
 
 def dilate_mask(occ):
     """One-cell box dilation; t and x wrap, y clamps."""
-    out = occ.copy()
-    for axis in (0, 1, 2):
-        cur = out.copy()
-        for d in (-1, 1):
-            r = np.roll(cur, d, axis=axis)
-            if axis == 2:  # y does not wrap
-                if d == 1:
-                    r[:, :, 0] = False
-                else:
-                    r[:, :, -1] = False
-            out |= r
-    return out
+    return ndimage.maximum_filter(occ, size=3, mode=("wrap", "wrap", "constant"))
 
 
 def invariance_defect(skew, mask):
     """One-sided check: F(mask) and F^-1(mask) inside mask dilated by a cell.
 
     Returns the number of source cells whose sampled image leaves the
-    dilated mask, per direction.
+    dilated mask, per direction. Each cell is sampled at its center and four
+    inset corners; t advances rigidly, so one fiber is checked at a time.
     """
-    chunk = 2_000_000  # source cells per step; bounds the sample arrays' memory
     geom = mask.geom
     dil = dilate_mask(mask.occ)
-    idx = np.nonzero(mask.occ)
     bad = {"forward": 0, "backward": 0}
-    for inverse, key in ((False, "forward"), (True, "backward")):
-        for lo in range(0, idx[0].size, chunk):
-            sl = slice(lo, lo + chunk)
-            jt, jx, jy = _map_cells(skew, geom, idx[0][sl], idx[1][sl], idx[2][sl],
-                                    inverse)
+    for it in range(geom.n_t):
+        ix, iy = np.nonzero(mask.occ[it])
+        if not ix.size:
+            continue
+        t, x, y = geom.centers(it, ix, iy)
+        pts = np.empty((len(_INSET), ix.size, 3))
+        pts[..., 0] = t
+        pts[..., 1] = x + _INSET[:, :1] * geom.h_x
+        pts[..., 2] = y + _INSET[:, 1:] * geom.h_y
+        for inverse, key in ((False, "forward"), (True, "backward")):
+            img = skew.step(pts.reshape(-1, 3), inverse=inverse)
+            jy = geom.y_cell(img[:, 2])
             inside = (jy >= 0) & (jy < geom.n_y)
-            ok = np.zeros(jt.shape, dtype=bool)
-            ok[inside] = dil[jt[inside], jx[inside], jy[inside]]
-            npts = idx[0][sl].size
-            per_cell = ok.reshape(5, npts).all(axis=0)
-            bad[key] += int((~per_cell).sum())
+            ok = np.zeros(jy.shape, dtype=bool)
+            ok[inside] = dil[geom.t_cell(img[inside, 0]),
+                             geom.x_cell(img[inside, 1]), jy[inside]]
+            bad[key] += int((~ok.reshape(len(_INSET), -1).all(axis=0)).sum())
     return bad
 
 

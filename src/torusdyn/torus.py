@@ -79,6 +79,8 @@ class DehnTwist(TorusMapSpec):
     kind = "twist"
 
     def __init__(self, k):
+        if abs(int(k)) > 2**53:  # k * y must stay an exact float product
+            raise ValueError("the twist k must satisfy |k| <= 2**53")
         self.k = int(k)
 
     def eval_lift(self, z):
@@ -104,6 +106,9 @@ class SuspensionMap(TorusMapSpec):
     k = 0
 
     def __init__(self, base_lift: CircleLift, fiber_lift: CircleLift):
+        # each evaluation applies the fiber lift |floor(base(u))| times
+        if abs(math.floor(base_lift(0.0))) > 1000:
+            raise ValueError("a suspension base must translate by at most 1000")
         self.base = base_lift
         self.fiber = fiber_lift
         self._base_inv = base_lift.inverse()

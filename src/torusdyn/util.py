@@ -77,30 +77,3 @@ def lattice_points_2d(count, seed=0, jitter=0.25):
     rng = np.random.default_rng(seed)
     return (base + jitter * rng.uniform(-1.0, 1.0, (count, 2)) / max(count, 1)) % 1.0
 
-
-def convex_hull(points):
-    """Convex hull of 2D points by the monotone chain, deterministic ordering.
-
-    Returns hull vertices in counterclockwise order starting from the
-    lexicographically smallest point. Degenerate inputs return the sorted
-    unique points.
-    """
-    pts = np.asarray(points, dtype=float)
-    uniq = sorted(set(map(tuple, pts.tolist())))
-    if len(uniq) <= 2:
-        return np.array(uniq, dtype=float).reshape(-1, 2)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1], dtype=float)

@@ -128,6 +128,14 @@ def test_build_rejections():
         geometric_gap_schedule(total_mass=1.2)
 
 
+def test_build_denjoy_rejects_underflowing_schedule_before_allocating():
+    # the geometric schedule is 0.0 at |n| = 2000; N = 10**12 would need
+    # terabytes of gaps
+    for N in (2000, 10**12):
+        with pytest.raises(ValueError, match="positive"):
+            build_denjoy(GOLDEN, N=N)
+
+
 def test_rotation_number_rigid_exact():
     est, bound = rotation_number(CircleLift.rigid(0.25), 0.0, 1000)
     assert abs(est - 0.25) <= 1e-12

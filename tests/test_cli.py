@@ -1,11 +1,15 @@
 import contextlib
+import functools
 import io
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
+from torusdyn import cli
 from torusdyn.cli import main
+from torusdyn.factor import build_tau
 
 RIGID = '{"kind":"rigid","offset":[0.6180339887,0.4142135624]}'
 
@@ -311,3 +315,140 @@ def test_fuzzed_map_definitions_exit_cleanly(tmp_path_factory, d):
     assert "Traceback" not in text
     if code == 1:
         assert text.startswith("usage error:") and text.count("\n") == 1, text
+
+
+# -- reproduced bad numbers on argv and in --config: exit 1, no traceback ------
+
+def _usage_exit(args, capsys):
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err, err
+
+
+def test_non_finite_list_and_float_flags_exit_1(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    _usage_exit(["factor", "--map", RIGID, "--rho", "0.41", "--seed-point",
+                 "nan,0", "--resolution", "8,8,16", *out], capsys)
+    _usage_exit(["factor", "--map", RIGID, "--rho", "nan", "--seed-point",
+                 "0.5,0", "--resolution", "8,8,16", *out], capsys)
+    _usage_exit(["deviations", "--map", RIGID, "--rho", "0", "--v", "nan,1",
+                 "--nmax", "3", *out], capsys)
+    _usage_exit(["skeworbit", "--map", RIGID, "--rho", "0", "--state", "nan,0,0",
+                 "--nmax", "3", *out], capsys)
+    _usage_exit(["skeworbit", "--map", RIGID, "--rho", "0", "--state", "0,0",
+                 "--nmax", "3", *out], capsys)
+
+
+def test_config_values_take_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"samples": None}, {"v": 5}, {"nmax": 1.5}):
+        cfg.write_text(json.dumps(bad))
+        _usage_exit(["deviations", "--map", RIGID, "--rho", "0", "--config",
+                     str(cfg), "--out", str(tmp_path)], capsys)
+    cfg.write_text(json.dumps({"rho": "golden", "v": "0,1", "nmax": 3}))
+    assert run(["deviations", "--map", RIGID, "--config", str(cfg),
+                "--samples", "2", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "deviations.json").read_text())
+    assert doc["config"]["rho"] == (5 ** 0.5 - 1) / 2 and doc["config"]["nmax"] == 3
+
+
+def test_unbounded_map_values_are_usage_errors(tmp_path, capsys):
+    far = ('{"kind":"suspension","base":{"kind":"rigid","alpha":2000},'
+           '"fiber":{"kind":"rigid","alpha":0.3}}')
+    for bad in ('{"kind":"twist","k":1' + "0" * 400 + "}", far):
+        assert run(["deviations", "--map", bad, "--rho", "0", "--nmax", "3",
+                    "--samples", "2", "--out", str(tmp_path)]) == 1
+        _one_line_usage_error(capsys)
+    # a geometric gap schedule cannot reach an order this large
+    assert run(["rotnum", "--denjoy", "golden", "--denjoy-order", "1" + "0" * 400,
+                "--n", "10", "--out", str(tmp_path)]) == 1
+    _one_line_usage_error(capsys)
+
+
+def test_gallery_refuses_surgery_flags_elsewhere(tmp_path, capsys):
+    assert run(["gallery", "suspension", "--gamma", "5", "--delta", "99",
+                "--nscan", "-3", "--out", str(tmp_path)]) == 1
+    _one_line_usage_error(capsys)
+    assert run(["gallery", "3.4-geometry", "--nscan", "10",
+                "--out", str(tmp_path)]) == 0
+    assert "through 10 iterates" in capsys.readouterr().out
+
+
+# -- fuzzed argv and --config contents: exit 0 to 3, never a traceback ---------
+
+NUMBER = _sometimes(st.sampled_from(["nan", "inf", "-inf", "1e400", "", "x"]),
+                    st.sampled_from(["0", "0.25", "-0.5", "1.5", "golden"]))
+COUNT = _sometimes(st.sampled_from(["-1", "1.5", "nan", "x", ""]),
+                   st.sampled_from(["0", "1", "2"]))
+CELLS = _sometimes(st.sampled_from(["0", "-1", "1.5", "x"]),
+                   st.sampled_from(["1", "2", "4"]))
+
+
+def _commas(item, count):
+    """count items joined by commas, or now and then a wrong number of them."""
+    return _sometimes(st.lists(item, max_size=4),
+                      st.lists(item, min_size=count, max_size=count)).map(",".join)
+
+
+# flags with their fuzzed values; factor and double-factor always get a
+# --resolution of at most 4 cells per axis, and the required flags are
+# always given
+REQUIRED = {"deviations": ["--rho"], "skeworbit": ["--rho"],
+            "factor": ["--rho", "--seed-point"]}
+COMMANDS = {
+    "rotnum": {"--rigid": NUMBER, "--denjoy": NUMBER, "--denjoy-order": COUNT,
+               "--n": COUNT, "--x0": NUMBER},
+    "deviations": {"--rho": NUMBER, "--v": _commas(NUMBER, 2), "--nmax": COUNT,
+                   "--samples": COUNT, "--seed": COUNT},
+    "skeworbit": {"--rho": NUMBER, "--state": _commas(NUMBER, 3), "--nmax": COUNT},
+    "factor": {"--rho": NUMBER, "--seed-point": _commas(NUMBER, 2),
+               "--ball-radius": NUMBER, "--window": NUMBER, "--tol": NUMBER,
+               "--sladder": COUNT, "--grid": COUNT, "--max-iters": COUNT,
+               "--c-est": NUMBER},
+    "gallery": {"--nmax": COUNT, "--gamma": NUMBER, "--delta": NUMBER,
+                "--nscan": COUNT},
+    "double-factor": {"--grid": COUNT, "--max-iters": COUNT},
+}
+JSON_VALUE = st.sampled_from([None, 2, -1, 1.5, True, "x", "golden", "2,2,2",
+                              [1, 2], {"k": 1}])
+
+
+@st.composite
+def argv_and_config(draw):
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[cmd]
+    argv = [cmd]
+    if cmd == "gallery":
+        argv.append(draw(st.sampled_from(["suspension", "3.4-geometry",
+                                          "unbounded-inessential", "nope"])))
+    elif cmd != "rotnum":
+        argv += ["--map", RIGID]
+    if cmd in ("factor", "double-factor"):
+        argv += ["--resolution", draw(_commas(CELLS, 3))]
+    required = REQUIRED.get(cmd, [])
+    optional = sorted(set(flags) - set(required))
+    for flag in required + draw(st.lists(st.sampled_from(optional), unique=True)):
+        argv += [flag, draw(flags[flag])]
+    keys = [f[2:] for f in flags] + ["bogus"]
+    config = draw(st.none() | st.dictionaries(st.sampled_from(keys), JSON_VALUE,
+                                              max_size=3))
+    return argv, config
+
+
+@given(case=argv_and_config())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_argv_and_config_exit_cleanly(tmp_path_factory, case):
+    argv, config = case
+    out = tmp_path_factory.mktemp("fuzz")
+    if config is not None:
+        (out / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(out / "cfg.json")]
+    err = io.StringIO()
+    # the 20,000 envelope rounds take seconds even on 4 cells and read no flag
+    quick = functools.partial(build_tau, refine_rounds=0)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            mock.patch.object(cli, "build_tau", quick):
+        code = run(argv + ["--out", str(out)])
+    event(f"{argv[0]} exit code {code}")
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

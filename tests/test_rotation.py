@@ -14,7 +14,6 @@ def test_rotation_set_rigid_is_point():
                                   n_ladder=(10, 50), samples=16)
     target = np.array([GOLDEN_MEAN, SQRT2_MINUS_1])
     assert np.max(np.abs(cloud.deepest() - target)) <= 1e-12
-    assert cloud.hull.shape[1] == 2
 
 
 def test_rotation_set_identity():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from torusdyn.circle import CircleLift
 from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
                            ball_fiber, build_centralized, check_closed_form,
-                           check_commutation, dilate_mask,
+                           check_commutation, close_fibers, dilate_mask,
                            fiber_complement_components, gamma_flow,
                            geometry_for, invariance_defect, label_mask,
                            saturate_block_orbit, vertical_orbit_bound)
@@ -292,3 +293,50 @@ def test_grid_geometry_rejects_empty_sizes_and_window():
             GridGeometry(*sizes, 0.0, 1.0)
     with pytest.raises(ValueError):
         GridGeometry(4, 4, 4, 1.0, 1.0)
+
+
+def test_invariance_defect_exact_counts():
+    # a 5x4 block of cells moved 2 columns leaves the one-cell dilation with
+    # its last column (4 rows in each of 4 fibers), both ways; moved 1 it
+    # stays. Moved 1.25 columns or rows, only the inset corner samples of
+    # the leading column or row leave it, and only forwards.
+    geom = GridGeometry(4, 16, 8, -1.0, 1.0)
+    occ = np.zeros((4, 16, 8), dtype=bool)
+    occ[:, 3:8, 2:6] = True
+    mask = GridMask(geom, occ)
+    for offset, fwd, bwd in (((2 / 16, 0), 16, 16), ((1 / 16, 0), 0, 0),
+                             ((1.25 / 16, 0), 16, 0), ((0, 1.25 * geom.h_y), 20, 0)):
+        skew = build_centralized(RigidTranslation(*offset), 0.0)
+        assert invariance_defect(skew, mask) == {"forward": fwd, "backward": bwd}
+
+
+def dilate_by_rolls(occ):
+    """Box dilation axis by axis with np.roll, y rolls cut at the edge."""
+    out = occ.copy()
+    for axis in (0, 1, 2):
+        cur = out.copy()
+        for d in (-1, 1):
+            r = np.roll(cur, d, axis=axis)
+            if axis == 2:
+                r[:, :, 0 if d == 1 else -1] = False
+            out |= r
+    return out
+
+
+def close_each_fiber(occ):
+    """Closing of each fiber by a 5x3 box, x padded by wrapping, y empty."""
+    out = np.empty_like(occ)
+    for it in range(occ.shape[0]):
+        f = np.pad(occ[it], ((2, 2), (1, 1)), mode="wrap")
+        f[:, [0, -1]] = False
+        out[it] = ndimage.binary_closing(
+            f, structure=np.ones((5, 3), dtype=bool))[2:-2, 1:-1]
+    return out
+
+
+@given(occ=arrays(bool, st.tuples(*[st.integers(1, 6)] * 3),
+                  elements=st.sampled_from([False] * 4 + [True])))
+@settings(max_examples=300, deadline=None)
+def test_morphology_matches_references(occ):
+    assert np.array_equal(dilate_mask(occ), dilate_by_rolls(occ))
+    assert np.array_equal(close_fibers(occ), close_each_fiber(occ))

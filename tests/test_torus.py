@@ -104,6 +104,15 @@ def test_disk_push_degenerate_is_identity():
     assert np.array_equal(dp.eval_lift(z), z)
 
 
+def test_unbounded_twist_and_suspension_rejected():
+    DehnTwist(2**53)
+    with pytest.raises(ValueError):
+        DehnTwist(-2**53 - 1)
+    SuspensionMap(CircleLift.rigid(1000.5), CircleLift.rigid(0.3))
+    with pytest.raises(ValueError):
+        SuspensionMap(CircleLift.rigid(-1001.5), CircleLift.rigid(0.3))
+
+
 def test_disk_push_rejections():
     with pytest.raises(ValueError):
         DiskPush((0.1, 0.1), (0.3, 0.1), 0.2)  # too far for the radius
