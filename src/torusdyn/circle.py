@@ -221,15 +221,15 @@ def rotation_number(lift, x0=0.0, n=10_000):
 
 # -- truncated Denjoy construction -------------------------------------------
 
-def geometric_gap_schedule(total_mass=0.3, ratio=0.5):
-    """Schedule l_n = c * ratio^|n| with c fixed by the total inserted mass.
+def geometric_gap_schedule(total_mass=0.3):
+    """Schedule l_n = c * 2^-|n| with c fixed by the total inserted mass.
 
-    The mass is the untruncated sum over all n, c * (1 + ratio)/(1 - ratio).
+    The mass is the untruncated sum over all n, c * (1 + 1/2)/(1 - 1/2) = 3c.
     """
     if not (0.0 < total_mass < 1.0):
         raise ValueError("total mass must be in (0, 1)")
-    c = total_mass * (1.0 - ratio) / (1.0 + ratio)
-    return lambda n: c * ratio ** abs(n)
+    c = total_mass * 0.5 / 1.5
+    return lambda n: c * 0.5 ** abs(n)
 
 
 def build_denjoy(alpha, gap_schedule=None, N=40):

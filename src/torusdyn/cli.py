@@ -54,6 +54,13 @@ class WindowExhausted(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become a UsageError, reported on one line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _load_map(args):
     if args.map is not None:
         return torus_map_from_definition(json.loads(args.map))
@@ -327,7 +334,7 @@ def cmd_double_factor(args):
     from .factor import combine_transverse_factors
 
     joint = combine_transverse_factors(fm_v, fm_h, spec, (rho1, rho2),
-                                       samples=256, seed=args.seed)
+                                       seed=args.seed)
     payload = {"rho": [rho1, rho2],
                "vertical_defect_max": fm_v.defect_max,
                "horizontal_defect_max": fm_h.defect_max,
@@ -373,8 +380,7 @@ def _add_common(sub, groups=("seed", "map")):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="torusdyn",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="torusdyn", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=__version__)
     subs = p.add_subparsers(dest="command", required=True)
 
@@ -468,8 +474,8 @@ def main(argv=None):
                 # explicit flags win: the file only replaces the defaults
                 commands[args.command].set_defaults(**_config_defaults(args))
                 args = parser.parse_args(argv)
-        except SystemExit as e:
-            return EXIT_OK if e.code in (0, None) else EXIT_USAGE
+        except SystemExit:  # --help and --version
+            return EXIT_OK
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -29,8 +29,6 @@ class TauRegion:
 
     mask: GridMask
     skew: object
-    seed_point: tuple
-    ball_radius: float
     status: str
     invariance: dict
     recurrence_times: list
@@ -94,9 +92,8 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
         "iterations": rounds, "refine_rounds": refine_rounds, "status": status})
     mask.occ = component_of(mask, seed_occ)
     inv = invariance_defect(skew, mask)
-    return TauRegion(mask=mask, skew=skew, seed_point=(x0, y0),
-                     ball_radius=ball_radius, status=status,
-                     invariance=inv, recurrence_times=times, warnings=warnings)
+    return TauRegion(mask=mask, skew=skew, status=status, invariance=inv,
+                     recurrence_times=times, warnings=warnings)
 
 
 @dataclass
@@ -142,7 +139,6 @@ def lower_component(tau, s):
 class ContinuumApprox:
     """Boundary point cloud of the lower component: the separating continuum."""
 
-    s: float
     points: np.ndarray  # (m, 2) cell centers (x, ytil)
     fill: FiberFill
 
@@ -159,7 +155,7 @@ def continuum_Cs(tau, s):
                                    footprint=_CROSS, mode="wrap")[:, 1:-1]
     ix, iy = np.nonzero(grown & ~fl.fill)
     _, xs, ys = tau.geom.centers(0, ix, iy)
-    return ContinuumApprox(s=float(s), points=np.column_stack([xs, ys]), fill=fl)
+    return ContinuumApprox(points=np.column_stack([xs, ys]), fill=fl)
 
 
 @dataclass
@@ -215,7 +211,6 @@ class EquivarianceReport:
     map_defect: float
     ordering_violations: int
     pairs_checked: int
-    samples: int
     tol: float
 
 
@@ -262,7 +257,7 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     return EquivarianceReport(unit_translate_defect=float(d_unit),
                               map_defect=float(d_map),
                               ordering_violations=violations,
-                              pairs_checked=pairs, samples=samples, tol=tol)
+                              pairs_checked=pairs, tol=tol)
 
 
 @dataclass
@@ -274,8 +269,6 @@ class FactorMap:
     values: np.ndarray  # lifted heights, shape (n_x, n_y)
     defect_max: float
     defect_mean: float
-    rho: float
-    resolution: tuple
     monotone_in_y: bool
 
 
@@ -305,18 +298,17 @@ def project_to_torus_factor(tau, grid=(64, 32), tol=None):
     monotone = bool(np.all(np.diff(vals, axis=1) >= -2.0 * geom.h_y))
     return FactorMap(x_grid=xs, y_grid=ys, values=vals,
                      defect_max=float(np.max(defects)),
-                     defect_mean=float(np.mean(defects)), rho=skew.rho,
-                     resolution=(n_gx, n_gy), monotone_in_y=monotone)
+                     defect_mean=float(np.mean(defects)), monotone_in_y=monotone)
 
 
-def combine_transverse_factors(fm_vertical, fm_horizontal, spec, rho_pair,
-                               samples=256, seed=0):
+def combine_transverse_factors(fm_vertical, fm_horizontal, spec, rho_pair, seed=0):
     """Pair a vertical and a (coordinate-swapped) horizontal factor.
 
     Returns the joint defect of (h1(swap z), h2(z)) against the target torus
     translation, per coordinate, over lattice samples. The factor maps are
     evaluated by bilinear lookup on their sample grids.
     """
+    samples = 256
     pts = lattice_points_2d(samples, seed=seed)
 
     def lookup(fm, x, y):

@@ -110,10 +110,7 @@ def suspension_reference_eval(susp, z):
 class ObstructionExample:
     """A composed map with designated probe points and wandering data."""
 
-    name: str
     torus_map: TorusMapSpec
-    suspension: SuspensionSpec
-    push: TorusMapSpec
     w0: tuple
     w1: tuple
     w0_edge: tuple  # same time coordinate as w0, on the gap boundary
@@ -142,14 +139,10 @@ def example_unbounded_inessential():
         raise ValueError("push radius does not fit inside the gap block")
     w0 = (seed_time, mid)
     w1 = (seed_time + push_dt, mid)
-    push = DiskPush(w0, w1, push_radius)
-    f = ComposedMap([push, susp.torus_map])
+    f = ComposedMap([DiskPush(w0, w1, push_radius), susp.torus_map])
     rho_v = susp.rho_base * susp.rho_fiber
     return ObstructionExample(
-        name="unbounded-inessential",
         torus_map=f,
-        suspension=susp,
-        push=push,
         w0=w0,
         w1=w1,
         w0_edge=(w0[0], b0),
@@ -196,14 +189,10 @@ def example_fully_essential():
     radius = min(0.045, 0.9 * 0.5 * (b0 - a0))
     if (s1 - s0) > 0.45 * radius:
         radius = min(0.24, max(radius, (s1 - s0) / 0.45 + 1e-3))
-    push = DiskPush(w0, w1, radius)
-    f = ComposedMap([push, susp.torus_map])
-    crossings = crossing_times(g1, s0, s1, samples=10_000)
+    f = ComposedMap([DiskPush(w0, w1, radius), susp.torus_map])
+    crossings = crossing_times(g1, s0, s1)
     return ObstructionExample(
-        name="fully-essential",
         torus_map=f,
-        suspension=susp,
-        push=push,
         w0=w0,
         w1=w1,
         w0_edge=(w0[0], b0),
@@ -217,23 +206,17 @@ def example_fully_essential():
     )
 
 
-def crossing_times(base_lift, s0, s1, samples=10_000):
+def crossing_times(base_lift, s0, s1):
     """Sampled times in (0,1) at which the arc from s1 to s0 meets the
     base's non-gap set (the recurrent set of the truncated model)."""
     gt = base_lift.gap_table
     order = np.argsort(gt.a)
     a_s, b_s = gt.a[order], gt.b[order]
-
-    def in_gap(v):
-        j = np.searchsorted(a_s, v, side="right") - 1
-        return j >= 0 and v < b_s[j]
-
-    out = []
-    for t in np.linspace(0.0, 1.0, samples, endpoint=False)[1:]:
-        v = wrap01(t * s0 + (1.0 - t) * s1)
-        if not in_gap(v):
-            out.append(float(t))
-    return out
+    t = np.linspace(0.0, 1.0, 10_000, endpoint=False)[1:]
+    v = wrap01(t * s0 + (1.0 - t) * s1)
+    j = np.searchsorted(a_s, v, side="right") - 1
+    in_gap = (j >= 0) & (v < b_s[np.maximum(j, 0)])
+    return t[~in_gap].tolist()
 
 
 # -- surgery geometry ---------------------------------------------------------
@@ -372,14 +355,12 @@ def obstruction_evidence(example, n_max=10_000, threshold=1e-2):
 
     The probe pair (w0, w1) is separated by construction; w0 is checked
     proximal (forward) to the edge point over w1 and proximal (backward)
-    to the edge point over w0. The two pairs' proximality scans are
-    returned as they are.
+    to the edge point over w0. One scan iterates w0 with both edge points;
+    "forward_pair" and "backward_pair" are its results for the w1 and the
+    w0 edge point.
     """
-    fwd = proximality_scan(example.torus_map, example.w0, example.w1_edge,
-                           n_max=n_max)
-    bwd = proximality_scan(example.torus_map, example.w0, example.w0_edge,
-                           n_max=n_max)
+    fwd, bwd = proximality_scan(example.torus_map, example.w0,
+                                [example.w1_edge, example.w0_edge], n_max=n_max)
     obstruction = (fwd.forward_min < threshold) and (bwd.backward_min < threshold)
     return {"forward_pair": fwd, "backward_pair": bwd,
-            "obstruction_evidence": obstruction, "n_max": n_max,
-            "threshold": threshold}
+            "obstruction_evidence": obstruction}

@@ -1,8 +1,8 @@
 """Numerical rotation data: rotation sets, deviations, spreads, orbit probes.
 
 All routines are sampled evidence, never certificates. Sampling is a
-deterministic low-discrepancy lattice plus seeded jitter and the seed is
-recorded in every result, so maxima are reproducible bit for bit.
+deterministic low-discrepancy lattice plus seeded jitter and every sampler
+takes its seed, so maxima are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ class RotationCloud:
 
     n_ladder: list
     points: dict  # n -> (samples, 2) array
-    samples: int
-    seed: int
 
     def deepest(self):
         return self.points[self.n_ladder[-1]]
@@ -31,15 +29,18 @@ class RotationCloud:
 class DeviationProfile:
     """Sampled directional deviation table D(n) with a boundedness verdict."""
 
-    direction: tuple
-    rho: float
     n: np.ndarray
     value: np.ndarray  # D(n), max over samples and both iteration signs
     c_est: float
     verdict: str  # "bounded" | "growing"
     caveat: str
-    samples: int
-    seed: int
+
+
+def _positive_n_max(n_max):
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return n_max
 
 
 def _sample_window(samples, seed):
@@ -67,8 +68,7 @@ def estimate_rotation_set(spec, n_ladder=(100, 1000, 10_000), samples=64, seed=0
         cur = spec.eval_lift(cur)
         if n in marks:
             points[n] = (cur - z0) / n
-    return RotationCloud(n_ladder=list(n_ladder), points=points,
-                         samples=samples, seed=seed)
+    return RotationCloud(n_ladder=list(n_ladder), points=points)
 
 
 def vertical_rotation_number(spec, n=10_000, samples=64, seed=0):
@@ -91,7 +91,7 @@ def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
     of the ladder; it is sampled evidence, not a certificate.
     """
     v = np.asarray(v, dtype=float)
-    n_max = int(n_max)
+    n_max = _positive_n_max(n_max)
     z0 = _sample_window(samples, seed)
     fwd = z0.copy()
     bwd = z0.copy()
@@ -106,25 +106,20 @@ def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
     cut = int(np.floor(0.8 * n_max))
     # bounded: no new maximum over the final 20% (up to iteration roundoff)
     verdict = "bounded" if value[: cut + 1].max() >= c_est - 1e-9 else "growing"
-    return DeviationProfile(direction=tuple(v.tolist()), rho=float(rho),
-                            n=np.arange(n_max + 1), value=value, c_est=c_est,
-                            verdict=verdict, caveat="sampled evidence only",
-                            samples=samples, seed=seed)
+    return DeviationProfile(n=np.arange(n_max + 1), value=value, c_est=c_est,
+                            verdict=verdict, caveat="sampled evidence only")
 
 
 @dataclass
 class SpreadTable:
-    n: np.ndarray
     forward: np.ndarray
     backward: np.ndarray
     consistent: bool  # forward/backward growth agrees at sample level
-    samples: int
-    seed: int
 
 
 def horizontal_spread(spec, n_max=1000, samples=64, seed=0):
     """spread(n) = max over sample pairs of the first-coordinate displacement gap."""
-    n_max = int(n_max)
+    n_max = _positive_n_max(n_max)
     z0 = _sample_window(samples, seed)
     fwd = z0.copy()
     bwd = z0.copy()
@@ -138,43 +133,38 @@ def horizontal_spread(spec, n_max=1000, samples=64, seed=0):
         sf[n] = d1.max() - d1.min()
         sb[n] = d2.max() - d2.min()
     consistent = bool(sb.max() <= sf.max() + 2.0 and sf.max() <= sb.max() + 2.0)
-    return SpreadTable(n=np.arange(n_max + 1), forward=sf, backward=sb,
-                       consistent=consistent, samples=samples, seed=seed)
+    return SpreadTable(forward=sf, backward=sb, consistent=consistent)
 
 
 @dataclass
 class ProximalityResult:
     forward_min: float
     backward_min: float
-    forward_argmin: int
-    backward_argmin: int
-    n_max: int
 
 
-def proximality_scan(spec, x, y, n_max=10_000):
-    """min over 1 <= n <= n_max of the torus distance of the two orbits, both signs."""
-    n_max = int(n_max)
-    pts = np.array([x, y], dtype=float)
-    fwd = pts.copy()
-    bwd = pts.copy()
-    best_f, arg_f = np.inf, 0
-    best_b, arg_b = np.inf, 0
-    for n in range(1, n_max + 1):
+def proximality_scan(spec, x, partners, n_max=10_000):
+    """min over 1 <= n <= n_max of the torus distance of the orbit of x to
+    the orbit of each partner, for both signs of n; one result per partner.
+
+    x and the partners are iterated together as one array, once forwards
+    and once backwards.
+    """
+    n_max = _positive_n_max(n_max)
+    fwd = bwd = np.array([x, *partners], dtype=float)
+    best_f = best_b = np.full(len(fwd) - 1, np.inf)
+    for _ in range(n_max):
         fwd = spec.eval_torus(fwd)
         bwd = spec.eval_torus_inverse(bwd)
-        df = torus_dist(fwd[0], fwd[1])
-        db = torus_dist(bwd[0], bwd[1])
-        if df < best_f:
-            best_f, arg_f = df, n
-        if db < best_b:
-            best_b, arg_b = db, n
-    return ProximalityResult(forward_min=float(best_f), backward_min=float(best_b),
-                             forward_argmin=arg_f, backward_argmin=arg_b, n_max=n_max)
+        best_f = np.minimum(best_f, torus_dist(fwd[0], fwd[1:]))
+        best_b = np.minimum(best_b, torus_dist(bwd[0], bwd[1:]))
+    return [ProximalityResult(forward_min=float(f), backward_min=float(b))
+            for f, b in zip(best_f, best_b)]
 
 
-def recurrence_probe(spec, center, radius, n_max=1000, samples=64, seed=0):
+def recurrence_probe(spec, center, radius, n_max=1000, seed=0):
     """Return times n <= n_max at which some sampled ball point re-enters the ball."""
     n_max = int(n_max)
+    samples = 64  # the center and up to 63 lattice points of the ball
     center = np.asarray(center, dtype=float)
     # lattice sample of the ball (rejection from the bounding square), plus center
     raw = lattice_points_2d(4 * samples, seed=seed)

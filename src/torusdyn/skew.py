@@ -47,7 +47,6 @@ class CentralizedSkew:
     def __init__(self, spec, rho, c_est=None):
         self.spec = spec
         self.rho = float(rho)
-        self.k = spec.k
         self.c_est = None if c_est is None else float(c_est)
 
     def step(self, states, inverse=False):
@@ -127,12 +126,11 @@ def check_commutation(skew, samples=1000, seed=0, threshold=1e-9):
     return CheckResult(defect=float(np.max(skew_dist(a, b))), threshold=threshold)
 
 
-def check_closed_form(skew, n_values=(1, -1, 7, -7, 25, 50, -50), samples=150,
-                      seed=0, threshold=1e-7):
+def check_closed_form(skew, samples=150, seed=0, threshold=1e-7):
     """Max defect of the iterated map against the conjugation closed form."""
     s = _sample_states(np.random.default_rng(seed), samples)
     worst = 0.0
-    for n in n_values:
+    for n in (1, -1, 7, -7, 25, 50, -50):
         a = skew.iterate(s, n)
         b = skew.closed_form(s, n)
         worst = max(worst, float(np.max(skew_dist(a, b))))
@@ -511,8 +509,6 @@ def invariance_defect(skew, mask):
 
 @dataclass
 class FiberComponent:
-    label: int
-    size: int
     touches_bottom: bool
     touches_top: bool
 
@@ -537,10 +533,6 @@ def fiber_complement_components(mask, t):
     out = []
     for lbl in np.unique(lab[lab > 0]):
         cells = lab == lbl
-        out.append(FiberComponent(
-            label=int(lbl),
-            size=int(cells.sum()),
-            touches_bottom=bool(cells[:, 0].any()),
-            touches_top=bool(cells[:, -1].any()),
-        ))
+        out.append(FiberComponent(touches_bottom=bool(cells[:, 0].any()),
+                                  touches_top=bool(cells[:, -1].any())))
     return out, it

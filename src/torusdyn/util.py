@@ -69,11 +69,11 @@ def skew_dist(s, r):
     return out
 
 
-def lattice_points_2d(count, seed=0, jitter=0.25):
+def lattice_points_2d(count, seed=0):
     """Deterministic low-discrepancy points on [0,1)^2 (R2 sequence + seeded jitter)."""
     i = np.arange(count, dtype=float)[:, None]
     alphas = np.array([1.0 / _PLASTIC, 1.0 / _PLASTIC**2])
     base = (0.5 + i * alphas) % 1.0
     rng = np.random.default_rng(seed)
-    return (base + jitter * rng.uniform(-1.0, 1.0, (count, 2)) / max(count, 1)) % 1.0
+    return (base + 0.25 * rng.uniform(-1.0, 1.0, (count, 2)) / max(count, 1)) % 1.0
 

@@ -321,8 +321,7 @@ def test_fuzzed_map_definitions_exit_cleanly(tmp_path_factory, d):
 
 def _usage_exit(args, capsys):
     assert run(args) == 1
-    err = capsys.readouterr().err
-    assert "error" in err and "Traceback" not in err, err
+    _one_line_usage_error(capsys)
 
 
 def test_non_finite_list_and_float_flags_exit_1(tmp_path, capsys):
@@ -363,6 +362,19 @@ def test_unbounded_map_values_are_usage_errors(tmp_path, capsys):
     assert run(["rotnum", "--denjoy", "golden", "--denjoy-order", "1" + "0" * 400,
                 "--n", "10", "--out", str(tmp_path)]) == 1
     _one_line_usage_error(capsys)
+
+
+def test_nmax_zero_is_usage_error(tmp_path, capsys):
+    out = ["--out", str(tmp_path)]
+    _usage_exit(["gallery", "unbounded-inessential", "--nmax", "0", *out], capsys)
+    _usage_exit(["deviations", "--map", RIGID, "--rho", "0", "--nmax", "0",
+                 *out], capsys)
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_version_exits_0(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
 
 
 def test_gallery_refuses_surgery_flags_elsewhere(tmp_path, capsys):
@@ -449,6 +461,9 @@ def test_fuzzed_argv_and_config_exit_cleanly(tmp_path_factory, case):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
             mock.patch.object(cli, "build_tau", quick):
         code = run(argv + ["--out", str(out)])
+    text = err.getvalue()
     event(f"{argv[0]} exit code {code}")
-    assert code in (0, 1, 2, 3), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in text
+    if code == 1:
+        assert text.startswith("usage error:") and text.count("\n") == 1, text

@@ -8,7 +8,8 @@ from torusdyn.gallery import (crossing_times, example_fully_essential,
                               example_unbounded_inessential, no_gap_window,
                               obstruction_evidence, surgery_geometry,
                               suspension_map, suspension_reference_eval)
-from torusdyn.rotation import (deviation_profile, estimate_rotation_set,
+from torusdyn.rotation import (ProximalityResult, deviation_profile,
+                               estimate_rotation_set, proximality_scan,
                                recurrence_probe)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, circle_dist, wrap01
 
@@ -83,6 +84,16 @@ def test_example_unbounded_inessential_probes(ex32):
     assert ev["obstruction_evidence"]
 
 
+def test_proximality_partners_batched(ex32):
+    # one batch of partners gives the same minima as one scan per partner
+    partners = [ex32.w1_edge, ex32.w0_edge, ex32.w0]
+    batched = proximality_scan(ex32.torus_map, ex32.w0, partners, n_max=300)
+    assert len(batched) == 3
+    for p, res in zip(partners, batched):
+        assert [res] == proximality_scan(ex32.torus_map, ex32.w0, [p], n_max=300)
+    assert batched[2] == ProximalityResult(forward_min=0.0, backward_min=0.0)
+
+
 def test_example_fully_essential(ex33):
     assert ex33.notes["crossing_count"] > 0
     lo, hi = ex33.notes["base_gap"]
@@ -97,7 +108,7 @@ def test_crossing_times_scan():
     g1 = build_denjoy(A, N=8)
     gt = g1.gap_table
     a0, b0 = gt.gap(0)
-    ts = crossing_times(g1, a0 - 0.01, b0 + 0.01, samples=2000)
+    ts = crossing_times(g1, a0 - 0.01, b0 + 0.01)
     assert ts  # flanking arcs belong to the recurrent set
 
 

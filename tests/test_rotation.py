@@ -103,12 +103,22 @@ def test_horizontal_spread_cases():
 
 def test_proximality_trivial_and_isometry():
     r = RigidTranslation(GOLDEN_MEAN, SQRT2_MINUS_1)
-    res = proximality_scan(r, (0.2, 0.2), (0.2, 0.2), n_max=10)
+    [res] = proximality_scan(r, (0.2, 0.2), [(0.2, 0.2)], n_max=10)
     assert res.forward_min == 0.0 and res.backward_min == 0.0
-    res = proximality_scan(r, (0.1, 0.1), (0.3, 0.3), n_max=50)
+    [res] = proximality_scan(r, (0.1, 0.1), [(0.3, 0.3)], n_max=50)
     d0 = np.hypot(0.2, 0.2)
     assert res.forward_min == pytest.approx(d0, abs=1e-12)
     assert res.backward_min == pytest.approx(d0, abs=1e-12)
+
+
+def test_orbit_diagnostics_reject_empty_ladder():
+    r = RigidTranslation(GOLDEN_MEAN, SQRT2_MINUS_1)
+    for scan in (lambda: deviation_profile(r, (0, 1), 0.0, n_max=0),
+                 lambda: horizontal_spread(r, n_max=0),
+                 lambda: proximality_scan(r, (0.1, 0.1), [(0.3, 0.3)], n_max=0)):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            scan()
+    assert recurrence_probe(r, (0.5, 0.5), 0.1, n_max=0) == []
 
 
 def test_recurrence_irrational_rotation():
