@@ -17,7 +17,7 @@ from .skew import (CentralizedSkew, GridGeometry, GridMask, SkewState,
                    fiber_complement_components, gamma_flow, geometry_for,
                    vertical_orbit_bound)
 from .factor import (ContinuumApprox, FactorMap, TauRegion, build_tau,
-                     continuum_Cs, evaluate_h, lower_component,
+                     continuum_Cs, evaluate_h, heights, lower_component,
                      project_to_torus_factor, verify_equivariance)
 from .gallery import (ObstructionExample, SurgeryGeometry, SuspensionSpec,
                       example_fully_essential, example_unbounded_inessential,

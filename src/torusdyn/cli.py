@@ -17,12 +17,13 @@ import numpy as np
 
 from . import __version__
 from .circle import CircleLift, build_denjoy, rotation_number
-from .factor import (build_tau, continuum_Cs, project_to_torus_factor,
-                     verify_equivariance)
+from .factor import (build_tau, combine_transverse_factors, continuum_Cs,
+                     project_to_torus_factor, verify_equivariance)
 from .gallery import (GALLERY_MANIFEST, example_fully_essential,
                       example_unbounded_inessential, manifest_suspension,
                       obstruction_evidence, surgery_geometry)
-from .rotation import deviation_profile, recurrence_probe
+from .rotation import (deviation_profile, estimate_rotation_set,
+                       recurrence_probe)
 from .serialize import (circle_lift_from_definition, dump_mask, parse_number,
                         torus_map_from_definition, write_csv, write_json)
 from .skew import (build_centralized, check_closed_form,
@@ -148,7 +149,7 @@ def cmd_skeworbit(args):
         rows.append((n, cur[0, 0], cur[0, 1], cur[0, 2]))
         lo = min(lo, cur[0, 2])
         hi = max(hi, cur[0, 2])
-    cfg = _resolved(args, ["rho", "state", "nmax"])
+    cfg = _resolved(args, ["rho", "state", "nmax", "seed"])
     cfg["map"] = spec.to_definition()
     out = _outdir(args)
     write_csv(os.path.join(out, "orbit.csv"), ["n", "t", "x", "ytil"], rows, cfg)
@@ -175,7 +176,8 @@ def cmd_factor(args):
                     n_t=n_t, n_x=n_x, n_y=n_y, half_height=args.window,
                     max_iters=args.max_iters, seed=args.seed)
     cfg = _resolved(args, ["rho", "seed-point", "resolution", "sladder",
-                           "tol", "ball-radius", "seed"])
+                           "tol", "grid", "ball-radius", "window",
+                           "max-iters", "c-est", "seed"])
     cfg["map"] = spec.to_definition()
     out = _outdir(args)
     dump_mask(os.path.join(out, "region.json"), tau.mask, cfg)
@@ -185,11 +187,9 @@ def cmd_factor(args):
                                  tol=args.tol)
     eq = verify_equivariance(tau, samples=64, tol=args.tol,
                              s_ladder=args.sladder, seed=args.seed)
-    rows = []
-    for i, x in enumerate(fm.x_grid):
-        for j, y in enumerate(fm.y_grid):
-            rows.append((x, y, fm.values[i, j]))
-    write_csv(os.path.join(out, "factor.csv"), ["x", "ytil", "h"], rows, cfg)
+    X, Y = np.meshgrid(fm.x_grid, fm.y_grid, indexing="ij")
+    write_csv(os.path.join(out, "factor.csv"), ["x", "ytil", "h"],
+              zip(X.ravel(), Y.ravel(), fm.values.ravel()), cfg)
     cells = tau.geom.h_y
     write_json(os.path.join(out, "defects.json"), {
         "semiconjugacy_defect_max": fm.defect_max,
@@ -213,6 +213,9 @@ def cmd_factor(args):
           f"ordering violations {eq.ordering_violations}")
     if eq.ordering_violations:
         raise CheckFailure("ordering violations in the continuum ladder")
+    if not eq.pairs_checked:
+        raise CheckFailure("the continuum ladder has no pair two cells apart "
+                           "to check")
     return EXIT_OK
 
 
@@ -301,8 +304,6 @@ def cmd_double_factor(args):
     spec = _load_map(args)
     if spec.k != 0:
         raise UsageError("double factor requires a map homotopic to the identity")
-    from .rotation import estimate_rotation_set
-
     cloud = estimate_rotation_set(spec, n_ladder=(200, 2000), samples=32,
                                   seed=args.seed)
     pts = cloud.deepest()
@@ -313,33 +314,26 @@ def cmd_double_factor(args):
     rho1, rho2 = pts.mean(axis=0)
     n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
     out = _outdir(args)
-    cfg = _resolved(args, ["resolution", "seed"])
+    cfg = _resolved(args, ["resolution", "grid", "max-iters", "seed"])
     cfg["map"] = spec.to_definition()
-
-    skew_v = build_centralized(spec, rho2)
-    tau_v = build_tau(skew_v, (0.5, 0.0), n_t=n_t, n_x=n_x, n_y=n_y,
-                      max_iters=args.max_iters, seed=args.seed)
-    if tau_v.status == "window-exhausted":
-        raise WindowExhausted("vertical pipeline exhausted the window")
-    fm_v = project_to_torus_factor(tau_v, grid=(args.grid, args.grid))
-
-    swapped = _SwappedMap(spec)
-    skew_h = build_centralized(swapped, rho1)
-    tau_h = build_tau(skew_h, (0.5, 0.0), n_t=n_t, n_x=n_x, n_y=n_y,
-                      max_iters=args.max_iters, seed=args.seed)
-    if tau_h.status == "window-exhausted":
-        raise WindowExhausted("horizontal pipeline exhausted the window")
-    fm_h = project_to_torus_factor(tau_h, grid=(args.grid, args.grid))
-
-    from .factor import combine_transverse_factors
-
+    fms, cells = [], []
+    for label, pipe_spec, rho in (("vertical", spec, rho2),
+                                  ("horizontal", _SwappedMap(spec), rho1)):
+        tau = build_tau(build_centralized(pipe_spec, rho), (0.5, 0.0), n_t=n_t,
+                        n_x=n_x, n_y=n_y, max_iters=args.max_iters,
+                        seed=args.seed)
+        if tau.status == "window-exhausted":
+            raise WindowExhausted(f"{label} pipeline exhausted the window")
+        fms.append(project_to_torus_factor(tau, grid=(args.grid, args.grid)))
+        cells.append(tau.geom.h_y)
+    fm_v, fm_h = fms
     joint = combine_transverse_factors(fm_v, fm_h, spec, (rho1, rho2),
                                        seed=args.seed)
     payload = {"rho": [rho1, rho2],
                "vertical_defect_max": fm_v.defect_max,
                "horizontal_defect_max": fm_h.defect_max,
                "joint": joint,
-               "cell_heights": [tau_v.geom.h_y, tau_h.geom.h_y]}
+               "cell_heights": cells}
     write_json(os.path.join(out, "double_factor.json"), payload, cfg)
     print(f"double factor: vertical defect {fm_v.defect_max!r}, "
           f"horizontal defect {fm_h.defect_max!r}")
@@ -352,9 +346,7 @@ class _SwappedMap(TorusMapSpec):
     kind = "swapped"
 
     def __init__(self, spec):
-        if spec.k != 0:
-            raise ValueError("swap needs a map homotopic to the identity")
-        self.spec = spec
+        self.spec = spec  # cmd_double_factor has checked that spec.k == 0
 
     def eval_lift(self, z):
         return self.spec.eval_lift(np.asarray(z, dtype=float)[..., ::-1])[..., ::-1]

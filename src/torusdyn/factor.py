@@ -165,44 +165,64 @@ class HeightValue:
 
 
 def evaluate_h(tau, z, tol=None):
-    """Height of an annulus point: bisect s on lower-component membership.
+    """Height of one annulus point; see ``heights``."""
+    values, ok = heights(tau, [z], tol=tol)
+    return HeightValue(value=float(values[0]), ordering_ok=bool(ok[0]))
 
-    Membership is monotone in s up to rasterization jitter; a violated
-    bracket is reported through ordering_ok instead of raising.
+
+def heights(tau, z, tol=None):
+    """Heights of annulus points: bisect s on lower-component membership.
+
+    All points of the (m, 2) array ``z`` are bisected together. Each step
+    fetches every fill its active points need once, by rasterization key;
+    points below the window are always members, points above never are. A
+    point stops at ``tol`` (half a y cell by default) or when its midpoint
+    equals an end of its bracket, so a ``tol`` below the float spacing ends
+    too. Membership is monotone in s up to rasterization jitter; a violated
+    initial bracket is reported in ``ordering_ok`` instead of raising.
     """
     geom = tau.geom
     if tol is None:
         tol = 0.5 * geom.h_y
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    x, y = float(z[0]), float(z[1])
-    ix = int(geom.x_cell(x))
-    iy = int(geom.y_cell(y))
+    z = np.asarray(z, dtype=float).reshape(-1, 2)
+    ix, iy = geom.x_cell(z[:, 0]), geom.y_cell(z[:, 1])
 
-    def member(s):
-        if iy < 0:
-            return True
-        if iy >= geom.n_y:
-            return False
-        fl = lower_component(tau, s)
-        if not fl.separating:
-            # the translated obstruction left the window: everything is on
-            # one side of the continuum, decided by the translation sign
-            return fl.shift_cells >= 0
-        return bool(fl.fill[ix, iy])
+    def member(s, p):
+        """Membership of points ``p`` in the lower components at times ``s``."""
+        out = iy[p] < 0
+        q = np.flatnonzero(~out & (iy[p] < geom.n_y))
+        if not q.size:
+            return out
+        # one key per fill: (t cell, shift in y cells)
+        key = (geom.n_t * np.round(s[q] / geom.h_y).astype(np.int64)
+               + geom.t_cell(s[q]))
+        order = np.argsort(key, kind="stable")
+        for g in np.split(q[order], np.flatnonzero(np.diff(key[order])) + 1):
+            fl = lower_component(tau, s[g[0]])
+            if not fl.separating:
+                # the translated obstruction left the window: everything is on
+                # one side of the continuum, decided by the translation sign
+                out[g] = fl.shift_cells >= 0
+            else:
+                out[g] = fl.fill[ix[p[g]], iy[p[g]]]
+        return out
 
     span = geom.y_max - geom.y_min
-    lo, hi = y - span, y + span
-    ok = True
-    if member(lo) or not member(hi):
-        ok = False
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return HeightValue(value=0.5 * (lo + hi), ordering_ok=ok)
+    lo, hi = z[:, 1] - span, z[:, 1] + span
+    every = np.arange(len(z))
+    ok = ~member(lo, every)
+    ok[ok] = member(hi[ok], every[ok])
+    active = every[hi - lo > tol]
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        inside = member(mid, active)
+        hi[active[inside]] = mid[inside]
+        lo[active[~inside]] = mid[~inside]
+        active = active[(hi[active] - lo[active] > tol) & (mid != a) & (mid != b)]
+    return 0.5 * (lo + hi), ok
 
 
 @dataclass
@@ -222,42 +242,29 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     whose lower components fail strict inclusion.
     """
     geom = tau.geom
-    if tol is None:
-        tol = 0.5 * geom.h_y
     skew = tau.skew
-    rho = skew.rho
     pts = lattice_points_2d(samples, seed=seed)
-    xs = pts[:, 0]
     y_c = 0.5 * (geom.y_min + geom.y_max)
-    ys = y_c - 0.75 + 1.5 * pts[:, 1]
-    d_unit = 0.0
-    d_map = 0.0
-    for x, y in zip(xs, ys):
-        h0 = evaluate_h(tau, (x, y), tol=tol).value
-        h1 = evaluate_h(tau, (x, y + 1.0), tol=tol).value
-        w = skew.spec.annulus_map(np.array([x, y]))
-        h2 = evaluate_h(tau, (float(w[0]), float(w[1])), tol=tol).value
-        d_unit = max(d_unit, abs(h1 - h0 - 1.0))
-        d_map = max(d_map, abs(h2 - h0 - rho))
-    violations = 0
-    pairs = 0
-    ladder = [j / s_ladder for j in range(s_ladder)]
-    fills = {s: lower_component(tau, s) for s in ladder}
-    min_sep = 2.0 * geom.h_y
-    for i, s in enumerate(ladder):
-        for s2 in ladder[i + 1:]:
-            if s2 - s < min_sep:
-                continue
-            pairs += 1
-            f1, f2 = fills[s].fill, fills[s2].fill
-            subset = not (f1 & ~f2).any()
-            strict = (f2 & ~f1).any()
-            if not (subset and strict):
-                violations += 1
-    return EquivarianceReport(unit_translate_defect=float(d_unit),
-                              map_defect=float(d_map),
-                              ordering_violations=violations,
-                              pairs_checked=pairs, tol=tol)
+    z = np.column_stack([pts[:, 0], y_c - 0.75 + 1.5 * pts[:, 1]])
+    h0, _ = heights(tau, z, tol=tol)
+    h1, _ = heights(tau, z + [0.0, 1.0], tol=tol)
+    h2, _ = heights(tau, skew.spec.annulus_map(z), tol=tol)
+    ladder = np.arange(s_ladder) / s_ladder
+    fills = np.array([lower_component(tau, s).fill for s in ladder])
+    violations = pairs = 0
+    for i in range(ladder.size - 1):
+        # rung i against every later rung at least two y cells above it
+        f, later = fills[i], fills[i + 1:]
+        far = ladder[i + 1:] - ladder[i] >= 2.0 * geom.h_y
+        subset = ~(f & ~later).any(axis=(1, 2))
+        strict = (later & ~f).any(axis=(1, 2))
+        pairs += int(far.sum())
+        violations += int((far & ~(subset & strict)).sum())
+    return EquivarianceReport(
+        unit_translate_defect=float(np.max(np.abs(h1 - h0 - 1.0), initial=0.0)),
+        map_defect=float(np.max(np.abs(h2 - h0 - skew.rho), initial=0.0)),
+        ordering_violations=violations, pairs_checked=pairs,
+        tol=0.5 * geom.h_y if tol is None else tol)  # as heights resolves it
 
 
 @dataclass
@@ -281,19 +288,14 @@ def project_to_torus_factor(tau, grid=(64, 32), tol=None):
     """
     geom = tau.geom
     n_gx, n_gy = grid
-    if tol is None:
-        tol = 0.5 * geom.h_y
     y_c = 0.5 * (geom.y_min + geom.y_max)
     xs = (np.arange(n_gx) + 0.5) / n_gx
     ys = y_c - 0.5 + (np.arange(n_gy) + 0.5) / n_gy
-    vals = np.zeros((n_gx, n_gy))
-    imgs = np.zeros((n_gx, n_gy))
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    z = np.column_stack([X.ravel(), Y.ravel()])
     skew = tau.skew
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            vals[i, j] = evaluate_h(tau, (x, y), tol=tol).value
-            w = skew.spec.annulus_map(np.array([x, y]))
-            imgs[i, j] = evaluate_h(tau, (float(w[0]), float(w[1])), tol=tol).value
+    vals = heights(tau, z, tol=tol)[0].reshape(X.shape)
+    imgs = heights(tau, skew.spec.annulus_map(z), tol=tol)[0].reshape(X.shape)
     defects = circle_dist(wrap01(imgs), wrap01(vals + skew.rho))
     monotone = bool(np.all(np.diff(vals, axis=1) >= -2.0 * geom.h_y))
     return FactorMap(x_grid=xs, y_grid=ys, values=vals,
@@ -305,30 +307,25 @@ def combine_transverse_factors(fm_vertical, fm_horizontal, spec, rho_pair, seed=
     """Pair a vertical and a (coordinate-swapped) horizontal factor.
 
     Returns the joint defect of (h1(swap z), h2(z)) against the target torus
-    translation, per coordinate, over lattice samples. The factor maps are
-    evaluated by bilinear lookup on their sample grids.
+    translation, per coordinate, over lattice samples. A factor map is read
+    at the sample of its grid at or below the point, per coordinate.
     """
     samples = 256
     pts = lattice_points_2d(samples, seed=seed)
+    fz = wrap01(spec.eval_lift(pts))
 
     def lookup(fm, x, y):
-        xs, ys, vals = fm.x_grid, fm.y_grid, fm.values
-        y_lift = ys[0] + (float(y) - ys[0]) % 1.0  # representative in the window
-        i = int(np.clip(np.searchsorted(xs, float(x)) - 1, 0, xs.size - 1))
-        j = int(np.clip(np.searchsorted(ys, y_lift) - 1, 0, ys.size - 1))
-        return vals[i, j]
+        xs, ys = fm.x_grid, fm.y_grid
+        y_lift = ys[0] + (y - ys[0]) % 1.0  # representative in the window
+        i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 1)
+        j = np.clip(np.searchsorted(ys, y_lift) - 1, 0, ys.size - 1)
+        return fm.values[i, j]
 
-    d1 = []
-    d2 = []
-    for x, y in pts:
-        z = np.array([x, y])
-        fz = wrap01(spec.eval_lift(z))
-        h2 = lookup(fm_vertical, x, y)
-        h2f = lookup(fm_vertical, fz[0], fz[1])
-        d2.append(circle_dist(wrap01(h2f), wrap01(h2 + rho_pair[1])))
-        h1 = lookup(fm_horizontal, y, x)
-        h1f = lookup(fm_horizontal, fz[1], fz[0])
-        d1.append(circle_dist(wrap01(h1f), wrap01(h1 + rho_pair[0])))
+    (x, y), (fx, fy) = pts.T, fz.T
+    d2 = circle_dist(wrap01(lookup(fm_vertical, fx, fy)),
+                     wrap01(lookup(fm_vertical, x, y) + rho_pair[1]))
+    d1 = circle_dist(wrap01(lookup(fm_horizontal, fy, fx)),
+                     wrap01(lookup(fm_horizontal, y, x) + rho_pair[0]))
     return {"horizontal_defect": float(np.max(d1)),
             "vertical_defect": float(np.max(d2)),
             "samples": samples, "seed": seed}

@@ -5,23 +5,29 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
+import cli_golden
+from cli_golden import RIGID, RUNS
 from torusdyn import cli
 from torusdyn.cli import main
 from torusdyn.factor import build_tau
-
-RIGID = '{"kind":"rigid","offset":[0.6180339887,0.4142135624]}'
 
 
 def run(args):
     return main(args)
 
 
+def run_golden(name, out):
+    """Run one of the golden runs into ``out`` and check its file hashes."""
+    assert run(RUNS[name] + ["--out", str(out)]) == 0
+    cli_golden.check(name, out)
+
+
 def test_rotnum_rigid(tmp_path, capsys):
     out = tmp_path / "o"
-    assert run(["rotnum", "--rigid", "0.25", "--n", "1000",
-                "--out", str(out)]) == 0
+    run_golden("rotnum-rigid", out)
     text = capsys.readouterr().out
     assert "0.25" in text
     doc = json.loads((out / "rotnum.json").read_text())
@@ -30,8 +36,7 @@ def test_rotnum_rigid(tmp_path, capsys):
 
 
 def test_rotnum_identity(tmp_path):
-    assert run(["rotnum", "--rigid", "0", "--n", "10",
-                "--out", str(tmp_path)]) == 0
+    run_golden("rotnum-identity", tmp_path)
     doc = json.loads((tmp_path / "rotnum.json").read_text())
     assert doc["result"]["estimate"] == 0.0
 
@@ -43,8 +48,7 @@ def test_rotnum_usage_error(tmp_path):
 
 
 def test_deviations_rigid_zero_column(tmp_path):
-    assert run(["deviations", "--map", RIGID, "--rho", "0.4142135624",
-                "--nmax", "200", "--samples", "8", "--out", str(tmp_path)]) == 0
+    run_golden("deviations-rigid", tmp_path)
     rows = [l for l in (tmp_path / "deviations.csv").read_text().splitlines()
             if not l.startswith("#")][1:]
     vals = np.array([float(r.split(",")[1]) for r in rows])
@@ -52,9 +56,7 @@ def test_deviations_rigid_zero_column(tmp_path):
 
 
 def test_skeworbit_single_row(tmp_path):
-    assert run(["skeworbit", "--map", RIGID, "--rho", "0.4142135624",
-                "--state", "0.1,0.2,0.3", "--nmax", "0",
-                "--out", str(tmp_path)]) == 0
+    run_golden("skeworbit-state", tmp_path)
     rows = [l for l in (tmp_path / "orbit.csv").read_text().splitlines()
             if not l.startswith("#")]
     assert len(rows) == 2  # header plus the initial state
@@ -63,9 +65,7 @@ def test_skeworbit_single_row(tmp_path):
 
 
 def test_skeworbit_rigid_constant_column(tmp_path):
-    assert run(["skeworbit", "--map", RIGID, "--rho", "0.4142135624",
-                "--state", "0,0,0.25", "--nmax", "40",
-                "--out", str(tmp_path)]) == 0
+    run_golden("skeworbit-rigid", tmp_path)
     rows = [l.split(",") for l in
             (tmp_path / "orbit.csv").read_text().splitlines()
             if not l.startswith("#")][1:]
@@ -79,11 +79,7 @@ def test_factor_requires_seed_point(tmp_path):
 
 
 def test_factor_small_run(tmp_path):
-    code = run(["factor", "--map", RIGID, "--rho", "0.4142135624",
-                "--seed-point", "0.5,0", "--resolution", "32,32,64",
-                "--sladder", "16", "--max-iters", "60", "--grid", "12",
-                "--out", str(tmp_path)])
-    assert code == 0
+    run_golden("factor-rigid", tmp_path)
     doc = json.loads((tmp_path / "defects.json").read_text())
     res = doc["result"]
     assert res["ordering_violations"] == 0
@@ -107,7 +103,7 @@ def test_gallery_unknown_id(tmp_path, capsys):
 
 
 def test_gallery_surgery(tmp_path):
-    assert run(["gallery", "3.4-geometry", "--out", str(tmp_path)]) == 0
+    run_golden("gallery-surgery", tmp_path)
     rows = [l for l in (tmp_path / "surgery.csv").read_text().splitlines()
             if not l.startswith("#")][1:]
     assert len(rows) == 101
@@ -116,7 +112,7 @@ def test_gallery_surgery(tmp_path):
 
 
 def test_gallery_suspension_alias(tmp_path):
-    assert run(["gallery", "3.1", "--nmax", "500", "--out", str(tmp_path)]) == 0
+    run_golden("gallery-suspension", tmp_path)
     doc = json.loads((tmp_path / "gallery_suspension.json").read_text())
     assert doc["result"]["commutation_defect"] <= 1e-9
     assert doc["result"]["deviation_verdict"] == "bounded"
@@ -130,8 +126,7 @@ def test_double_factor_refuses_twist(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     o1, o2 = tmp_path / "a", tmp_path / "b"
     for out in (o1, o2):
-        assert run(["deviations", "--map", RIGID, "--rho", "0.4142135624",
-                    "--nmax", "100", "--samples", "8", "--out", str(out)]) == 0
+        run_golden("deviations-rigid-100", out)
     assert (o1 / "deviations.csv").read_bytes() == (o2 / "deviations.csv").read_bytes()
     assert (o1 / "deviations.json").read_bytes() == (o2 / "deviations.json").read_bytes()
 
@@ -224,9 +219,7 @@ def test_threads_flag_removed(tmp_path, capsys):
 
 
 def test_double_factor_rigid_small(tmp_path):
-    code = run(["double-factor", "--map", RIGID, "--resolution", "64,64,128",
-                "--grid", "16", "--max-iters", "120", "--out", str(tmp_path)])
-    assert code == 0
+    run_golden("double-factor-rigid", tmp_path)
     doc = json.loads((tmp_path / "double_factor.json").read_text())
     res = doc["result"]
     assert res["vertical_defect_max"] <= 2 * res["cell_heights"][0]
@@ -234,12 +227,50 @@ def test_double_factor_rigid_small(tmp_path):
 
 
 def test_rotnum_denjoy_cli(tmp_path):
-    assert run(["rotnum", "--denjoy", "golden", "--n", "30000",
-                "--denjoy-order", "30", "--out", str(tmp_path)]) == 0
+    run_golden("rotnum-denjoy", tmp_path)
     doc = json.loads((tmp_path / "rotnum.json").read_text())
     res = doc["result"]
     golden = (5 ** 0.5 - 1) / 2
     assert abs(res["estimate"] - golden) <= res["error_bound"] + res["truncation_slack"]
+
+
+@pytest.mark.parametrize("name", ["factor-suspension",
+                                  "gallery-unbounded-inessential",
+                                  "gallery-fully-essential"])
+def test_golden_runs(tmp_path, name):
+    run_golden(name, tmp_path)
+
+
+# quick regions for tests that check no region: the 20,000 envelope rounds
+# take seconds even on a few cells
+QUICK = functools.partial(build_tau, refine_rounds=0)
+
+
+def test_factor_empty_ladder_check_exits_2(tmp_path, capsys):
+    for sladder in ("1", "0"):
+        out = tmp_path / sladder
+        with mock.patch.object(cli, "build_tau", QUICK):
+            code = run(RUNS["factor-rigid"] + ["--sladder", sladder,
+                                               "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric check failed:") and err.count("\n") == 1
+        assert (out / "defects.json").exists()
+
+
+def test_config_names_every_output_flag(tmp_path):
+    # every flag but the output and input paths can change an output
+    _, commands = cli.build_parser()
+    runs = {"skeworbit": (RUNS["skeworbit-state"], "orbit.json"),
+            "factor": (RUNS["factor-rigid"], "region.json"),
+            "double-factor": (["double-factor", "--map", RIGID, "--resolution",
+                               "16,16,32", "--grid", "4"], "double_factor.json")}
+    for command, (argv, name) in runs.items():
+        with mock.patch.object(cli, "build_tau", QUICK):
+            assert run(argv + ["--out", str(tmp_path / command)]) == 0
+        doc = json.loads((tmp_path / command / name).read_text())
+        flags = {a.dest.replace("_", "-") for a in commands[command]._actions}
+        assert flags - {"help", "out", "config", "map-file"} <= set(doc["config"])
 
 
 # -- fuzzed map definitions: every run exits 0 or 1, never with a traceback ----
@@ -456,10 +487,8 @@ def test_fuzzed_argv_and_config_exit_cleanly(tmp_path_factory, case):
         (out / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(out / "cfg.json")]
     err = io.StringIO()
-    # the 20,000 envelope rounds take seconds even on 4 cells and read no flag
-    quick = functools.partial(build_tau, refine_rounds=0)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "build_tau", quick):
+            mock.patch.object(cli, "build_tau", QUICK):
         code = run(argv + ["--out", str(out)])
     text = err.getvalue()
     event(f"{argv[0]} exit code {code}")

@@ -1,8 +1,11 @@
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusdyn.circle import CircleLift
-from torusdyn.factor import (build_tau, continuum_Cs, evaluate_h,
+from torusdyn.factor import (build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
                              verify_equivariance)
 from torusdyn.skew import build_centralized
@@ -15,6 +18,14 @@ A, B = GOLDEN_MEAN, SQRT2_MINUS_1
 @pytest.fixture(scope="module")
 def tau_rigid_small():
     skew = build_centralized(RigidTranslation(A, B), B, c_est=0.0)
+    return build_tau(skew, (0.5, 0.0), ball_radius=0.15, n_t=64, n_x=64,
+                     n_y=128, max_iters=150, refine_rounds=4000)
+
+
+@pytest.fixture(scope="module")
+def tau_susp_small():
+    susp = SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B))
+    skew = build_centralized(susp, A * B, c_est=B)
     return build_tau(skew, (0.5, 0.0), ball_radius=0.15, n_t=64, n_x=64,
                      n_y=128, max_iters=150, refine_rounds=4000)
 
@@ -149,11 +160,8 @@ def test_project_rigid_factor(tau_rigid_small):
     assert dev <= 2 * h
 
 
-def test_factor_pipeline_suspension_small():
-    susp = SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B))
-    skew = build_centralized(susp, A * B, c_est=B)
-    tau = build_tau(skew, (0.5, 0.0), ball_radius=0.15, n_t=64, n_x=64,
-                    n_y=128, max_iters=150, refine_rounds=4000)
+def test_factor_pipeline_suspension_small(tau_susp_small):
+    tau = tau_susp_small
     hy = tau.geom.h_y
     # analytic height function: y plus the sawtooth coboundary in x
     errs = []
@@ -180,3 +188,76 @@ def test_h_span_on_region_cells(tau_rigid_small):
     rows = np.nonzero(tau.mask.occ.any(axis=(0, 1)))[0]
     extent = (rows.max() - rows.min() + 1) * geom.h_y
     assert max(hs) - min(hs) <= extent + 2 * geom.h_y
+
+
+def _reference_height(tau, z, tol):
+    """One point's height by scalar bisection, with the stop rule of heights."""
+    geom = tau.geom
+    tol = 0.5 * geom.h_y if tol is None else tol
+    x, y = float(z[0]), float(z[1])
+    ix, iy = int(geom.x_cell(x)), int(geom.y_cell(y))
+
+    def member(s):
+        if iy < 0:
+            return True
+        if iy >= geom.n_y:
+            return False
+        fl = lower_component(tau, s)
+        if not fl.separating:
+            return fl.shift_cells >= 0
+        return bool(fl.fill[ix, iy])
+
+    span = geom.y_max - geom.y_min
+    lo, hi = y - span, y + span
+    ok = not member(lo) and member(hi)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        stuck = mid in (lo, hi)
+        if member(mid):
+            hi = mid
+        else:
+            lo = mid
+        if stuck:
+            break
+    return 0.5 * (lo + hi), ok
+
+
+# y as a fraction of the window: below it, inside it and above it
+POINTS = st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-0.5, 1.5)),
+                  min_size=1, max_size=6)
+
+
+@given(pts=POINTS, tol=st.sampled_from([None, 0.02, 1e-6, 1e-300]))
+@settings(max_examples=30, deadline=None)
+def test_heights_match_scalar_bisection(tau_rigid_small, tau_susp_small, pts, tol):
+    for tau in (tau_rigid_small, tau_susp_small):
+        geom = tau.geom
+        z = np.array([(x, geom.y_min + v * (geom.y_max - geom.y_min))
+                      for x, v in pts])
+        values, ok = heights(tau, z, tol=tol)
+        ref = [_reference_height(tau, p, tol) for p in z]
+        assert values.tolist() == [v for v, _ in ref]
+        assert ok.tolist() == [o for _, o in ref]
+
+
+def test_heights_end_below_float_spacing(tau_rigid_small):
+    # a tol below the spacing of floats near h used to bisect forever
+    def expire(signum, frame):
+        raise TimeoutError("the bisection did not end")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    try:
+        fine = evaluate_h(tau_rigid_small, (0.3, 0.7), tol=1e-300)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    coarse = evaluate_h(tau_rigid_small, (0.3, 0.7))
+    assert fine.ordering_ok
+    assert abs(fine.value - coarse.value) <= tau_rigid_small.geom.h_y
+
+
+def test_heights_reject_nonpositive_tol(tau_rigid_small):
+    for tol in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            heights(tau_rigid_small, [[0.3, 0.1]], tol=tol)
