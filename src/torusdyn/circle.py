@@ -59,14 +59,17 @@ class CircleLift:
         if kind == KIND_RIGID:
             self.bx = None
             self.by = None
-            self._bx_list = None
         else:
             bx = np.asarray(bx, dtype=float)
             by = np.asarray(by, dtype=float)
             _validate_pwa(bx, by)
             self.bx = bx
             self.by = by
-            self._bx_list = bx.tolist()  # fast scalar bisect path
+            # the table closed once with the wrap segment's end, so segment j
+            # runs from breakpoint j to breakpoint j + 1 for every j; lists
+            # for the scalar path
+            self._closed = (np.append(bx, bx[0] + 1.0), np.append(by, by[0] + 1.0))
+            self._closed_lists = tuple(a.tolist() for a in self._closed)
 
     # -- constructors ------------------------------------------------------
 
@@ -86,7 +89,7 @@ class CircleLift:
         if self.kind == KIND_RIGID:
             out = np.asarray(x, dtype=float) + self.alpha
             return float(out) if np.ndim(x) == 0 else out
-        return _pwa_eval(self.bx, self.by, x)
+        return _pwa_eval(*self._closed, x)
 
     def eval_scalar(self, x):
         """Scalar fast path used by long orbit loops."""
@@ -97,13 +100,9 @@ class CircleLift:
         if u >= 1.0:  # x - floor(x) can round up to 1.0 for tiny negatives
             u = 0.0
             n += 1
-        j = bisect.bisect_right(self._bx_list, u) - 1
-        bx, by = self.bx, self.by
-        if j + 1 < len(bx):
-            x1, y1 = bx[j + 1], by[j + 1]
-        else:
-            x1, y1 = bx[0] + 1.0, by[0] + 1.0
-        x0, y0 = bx[j], by[j]
+        bx, by = self._closed_lists
+        j = bisect.bisect_right(bx, u) - 1
+        x0, y0, x1, y1 = bx[j], by[j], bx[j + 1], by[j + 1]
         return n + y0 + (u - x0) * (y1 - y0) / (x1 - x0)
 
     def inverse(self):
@@ -113,9 +112,7 @@ class CircleLift:
         frac = wrap01(self.by)
         # not floor(by): a tiny negative value reduces to 0.0, not to 1 - eps
         shift = np.round(self.by - frac)
-        pairs = list(zip(frac, self.bx - shift))
-        inv = CircleLift.piecewise_affine(pairs)
-        return inv
+        return CircleLift.piecewise_affine(list(zip(frac, self.bx - shift)))
 
     def to_definition(self):
         if self.kind == KIND_RIGID:
@@ -178,18 +175,12 @@ def _pwa_from_pairs(pairs):
 
 
 def _pwa_eval(bx, by, x):
+    """Evaluate a closed breakpoint table (last entry bx[0] + 1) at x."""
     xa = np.asarray(x, dtype=float)
-    n = np.floor(xa)
-    u = xa - n
-    bump = u >= 1.0  # x - floor(x) can round up to 1.0 for tiny negatives
-    u = np.where(bump, 0.0, u)
-    n = n + bump
+    u = wrap01(xa)
+    n = np.round(xa - u)
     j = np.searchsorted(bx, u, side="right") - 1
-    last = j + 1 >= bx.size
-    x0 = bx[j]
-    y0 = by[j]
-    x1 = np.where(last, bx[0] + 1.0, bx[np.minimum(j + 1, bx.size - 1)])
-    y1 = np.where(last, by[0] + 1.0, by[np.minimum(j + 1, bx.size - 1)])
+    x0, y0, x1, y1 = bx[j], by[j], bx[j + 1], by[j + 1]
     out = n + y0 + (u - x0) * (y1 - y0) / (x1 - x0)
     if np.ndim(x) == 0:
         return float(out)

@@ -43,6 +43,12 @@ GALLERY_ALIASES = {
 }
 
 
+# the least value of each count flag, checked before any work
+_COUNT_MINIMUMS = {"deviations": {"samples": 1}, "skeworbit": {"nmax": 0},
+                   "factor": {"grid": 1, "sladder": 0}, "gallery": {"nscan": 1},
+                   "double-factor": {"grid": 1}}
+
+
 class UsageError(Exception):
     pass
 
@@ -468,6 +474,10 @@ def main(argv=None):
                 args = parser.parse_args(argv)
         except SystemExit:  # --help and --version
             return EXIT_OK
+        for flag, least in _COUNT_MINIMUMS.get(args.command, {}).items():
+            value = getattr(args, flag)
+            if value is not None and value < least:  # None: gallery's manifest value
+                raise UsageError(f"--{flag} must be at least {least}, not {value}")
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -316,7 +316,7 @@ def combine_transverse_factors(fm_vertical, fm_horizontal, spec, rho_pair, seed=
 
     def lookup(fm, x, y):
         xs, ys = fm.x_grid, fm.y_grid
-        y_lift = ys[0] + (y - ys[0]) % 1.0  # representative in the window
+        y_lift = ys[0] + wrap01(y - ys[0])  # representative in the window
         i = np.clip(np.searchsorted(xs, x) - 1, 0, xs.size - 1)
         j = np.clip(np.searchsorted(ys, y_lift) - 1, 0, ys.size - 1)
         return fm.values[i, j]

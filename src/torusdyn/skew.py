@@ -294,6 +294,7 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
         raise ValueError("max_iters must be >= 0")
     pts = np.asarray(fiber_points, dtype=float)
     occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
+    flat = occ.reshape(-1)  # a view: marking flat cells marks occ
     rho = skew.rho
 
     # The flow offsets seen by a column over the run equidistribute with a
@@ -315,47 +316,47 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
     sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
 
     def raster_block(w, u):
-        """Mark the half-width block of the cloud w with flow offsets u."""
+        """Mark the half-width block of the cloud w with flow offsets u; return
+        (edge, grew): a marked cell is in the top or bottom row, or is new."""
         jx = geom.x_cell(w[:, 0])
         # fiber i holds the cloud shifted down by its flow offset, swept over
         # the offset gap
         yy = w[None, :, 1] - u[:, None]
-        it = np.broadcast_to(np.arange(geom.n_t)[:, None], yy.shape)
-        jx2 = np.broadcast_to(jx[None, :], yy.shape)
-        edge = False
+        # flat index of cell (i, jx, 0); a height adds its y cell
+        column = (np.arange(geom.n_t)[:, None] * geom.n_x + jx[None, :]) * geom.n_y
+        edge = grew = False
         for dy in ((0.0,) if sweep == 0.0 else (-sweep, sweep)):
             jy = geom.y_cell(yy + dy)
             keep = (jy >= 0) & (jy < geom.n_y)
-            occ[it[keep], jx2[keep], jy[keep]] = True
-            edge |= bool(np.any(jy[keep] == 0)) or bool(np.any(jy[keep] == geom.n_y - 1))
-        return edge
+            cells = (column + jy)[keep]
+            grew |= not flat[cells].all()
+            flat[cells] = True
+            edge |= bool(np.any((jy == 0) | (jy == geom.n_y - 1)))
+        return edge, grew
 
     orbit = _block_orbit(skew, pts, geom, max_iters)
     _, w, u = next(orbit)
     raster_block(w, u)
     seed_occ = occ.copy()
-    base = occ.sum()
     status = "max-iters"
     stale = 0
     rounds = 0
-    edge = False
+    edge = grew = False
     for n, w, u in orbit:
-        edge |= raster_block(w, u)
+        at_edge, added = raster_block(w, u)
+        edge |= at_edge
+        grew |= added
         if n > 0:
             continue  # a round ends with its backward image
         rounds = -n
         if edge:
             status = "window-exhausted"
             break
-        total = occ.sum()
-        if total == base:
-            stale += 1
-            if stale >= patience:
-                status = "fixed-point"
-                break
-        else:
-            stale = 0
-            base = total
+        stale = 0 if grew else stale + 1
+        if stale >= patience:
+            status = "fixed-point"
+            break
+        grew = False
     return occ, seed_occ, status, rounds
 
 

@@ -14,37 +14,32 @@ SQRT2_MINUS_1 = math.sqrt(2.0) - 1.0  # 0.41421356237309515
 _PLASTIC = 1.324717957244746
 
 
+def _float_if_scalar(a):
+    """A 0-d result as a Python float; an array result as it is."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def wrap01(x):
     """Reduce mod 1 with representatives in [0, 1), ties toward 0.
 
-    Guards against the float artifact where tiny negatives reduce to 1.0.
+    The one mod-1 reduction of the package: ``x - floor(x)``, with the float
+    artifact where a tiny negative reduces to 1.0 sent to 0.0.
     """
-    r = np.asarray(x, dtype=float) % 1.0
-    r = np.where(r >= 1.0, 0.0, r)
-    if np.ndim(x) == 0:
-        return float(r)
-    return r
+    xa = np.asarray(x, dtype=float)
+    r = xa - np.floor(xa)
+    return _float_if_scalar(np.where(r >= 1.0, 0.0, r))
 
 
 def circle_dist(a, b):
     """Distance on T = R/Z."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
-    out = np.minimum(d, 1.0 - d)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    d = wrap01(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    return _float_if_scalar(np.minimum(d, 1.0 - d))
 
 
 def torus_dist(z, w):
     """Euclidean distance on T^2; z, w arrays with trailing axis of size 2."""
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
-    d = np.abs(z - w) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    out = np.sqrt(np.sum(d * d, axis=-1))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    d = circle_dist(z, w)
+    return _float_if_scalar(np.sqrt(np.sum(d * d, axis=-1)))
 
 
 def annulus_dist(z, w):
@@ -53,27 +48,22 @@ def annulus_dist(z, w):
     w = np.asarray(w, dtype=float)
     dx = circle_dist(z[..., 0], w[..., 0])
     dy = z[..., 1] - w[..., 1]
-    out = np.hypot(dx, dy)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(np.hypot(dx, dy))
 
 
 def skew_dist(s, r):
     """Distance on T x A, the sum d_T(t,t') + d_A(z,z'); trailing axis (t, x, ytil)."""
     s = np.asarray(s, dtype=float)
     r = np.asarray(r, dtype=float)
-    out = circle_dist(s[..., 0], r[..., 0]) + annulus_dist(s[..., 1:], r[..., 1:])
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _float_if_scalar(circle_dist(s[..., 0], r[..., 0])
+                            + annulus_dist(s[..., 1:], r[..., 1:]))
 
 
 def lattice_points_2d(count, seed=0):
     """Deterministic low-discrepancy points on [0,1)^2 (R2 sequence + seeded jitter)."""
     i = np.arange(count, dtype=float)[:, None]
     alphas = np.array([1.0 / _PLASTIC, 1.0 / _PLASTIC**2])
-    base = (0.5 + i * alphas) % 1.0
+    base = wrap01(0.5 + i * alphas)
     rng = np.random.default_rng(seed)
-    return (base + 0.25 * rng.uniform(-1.0, 1.0, (count, 2)) / max(count, 1)) % 1.0
+    return wrap01(base + 0.25 * rng.uniform(-1.0, 1.0, (count, 2)) / max(count, 1))
 

@@ -1,3 +1,6 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,3 +202,61 @@ def test_inverse_roundtrip():
         inv = lift.inverse()
         assert np.max(np.abs(inv(lift(xs)) - xs)) <= 1e-10
         assert np.max(np.abs(lift(inv(xs)) - xs)) <= 1e-10
+
+
+# -- the closed breakpoint table against an open-table reference --------------
+
+def open_table_eval(bx, by, x):
+    """Vectorized evaluation that derives the wrap segment per point."""
+    xa = np.asarray(x, dtype=float)
+    n = np.floor(xa)
+    u = xa - n
+    bump = u >= 1.0  # x - floor(x) can round up to 1.0 for tiny negatives
+    u = np.where(bump, 0.0, u)
+    n = n + bump
+    j = np.searchsorted(bx, u, side="right") - 1
+    last = j + 1 >= bx.size
+    x1 = np.where(last, bx[0] + 1.0, bx[np.minimum(j + 1, bx.size - 1)])
+    y1 = np.where(last, by[0] + 1.0, by[np.minimum(j + 1, bx.size - 1)])
+    return n + by[j] + (u - bx[j]) * (y1 - by[j]) / (x1 - bx[j])
+
+
+def open_table_scalar(bx, by, x):
+    """Scalar evaluation that derives the wrap segment per point."""
+    n = math.floor(x)
+    u = x - n
+    if u >= 1.0:
+        u = 0.0
+        n += 1
+    j = bisect.bisect_right(bx.tolist(), u) - 1
+    if j + 1 < len(bx):
+        x1, y1 = bx[j + 1], by[j + 1]
+    else:
+        x1, y1 = bx[0] + 1.0, by[0] + 1.0
+    return n + by[j] + (u - bx[j]) * (y1 - by[j]) / (x1 - bx[j])
+
+
+def _table_lifts():
+    pwa = CircleLift.piecewise_affine([(0.0, -0.1), (0.2, 0.3), (0.5, 0.35),
+                                       (0.9, 0.8)])
+    one = CircleLift.piecewise_affine([(0.0, 0.25)])
+    return [pwa, pwa.inverse(), one, _SHARED_DENJOY, _SHARED_DENJOY.inverse()]
+
+
+TABLE_LIFTS = _table_lifts()
+TINY_NEGATIVES = [-5e-324, -1e-300, -2.0 ** -60, -2.0 ** -53, -1e-17, -0.0]
+
+
+@given(xs=st.lists(st.floats(-50.0, 50.0), max_size=20),
+       which=st.integers(0, len(TABLE_LIFTS) - 1))
+@settings(max_examples=100, deadline=None)
+def test_closed_table_matches_open_table(xs, which):
+    lift = TABLE_LIFTS[which]
+    bx, by = lift.bx, lift.by
+    pts = np.concatenate([bx, bx - 1.0, bx + 2.0, np.nextafter(bx, -np.inf),
+                          TINY_NEGATIVES, xs])
+    assert lift(pts).tobytes() == open_table_eval(bx, by, pts).tobytes()
+    for x in pts.tolist():
+        for got, want in ((lift(x), open_table_eval(bx, by, x)),
+                          (lift.eval_scalar(x), open_table_scalar(bx, by, x))):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -403,6 +403,26 @@ def test_nmax_zero_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (RUNS["factor-rigid"] + ["--grid", "0"], "--grid"),
+    (RUNS["factor-rigid"] + ["--sladder", "-1"], "--sladder"),
+    (RUNS["double-factor-rigid"] + ["--grid", "0"], "--grid"),
+    (RUNS["deviations-rigid"] + ["--samples", "0"], "--samples"),
+    (RUNS["deviations-rigid"] + ["--samples", "-2"], "--samples"),
+    (RUNS["skeworbit-state"] + ["--nmax", "-4"], "--nmax"),
+    (["gallery", "surgery-geometry", "--nscan", "-3"], "--nscan"),
+], ids=["factor-grid", "factor-sladder", "double-factor-grid", "samples-0",
+        "samples-negative", "skeworbit-nmax", "nscan"])
+def test_count_flag_below_minimum_is_usage_error(argv, flag, tmp_path, capsys):
+    # checked before any work: nothing is built and no file is written
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "build_tau", side_effect=AssertionError):
+        _usage_exit(argv + ["--out", str(out)], capsys)
+    assert not out.exists()
+    run(argv + ["--out", str(out)])
+    assert flag in capsys.readouterr().err
+
+
 def test_version_exits_0(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.strip() == cli.__version__
