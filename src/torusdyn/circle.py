@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import wrap01
+from .util import nth_iterate, wrap01
 
 KIND_RIGID = "rigid"
 KIND_PWA = "piecewise-affine"
@@ -203,9 +203,7 @@ def rotation_number(lift, x0=0.0, n=10_000):
         # closed form: the orbit displacement is exactly n*alpha
         est = lift.alpha
         return est, 1.0 / n + 1e-15
-    x = float(x0)
-    for _ in range(n):
-        x = lift.eval_scalar(x)
+    x = nth_iterate(lift.eval_scalar, float(x0), n)
     est = (x - float(x0)) / n
     return float(est), 1.0 / n + n * 1e-15
 

@@ -29,6 +29,7 @@ from .serialize import (circle_lift_from_definition, dump_mask, parse_number,
 from .skew import (build_centralized, check_closed_form,
                    check_commutation)
 from .torus import TorusMapSpec
+from .util import iterates
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,12 +70,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_map(args):
-    if args.map is not None:
+    if (args.map is None) == (args.map_file is None):
+        raise UsageError("exactly one of --map, --map-file is required")
+    if args.map_file is None:
         return torus_map_from_definition(json.loads(args.map))
-    if args.map_file is not None:
-        with open(args.map_file) as fh:
-            return torus_map_from_definition(json.load(fh))
-    raise UsageError("a torus map definition is required (--map or --map-file)")
+    with open(args.map_file) as fh:
+        return torus_map_from_definition(json.load(fh))
 
 
 def _numbers(text, count, flag, cast=parse_number):
@@ -89,6 +90,13 @@ def _numbers(text, count, flag, cast=parse_number):
         raise UsageError(f"--{flag}: {e}") from None
 
 
+def _resolution(args):
+    n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
+    if n_t * n_x * n_y > 2 ** 28:  # 8 times the 256x256x512 default
+        raise UsageError(f"--resolution {args.resolution} has more than 2^28 cells")
+    return n_t, n_x, n_y
+
+
 def _outdir(args):
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -101,14 +109,17 @@ def _resolved(args, names):
 
 
 def cmd_rotnum(args):
+    if sum(getattr(args, f) is not None for f in ("rigid", "denjoy", "circle")) != 1:
+        raise UsageError("exactly one of --rigid, --denjoy, --circle is required")
+    if args.denjoy_order is not None and args.denjoy is None:
+        raise UsageError("--denjoy-order applies only to --denjoy")
     if args.rigid is not None:
         lift = CircleLift.rigid(args.rigid)
     elif args.denjoy is not None:
-        lift = build_denjoy(args.denjoy, N=args.denjoy_order)
-    elif args.circle is not None:
-        lift = circle_lift_from_definition(json.loads(args.circle))
+        lift = build_denjoy(args.denjoy, N=40 if args.denjoy_order is None
+                            else args.denjoy_order)
     else:
-        raise UsageError("one of --rigid, --denjoy, --circle is required")
+        lift = circle_lift_from_definition(json.loads(args.circle))
     est, bound = rotation_number(lift, args.x0, args.n)
     slack = lift.truncation_tol
     print(f"rotation number estimate {est!r} +- {bound + slack!r}")
@@ -147,29 +158,25 @@ def cmd_skeworbit(args):
         raise UsageError("--rho is required")
     skew = build_centralized(spec, args.rho)
     t, x, y = _numbers(args.state, 3, "state")
-    cur = np.array([[t, x, y]])
-    rows = [(0, t, x, y)]
-    lo = hi = y
-    for n in range(1, args.nmax + 1):
-        cur = skew.step(cur)
-        rows.append((n, cur[0, 0], cur[0, 1], cur[0, 2]))
-        lo = min(lo, cur[0, 2])
-        hi = max(hi, cur[0, 2])
+    orbit = enumerate(iterates(skew.step, np.array([[t, x, y]]), args.nmax), 1)
+    rows = [(0, t, x, y)] + [(n, *cur[0]) for n, cur in orbit]
+    oscillation = float(max(r[3] for r in rows) - min(r[3] for r in rows))
     cfg = _resolved(args, ["rho", "state", "nmax", "seed"])
     cfg["map"] = spec.to_definition()
     out = _outdir(args)
     write_csv(os.path.join(out, "orbit.csv"), ["n", "t", "x", "ytil"], rows, cfg)
     comm = check_commutation(skew, samples=200, seed=args.seed)
     write_json(os.path.join(out, "orbit.json"),
-               {"oscillation": float(hi - lo), "commutation_defect": comm.defect},
+               {"oscillation": oscillation, "commutation_defect": comm.defect},
                cfg)
-    print(f"vertical oscillation over {args.nmax} steps: {float(hi - lo)!r}")
+    print(f"vertical oscillation over {args.nmax} steps: {oscillation!r}")
     if not comm.passed:
         raise CheckFailure(f"commutation defect {comm.defect!r} above threshold")
     return EXIT_OK
 
 
 def cmd_factor(args):
+    n_t, n_x, n_y = _resolution(args)
     spec = _load_map(args)
     if args.rho is None:
         raise UsageError("--rho is required")
@@ -177,7 +184,6 @@ def cmd_factor(args):
         raise UsageError("--seed-point is required")
     sx, sy = _numbers(args.seed_point, 2, "seed-point")
     skew = build_centralized(spec, args.rho, c_est=args.c_est)
-    n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
     tau = build_tau(skew, (sx, sy), ball_radius=args.ball_radius,
                     n_t=n_t, n_x=n_x, n_y=n_y, half_height=args.window,
                     max_iters=args.max_iters, seed=args.seed)
@@ -307,6 +313,7 @@ def cmd_gallery(args):
 
 
 def cmd_double_factor(args):
+    n_t, n_x, n_y = _resolution(args)
     spec = _load_map(args)
     if spec.k != 0:
         raise UsageError("double factor requires a map homotopic to the identity")
@@ -318,7 +325,6 @@ def cmd_double_factor(args):
         raise UsageError("rotation cloud not a point; the map is not a "
                          "pseudo-rotation, refusing")
     rho1, rho2 = pts.mean(axis=0)
-    n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
     out = _outdir(args)
     cfg = _resolved(args, ["resolution", "grid", "max-iters", "seed"])
     cfg["map"] = spec.to_definition()
@@ -387,7 +393,8 @@ def build_parser():
                    help="rigid rotation angle (number or golden/sqrt2)")
     s.add_argument("--denjoy", type=parse_number, default=None,
                    help="truncated blow-up targeting this angle")
-    s.add_argument("--denjoy-order", type=int, default=40)
+    s.add_argument("--denjoy-order", type=int, default=None,
+                   help="--denjoy blows up the orbit points |n| <= this (default 40)")
     s.add_argument("--circle", default=None, help="inline JSON circle lift")
     s.add_argument("--n", type=int, default=100_000)
     s.add_argument("--x0", type=parse_number, default=0.0)

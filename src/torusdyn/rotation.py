@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import lattice_points_2d, torus_dist, wrap01
+from .util import iterates, lattice_points_2d, torus_dist, wrap01
 
 
 @dataclass
@@ -43,8 +43,20 @@ def _positive_n_max(n_max):
     return n_max
 
 
-def _sample_window(samples, seed):
-    """Lattice points in [0,1)^2 together with their (0,1) integer translates.
+def _rotation_cloud(spec, n_ladder, samples, seed):
+    """(f^n(z) - z)/n over lattice samples z, at each rung n of the ladder."""
+    n_ladder = sorted(int(n) for n in n_ladder)
+    _positive_n_max(min(n_ladder, default=0))
+    z0 = lattice_points_2d(samples, seed=seed)
+    marks = set(n_ladder)
+    orbit = enumerate(iterates(spec.eval_lift, z0, n_ladder[-1]), 1)
+    return RotationCloud(n_ladder=n_ladder,
+                         points={n: (z - z0) / n for n, z in orbit if n in marks})
+
+
+def _two_sided_displacements(spec, n_max, samples, seed):
+    """(n, f^n(z) - z, f^-n(z) - z) for n = 1..n_max, z over the sample window:
+    lattice points in [0,1)^2 together with their (0,1) integer translates.
 
     The translates matter for twisted maps: the displacement of z + (0,1)
     differs from that of z by the linear twist term, which is exactly what
@@ -52,35 +64,23 @@ def _sample_window(samples, seed):
     harmless.
     """
     base = lattice_points_2d(samples, seed=seed)
-    return np.vstack([base, base + np.array([0.0, 1.0])])
+    z0 = np.vstack([base, base + np.array([0.0, 1.0])])
+    walk = zip(iterates(spec.eval_lift, z0, n_max),
+               iterates(spec.eval_inverse, z0, n_max))
+    for n, (fwd, bwd) in enumerate(walk, 1):
+        yield n, fwd - z0, bwd - z0
 
 
 def estimate_rotation_set(spec, n_ladder=(100, 1000, 10_000), samples=64, seed=0):
     """Cloud of Birkhoff displacement averages for a map homotopic to identity."""
     if spec.k != 0:
         raise ValueError("rotation set undefined; use vertical_rotation_number")
-    n_ladder = sorted(int(n) for n in n_ladder)
-    z0 = lattice_points_2d(samples, seed=seed)
-    cur = z0.copy()
-    points = {}
-    marks = set(n_ladder)
-    for n in range(1, n_ladder[-1] + 1):
-        cur = spec.eval_lift(cur)
-        if n in marks:
-            points[n] = (cur - z0) / n
-    return RotationCloud(n_ladder=list(n_ladder), points=points)
+    return _rotation_cloud(spec, n_ladder, samples, seed)
 
 
 def vertical_rotation_number(spec, n=10_000, samples=64, seed=0):
     """Mean and spread of the second displacement coordinate over samples."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z0 = lattice_points_2d(samples, seed=seed)
-    cur = z0.copy()
-    for _ in range(n):
-        cur = spec.eval_lift(cur)
-    avg = (cur[:, 1] - z0[:, 1]) / n
+    avg = _rotation_cloud(spec, (n,), samples, seed).deepest()[:, 1]
     return float(avg.mean()), float(avg.max() - avg.min())
 
 
@@ -92,16 +92,10 @@ def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
     """
     v = np.asarray(v, dtype=float)
     n_max = _positive_n_max(n_max)
-    z0 = _sample_window(samples, seed)
-    fwd = z0.copy()
-    bwd = z0.copy()
     value = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        fwd = spec.eval_lift(fwd)
-        bwd = spec.eval_inverse(bwd)
-        df = np.abs((fwd - z0) @ v - n * rho).max()
-        db = np.abs((bwd - z0) @ v + n * rho).max()
-        value[n] = max(df, db)
+    for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
+        value[n] = max(np.abs(df @ v - n * rho).max(),
+                       np.abs(db @ v + n * rho).max())
     c_est = float(value.max())
     cut = int(np.floor(0.8 * n_max))
     # bounded: no new maximum over the final 20% (up to iteration roundoff)
@@ -120,18 +114,11 @@ class SpreadTable:
 def horizontal_spread(spec, n_max=1000, samples=64, seed=0):
     """spread(n) = max over sample pairs of the first-coordinate displacement gap."""
     n_max = _positive_n_max(n_max)
-    z0 = _sample_window(samples, seed)
-    fwd = z0.copy()
-    bwd = z0.copy()
     sf = np.zeros(n_max + 1)
     sb = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        fwd = spec.eval_lift(fwd)
-        bwd = spec.eval_inverse(bwd)
-        d1 = fwd[:, 0] - z0[:, 0]
-        d2 = bwd[:, 0] - z0[:, 0]
-        sf[n] = d1.max() - d1.min()
-        sb[n] = d2.max() - d2.min()
+    for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
+        sf[n] = df[:, 0].max() - df[:, 0].min()
+        sb[n] = db[:, 0].max() - db[:, 0].min()
     consistent = bool(sb.max() <= sf.max() + 2.0 and sf.max() <= sb.max() + 2.0)
     return SpreadTable(forward=sf, backward=sb, consistent=consistent)
 
@@ -150,11 +137,10 @@ def proximality_scan(spec, x, partners, n_max=10_000):
     and once backwards.
     """
     n_max = _positive_n_max(n_max)
-    fwd = bwd = np.array([x, *partners], dtype=float)
-    best_f = best_b = np.full(len(fwd) - 1, np.inf)
-    for _ in range(n_max):
-        fwd = spec.eval_torus(fwd)
-        bwd = spec.eval_torus_inverse(bwd)
+    z = np.array([x, *partners], dtype=float)
+    best_f = best_b = np.full(len(z) - 1, np.inf)
+    for fwd, bwd in zip(iterates(spec.eval_torus, z, n_max),
+                        iterates(spec.eval_torus_inverse, z, n_max)):
         best_f = np.minimum(best_f, torus_dist(fwd[0], fwd[1:]))
         best_b = np.minimum(best_b, torus_dist(bwd[0], bwd[1:]))
     return [ProximalityResult(forward_min=float(f), backward_min=float(b))
@@ -163,7 +149,6 @@ def proximality_scan(spec, x, partners, n_max=10_000):
 
 def recurrence_probe(spec, center, radius, n_max=1000, seed=0):
     """Return times n <= n_max at which some sampled ball point re-enters the ball."""
-    n_max = int(n_max)
     samples = 64  # the center and up to 63 lattice points of the ball
     center = np.asarray(center, dtype=float)
     # lattice sample of the ball (rejection from the bounding square), plus center
@@ -171,10 +156,5 @@ def recurrence_probe(spec, center, radius, n_max=1000, seed=0):
     box = center + radius * (2.0 * raw - 1.0)
     keep = torus_dist(box, center) < radius
     pts = np.vstack([center[None, :], box[keep][: samples - 1]])
-    cur = wrap01(pts)
-    times = []
-    for n in range(1, n_max + 1):
-        cur = spec.eval_torus(cur)
-        if np.any(torus_dist(cur, center) < radius):
-            times.append(n)
-    return times
+    return [n for n, z in enumerate(iterates(spec.eval_torus, wrap01(pts), n_max), 1)
+            if np.any(torus_dist(z, center) < radius)]

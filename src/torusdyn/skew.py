@@ -13,12 +13,13 @@ occupancy grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
-from .util import circle_dist, skew_dist, wrap01
+from .util import circle_dist, iterates, nth_iterate, skew_dist, wrap01
 
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # (x, y) offsets of the invariance samples in cells: the center and four
@@ -61,10 +62,9 @@ class CentralizedSkew:
 
     def iterate(self, states, n):
         """n-fold composition; the inverse map is used for n < 0."""
-        out = np.asarray(states, dtype=float).copy()
-        for _ in range(abs(int(n))):
-            out = self.step(out, inverse=n < 0)
-        return out
+        n = int(n)
+        return nth_iterate(functools.partial(self.step, inverse=n < 0),
+                           np.asarray(states, dtype=float).copy(), abs(n))
 
     def closed_form(self, states, n):
         """Independent route: conjugate the n-th power of the annulus map.
@@ -75,10 +75,9 @@ class CentralizedSkew:
         """
         s = np.atleast_2d(np.asarray(states, dtype=float))
         t, x, ytil = s[:, 0], s[:, 1], s[:, 2]
-        w = np.stack([x, ytil + t], axis=-1)
         n = int(n)
-        for _ in range(abs(n)):
-            w = self.spec.annulus_map(w, inverse=n < 0)
+        w = nth_iterate(functools.partial(self.spec.annulus_map, inverse=n < 0),
+                        np.stack([x, ytil + t], axis=-1), abs(n))
         out = np.stack([
             wrap01(t + n * self.rho),
             wrap01(w[:, 0]),
@@ -142,9 +141,8 @@ def vertical_orbit_bound(skew, state, n_max=10_000):
     s0 = state.as_array() if isinstance(state, SkewState) else np.asarray(state, dtype=float)
     lo = hi = float(s0[2])
     for inverse in (False, True):
-        cur = s0[None, :].copy()
-        for _ in range(int(n_max)):
-            cur = skew.step(cur, inverse=inverse)
+        for cur in iterates(functools.partial(skew.step, inverse=inverse),
+                            s0[None, :], n_max):
             y = float(cur[0, 2])
             lo = min(lo, y)
             hi = max(hi, y)
@@ -267,10 +265,10 @@ def _block_orbit(skew, pts, geom, rounds):
         return u
 
     yield 0, pts, offsets(0.0)
-    fwd = bwd = pts
-    for n in range(1, int(rounds) + 1):
-        fwd = skew.spec.annulus_map(fwd)
-        bwd = skew.spec.annulus_map(bwd, inverse=True)
+    annulus = skew.spec.annulus_map
+    walk = zip(iterates(annulus, pts, rounds),
+               iterates(functools.partial(annulus, inverse=True), pts, rounds))
+    for n, (fwd, bwd) in enumerate(walk, 1):
         shift = np.array([0.0, n * skew.rho])
         yield n, fwd - shift, offsets(wrap01(n * skew.rho))
         yield -n, bwd + shift, offsets(wrap01(-n * skew.rho))

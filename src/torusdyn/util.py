@@ -1,4 +1,4 @@
-"""Shared numeric helpers: circle arithmetic, metrics, deterministic sampling."""
+"""Shared numeric helpers: the orbit driver, circle arithmetic, metrics, sampling."""
 
 from __future__ import annotations
 
@@ -28,6 +28,21 @@ def wrap01(x):
     xa = np.asarray(x, dtype=float)
     r = xa - np.floor(xa)
     return _float_if_scalar(np.where(r >= 1.0, 0.0, r))
+
+
+def iterates(step, z, n):
+    """The n iterates step(z), step(step(z)), ... of z, one at a time: the
+    package's one orbit driver, which holds only the current iterate."""
+    for _ in range(int(n)):
+        z = step(z)
+        yield z
+
+
+def nth_iterate(step, z, n):
+    """The last of the n iterates of z under step; z itself when n is 0."""
+    for z in iterates(step, z, n):
+        pass
+    return z
 
 
 def circle_dist(a, b):

@@ -423,6 +423,60 @@ def test_count_flag_below_minimum_is_usage_error(argv, flag, tmp_path, capsys):
     assert flag in capsys.readouterr().err
 
 
+RIGID_CIRCLE = '{"kind":"rigid","alpha":0.25}'
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["rotnum", "--rigid", "0.25", "--denjoy", "0.3"], None),
+    (["rotnum", "--rigid", "0.25", "--circle", RIGID_CIRCLE], None),
+    (["rotnum", "--denjoy", "golden", "--circle", RIGID_CIRCLE], None),
+    (["rotnum", "--rigid", "0.25"], {"denjoy": "golden"}),
+    (["rotnum", "--rigid", "0.25", "--denjoy-order", "7"], None),
+    (["rotnum", "--circle", RIGID_CIRCLE], {"denjoy-order": 7}),
+    (["deviations", "--map", RIGID, "--map-file", "MAP", "--rho", "0"], None),
+    (["deviations", "--map", RIGID, "--rho", "0"], {"map-file": "MAP"}),
+    (["skeworbit", "--map-file", "MAP", "--rho", "0"], {"map": RIGID}),
+    (["factor", "--map", RIGID, "--map-file", "MAP", "--rho", "0",
+      "--seed-point", "0.5,0", "--resolution", "8,8,16"], None),
+    (["double-factor", "--map-file", "MAP", "--resolution", "8,8,16"],
+     {"map": RIGID}),
+], ids=["rigid-denjoy", "rigid-circle", "denjoy-circle", "config-denjoy",
+        "denjoy-order-alone", "config-denjoy-order", "map-and-map-file",
+        "config-map-file", "config-map", "factor-map-and-map-file",
+        "double-factor-config-map"])
+def test_ignored_flag_combinations_are_usage_errors(argv, config, tmp_path,
+                                                    capsys):
+    # each of these used to run, silently dropping one of the flags
+    (tmp_path / "map.json").write_text(RIGID)
+    argv = [str(tmp_path / "map.json") if a == "MAP" else a for a in argv]
+    if config is not None:
+        config = {k: str(tmp_path / "map.json") if v == "MAP" else v
+                  for k, v in config.items()}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "build_tau", side_effect=AssertionError):
+        _usage_exit(argv + ["--out", str(out)], capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [RUNS["factor-rigid"], RUNS["double-factor-rigid"]],
+                         ids=["factor", "double-factor"])
+@pytest.mark.parametrize("resolution", ["100000,100000,100000", "512,512,1025"])
+def test_resolution_over_the_cell_cap_is_usage_error(argv, resolution, tmp_path,
+                                                     capsys):
+    # 2^28 cells at most, checked before anything is built or allocated
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "build_tau", side_effect=AssertionError), \
+            mock.patch.object(cli, "estimate_rotation_set",
+                              side_effect=AssertionError):
+        assert run(argv + ["--resolution", resolution, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1, err
+    assert "--resolution" in err
+    assert not out.exists()
+
+
 def test_version_exits_0(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.strip() == cli.__version__

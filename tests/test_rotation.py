@@ -115,7 +115,11 @@ def test_orbit_diagnostics_reject_empty_ladder():
     r = RigidTranslation(GOLDEN_MEAN, SQRT2_MINUS_1)
     for scan in (lambda: deviation_profile(r, (0, 1), 0.0, n_max=0),
                  lambda: horizontal_spread(r, n_max=0),
-                 lambda: proximality_scan(r, (0.1, 0.1), [(0.3, 0.3)], n_max=0)):
+                 lambda: proximality_scan(r, (0.1, 0.1), [(0.3, 0.3)], n_max=0),
+                 lambda: estimate_rotation_set(r, n_ladder=()),
+                 lambda: estimate_rotation_set(r, n_ladder=(0,)),
+                 lambda: estimate_rotation_set(r, n_ladder=(-3, 5)),
+                 lambda: vertical_rotation_number(r, n=0)):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             scan()
     assert recurrence_probe(r, (0.5, 0.5), 0.1, n_max=0) == []
