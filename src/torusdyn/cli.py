@@ -243,6 +243,12 @@ def cmd_gallery(args):
             setattr(args, flag, manifest.get(key))
         elif name != "surgery-geometry":
             raise UsageError(f"--{flag} applies only to surgery-geometry")
+    # surgery-geometry samples nothing; its header records the defaults
+    for flag, default in (("nmax", 10_000), ("seed", 0)):
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif name == "surgery-geometry":
+            raise UsageError(f"--{flag} does not apply to surgery-geometry")
     out = _outdir(args)
     cfg = _resolved(args, ["nmax", "seed"])
     cfg["example"] = name
@@ -433,12 +439,14 @@ def build_parser():
 
     s = subs.add_parser("gallery", help="run a gallery example report")
     s.add_argument("example", help="example id")
-    s.add_argument("--nmax", type=int, default=10_000)
+    # not surgery-geometry; None takes the default (10000 and 0)
+    s.add_argument("--nmax", type=int, default=None)
+    s.add_argument("--seed", type=int, default=None, help="sampling seed")
     # surgery-geometry only; None takes the manifest's value
     s.add_argument("--gamma", type=parse_number, default=None)
     s.add_argument("--delta", type=parse_number, default=None)
     s.add_argument("--nscan", type=int, default=None)
-    _add_common(s, groups=("seed",))
+    _add_common(s, groups=())
     s.set_defaults(func=cmd_gallery)
 
     s = subs.add_parser("double-factor",

@@ -7,6 +7,7 @@ coordinates the separation arguments need.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,14 +326,16 @@ class NoGapWindow:
     def check_assignment(self, m_prime, xi):
         """Per-assignment consequence: the image {j - xi(j)} spans at least
         n0 and its sorted gaps never exceed max(A) - min(A) + 1."""
-        window = list(range(int(m_prime), int(m_prime) + self.m0 + 1))
-        if len(xi) != len(window):
+        if len(xi) != self.m0 + 1:
             raise ValueError("assignment length must be the window length")
-        img = sorted({j - x for j, x in zip(window, xi)})
-        span = img[-1] - img[0]
-        max_jump = max(self.values) - min(self.values) + 1
-        gaps_ok = all(b - a <= max_jump for a, b in zip(img, img[1:]))
-        return span >= self.n0 and gaps_ok
+        img = sorted({j - x for j, x in enumerate(xi, int(m_prime))})
+        max_jump = self._max_jump
+        return (img[-1] - img[0] >= self.n0
+                and all(b - a <= max_jump for a, b in zip(img, img[1:])))
+
+    @functools.cached_property
+    def _max_jump(self):
+        return max(self.values) - min(self.values) + 1
 
 
 def no_gap_window(A, n0):

@@ -14,13 +14,17 @@ occupancy grid.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
+from .rotation import _positive_n_max
 from .util import circle_dist, iterates, nth_iterate, skew_dist, wrap01
 
+# block-orbit images per chunk of refine_envelopes
+_ENVELOPE_CHUNK = 32
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # (x, y) offsets of the invariance samples in cells: the center and four
 # corners inset to +-1/4 so exact gridline hits stay in their cell
@@ -138,6 +142,7 @@ def check_closed_form(skew, samples=150, seed=0, threshold=1e-7):
 
 def vertical_orbit_bound(skew, state, n_max=10_000):
     """Sampled oscillation sup |ytil_m - ytil_n| over |m|, |n| <= n_max."""
+    n_max = _positive_n_max(n_max)
     s0 = state.as_array() if isinstance(state, SkewState) else np.asarray(state, dtype=float)
     lo = hi = float(s0[2])
     for inverse in (False, True):
@@ -248,30 +253,27 @@ def ball_fiber(center, radius):
     return pred
 
 
-def _block_orbit(skew, pts, geom, rounds):
+def _block_orbit(skew, pts, rounds):
     """Transported fiber clouds of the block orbit, round by round.
 
     The n-th image of the half-width block of a cloud W at time 0 is the
     half-width block of f^n(W) shifted down by n*rho, centered at n*rho.
-    Yields (n, w, u) for n = 0, then +n and -n for each round: the shifted
-    cloud w and the signed flow offsets u (n_t,) in [-1/2, 1/2] of the fiber
-    centers from the block's center.
+    Yields (n, w, c) for n = 0, then +n and -n for each round: the shifted
+    cloud w and the block phase c = n*rho mod 1, the time of the block's
+    center.
     """
-    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
-
-    def offsets(t_center):
-        u = t_centers - t_center
-        u -= np.round(u)
-        return u
-
-    yield 0, pts, offsets(0.0)
+    yield 0, pts, 0.0
     annulus = skew.spec.annulus_map
     walk = zip(iterates(annulus, pts, rounds),
                iterates(functools.partial(annulus, inverse=True), pts, rounds))
     for n, (fwd, bwd) in enumerate(walk, 1):
-        shift = np.array([0.0, n * skew.rho])
-        yield n, fwd - shift, offsets(wrap01(n * skew.rho))
-        yield -n, bwd + shift, offsets(wrap01(-n * skew.rho))
+        shift = n * skew.rho
+        w = fwd.copy()
+        w[:, 1] -= shift
+        yield n, w, wrap01(shift)
+        w = bwd.copy()
+        w[:, 1] += shift
+        yield -n, w, wrap01(-shift)
 
 
 def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
@@ -294,6 +296,7 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
     occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
     flat = occ.reshape(-1)  # a view: marking flat cells marks occ
     rho = skew.rho
+    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
 
     # The flow offsets seen by a column over the run equidistribute with a
     # gap inversely proportional to the rounds times the cloud's x fraction;
@@ -313,9 +316,13 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
         sweep_cells = max(gap, cond_gap) / geom.h_y
     sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
 
-    def raster_block(w, u):
-        """Mark the half-width block of the cloud w with flow offsets u; return
-        (edge, grew): a marked cell is in the top or bottom row, or is new."""
+    def raster_block(w, c):
+        """Mark the half-width block of the cloud w at phase c; return (edge,
+        grew): a marked cell is in the top or bottom row, or is new."""
+        # signed flow offsets in [-1/2, 1/2] of the fiber centers from the
+        # block's center
+        u = t_centers - c
+        u -= np.round(u)
         jx = geom.x_cell(w[:, 0])
         # fiber i holds the cloud shifted down by its flow offset, swept over
         # the offset gap
@@ -332,16 +339,16 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
             edge |= bool(np.any((jy == 0) | (jy == geom.n_y - 1)))
         return edge, grew
 
-    orbit = _block_orbit(skew, pts, geom, max_iters)
-    _, w, u = next(orbit)
-    raster_block(w, u)
+    orbit = _block_orbit(skew, pts, max_iters)
+    _, w, c = next(orbit)
+    raster_block(w, c)
     seed_occ = occ.copy()
     status = "max-iters"
     stale = 0
     rounds = 0
     edge = grew = False
-    for n, w, u in orbit:
-        at_edge, added = raster_block(w, u)
+    for n, w, c in orbit:
+        at_edge, added = raster_block(w, c)
         edge |= at_edge
         grew |= added
         if n > 0:
@@ -361,25 +368,65 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
 def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
     """Per-fiber, per-column vertical extremes of the block orbit union.
 
-    Tracks min/max of the transported fiber cloud per x column as running
-    scalars in exact real arithmetic, which makes tens of thousands of
-    rounds affordable and closes the slow record tails that finite 3D
-    rasterization leaves at the region's top and bottom edges. Returns
-    (env_min, env_max) arrays of shape (n_t, n_x); columns never touched
-    stay at +inf/-inf.
+    Tracks min/max of the transported fiber cloud per x column in exact
+    real arithmetic over ``rounds`` rounds, which closes the slow record
+    tails that finite 3D rasterization leaves at the region's top and bottom
+    edges. Returns (env_min, env_max) arrays of shape (n_t, n_x); columns
+    never touched stay at +inf/-inf.
+
+    Phase buckets spare each image an (n_t, n_x) update. An image at block
+    phase c puts a column extreme v at v - u in fiber t, where
+    u = t_c - c - k is the fiber center's flow offset and k = round(t_c - c)
+    is -1, 0 or 1. So v - u = (v + c) - t_c + k, and t enters only through
+    t_c and k. Across the fibers k steps up once, so its sum P names the
+    whole pattern. Each image's v + c is folded into row P + n_t of a
+    (2*n_t, n_x) table, a chunk of images per scatter. P is summed from k
+    as the per-fiber offsets round it, so a phase within an ulp of a step
+    edge falls on the same side as in the per-image update. Prefix and
+    suffix extremes over the rows then give each fiber its envelope
+    (``_unfold_buckets``). The entries equal the per-image extremes of
+    v - u up to a few ulps.
     """
-    env_min = np.full((geom.n_t, geom.n_x), np.inf)
-    env_max = np.full((geom.n_t, geom.n_x), -np.inf)
-    for _, w, u in _block_orbit(skew, np.asarray(fiber_points, dtype=float),
-                                geom, rounds):
-        jx = geom.x_cell(w[:, 0])
-        colmin = np.full(geom.n_x, np.inf)
-        colmax = np.full(geom.n_x, -np.inf)
-        np.minimum.at(colmin, jx, w[:, 1])
-        np.maximum.at(colmax, jx, w[:, 1])
-        np.minimum(env_min, colmin[None, :] - u[:, None], out=env_min)
-        np.maximum(env_max, colmax[None, :] - u[:, None], out=env_max)
+    n_t, n_x = geom.n_t, geom.n_x
+    t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
+    # the results come first in the heap: the bucket tables and chunks freed
+    # above them do not stay resident under the later region stages
+    env_min = np.empty((n_t, n_x))
+    env_max = np.empty((n_t, n_x))
+    low = np.full((2 * n_t, n_x), np.inf)
+    high = np.full((2 * n_t, n_x), -np.inf)
+    orbit = _block_orbit(skew, np.asarray(fiber_points, dtype=float), rounds)
+    while chunk := list(itertools.islice(orbit, _ENVELOPE_CHUNK)):
+        _, clouds, phases = zip(*chunk)
+        w = np.stack(clouds)
+        c = np.array(phases)
+        pattern = np.round(t_centers[None, :] - c[:, None]).sum(axis=1)
+        row = pattern.astype(np.int64) + n_t
+        cells = (row[:, None] * n_x + geom.x_cell(w[..., 0])).ravel()
+        lifted = (w[..., 1] + c[:, None]).ravel()
+        np.minimum.at(low.reshape(-1), cells, lifted)
+        np.maximum.at(high.reshape(-1), cells, lifted)
+    _unfold_buckets(low, np.minimum, t_centers, env_min)
+    _unfold_buckets(high, np.maximum, t_centers, env_max)
     return env_min, env_max
+
+
+def _unfold_buckets(table, best, t_centers, out):
+    """Write the envelope (n_t, n_x) of a refine_envelopes bucket table to out.
+
+    Row r of the lower half holds the pattern P = r - n_t, row r of the
+    upper half P = r, and fiber t has k = floor((t + P) / n_t) in bucket P:
+    -1 in the lower and 0 in the upper half below row n_t - t, 0 and 1 from
+    it on. ``best`` is np.minimum or np.maximum.
+    """
+    n_t = len(t_centers)
+    lower, upper = table[:n_t], table[n_t:]
+    # before[t] spans the rows r < n_t - t, after[t - 1] the rows r >= n_t - t
+    before = best.accumulate(best(lower - 1.0, upper), axis=0)[::-1]
+    after = best.accumulate(best(lower, upper + 1.0)[::-1], axis=0)
+    out[0] = before[0]
+    best(before[1:], after[:-1], out=out[1:])
+    out -= t_centers[:, None]
 
 
 def extend_to_envelopes(occ, geom, env_min, env_max):
@@ -481,7 +528,8 @@ def invariance_defect(skew, mask):
 
     Returns the number of source cells whose sampled image leaves the
     dilated mask, per direction. Each cell is sampled at its center and four
-    inset corners; t advances rigidly, so one fiber is checked at a time.
+    inset corners; t advances rigidly, so one fiber is checked at a time
+    and its samples share one image fiber per direction.
     """
     geom = mask.geom
     dil = dilate_mask(mask.occ)
@@ -497,11 +545,11 @@ def invariance_defect(skew, mask):
         pts[..., 2] = y + _INSET[:, 1:] * geom.h_y
         for inverse, key in ((False, "forward"), (True, "backward")):
             img = skew.step(pts.reshape(-1, 3), inverse=inverse)
+            image_fiber = dil[geom.t_cell(t - skew.rho if inverse else t + skew.rho)]
             jy = geom.y_cell(img[:, 2])
             inside = (jy >= 0) & (jy < geom.n_y)
             ok = np.zeros(jy.shape, dtype=bool)
-            ok[inside] = dil[geom.t_cell(img[inside, 0]),
-                             geom.x_cell(img[inside, 1]), jy[inside]]
+            ok[inside] = image_fiber[geom.x_cell(img[inside, 1]), jy[inside]]
             bad[key] += int((~ok.reshape(len(_INSET), -1).all(axis=0)).sum())
     return bad
 

@@ -24,7 +24,7 @@ RIGID = '{"kind":"rigid","offset":[0.6180339887,0.4142135624]}'
 SUSPENSION = ('{"kind":"suspension","base":{"kind":"rigid","alpha":0.6180339887},'
               '"fiber":{"kind":"rigid","alpha":0.4142135624}}')
 
-# every run but the last three is a CLI test's own run
+# every run but the last four is a CLI test's own run
 RUNS = {
     "rotnum-rigid": ["rotnum", "--rigid", "0.25", "--n", "1000"],
     "rotnum-identity": ["rotnum", "--rigid", "0", "--n", "10"],
@@ -51,6 +51,11 @@ RUNS = {
     "gallery-unbounded-inessential": ["gallery", "unbounded-inessential",
                                       "--nmax", "500"],
     "gallery-fully-essential": ["gallery", "fully-essential", "--nmax", "500"],
+    # odd n_t: the phase-bucket edges of the envelope rounds fall on
+    # odd multiples of 1/(2*n_t)
+    "factor-rigid-odd": ["factor", "--map", RIGID, "--rho", "0.4142135624",
+                         "--seed-point", "0.5,0", "--resolution", "31,32,64",
+                         "--sladder", "16", "--max-iters", "60", "--grid", "12"],
 }
 
 

@@ -236,7 +236,8 @@ def test_rotnum_denjoy_cli(tmp_path):
 
 @pytest.mark.parametrize("name", ["factor-suspension",
                                   "gallery-unbounded-inessential",
-                                  "gallery-fully-essential"])
+                                  "gallery-fully-essential",
+                                  "factor-rigid-odd"])
 def test_golden_runs(tmp_path, name):
     run_golden(name, tmp_path)
 
@@ -440,10 +441,15 @@ RIGID_CIRCLE = '{"kind":"rigid","alpha":0.25}'
       "--seed-point", "0.5,0", "--resolution", "8,8,16"], None),
     (["double-factor", "--map-file", "MAP", "--resolution", "8,8,16"],
      {"map": RIGID}),
+    (["gallery", "surgery-geometry", "--nmax", "5"], None),
+    (["gallery", "3.4-geometry", "--seed", "9"], None),
+    (["gallery", "surgery-geometry", "--nmax", "10000", "--seed", "0"], None),
+    (["gallery", "surgery-geometry"], {"seed": 9}),
 ], ids=["rigid-denjoy", "rigid-circle", "denjoy-circle", "config-denjoy",
         "denjoy-order-alone", "config-denjoy-order", "map-and-map-file",
         "config-map-file", "config-map", "factor-map-and-map-file",
-        "double-factor-config-map"])
+        "double-factor-config-map", "surgery-nmax", "surgery-seed",
+        "surgery-defaults-given", "config-surgery-seed"])
 def test_ignored_flag_combinations_are_usage_errors(argv, config, tmp_path,
                                                     capsys):
     # each of these used to run, silently dropping one of the flags

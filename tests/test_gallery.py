@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.gallery import (crossing_times, example_fully_essential,
@@ -168,6 +169,39 @@ def test_no_gap_window_exhaustive_small():
             if len(w.values) ** (w.m0 + 1) <= 20_000:
                 for xi in product(w.values, repeat=w.m0 + 1):
                     assert w.check_assignment(m_prime, xi)
+
+
+def check_assignment_reference(w, m_prime, xi):
+    """NoGapWindow.check_assignment as first written: the window rebuilt as
+    a list on every call and max(A) - min(A) + 1 taken anew."""
+    window = list(range(int(m_prime), int(m_prime) + w.m0 + 1))
+    if len(xi) != len(window):
+        raise ValueError("assignment length must be the window length")
+    img = sorted({j - x for j, x in zip(window, xi)})
+    span = img[-1] - img[0]
+    max_jump = max(w.values) - min(w.values) + 1
+    gaps_ok = all(b - a <= max_jump for a, b in zip(img, img[1:]))
+    return span >= w.n0 and gaps_ok
+
+
+@given(data=st.data(), A=st.sets(st.integers(-6, 6), min_size=1, max_size=4),
+       n0=st.integers(0, 5), m_prime=st.integers(-20, 20))
+@settings(max_examples=300, deadline=None)
+def test_check_assignment_matches_reference(data, A, n0, m_prime):
+    w = no_gap_window(A, n0)
+    # values of A give mostly passing assignments, other integers failing ones
+    entry = st.one_of(st.sampled_from(w.values), st.integers(-9, 9))
+    xi = data.draw(st.lists(entry, min_size=w.m0 + 1, max_size=w.m0 + 1))
+    assert w.check_assignment(m_prime, xi) == check_assignment_reference(
+        w, m_prime, xi)
+    assert w.check_assignment(m_prime, tuple(xi)) == check_assignment_reference(
+        w, m_prime, tuple(xi))
+    bad = data.draw(st.lists(entry, max_size=w.m0 + 4).filter(
+        lambda l: len(l) != w.m0 + 1))
+    for check in (w.check_assignment,
+                  lambda m, x: check_assignment_reference(w, m, x)):
+        with pytest.raises(ValueError, match="window length"):
+            check(m_prime, bad)
 
 
 def test_manifest_matches_constructor_defaults(ex32, ex33):

@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from torusdyn.circle import CircleLift
+from torusdyn.circle import CircleLift, build_denjoy
+from torusdyn.gallery import suspension_map
 from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
                            ball_fiber, build_centralized, check_closed_form,
                            check_commutation, close_fibers, dilate_mask,
-                           fiber_complement_components, gamma_flow,
-                           geometry_for, invariance_defect, label_mask,
-                           saturate_block_orbit, vertical_orbit_bound)
+                           extend_to_envelopes, fiber_complement_components,
+                           gamma_flow, geometry_for, invariance_defect,
+                           label_mask, refine_envelopes, saturate_block_orbit,
+                           vertical_orbit_bound)
 from torusdyn.torus import DehnTwist, RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, skew_dist, wrap01
 
@@ -106,6 +108,17 @@ def test_vertical_orbit_bound(rigid_skew, susp_skew):
                                 n_max=300) <= 1e-12
     osc = vertical_orbit_bound(susp_skew, SkewState(0.1, 0.2, 0.0), n_max=2000)
     assert osc <= 2.0 * B + 1e-9
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+def test_vertical_orbit_bound_rejects_empty_ladder(n_max):
+    # an orbit of no steps has oscillation 0, which read as bounded even on
+    # the twist, whose oscillation over 50 steps is 30
+    twist = build_centralized(DehnTwist(1), 0.3)
+    state = SkewState(0.1, 0.2, 0.0)
+    assert vertical_orbit_bound(twist, state, n_max=50) == pytest.approx(30.0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        vertical_orbit_bound(twist, state, n_max=n_max)
 
 
 # -- grids ---------------------------------------------------------------------
@@ -212,6 +225,82 @@ def test_saturate_window_exhaustion():
     assert occ.any()  # partial mask carried
 
 
+# -- envelope refinement -------------------------------------------------------
+
+
+def dense_envelopes(skew, pts, geom, rounds):
+    """The per-image envelope update that the phase buckets replaced: each
+    image lowers (raises) the whole (n_t, n_x) table by its column extremes
+    minus every fiber's flow offset."""
+    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
+    env_min = np.full((geom.n_t, geom.n_x), np.inf)
+    env_max = np.full((geom.n_t, geom.n_x), -np.inf)
+
+    def update(w, t_center):
+        u = t_centers - t_center
+        u -= np.round(u)
+        jx = geom.x_cell(w[:, 0])
+        colmin = np.full(geom.n_x, np.inf)
+        colmax = np.full(geom.n_x, -np.inf)
+        np.minimum.at(colmin, jx, w[:, 1])
+        np.maximum.at(colmax, jx, w[:, 1])
+        np.minimum(env_min, colmin[None, :] - u[:, None], out=env_min)
+        np.maximum(env_max, colmax[None, :] - u[:, None], out=env_max)
+
+    update(pts, 0.0)
+    fwd = bwd = pts
+    for n in range(1, rounds + 1):
+        fwd = skew.spec.annulus_map(fwd)
+        bwd = skew.spec.annulus_map(bwd, inverse=True)
+        shift = np.array([0.0, n * skew.rho])
+        update(fwd - shift, wrap01(n * skew.rho))
+        update(bwd + shift, wrap01(-n * skew.rho))
+    return env_min, env_max
+
+
+def _denjoy_suspension():
+    susp = suspension_map(CircleLift.rigid(A), build_denjoy(B, N=20))
+    return build_centralized(susp.torus_map, susp.rho_base * susp.rho_fiber)
+
+
+ENVELOPE_SKEWS = {
+    "rigid": lambda: build_centralized(RigidTranslation(A, B), B),
+    # block phases on the bucket edges: the odd multiples of 5/64 fall on
+    # the edges of n_t = 32, the multiples of 1/3 on those of n_t = 15
+    "rigid-5/64": lambda: build_centralized(RigidTranslation(A, 5 / 64), 5 / 64),
+    "rigid-1/3": lambda: build_centralized(RigidTranslation(A, 1 / 3), 1 / 3),
+    "suspension": lambda: build_centralized(
+        SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B)), A * B),
+    "denjoy-suspension": _denjoy_suspension,
+}
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 7, 300])
+@pytest.mark.parametrize("n_t,n_x", [(15, 16), (32, 32)])
+@pytest.mark.parametrize("name", sorted(ENVELOPE_SKEWS))
+def test_refine_envelopes_matches_dense_update(name, n_t, n_x, rounds):
+    skew = ENVELOPE_SKEWS[name]()
+    geom = geometry_for(skew, center_y=0.0, n_t=n_t, n_x=n_x, n_y=2 * n_x,
+                        half_height=2.0)
+    # a ball cloud and its boundary ring, as the region build takes them
+    theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+    ring = np.column_stack([0.5 + 0.12 * np.cos(theta), 0.12 * np.sin(theta)])
+    pts = np.vstack([ball_cloud(geom, (0.5, 0.0), 0.12), ring])
+    got = refine_envelopes(skew, pts, geom, rounds=rounds)
+    want = dense_envelopes(skew, pts, geom, rounds)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (n_t, n_x)
+        finite = np.isfinite(w)
+        assert np.array_equal(np.isfinite(g), finite)
+        assert np.array_equal(g[~finite], w[~finite])
+        assert np.max(np.abs(g[finite] - w[finite]), initial=0.0) <= 1e-15
+    if rounds == 0:  # the seed's columns alone
+        assert not np.isfinite(got[0]).all()
+    occ = np.zeros((n_t, n_x, geom.n_y), dtype=bool)
+    assert np.array_equal(extend_to_envelopes(occ, geom, *got),
+                          extend_to_envelopes(occ, geom, *want))
+
+
 def test_fiber_complement_components(rigid_skew):
     geom = small_geom(rigid_skew, n=32)
     occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
@@ -308,6 +397,49 @@ def test_invariance_defect_exact_counts():
                              ((1.25 / 16, 0), 16, 0), ((0, 1.25 * geom.h_y), 20, 0)):
         skew = build_centralized(RigidTranslation(*offset), 0.0)
         assert invariance_defect(skew, mask) == {"forward": fwd, "backward": bwd}
+
+
+def invariance_per_sample(skew, mask):
+    """invariance_defect with the image fiber of every sample looked up, as
+    first written."""
+    geom = mask.geom
+    dil = dilate_mask(mask.occ)
+    insets = np.array([(0.0, 0.0), (-0.25, -0.25), (-0.25, 0.25),
+                       (0.25, -0.25), (0.25, 0.25)])
+    bad = {"forward": 0, "backward": 0}
+    for it in range(geom.n_t):
+        ix, iy = np.nonzero(mask.occ[it])
+        if not ix.size:
+            continue
+        t, x, y = geom.centers(it, ix, iy)
+        pts = np.empty((len(insets), ix.size, 3))
+        pts[..., 0] = t
+        pts[..., 1] = x + insets[:, :1] * geom.h_x
+        pts[..., 2] = y + insets[:, 1:] * geom.h_y
+        for inverse, key in ((False, "forward"), (True, "backward")):
+            img = skew.step(pts.reshape(-1, 3), inverse=inverse)
+            jy = geom.y_cell(img[:, 2])
+            inside = (jy >= 0) & (jy < geom.n_y)
+            ok = np.zeros(jy.shape, dtype=bool)
+            ok[inside] = dil[geom.t_cell(img[inside, 0]),
+                             geom.x_cell(img[inside, 1]), jy[inside]]
+            bad[key] += int((~ok.reshape(len(insets), -1).all(axis=0)).sum())
+    return bad
+
+
+@given(occ=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                  st.integers(1, 8))),
+       offset=st.tuples(st.floats(-1, 1), st.floats(-0.5, 0.5)),
+       rho=st.sampled_from(["edge", "-edge", B, 0.5, 0.0]))
+@settings(max_examples=200, deadline=None)
+def test_invariance_defect_matches_per_sample_fibers(occ, offset, rho):
+    geom = GridGeometry(*occ.shape, -1.0, 1.0)
+    # "edge": t + rho lands on a t cell edge, where rounding picks the cell
+    rho = {"edge": 1.5 / geom.n_t, "-edge": -2.5 / geom.n_t}.get(rho, rho)
+    mask = GridMask(geom, occ)
+    for spec in (RigidTranslation(*offset), DehnTwist(1)):
+        skew = build_centralized(spec, rho)
+        assert invariance_defect(skew, mask) == invariance_per_sample(skew, mask)
 
 
 def dilate_by_rolls(occ):
