@@ -260,20 +260,24 @@ def _block_orbit(skew, pts, rounds):
     half-width block of f^n(W) shifted down by n*rho, centered at n*rho.
     Yields (n, w, c) for n = 0, then +n and -n for each round: the shifted
     cloud w and the block phase c = n*rho mod 1, the time of the block's
-    center.
+    center. Every yielded x is in [0, 1): the cloud is reduced once, and
+    each step is the lean annulus step, which only reduces its output.
     """
+    pts = np.array(pts, dtype=float)
+    pts[:, 0] = wrap01(pts[:, 0])
     yield 0, pts, 0.0
-    annulus = skew.spec.annulus_map
-    walk = zip(iterates(annulus, pts, rounds),
-               iterates(functools.partial(annulus, inverse=True), pts, rounds))
-    for n, (fwd, bwd) in enumerate(walk, 1):
-        shift = n * skew.rho
+    step = skew.spec._annulus_step
+    walk = zip(iterates(step, pts, rounds),
+               iterates(functools.partial(step, inverse=True), pts, rounds))
+    shifts = np.arange(1, rounds + 1) * skew.rho
+    phases = zip(shifts, wrap01(shifts), wrap01(-shifts))
+    for n, (fwd, bwd), (shift, c_fwd, c_bwd) in zip(itertools.count(1), walk, phases):
         w = fwd.copy()
         w[:, 1] -= shift
-        yield n, w, wrap01(shift)
+        yield n, w, c_fwd
         w = bwd.copy()
         w[:, 1] += shift
-        yield -n, w, wrap01(-shift)
+        yield -n, w, c_bwd
 
 
 def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
@@ -287,16 +291,24 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
     fiber-to-fiber structure exactly coherent and avoids per-fiber sampling
     tails. Growth stops once no round has added a cell for ``patience``
     consecutive rounds ("fixed-point"), at max_iters ("max-iters"), or when
-    the window's top or bottom row is reached ("window-exhausted").
+    an image reaches the window's top or bottom row or lies beyond it
+    ("window-exhausted").
     Returns (occ, seed_occ, status, rounds), seed_occ being the seed block.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
     pts = np.asarray(fiber_points, dtype=float)
-    occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
-    flat = occ.reshape(-1)  # a view: marking flat cells marks occ
+    n_t, n_x, n_y = geom.n_t, geom.n_x, geom.n_y
+    # rows 0 and n_y + 1 guard the window: heights beyond it are clipped
+    # into them, and being marked from the start they never count as growth
+    padded = np.zeros((n_t, n_x, n_y + 2), dtype=bool)
+    padded[:, :, [0, -1]] = True
+    flat = padded.reshape(-1)  # a view: marking flat cells marks padded
     rho = skew.rho
-    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
+    t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
+    # cell indices are kept as floats: every index sum below is an integer
+    # well inside the exact range of a double
+    fiber_base = np.arange(n_t, dtype=float) * n_x
 
     # The flow offsets seen by a column over the run equidistribute with a
     # gap inversely proportional to the rounds times the cloud's x fraction;
@@ -311,46 +323,69 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
         # both directions give 2*max_iters offsets, an x_frac share of which
         # reaches a given column; the observed maximal gap runs about twice
         # the mean gap
-        x_frac = max(len(np.unique(geom.x_cell(pts[:, 0]))) / geom.n_x, 1e-3)
+        x_frac = max(len(np.unique(geom.x_cell(pts[:, 0]))) / n_x, 1e-3)
         cond_gap = 1.0 / (max(max_iters, 1) * x_frac)
         sweep_cells = max(gap, cond_gap) / geom.h_y
     sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
+    sweeps = (0.0,) if sweep == 0.0 else (-sweep, sweep)
 
-    def raster_block(w, c):
-        """Mark the half-width block of the cloud w at phase c; return (edge,
-        grew): a marked cell is in the top or bottom row, or is new."""
+    # (n_t, len(pts)) work arrays, allocated once for every image
+    yy = np.empty((n_t, len(pts)))
+    column = np.empty_like(yy)
+    jy = np.empty_like(yy)
+    cells = np.empty(yy.shape, dtype=np.int64)
+    hit = np.empty(yy.shape, dtype=bool)
+
+    def raster_block(w, c, grew):
+        """Mark the half-width block of the cloud w at phase c. Returns
+        (edge, grew): whether a height reached the top or bottom row of the
+        window or beyond it, and whether a cell was new or ``grew`` was
+        already set."""
         # signed flow offsets in [-1/2, 1/2] of the fiber centers from the
         # block's center
         u = t_centers - c
         u -= np.round(u)
-        jx = geom.x_cell(w[:, 0])
         # fiber i holds the cloud shifted down by its flow offset, swept over
         # the offset gap
-        yy = w[None, :, 1] - u[:, None]
-        # flat index of cell (i, jx, 0); a height adds its y cell
-        column = (np.arange(geom.n_t)[:, None] * geom.n_x + jx[None, :]) * geom.n_y
-        edge = grew = False
-        for dy in ((0.0,) if sweep == 0.0 else (-sweep, sweep)):
-            jy = geom.y_cell(yy + dy)
-            keep = (jy >= 0) & (jy < geom.n_y)
-            cells = (column + jy)[keep]
-            grew |= not flat[cells].all()
+        np.subtract(w[None, :, 1], u[:, None], out=yy)
+        # padded flat index of window row 0 in fiber i's column of point j;
+        # a y cell in [-1, n_y] adds to it
+        np.add(fiber_base[:, None], geom.x_cell(w[:, 0])[None, :], out=column)
+        np.multiply(column, n_y + 2, out=column)
+        np.add(column, 1.0, out=column)
+        edge = False
+        for dy in sweeps:
+            # geom.y_cell, in the work arrays
+            np.add(yy, dy, out=jy)
+            np.subtract(jy, geom.y_min, out=jy)
+            np.divide(jy, geom.h_y, out=jy)
+            np.floor(jy, out=jy)
+            lo, hi = jy.min(), jy.max()
+            edge |= bool(lo <= 0 or hi >= n_y - 1)
+            if lo < 0 or hi >= n_y:
+                np.clip(jy, -1, n_y, out=jy)
+            np.add(column, jy, out=jy)
+            cells[...] = jy
+            if not grew:
+                np.take(flat, cells, out=hit)
+                grew = not hit.all()
             flat[cells] = True
-            edge |= bool(np.any((jy == 0) | (jy == geom.n_y - 1)))
         return edge, grew
+
+    def interior():
+        return padded[:, :, 1:-1].copy()
 
     orbit = _block_orbit(skew, pts, max_iters)
     _, w, c = next(orbit)
-    raster_block(w, c)
-    seed_occ = occ.copy()
+    raster_block(w, c, False)
+    seed_occ = interior()
     status = "max-iters"
     stale = 0
     rounds = 0
     edge = grew = False
     for n, w, c in orbit:
-        at_edge, added = raster_block(w, c)
+        at_edge, grew = raster_block(w, c, grew)
         edge |= at_edge
-        grew |= added
         if n > 0:
             continue  # a round ends with its backward image
         rounds = -n
@@ -362,7 +397,7 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
             status = "fixed-point"
             break
         grew = False
-    return occ, seed_occ, status, rounds
+    return interior(), seed_occ, status, rounds
 
 
 def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
@@ -395,17 +430,31 @@ def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
     env_max = np.empty((n_t, n_x))
     low = np.full((2 * n_t, n_x), np.inf)
     high = np.full((2 * n_t, n_x), -np.inf)
-    orbit = _block_orbit(skew, np.asarray(fiber_points, dtype=float), rounds)
-    while chunk := list(itertools.islice(orbit, _ENVELOPE_CHUNK)):
-        _, clouds, phases = zip(*chunk)
-        w = np.stack(clouds)
-        c = np.array(phases)
-        pattern = np.round(t_centers[None, :] - c[:, None]).sum(axis=1)
-        row = pattern.astype(np.int64) + n_t
-        cells = (row[:, None] * n_x + geom.x_cell(w[..., 0])).ravel()
-        lifted = (w[..., 1] + c[:, None]).ravel()
-        np.minimum.at(low.reshape(-1), cells, lifted)
-        np.maximum.at(high.reshape(-1), cells, lifted)
+    pts = np.asarray(fiber_points, dtype=float)
+    # (chunk, len(pts)) work arrays, allocated once; min and max are exact,
+    # so the order in which images reach the tables does not matter
+    jx = np.empty((_ENVELOPE_CHUNK, len(pts)))
+    lifted = np.empty_like(jx)
+    cells = np.empty(jx.shape, dtype=np.int64)
+    c = np.empty(_ENVELOPE_CHUNK)
+    orbit = _block_orbit(skew, pts, rounds)
+    while True:
+        k = 0
+        for _, w, phase in itertools.islice(orbit, _ENVELOPE_CHUNK):
+            c[k] = phase
+            np.multiply(w[:, 0], n_x, out=jx[k])
+            np.add(w[:, 1], phase, out=lifted[k])
+            k += 1
+        if not k:
+            break
+        pattern = np.round(t_centers[None, :] - c[:k, None]).sum(axis=1)
+        # geom.x_cell without its wrap01: the orbit's x is already in [0, 1)
+        np.floor(jx[:k], out=jx[:k])
+        np.minimum(jx[:k], n_x - 1, out=jx[:k])
+        np.add(jx[:k], ((pattern + n_t) * n_x)[:, None], out=jx[:k])
+        cells[:k] = jx[:k]
+        np.minimum.at(low.reshape(-1), cells[:k].ravel(), lifted[:k].ravel())
+        np.maximum.at(high.reshape(-1), cells[:k].ravel(), lifted[:k].ravel())
     _unfold_buckets(low, np.minimum, t_centers, env_min)
     _unfold_buckets(high, np.maximum, t_centers, env_max)
     return env_min, env_max
@@ -471,10 +520,11 @@ def _label_x_wrapped(occ, links=()):
     structure[(1,) * (occ.ndim - 2)] = _CROSS  # no adjacency across fibers
     lab, num = ndimage.label(occ, structure=structure)
     pairs = [(lab[..., 0, :], lab[..., -1, :])]
-    if links:
-        nxt = np.roll(lab, -1, axis=0)
-        n_y = occ.shape[-1]
-        pairs += [(lab[..., sh:], nxt[..., :max(n_y - sh, 0)]) for sh in links]
+    n_t, n_y = occ.shape[0], occ.shape[-1]
+    for sh in links:
+        # one fiber pair at a time keeps the pair keys small
+        cut = max(n_y - sh, 0)
+        pairs += [(lab[t, :, sh:], lab[(t + 1) % n_t, :, :cut]) for t in range(n_t)]
     m = num + 1
     keys = []
     for a, b in pairs:
@@ -513,9 +563,9 @@ def label_mask(mask):
 def component_of(mask, seed_occ):
     """Cells of the connected component(s) meeting the seed set."""
     labels = label_mask(mask)
-    seed_labels = np.unique(labels[seed_occ & mask.occ])
-    seed_labels = seed_labels[seed_labels > 0]
-    return np.isin(labels, seed_labels) & mask.occ
+    member = np.zeros(int(labels.max(initial=0)) + 1, dtype=bool)
+    member[labels[seed_occ & mask.occ]] = True  # cells off the mask have label 0
+    return member[labels]
 
 
 def dilate_mask(occ):

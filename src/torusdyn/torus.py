@@ -45,9 +45,13 @@ class TorusMapSpec:
 
     def annulus_map(self, z, inverse=False):
         """Induced map on the annulus T x R (second coordinate unrolled)."""
-        z = np.asarray(z, dtype=float)
-        w = z.copy()
-        w[..., 0] = wrap01(z[..., 0])
+        w = np.array(z, dtype=float)
+        w[..., 0] = wrap01(w[..., 0])
+        return self._annulus_step(w, inverse)
+
+    def _annulus_step(self, w, inverse=False):
+        """annulus_map of points whose x is already in [0, 1), where the
+        input reduction is the identity: the lift, then one wrap01 of x."""
         out = self.eval_inverse(w) if inverse else self.eval_lift(w)
         out[..., 0] = wrap01(out[..., 0])
         return out
@@ -63,11 +67,19 @@ class RigidTranslation(TorusMapSpec):
     def __init__(self, a, b):
         self.offset = np.array([float(a), float(b)])
 
+    def _shift(self, z, op):
+        # per column: a broadcast over the trailing axis of size 2 is slower
+        z = np.asarray(z, dtype=float)
+        out = np.empty_like(z)
+        op(z[..., 0], self.offset[0], out=out[..., 0])
+        op(z[..., 1], self.offset[1], out=out[..., 1])
+        return out
+
     def eval_lift(self, z):
-        return np.asarray(z, dtype=float) + self.offset
+        return self._shift(z, np.add)
 
     def eval_inverse(self, z):
-        return np.asarray(z, dtype=float) - self.offset
+        return self._shift(z, np.subtract)
 
     def to_definition(self):
         return {"kind": self.kind, "offset": self.offset.tolist()}

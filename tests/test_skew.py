@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from torusdyn.circle import CircleLift, build_denjoy
+from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
 from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
                            ball_fiber, build_centralized, check_closed_form,
@@ -225,6 +226,109 @@ def test_saturate_window_exhaustion():
     assert occ.any()  # partial mask carried
 
 
+def test_saturate_block_past_window_is_exhausted():
+    # each image jumps 3.5 up or down, past the window of height 4 without
+    # touching its edge rows: a hit beyond the window reaches its edge
+    skew = build_centralized(RigidTranslation(0.618, 3.5), 0.0)
+    geom = geometry_for(skew, n_t=16, n_x=16, n_y=32)
+    occ, seed, status, rounds = saturate_block_orbit(
+        skew, ball_cloud(geom, (0.5, 0.0), 0.15), geom, max_iters=240)
+    assert (status, rounds) == ("window-exhausted", 1)
+    assert np.array_equal(occ, seed)
+    tau = build_tau(skew, (0.5, 0.0), n_t=16, n_x=16, n_y=32, refine_rounds=0)
+    assert tau.status == "window-exhausted"
+
+
+def reference_saturate(skew, pts, geom, max_iters, patience=30):
+    """saturate_block_orbit with a per-image allocating raster and its own
+    orbit loop through annulus_map; also returns the sweep half-width."""
+    occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
+    flat = occ.reshape(-1)
+    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
+    ts = np.sort(wrap01(skew.rho * np.arange(-max_iters, max_iters + 1)))
+    gap = float(np.diff(np.concatenate([ts, [ts[0] + 1.0]])).max())
+    x_frac = max(len(np.unique(geom.x_cell(pts[:, 0]))) / geom.n_x, 1e-3)
+    sweep_cells = max(gap, 1.0 / (max(max_iters, 1) * x_frac)) / geom.h_y
+    sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
+
+    def raster_block(w, c):
+        u = t_centers - c
+        u -= np.round(u)
+        jx = geom.x_cell(w[:, 0])
+        yy = w[None, :, 1] - u[:, None]
+        column = (np.arange(geom.n_t)[:, None] * geom.n_x + jx[None, :]) * geom.n_y
+        edge = grew = False
+        for dy in ((0.0,) if sweep == 0.0 else (-sweep, sweep)):
+            jy = geom.y_cell(yy + dy)
+            keep = (jy >= 0) & (jy < geom.n_y)
+            cells = (column + jy)[keep]
+            grew |= not flat[cells].all()
+            flat[cells] = True
+            edge |= bool(np.any((jy <= 0) | (jy >= geom.n_y - 1)))
+        return edge, grew
+
+    raster_block(pts, 0.0)
+    seed_occ = occ.copy()
+    status, stale, rounds = "max-iters", 0, 0
+    fwd = bwd = pts
+    for n in range(1, max_iters + 1):
+        fwd = skew.spec.annulus_map(fwd)
+        bwd = skew.spec.annulus_map(bwd, inverse=True)
+        shift = np.array([0.0, n * skew.rho])
+        edge_f, grew_f = raster_block(fwd - shift, wrap01(n * skew.rho))
+        edge_b, grew_b = raster_block(bwd + shift, wrap01(-n * skew.rho))
+        rounds = n
+        if edge_f or edge_b:
+            status = "window-exhausted"
+            break
+        stale = 0 if grew_f or grew_b else stale + 1
+        if stale >= patience:
+            status = "fixed-point"
+            break
+    return (occ, seed_occ, status, rounds), sweep
+
+
+SATURATE_CASES = {
+    "rigid": (lambda: build_centralized(RigidTranslation(A, B), B, c_est=0.0),
+              (32, 32, 64), {}, 60),
+    "suspension": (lambda: build_centralized(
+        SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B)), A * B, c_est=B),
+        (32, 32, 64), {}, 60),
+    # the offsets of rho = 1/4 leave gaps of 1/4: no sweep
+    "rational": (lambda: build_centralized(RigidTranslation(A, 0.25), 0.25,
+                                           c_est=0.0), (16, 16, 32), {}, 40),
+    "window-exhausted": (lambda: build_centralized(RigidTranslation(0.1, 0.3), 0.0,
+                                                   c_est=0.0),
+                         (16, 16, 32), {"half_height": 1.0}, 100),
+    "past-window": (lambda: build_centralized(RigidTranslation(0.618, 3.5), 0.0),
+                    (16, 16, 32), {}, 240),
+    "identity": (lambda: build_centralized(RigidTranslation(0, 0), 0.0),
+                 (16, 16, 32), {}, 40),
+    "odd-grid": (lambda: build_centralized(RigidTranslation(A, B), B, c_est=0.0),
+                 (31, 32, 64), {}, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SATURATE_CASES))
+def test_saturate_matches_allocating_reference(name):
+    make, (n_t, n_x, n_y), window, max_iters = SATURATE_CASES[name]
+    skew = make()
+    geom = geometry_for(skew, n_t=n_t, n_x=n_x, n_y=n_y, **window)
+    pts = ball_cloud(geom, (0.5, 0.0), 0.15)
+    (occ, seed, status, rounds), sweep = reference_saturate(skew, pts, geom,
+                                                            max_iters)
+    # rho = 0 and rho = 1/4 leave gaps too wide to sweep
+    assert (sweep > 0.0) == (name in ("rigid", "suspension", "odd-grid"))
+    assert status == {"window-exhausted": "window-exhausted",
+                      "past-window": "window-exhausted",
+                      "identity": "fixed-point"}.get(name, "max-iters")
+    got = saturate_block_orbit(skew, pts, geom, max_iters=max_iters)
+    assert got[0].shape == got[1].shape == (n_t, n_x, n_y)
+    assert got[0].tobytes() == occ.tobytes()
+    assert got[1].tobytes() == seed.tobytes()
+    assert got[2:] == (status, rounds)
+
+
 # -- envelope refinement -------------------------------------------------------
 
 
@@ -282,10 +386,17 @@ def test_refine_envelopes_matches_dense_update(name, n_t, n_x, rounds):
     skew = ENVELOPE_SKEWS[name]()
     geom = geometry_for(skew, center_y=0.0, n_t=n_t, n_x=n_x, n_y=2 * n_x,
                         half_height=2.0)
-    # a ball cloud and its boundary ring, as the region build takes them
+    # a ball cloud and its boundary ring, as the region build takes them; the
+    # ring around x0 = 0.05 crosses the x seam, so its x starts outside [0, 1)
+    for x0, radius in ((0.5, 0.12), (0.05, 0.15)):
+        check_refined_envelopes(skew, geom, rounds, x0, radius)
+
+
+def check_refined_envelopes(skew, geom, rounds, x0, radius):
+    n_t, n_x = geom.n_t, geom.n_x
     theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
-    ring = np.column_stack([0.5 + 0.12 * np.cos(theta), 0.12 * np.sin(theta)])
-    pts = np.vstack([ball_cloud(geom, (0.5, 0.0), 0.12), ring])
+    ring = np.column_stack([x0 + radius * np.cos(theta), radius * np.sin(theta)])
+    pts = np.vstack([ball_cloud(geom, (x0, 0.0), radius), ring])
     got = refine_envelopes(skew, pts, geom, rounds=rounds)
     want = dense_envelopes(skew, pts, geom, rounds)
     for g, w in zip(got, want):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.serialize import circle_lift_from_definition, torus_map_from_definition
@@ -24,6 +25,26 @@ def sample_maps():
 def test_rigid_eval():
     r = RigidTranslation(0.61, 0.41)
     assert r.eval_lift(np.array([0.0, 0.0])) == pytest.approx([0.61, 0.41])
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@given(z=st.one_of(arrays(float, (2,), elements=finite),
+                   arrays(float, st.tuples(st.integers(0, 5), st.just(2)),
+                          elements=finite),
+                   arrays(float, st.tuples(st.integers(0, 3), st.integers(0, 4),
+                                           st.just(2)), elements=finite)),
+       a=finite, b=finite)
+@settings(max_examples=300, deadline=None)
+def test_rigid_evaluators_add_the_offset_exactly(z, a, b):
+    # the column-wise adds equal the broadcast z +- offset bit for bit
+    r = RigidTranslation(a, b)
+    offset = np.array([a, b])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in ((r.eval_lift(z), z + offset), (r.eval_inverse(z), z - offset)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_twist_eval():
