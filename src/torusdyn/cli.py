@@ -29,7 +29,7 @@ from .serialize import (circle_lift_from_definition, dump_mask, parse_number,
 from .skew import (build_centralized, check_closed_form,
                    check_commutation)
 from .torus import TorusMapSpec
-from .util import iterates
+from .util import finite_multiples, iterates
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -156,7 +156,7 @@ def cmd_skeworbit(args):
     spec = _load_map(args)
     if args.rho is None:
         raise UsageError("--rho is required")
-    skew = build_centralized(spec, args.rho)
+    skew = build_centralized(spec, finite_multiples(args.rho, args.nmax))
     t, x, y = _numbers(args.state, 3, "state")
     orbit = enumerate(iterates(skew.step, np.array([[t, x, y]]), args.nmax), 1)
     rows = [(0, t, x, y)] + [(n, *cur[0]) for n, cur in orbit]

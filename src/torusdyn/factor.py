@@ -20,7 +20,7 @@ from .skew import (GridMask, ball_fiber, close_fibers, component_of,
                    extend_to_envelopes, geometry_for, invariance_defect,
                    refine_envelopes, saturate_block_orbit, _CROSS,
                    _label_x_wrapped)
-from .util import circle_dist, lattice_points_2d, wrap01
+from .util import circle_dist, finite_multiples, lattice_points_2d, wrap01
 
 
 @dataclass
@@ -41,11 +41,6 @@ class TauRegion:
     def geom(self):
         return self.mask.geom
 
-    @property
-    def bounded(self):
-        occ = self.mask.occ
-        return not (occ[:, :, 0].any() or occ[:, :, -1].any())
-
 
 def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
               half_height=None, max_iters=240, refine_rounds=20_000, seed=0):
@@ -61,6 +56,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     """
     if not (0.0 < ball_radius <= 1.0):
         raise ValueError("ball radius must be in (0, 1]")
+    finite_multiples(skew.rho, max(max_iters, refine_rounds))
     x0, y0 = float(seed_point[0]), float(seed_point[1])
     geom = geometry_for(skew, center_y=y0, n_t=n_t, n_x=n_x, n_y=n_y,
                         half_height=half_height)
@@ -74,6 +70,9 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     _, X, Y = geom.centers(0, *np.indices((geom.n_x, geom.n_y)))
     inside = pred(X, Y)
     pts = np.column_stack([X[inside], Y[inside]])
+    if not len(pts):
+        raise ValueError(f"the seed ball of radius {ball_radius!r} covers no "
+                         f"cell center (y cells are {geom.h_y!r} high)")
     occ, seed_occ, status, rounds = saturate_block_orbit(
         skew, pts, geom, max_iters=max_iters)
     if refine_rounds:
@@ -127,8 +126,11 @@ def lower_component(tau, s):
     if lo < hi:
         obstruction[:, lo:hi] = fiber[:, lo - shift:hi - shift]
     lab = _label_x_wrapped(~obstruction)
-    bottom = np.unique(lab[:, 0])
-    fill = np.isin(lab, bottom[bottom > 0])
+    # the labels met on the bottom row, as a table indexed by label
+    member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
+    member[lab[:, 0]] = True
+    member[0] = False  # obstruction cells
+    fill = member[lab]
     separating = not fill[:, -1].any()
     out = FiberFill(fill=fill, separating=separating, shift_cells=shift)
     tau._fills[it, shift] = out

@@ -88,25 +88,6 @@ def manifest_suspension(name):
                           circle_lift_from_definition(entry["fiber"]))
 
 
-def suspension_reference_eval(susp, z):
-    """Independent route: unwind the gluing relation step by step.
-
-    Descends the time coordinate to its fundamental representative one unit
-    at a time, applying the fiber map once per unit, instead of using the
-    floor formula directly.
-    """
-    u, x = float(z[0]), float(z[1])
-    s = susp.base(wrap01(u))
-    x_cur = x
-    while s >= 1.0:
-        s -= 1.0
-        x_cur = float(susp.fiber(x_cur))
-    while s < 0.0:
-        s += 1.0
-        x_cur = float(susp.fiber.inverse()(x_cur))
-    return np.array([s, wrap01(x_cur)])
-
-
 @dataclass
 class ObstructionExample:
     """A composed map with designated probe points and wandering data."""

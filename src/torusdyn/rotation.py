@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import iterates, lattice_points_2d, torus_dist, wrap01
+from .util import (finite_multiples, iterates, lattice_points_2d, torus_dist,
+                   wrap01)
 
 
 @dataclass
@@ -92,6 +93,7 @@ def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
     """
     v = np.asarray(v, dtype=float)
     n_max = _positive_n_max(n_max)
+    rho = finite_multiples(rho, n_max)
     value = np.zeros(n_max + 1)
     for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
         value[n] = max(np.abs(df @ v - n * rho).max(),

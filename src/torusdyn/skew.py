@@ -21,7 +21,8 @@ import numpy as np
 from scipy import ndimage
 
 from .rotation import _positive_n_max
-from .util import circle_dist, iterates, nth_iterate, skew_dist, wrap01
+from .util import (circle_dist, finite_multiples, iterates, nth_iterate,
+                   skew_dist, wrap01)
 
 # block-orbit images per chunk of refine_envelopes
 _ENVELOPE_CHUNK = 32
@@ -143,6 +144,7 @@ def check_closed_form(skew, samples=150, seed=0, threshold=1e-7):
 def vertical_orbit_bound(skew, state, n_max=10_000):
     """Sampled oscillation sup |ytil_m - ytil_n| over |m|, |n| <= n_max."""
     n_max = _positive_n_max(n_max)
+    finite_multiples(skew.rho, n_max)
     s0 = state.as_array() if isinstance(state, SkewState) else np.asarray(state, dtype=float)
     lo = hi = float(s0[2])
     for inverse in (False, True):
@@ -219,8 +221,13 @@ def geometry_for(skew, center_y=0.0, n_t=256, n_x=256, n_y=512, half_height=None
     is an exact cell count.
     """
     c = skew.c_est if skew.c_est is not None else 0.0
+    if not c >= 0.0:
+        raise ValueError(f"c_est must be at least 0, not {c!r}")
     if half_height is None:
         half_height = 2.0 * c + 2.0
+    if not half_height > 0.0:
+        raise ValueError(f"the window half height must be positive, "
+                         f"not {half_height!r}")
     if half_height < 2.0 * c + 1.0:
         raise ValueError("window height must be at least 2*c_est + 1")
     m = max(int(np.ceil(n_y / (2.0 * half_height))), 1)  # GridGeometry checks n_y
@@ -568,9 +575,29 @@ def component_of(mask, seed_occ):
     return member[labels]
 
 
-def dilate_mask(occ):
-    """One-cell box dilation; t and x wrap, y clamps."""
-    return ndimage.maximum_filter(occ, size=3, mode=("wrap", "wrap", "constant"))
+def _padded_dilation(occ):
+    """One-cell box dilation of occ between two False guard rows.
+
+    t and x wrap, y clamps; the result has shape (n_t, n_x, n_y + 2). The
+    box is dilated one axis at a time, y first, by in-place ors of shifted
+    slices.
+    """
+    padded = np.zeros(occ.shape[:2] + (occ.shape[2] + 2,), dtype=bool)
+    out = padded[:, :, 1:-1]
+    # padded rows j and j + 2 are the window rows below and above row j + 1
+    padded[:, :, :-2] = occ
+    padded[:, :, 2:] |= occ
+    out |= occ
+    padded[:, :, [0, -1]] = False
+    cur = np.empty_like(out)
+    for axis in (1, 0):  # x, then t: both wrap
+        cur[...] = out
+        a, c = np.moveaxis(out, axis, 0), np.moveaxis(cur, axis, 0)
+        a[1:] |= c[:-1]
+        a[:1] |= c[-1:]
+        a[:-1] |= c[1:]
+        a[-1:] |= c[:1]
+    return padded
 
 
 def invariance_defect(skew, mask):
@@ -579,28 +606,68 @@ def invariance_defect(skew, mask):
     Returns the number of source cells whose sampled image leaves the
     dilated mask, per direction. Each cell is sampled at its center and four
     inset corners; t advances rigidly, so one fiber is checked at a time
-    and its samples share one image fiber per direction.
+    and its samples share one image fiber per direction. The samples are
+    the annulus points (x, ytil + t) that ``CentralizedSkew.step`` forms,
+    stepped by the lean annulus step; an image height is (y - t) - rho, as
+    in the step, and one beyond the window counts as outside.
     """
     geom = mask.geom
-    dil = dilate_mask(mask.occ)
+    n_t, n_x, n_y = geom.n_t, geom.n_x, geom.n_y
+    # rows 0 and n_y + 1 of the dilation guard the window and are False:
+    # image heights beyond it are clipped into them
+    flat = _padded_dilation(mask.occ).reshape(-1)
+    t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
+    dx = _INSET[:, 0] * geom.h_x
+    dy = _INSET[:, 1] * geom.h_y
+    # (5 * k_max) work arrays, allocated once from the largest fiber; a
+    # fiber of k cells uses their first 5 * k entries
+    size = len(_INSET) * int(mask.occ.sum(axis=(1, 2)).max(initial=0))
+    samples = np.empty(2 * size)
+    jx = np.empty(size)
+    jy = np.empty(size)
+    cells = np.empty(size, dtype=np.int64)
+    hit = np.empty(size, dtype=bool)
+    step = skew.spec._annulus_step
+    directions = []
+    for key, inverse in (("forward", False), ("backward", True)):
+        rho = -skew.rho if inverse else skew.rho
+        # per source fiber, the padded flat index of window row 0 in column
+        # 0 of its image fiber
+        base = geom.t_cell(t_centers + rho) * (n_x * (n_y + 2)) + 1.0
+        directions.append((key, inverse, rho, base))
     bad = {"forward": 0, "backward": 0}
-    for it in range(geom.n_t):
+    for it in range(n_t):
         ix, iy = np.nonzero(mask.occ[it])
-        if not ix.size:
+        k = len(_INSET) * ix.size
+        if not k:
             continue
         t, x, y = geom.centers(it, ix, iy)
-        pts = np.empty((len(_INSET), ix.size, 3))
-        pts[..., 0] = t
-        pts[..., 1] = x + _INSET[:, :1] * geom.h_x
-        pts[..., 2] = y + _INSET[:, 1:] * geom.h_y
-        for inverse, key in ((False, "forward"), (True, "backward")):
-            img = skew.step(pts.reshape(-1, 3), inverse=inverse)
-            image_fiber = dil[geom.t_cell(t - skew.rho if inverse else t + skew.rho)]
-            jy = geom.y_cell(img[:, 2])
-            inside = (jy >= 0) & (jy < geom.n_y)
-            ok = np.zeros(jy.shape, dtype=bool)
-            ok[inside] = image_fiber[geom.x_cell(img[inside, 1]), jy[inside]]
-            bad[key] += int((~ok.reshape(len(_INSET), -1).all(axis=0)).sum())
+        pts = samples[:2 * k].reshape(len(_INSET), -1, 2)
+        np.add(x, dx[:, None], out=pts[..., 0])
+        np.add(y, dy[:, None], out=pts[..., 1])
+        pts[..., 1] += t
+        fx, fy, fcells, fhit = jx[:k], jy[:k], cells[:k], hit[:k]
+        for key, inverse, rho, base in directions:
+            img = step(pts.reshape(-1, 2), inverse)
+            # geom.x_cell without its wrap01: the step's x is in [0, 1)
+            np.multiply(img[:, 0], n_x, out=fx)
+            np.floor(fx, out=fx)
+            np.minimum(fx, n_x - 1, out=fx)
+            # geom.y_cell of the image height (y - t) - rho
+            np.subtract(img[:, 1], t, out=fy)
+            np.subtract(fy, rho, out=fy)
+            np.subtract(fy, geom.y_min, out=fy)
+            np.divide(fy, geom.h_y, out=fy)
+            np.floor(fy, out=fy)
+            np.clip(fy, -1, n_y, out=fy)
+            # padded flat index (fiber, x, 1 + y) of each image
+            np.multiply(fx, n_y + 2, out=fx)
+            np.add(fx, fy, out=fx)
+            np.add(fx, base[it], out=fx)
+            fcells[...] = fx
+            np.take(flat, fcells, out=fhit)
+            inside = np.count_nonzero(fhit.reshape(len(_INSET), -1).all(axis=0))
+            bad[key] += ix.size - int(inside)
     return bad
 
 

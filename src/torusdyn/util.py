@@ -23,11 +23,26 @@ def wrap01(x):
     """Reduce mod 1 with representatives in [0, 1), ties toward 0.
 
     The one mod-1 reduction of the package: ``x - floor(x)``, with the float
-    artifact where a tiny negative reduces to 1.0 sent to 0.0.
+    artifact where a tiny negative reduces to 1.0 sent to 0.0. An array
+    result is one fresh array, the floor overwritten by the difference.
     """
     xa = np.asarray(x, dtype=float)
-    r = xa - np.floor(xa)
-    return _float_if_scalar(np.where(r >= 1.0, 0.0, r))
+    if xa.ndim == 0:
+        r = float(xa - np.floor(xa))
+        return 0.0 if r >= 1.0 else r
+    r = np.floor(xa)
+    np.subtract(xa, r, out=r)
+    r[r >= 1.0] = 0.0
+    return r
+
+
+def finite_multiples(rho, n):
+    """rho as a float, checked so that every multiple k * rho with
+    |k| <= n, the drift of a run of n steps, is finite."""
+    rho = float(rho)
+    if not math.isfinite(rho * max(int(n), 1)):
+        raise ValueError(f"rho {rho!r} times {n} steps is not finite")
+    return rho
 
 
 def iterates(step, z, n):

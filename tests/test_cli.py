@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import json
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -368,6 +369,35 @@ def test_non_finite_list_and_float_flags_exit_1(tmp_path, capsys):
                  "--nmax", "3", *out], capsys)
     _usage_exit(["skeworbit", "--map", RIGID, "--rho", "0", "--state", "0,0",
                  "--nmax", "3", *out], capsys)
+
+
+def test_overflowing_rho_is_usage_error(tmp_path, capsys):
+    # n * rho overflows within the run: refused before any work, with no
+    # warning, where it crashed `factor` and let `deviations` say "bounded"
+    out = ["--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["factor", "--map", RIGID, "--rho", "1e308", "--seed-point",
+                      "0.5,0", "--resolution", "8,8,16"],
+                     ["deviations", "--map", RIGID, "--rho", "1e308",
+                      "--samples", "4"],
+                     ["skeworbit", "--map", RIGID, "--rho", "1e308", "--state",
+                      "0,0,0"]):
+            assert run(argv + out) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: rho 1e+308 times "), err
+            assert err.endswith(" steps is not finite\n") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_empty_seed_ball_is_usage_error(tmp_path, capsys):
+    # both collapse the y cells to height 1, where the ball covers no center
+    for flags, message in ((["--window", "1e300"], "the seed ball of radius "
+                            "0.15 covers no cell center"),
+                           (["--c-est", "-5"], "c_est must be at least 0")):
+        assert run(RUNS["factor-rigid"] + flags + ["--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " + message) and err.count("\n") == 1
 
 
 def test_config_values_take_the_flag_type(tmp_path, capsys):

@@ -15,6 +15,12 @@ from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
 
 
+def bounded(tau):
+    """Whether the region stays off the window's top and bottom rows."""
+    occ = tau.mask.occ
+    return not (occ[:, :, 0].any() or occ[:, :, -1].any())
+
+
 @pytest.fixture(scope="module")
 def tau_rigid_small():
     skew = build_centralized(RigidTranslation(A, B), B, c_est=0.0)
@@ -32,7 +38,7 @@ def tau_susp_small():
 
 def test_build_tau_rigid(tau_rigid_small):
     tau = tau_rigid_small
-    assert tau.bounded
+    assert bounded(tau)
     assert tau.status in ("fixed-point", "max-iters")
     assert tau.recurrence_times
     total = tau.mask.count
@@ -62,6 +68,24 @@ def test_build_tau_rejects_bad_radius():
     skew = build_centralized(RigidTranslation(A, B), B, c_est=0.0)
     with pytest.raises(ValueError):
         build_tau(skew, (0.5, 0.0), ball_radius=1.5, n_t=16, n_x=16, n_y=32)
+
+
+def test_build_tau_rejects_an_empty_seed_ball():
+    # a half height of 1e300 gives y cells of height 1: no center is within
+    # 0.15 of the seed
+    skew = build_centralized(RigidTranslation(A, B), B)
+    with pytest.raises(ValueError, match="the seed ball of radius 0.15 covers "
+                                         "no cell center"):
+        build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, half_height=1e300,
+                  refine_rounds=0)
+
+
+def test_build_tau_rejects_rho_overflowing_over_the_run():
+    skew = build_centralized(RigidTranslation(A, B), 1e305)
+    build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, max_iters=2,
+              refine_rounds=0)
+    with pytest.raises(ValueError, match="times 20000 steps is not finite"):
+        build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, max_iters=2)
 
 
 def test_build_tau_window_exhaustion_propagates():
@@ -261,3 +285,36 @@ def test_heights_reject_nonpositive_tol(tau_rigid_small):
     for tol in (0.0, -1e-3):
         with pytest.raises(ValueError, match="tol must be positive"):
             heights(tau_rigid_small, [[0.3, 0.1]], tol=tol)
+
+
+# -- metamorphic oracles of the region build -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def rigid_128():
+    """Rigid regions at 128x128x256 with the default rounds, seeded at
+    heights 0 and 1."""
+    skew = build_centralized(RigidTranslation(A, B), B)
+    return {y0: build_tau(skew, (0.5, y0), n_t=128, n_x=128, n_y=256)
+            for y0 in (0.0, 1.0)}
+
+
+def test_rigid_region_is_the_slab(rigid_128):
+    # (n * alpha, n * rho) is dense in T^2, so the region's limit is the slab
+    # |y - y0| <= r + 1/2 over every (t, x): the cells whose centers lie in it
+    tau = rigid_128[0.0]
+    ys = tau.geom.centers(0, 0, np.arange(tau.geom.n_y))[2]
+    slab = np.abs(ys) <= 0.15 + 0.5
+    assert tau.status == "max-iters" and tau.invariance == {"forward": 0,
+                                                            "backward": 0}
+    assert np.array_equal(tau.mask.occ, np.broadcast_to(slab, tau.mask.occ.shape))
+
+
+def test_unit_vertical_translation_moves_the_window(rigid_128):
+    # the y cells are 1/M high, so y -> y + 1 is exactly M cells: the seed one
+    # unit up gives the same cells in a window one unit up
+    low, high = rigid_128[0.0], rigid_128[1.0]
+    assert high.geom.y_min == low.geom.y_min + 1.0
+    assert high.geom.y_max == low.geom.y_max + 1.0
+    assert np.array_equal(high.mask.occ, low.mask.occ)
+    assert high.invariance == low.invariance and high.status == low.status

@@ -8,13 +8,32 @@ from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.gallery import (crossing_times, example_fully_essential,
                               example_unbounded_inessential, no_gap_window,
                               obstruction_evidence, surgery_geometry,
-                              suspension_map, suspension_reference_eval)
+                              suspension_map)
 from torusdyn.rotation import (ProximalityResult, deviation_profile,
                                estimate_rotation_set, proximality_scan,
                                recurrence_probe)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, circle_dist, wrap01
 
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
+
+
+def suspension_reference_eval(susp, z):
+    """Independent route: unwind the gluing relation step by step.
+
+    Descends the time coordinate to its fundamental representative one unit
+    at a time, applying the fiber map once per unit, instead of using the
+    floor formula directly.
+    """
+    u, x = float(z[0]), float(z[1])
+    s = susp.base(wrap01(u))
+    x_cur = x
+    while s >= 1.0:
+        s -= 1.0
+        x_cur = float(susp.fiber(x_cur))
+    while s < 0.0:
+        s += 1.0
+        x_cur = float(susp.fiber.inverse()(x_cur))
+    return np.array([s, wrap01(x_cur)])
 
 
 def test_suspension_quotient_consistency():

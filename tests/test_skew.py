@@ -9,12 +9,13 @@ from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
 from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
                            ball_fiber, build_centralized, check_closed_form,
-                           check_commutation, close_fibers, dilate_mask,
+                           check_commutation, close_fibers, _padded_dilation,
                            extend_to_envelopes, fiber_complement_components,
                            gamma_flow, geometry_for, invariance_defect,
                            label_mask, refine_envelopes, saturate_block_orbit,
                            vertical_orbit_bound)
-from torusdyn.torus import DehnTwist, RigidTranslation, SuspensionMap
+from torusdyn.torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
+                            SuspensionMap)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, skew_dist, wrap01
 
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
@@ -125,6 +126,11 @@ def test_vertical_orbit_bound_rejects_empty_ladder(n_max):
 # -- grids ---------------------------------------------------------------------
 
 
+def dilate_mask(occ):
+    """One-cell box dilation; t and x wrap, y clamps."""
+    return _padded_dilation(occ)[:, :, 1:-1]
+
+
 def small_geom(skew, n=48):
     return geometry_for(skew, center_y=0.0, n_t=n, n_x=n, n_y=2 * n)
 
@@ -139,6 +145,18 @@ def test_geometry_unit_is_exact_cells(rigid_skew):
 def test_geometry_rejects_small_window(rigid_skew):
     with pytest.raises(ValueError):
         geometry_for(rigid_skew, half_height=0.5)
+
+
+def test_geometry_rejects_negative_c_est_and_empty_window():
+    # either would collapse the window to 1/M = 1 cells, which the seed ball
+    # of a build then misses
+    for c_est in (-5.0, -1e-300, float("nan")):
+        with pytest.raises(ValueError, match="c_est must be at least 0"):
+            geometry_for(build_centralized(RigidTranslation(A, B), B, c_est=c_est))
+    skew = build_centralized(RigidTranslation(A, B), B)
+    for half in (0.0, -3.0, float("nan")):
+        with pytest.raises(ValueError, match="half height must be positive"):
+            geometry_for(skew, half_height=half)
 
 
 def ball_cloud(geom, center, radius):
@@ -514,7 +532,8 @@ def invariance_per_sample(skew, mask):
     """invariance_defect with the image fiber of every sample looked up, as
     first written."""
     geom = mask.geom
-    dil = dilate_mask(mask.occ)
+    dil = ndimage.maximum_filter(mask.occ, size=3,
+                                 mode=("wrap", "wrap", "constant"))
     insets = np.array([(0.0, 0.0), (-0.25, -0.25), (-0.25, 0.25),
                        (0.25, -0.25), (0.25, 0.25)])
     bad = {"forward": 0, "backward": 0}
@@ -538,19 +557,38 @@ def invariance_per_sample(skew, mask):
     return bad
 
 
+# a small push whose support the coarse grids below meet, so that counts
+# are nonzero
+PUSH = DiskPush((0.3, 0.3), (0.32, 0.31), 0.1)
+
+
 @given(occ=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6),
                                   st.integers(1, 8))),
        offset=st.tuples(st.floats(-1, 1), st.floats(-0.5, 0.5)),
-       rho=st.sampled_from(["edge", "-edge", B, 0.5, 0.0]))
+       rho=st.sampled_from(["edge", "-edge", B, 0.5, 0.0]),
+       edge_rows=st.booleans())
 @settings(max_examples=200, deadline=None)
-def test_invariance_defect_matches_per_sample_fibers(occ, offset, rho):
+def test_invariance_defect_matches_per_sample_fibers(occ, offset, rho, edge_rows):
     geom = GridGeometry(*occ.shape, -1.0, 1.0)
     # "edge": t + rho lands on a t cell edge, where rounding picks the cell
     rho = {"edge": 1.5 / geom.n_t, "-edge": -2.5 / geom.n_t}.get(rho, rho)
+    if edge_rows:
+        # images beyond the window, above and below
+        occ[:, :, [0, -1]] = True
     mask = GridMask(geom, occ)
-    for spec in (RigidTranslation(*offset), DehnTwist(1)):
+    for spec in (RigidTranslation(*offset), DehnTwist(1),
+                 ComposedMap([RigidTranslation(*offset), PUSH])):
         skew = build_centralized(spec, rho)
         assert invariance_defect(skew, mask) == invariance_per_sample(skew, mask)
+
+
+def test_invariance_defect_of_a_pushed_region():
+    # the rigid region pushed by a small disk is invariant up to a few cells:
+    # the per-direction counts are nonzero and equal the per-sample body's
+    skew = build_centralized(ComposedMap([RigidTranslation(A, B), PUSH]), B)
+    tau = build_tau(skew, (0.5, 0.0), n_t=64, n_x=64, n_y=128, refine_rounds=0)
+    assert tau.invariance == {"forward": 1, "backward": 2}
+    assert invariance_per_sample(skew, tau.mask) == tau.invariance
 
 
 def dilate_by_rolls(occ):
@@ -582,4 +620,5 @@ def close_each_fiber(occ):
 @settings(max_examples=300, deadline=None)
 def test_morphology_matches_references(occ):
     assert np.array_equal(dilate_mask(occ), dilate_by_rolls(occ))
+    assert not _padded_dilation(occ)[:, :, [0, -1]].any()
     assert np.array_equal(close_fibers(occ), close_each_fiber(occ))

@@ -26,6 +26,13 @@ def wrap01_remainder(x):
     return np.where(r >= 1.0, 0.0, r)
 
 
+def wrap01_where(x):
+    """wrap01 as first written: the difference, then np.where for the 1.0."""
+    xa = np.asarray(x, dtype=float)
+    r = xa - np.floor(xa)
+    return np.where(r >= 1.0, 0.0, r)
+
+
 def circle_dist_remainder(a, b):
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
     return np.minimum(d, 1.0 - d)
@@ -63,3 +70,30 @@ def test_distances_match_the_remainder_form(ab):
     if len(ab):
         d = torus_dist(z[0], w[0])
         assert type(d) is float and bits(d) == bits(torus_dist_remainder(z[0], w[0]))
+
+
+ONE_MINUS_ULP = np.nextafter(1.0, 0.0)
+SPECIAL = [-0.0, -5e-324, -TINY, -ONE_MINUS_ULP, ONE_MINUS_ULP, 3.0, -7.0,
+           2.0 ** 60, np.nan, np.inf, -np.inf]
+ANY = st.one_of(st.sampled_from(EDGE + SPECIAL), st.floats(), st.floats(-4.0, 4.0))
+
+
+@given(xs=arrays(float, st.tuples(st.integers(0, 6), st.integers(1, 3)),
+                 elements=ANY))
+@example(xs=np.array([EDGE + SPECIAL]))
+@settings(max_examples=300, deadline=None)
+def test_wrap01_is_the_where_form(xs):
+    before = xs.copy()
+    # whole arrays, strided columns and 0-d arrays, numpy and Python scalars
+    inputs = [xs, xs[:, 0], xs.T] + [np.asarray(x) for x in xs.ravel()]
+    inputs += [np.float64(x) for x in xs.ravel()] + xs.ravel().tolist()
+    with np.errstate(invalid="ignore"):
+        for x in inputs:
+            out = wrap01(x)
+            assert bits(out) == bits(wrap01_where(x))
+            if np.ndim(x):
+                assert isinstance(out, np.ndarray) and out.shape == np.shape(x)
+                assert not np.shares_memory(out, xs)
+            else:
+                assert type(out) is float
+    assert bits(xs) == bits(before)
