@@ -95,9 +95,14 @@ def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
     n_max = _positive_n_max(n_max)
     rho = finite_multiples(rho, n_max)
     value = np.zeros(n_max + 1)
-    for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
-        value[n] = max(np.abs(df @ v - n * rho).max(),
-                       np.abs(db @ v + n * rho).max())
+    # an overflow shows as a table entry that is not finite, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
+            value[n] = np.maximum(np.abs(df @ v - n * rho).max(),
+                                  np.abs(db @ v + n * rho).max())
+    if not np.isfinite(value).all():
+        raise ValueError(f"the deviation profile along v = {v.tolist()} is "
+                         f"not finite")
     c_est = float(value.max())
     cut = int(np.floor(0.8 * n_max))
     # bounded: no new maximum over the final 20% (up to iteration roundoff)

@@ -26,6 +26,8 @@ from .util import (circle_dist, finite_multiples, iterates, nth_iterate,
 
 # block-orbit images per chunk of refine_envelopes
 _ENVELOPE_CHUNK = 32
+# saturation rounds without a new cell before it reports a fixed point
+_PATIENCE = 30
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # (x, y) offsets of the invariance samples in cells: the center and four
 # corners inset to +-1/4 so exact gridline hits stay in their cell
@@ -260,6 +262,15 @@ def ball_fiber(center, radius):
     return pred
 
 
+def _guard_rows(h, geom):
+    """geom.y_cell of the heights h, in place in h and clipped into the rows
+    -1 and n_y that guard the window."""
+    np.subtract(h, geom.y_min, out=h)
+    np.divide(h, geom.h_y, out=h)
+    np.floor(h, out=h)
+    np.clip(h, -1, geom.n_y, out=h)
+
+
 def _block_orbit(skew, pts, rounds):
     """Transported fiber clouds of the block orbit, round by round.
 
@@ -287,16 +298,15 @@ def _block_orbit(skew, pts, rounds):
         yield -n, w, c_bwd
 
 
-def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
-                         sweep_cells=None):
+def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     """Saturate a half-width block seed by transporting its fiber cloud.
 
     The image of an r-block under the skew-product is again an r-block, so
     the orbit union is assembled by iterating the two-dimensional fiber
-    cloud exactly under the annulus map and sweeping each iterate across all
-    fibers with the flow (a pure shear, rasterized per fiber). This keeps
-    fiber-to-fiber structure exactly coherent and avoids per-fiber sampling
-    tails. Growth stops once no round has added a cell for ``patience``
+    cloud exactly under the annulus map and moving each iterate across all
+    fibers with the flow (a pure shear, rasterized per fiber). Each block
+    image marks the cells of its own transported points and nothing else.
+    Growth stops once no round has added a cell for ``_PATIENCE`` (30)
     consecutive rounds ("fixed-point"), at max_iters ("max-iters"), or when
     an image reaches the window's top or bottom row or lies beyond it
     ("window-exhausted").
@@ -311,35 +321,14 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
     padded = np.zeros((n_t, n_x, n_y + 2), dtype=bool)
     padded[:, :, [0, -1]] = True
     flat = padded.reshape(-1)  # a view: marking flat cells marks padded
-    rho = skew.rho
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
     # cell indices are kept as floats: every index sum below is an integer
     # well inside the exact range of a double
     fiber_base = np.arange(n_t, dtype=float) * n_x
 
-    # The flow offsets seen by a column over the run equidistribute with a
-    # gap inversely proportional to the rounds times the cloud's x fraction;
-    # sweeping each contribution over that band (gated on actual
-    # equidistribution of the base angle) closes the sampling holes in the
-    # offset direction. The sweep fattens edges by at most its own width,
-    # uniformly, which cancels in all difference-based diagnostics.
-    ts = np.sort(wrap01(rho * np.arange(-max_iters, max_iters + 1)))
-    gaps = np.diff(np.concatenate([ts, [ts[0] + 1.0]]))
-    gap = float(gaps.max())
-    if sweep_cells is None:
-        # both directions give 2*max_iters offsets, an x_frac share of which
-        # reaches a given column; the observed maximal gap runs about twice
-        # the mean gap
-        x_frac = max(len(np.unique(geom.x_cell(pts[:, 0]))) / n_x, 1e-3)
-        cond_gap = 1.0 / (max(max_iters, 1) * x_frac)
-        sweep_cells = max(gap, cond_gap) / geom.h_y
-    sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
-    sweeps = (0.0,) if sweep == 0.0 else (-sweep, sweep)
-
     # (n_t, len(pts)) work arrays, allocated once for every image
     yy = np.empty((n_t, len(pts)))
     column = np.empty_like(yy)
-    jy = np.empty_like(yy)
     cells = np.empty(yy.shape, dtype=np.int64)
     hit = np.empty(yy.shape, dtype=bool)
 
@@ -352,32 +341,21 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
         # block's center
         u = t_centers - c
         u -= np.round(u)
-        # fiber i holds the cloud shifted down by its flow offset, swept over
-        # the offset gap
+        # fiber i holds the cloud shifted down by its flow offset
         np.subtract(w[None, :, 1], u[:, None], out=yy)
-        # padded flat index of window row 0 in fiber i's column of point j;
-        # a y cell in [-1, n_y] adds to it
+        _guard_rows(yy, geom)
+        lo, hi = yy.min(), yy.max()
+        # padded flat index (fiber, x, 1 + y) of each point
         np.add(fiber_base[:, None], geom.x_cell(w[:, 0])[None, :], out=column)
         np.multiply(column, n_y + 2, out=column)
         np.add(column, 1.0, out=column)
-        edge = False
-        for dy in sweeps:
-            # geom.y_cell, in the work arrays
-            np.add(yy, dy, out=jy)
-            np.subtract(jy, geom.y_min, out=jy)
-            np.divide(jy, geom.h_y, out=jy)
-            np.floor(jy, out=jy)
-            lo, hi = jy.min(), jy.max()
-            edge |= bool(lo <= 0 or hi >= n_y - 1)
-            if lo < 0 or hi >= n_y:
-                np.clip(jy, -1, n_y, out=jy)
-            np.add(column, jy, out=jy)
-            cells[...] = jy
-            if not grew:
-                np.take(flat, cells, out=hit)
-                grew = not hit.all()
-            flat[cells] = True
-        return edge, grew
+        np.add(column, yy, out=column)
+        cells[...] = column
+        if not grew:
+            np.take(flat, cells, out=hit)
+            grew = not hit.all()
+        flat[cells] = True
+        return bool(lo <= 0 or hi >= n_y - 1), grew
 
     def interior():
         return padded[:, :, 1:-1].copy()
@@ -400,7 +378,7 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300, patience=30,
             status = "window-exhausted"
             break
         stale = 0 if grew else stale + 1
-        if stale >= patience:
+        if stale >= _PATIENCE:
             status = "fixed-point"
             break
         grew = False
@@ -507,11 +485,13 @@ def close_fibers(occ):
     stay put. Used as the grid-scale closure of the region before boundaries
     are extracted.
     """
-    # x padded by wrapping, y by empty rows; the structure spans one fiber
-    f = np.pad(occ, ((0, 0), (2, 2), (1, 1)), mode="wrap")
+    # x padded by wrapping over the closing's reach, 2 cells for the dilation
+    # and 2 for the erosion, so the seam is no edge; y by empty rows. The
+    # structure spans one fiber
+    f = np.pad(occ, ((0, 0), (4, 4), (1, 1)), mode="wrap")
     f[:, :, [0, -1]] = False
     closed = ndimage.binary_closing(f, structure=np.ones((1, 5, 3), dtype=bool))
-    return closed[:, 2:-2, 1:-1]
+    return closed[:, 4:-4, 1:-1]
 
 
 def _label_x_wrapped(occ, links=()):
@@ -653,13 +633,10 @@ def invariance_defect(skew, mask):
             np.multiply(img[:, 0], n_x, out=fx)
             np.floor(fx, out=fx)
             np.minimum(fx, n_x - 1, out=fx)
-            # geom.y_cell of the image height (y - t) - rho
+            # the guard-clipped y cell of the image height (y - t) - rho
             np.subtract(img[:, 1], t, out=fy)
             np.subtract(fy, rho, out=fy)
-            np.subtract(fy, geom.y_min, out=fy)
-            np.divide(fy, geom.h_y, out=fy)
-            np.floor(fy, out=fy)
-            np.clip(fy, -1, n_y, out=fy)
+            _guard_rows(fy, geom)
             # padded flat index (fiber, x, 1 + y) of each image
             np.multiply(fx, n_y + 2, out=fx)
             np.add(fx, fy, out=fx)

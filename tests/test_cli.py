@@ -390,6 +390,20 @@ def test_overflowing_rho_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_overflowing_deviation_profile_is_usage_error(tmp_path, capsys):
+    # <f^n(z) - z, v> overflows: refused with one line and no warning, where
+    # it printed numpy's overflow warning and then "bounded (C_est=inf)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["deviations", "--map", RIGID, "--rho", "0.4", "--v",
+                    "1e308,1e308", "--nmax", "10", "--samples", "2", "--out",
+                    str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("usage error: the deviation profile along v = "
+                   "[1e+308, 1e+308] is not finite\n"), err
+    assert not list(tmp_path.iterdir())
+
+
 def test_empty_seed_ball_is_usage_error(tmp_path, capsys):
     # both collapse the y cells to height 1, where the ball covers no center
     for flags, message in ((["--window", "1e300"], "the seed ball of radius "

@@ -44,7 +44,7 @@ def test_build_tau_rigid(tau_rigid_small):
     total = tau.mask.count
     assert tau.invariance["forward"] <= 1e-4 * total
     assert tau.invariance["backward"] <= 1e-4 * total
-    # analytic vertical extent: ball diameter plus the block sweep
+    # analytic vertical extent: ball radius plus the block half-width
     geom = tau.geom
     ys = geom.y_min + (np.arange(geom.n_y) + 0.5) * geom.h_y
     rows = tau.mask.occ.any(axis=(0, 1))
@@ -318,3 +318,40 @@ def test_unit_vertical_translation_moves_the_window(rigid_128):
     assert high.geom.y_max == low.geom.y_max + 1.0
     assert np.array_equal(high.mask.occ, low.mask.occ)
     assert high.invariance == low.invariance and high.status == low.status
+
+
+def test_suspension_unit_vertical_translation_moves_the_window(tau_susp_small):
+    # the suspension commutes with y -> y + 1 as well: the seed one unit up
+    # gives the same cells in a window M cells up. Measured exact, with no
+    # float tie moving a cell, at 32, 64 and 128 cells and 0, 4000 and
+    # 20000 envelope rounds
+    low = tau_susp_small
+    susp = SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B))
+    skew = build_centralized(susp, A * B, c_est=B)
+    high = build_tau(skew, (0.5, 1.0), ball_radius=0.15, n_t=64, n_x=64,
+                     n_y=128, max_iters=150, refine_rounds=4000)
+    m = round(1.0 / low.geom.h_y)
+    assert high.geom.y_min == low.geom.y_min + m * low.geom.h_y
+    assert high.geom.y_max == low.geom.y_max + m * low.geom.h_y
+    assert np.array_equal(high.mask.occ, low.mask.occ)
+    assert high.invariance == low.invariance and high.status == low.status
+
+
+def test_rigid_x_translation_rolls_the_mask():
+    # the rigid map commutes with x -> x + k/n_x, so a seed moved by k/n_x
+    # gives the mask rolled by k along x. With no envelope rounds the region
+    # falls short of the slab and is not invariant under a roll, so the
+    # symmetry is tested, exactly: no float tie moves a cell
+    skew = build_centralized(RigidTranslation(A, B), B)
+
+    def build(x0):
+        return build_tau(skew, (x0, 0.0), n_t=64, n_x=64, n_y=128,
+                         refine_rounds=0)
+
+    base = build(0.5)
+    assert not np.array_equal(np.roll(base.mask.occ, 1, axis=1), base.mask.occ)
+    for k in (1, 23, 63):
+        moved = build(0.5 + k / 64)
+        assert np.array_equal(moved.mask.occ, np.roll(base.mask.occ, k, axis=1))
+        assert moved.invariance == base.invariance
+        assert moved.status == base.status

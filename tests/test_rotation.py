@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,21 @@ def test_deviation_profile_rigid_zero():
     assert prof.c_est <= 1e-10
     assert prof.verdict == "bounded"
     assert prof.value[0] == 0.0
+
+
+def test_deviation_profile_refuses_an_overflowing_table():
+    # <f^n(z) - z, v> overflows to inf for v = (1e308, 1e308) and to
+    # inf - inf = nan for v = (1e308, -1e308): refused, with no warning
+    rigid = RigidTranslation(0.6, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ((1e308, 1e308), (1e308, -1e308)):
+            with pytest.raises(ValueError, match=r"the deviation profile along "
+                                                 r"v = \[1e\+308, -?1e\+308\] "
+                                                 r"is not finite"):
+                deviation_profile(rigid, v, 0.4, n_max=10, samples=2)
+        assert deviation_profile(rigid, (1e300, 1e300), 0.4, n_max=10,
+                                 samples=2).c_est > 0.0
 
 
 def test_deviation_profile_twist_grows():

@@ -227,8 +227,7 @@ def test_saturate_monotone_in_iterations(rigid_skew):
     prev = None
     for iters in (2, 5, 9):
         occ, _, _, _ = saturate_block_orbit(rigid_skew, cloud, geom,
-                                            max_iters=iters, patience=10**9,
-                                            sweep_cells=1.0)
+                                            max_iters=iters)
         if prev is not None:
             assert not (prev & ~occ).any()
         prev = occ
@@ -259,15 +258,10 @@ def test_saturate_block_past_window_is_exhausted():
 
 def reference_saturate(skew, pts, geom, max_iters, patience=30):
     """saturate_block_orbit with a per-image allocating raster and its own
-    orbit loop through annulus_map; also returns the sweep half-width."""
+    orbit loop through annulus_map."""
     occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
     flat = occ.reshape(-1)
     t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
-    ts = np.sort(wrap01(skew.rho * np.arange(-max_iters, max_iters + 1)))
-    gap = float(np.diff(np.concatenate([ts, [ts[0] + 1.0]])).max())
-    x_frac = max(len(np.unique(geom.x_cell(pts[:, 0]))) / geom.n_x, 1e-3)
-    sweep_cells = max(gap, 1.0 / (max(max_iters, 1) * x_frac)) / geom.h_y
-    sweep = 0.5 * sweep_cells * geom.h_y if gap < 0.05 else 0.0
 
     def raster_block(w, c):
         u = t_centers - c
@@ -275,15 +269,12 @@ def reference_saturate(skew, pts, geom, max_iters, patience=30):
         jx = geom.x_cell(w[:, 0])
         yy = w[None, :, 1] - u[:, None]
         column = (np.arange(geom.n_t)[:, None] * geom.n_x + jx[None, :]) * geom.n_y
-        edge = grew = False
-        for dy in ((0.0,) if sweep == 0.0 else (-sweep, sweep)):
-            jy = geom.y_cell(yy + dy)
-            keep = (jy >= 0) & (jy < geom.n_y)
-            cells = (column + jy)[keep]
-            grew |= not flat[cells].all()
-            flat[cells] = True
-            edge |= bool(np.any((jy <= 0) | (jy >= geom.n_y - 1)))
-        return edge, grew
+        jy = geom.y_cell(yy)
+        keep = (jy >= 0) & (jy < geom.n_y)
+        cells = (column + jy)[keep]
+        grew = not flat[cells].all()
+        flat[cells] = True
+        return bool(np.any((jy <= 0) | (jy >= geom.n_y - 1))), grew
 
     raster_block(pts, 0.0)
     seed_occ = occ.copy()
@@ -303,7 +294,7 @@ def reference_saturate(skew, pts, geom, max_iters, patience=30):
         if stale >= patience:
             status = "fixed-point"
             break
-    return (occ, seed_occ, status, rounds), sweep
+    return occ, seed_occ, status, rounds
 
 
 SATURATE_CASES = {
@@ -312,7 +303,6 @@ SATURATE_CASES = {
     "suspension": (lambda: build_centralized(
         SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B)), A * B, c_est=B),
         (32, 32, 64), {}, 60),
-    # the offsets of rho = 1/4 leave gaps of 1/4: no sweep
     "rational": (lambda: build_centralized(RigidTranslation(A, 0.25), 0.25,
                                            c_est=0.0), (16, 16, 32), {}, 40),
     "window-exhausted": (lambda: build_centralized(RigidTranslation(0.1, 0.3), 0.0,
@@ -333,10 +323,7 @@ def test_saturate_matches_allocating_reference(name):
     skew = make()
     geom = geometry_for(skew, n_t=n_t, n_x=n_x, n_y=n_y, **window)
     pts = ball_cloud(geom, (0.5, 0.0), 0.15)
-    (occ, seed, status, rounds), sweep = reference_saturate(skew, pts, geom,
-                                                            max_iters)
-    # rho = 0 and rho = 1/4 leave gaps too wide to sweep
-    assert (sweep > 0.0) == (name in ("rigid", "suspension", "odd-grid"))
+    occ, seed, status, rounds = reference_saturate(skew, pts, geom, max_iters)
     assert status == {"window-exhausted": "window-exhausted",
                       "past-window": "window-exhausted",
                       "identity": "fixed-point"}.get(name, "max-iters")
@@ -587,7 +574,7 @@ def test_invariance_defect_of_a_pushed_region():
     # the per-direction counts are nonzero and equal the per-sample body's
     skew = build_centralized(ComposedMap([RigidTranslation(A, B), PUSH]), B)
     tau = build_tau(skew, (0.5, 0.0), n_t=64, n_x=64, n_y=128, refine_rounds=0)
-    assert tau.invariance == {"forward": 1, "backward": 2}
+    assert tau.invariance == {"forward": 1, "backward": 4}
     assert invariance_per_sample(skew, tau.mask) == tau.invariance
 
 
@@ -605,13 +592,17 @@ def dilate_by_rolls(occ):
 
 
 def close_each_fiber(occ):
-    """Closing of each fiber by a 5x3 box, x padded by wrapping, y empty."""
+    """Closing of each fiber by a 5x3 box from its definition: a dilation and
+    then an erosion by rolled copies, x rolling round the circle and y
+    between two empty rows on each side, enough for the closing's reach."""
+    shifts = [(dx, dy) for dx in range(-2, 3) for dy in (-1, 0, 1)]
     out = np.empty_like(occ)
     for it in range(occ.shape[0]):
-        f = np.pad(occ[it], ((2, 2), (1, 1)), mode="wrap")
-        f[:, [0, -1]] = False
-        out[it] = ndimage.binary_closing(
-            f, structure=np.ones((5, 3), dtype=bool))[2:-2, 1:-1]
+        f = np.pad(occ[it], ((0, 0), (2, 2)))
+        grown = np.logical_or.reduce([np.roll(f, s, axis=(0, 1)) for s in shifts])
+        shrunk = np.logical_and.reduce([np.roll(grown, s, axis=(0, 1))
+                                        for s in shifts])
+        out[it] = shrunk[:, 2:-2]
     return out
 
 
