@@ -66,10 +66,14 @@ class CircleLift:
             self.bx = bx
             self.by = by
             # the table closed once with the wrap segment's end, so segment j
-            # runs from breakpoint j to breakpoint j + 1 for every j; lists
-            # for the scalar path
-            self._closed = (np.append(bx, bx[0] + 1.0), np.append(by, by[0] + 1.0))
-            self._closed_lists = tuple(a.tolist() for a in self._closed)
+            # runs from breakpoint j to breakpoint j + 1 for every j, with
+            # width x1 - x0 and rise y1 - y0; lists for the scalar path
+            closed_x = np.append(bx, bx[0] + 1.0)
+            self._ends = closed_x[1:]
+            self._width = np.diff(closed_x)
+            self._rise = np.diff(np.append(by, by[0] + 1.0))
+            self._lists = tuple(a.tolist() for a in
+                                (bx, by, self._width, self._rise))
 
     # -- constructors ------------------------------------------------------
 
@@ -86,10 +90,33 @@ class CircleLift:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, x):
+        xa = np.asarray(x, dtype=float)
         if self.kind == KIND_RIGID:
-            out = np.asarray(x, dtype=float) + self.alpha
-            return float(out) if np.ndim(x) == 0 else out
-        return _pwa_eval(*self._closed, x)
+            out = xa + self.alpha
+        else:
+            u = wrap01(xa)
+            y0, t = self._segment(u)
+            out = np.rint(xa - u) + y0 + t
+        return float(out) if xa.ndim == 0 else out
+
+    def _segment(self, u):
+        """(y0, t) with lift(u) = y0 + t for u in [0, 1): y0 the value at the
+        start of u's segment, t the rise over it up to u."""
+        j = self._ends.searchsorted(u, side="right")
+        return self.by[j], (u - self.bx[j]) * self._rise[j] / self._width[j]
+
+    def _lift_pair(self, x):
+        """lift(x) and lift(wrap01(x)) from one reduction and one lookup.
+
+        wrap01 is the identity on [0, 1), where the integer part is 0, so
+        the second value is y0 + t, the first n + y0 + t.
+        """
+        xa = np.asarray(x, dtype=float)
+        u = wrap01(xa)
+        if self.kind == KIND_RIGID:
+            return xa + self.alpha, u + self.alpha
+        y0, t = self._segment(u)
+        return np.rint(xa - u) + y0 + t, y0 + t
 
     def eval_scalar(self, x):
         """Scalar fast path used by long orbit loops."""
@@ -100,10 +127,9 @@ class CircleLift:
         if u >= 1.0:  # x - floor(x) can round up to 1.0 for tiny negatives
             u = 0.0
             n += 1
-        bx, by = self._closed_lists
+        bx, by, width, rise = self._lists
         j = bisect.bisect_right(bx, u) - 1
-        x0, y0, x1, y1 = bx[j], by[j], bx[j + 1], by[j + 1]
-        return n + y0 + (u - x0) * (y1 - y0) / (x1 - x0)
+        return n + by[j] + (u - bx[j]) * rise[j] / width[j]
 
     def inverse(self):
         """Lift of the inverse homeomorphism (analytic, no root finding)."""
@@ -172,19 +198,6 @@ def _pwa_from_pairs(pairs):
             bx = np.concatenate([[0.0], bx])
             by = np.concatenate([[v0], by])
     return bx, by
-
-
-def _pwa_eval(bx, by, x):
-    """Evaluate a closed breakpoint table (last entry bx[0] + 1) at x."""
-    xa = np.asarray(x, dtype=float)
-    u = wrap01(xa)
-    n = np.round(xa - u)
-    j = np.searchsorted(bx, u, side="right") - 1
-    x0, y0, x1, y1 = bx[j], by[j], bx[j + 1], by[j + 1]
-    out = n + y0 + (u - x0) * (y1 - y0) / (x1 - x0)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
 
 
 # -- rotation number ---------------------------------------------------------

@@ -126,41 +126,52 @@ class SuspensionMap(TorusMapSpec):
         self._base_inv = base_lift.inverse()
         self._fiber_inv = fiber_lift.inverse()
 
-    def _fiber_power(self, x, m):
-        """Apply the fiber lift m(z)-fold, m an integer array (few values)."""
-        x = np.array(x, dtype=float)
-        m = np.asarray(m)
-        sign = np.sign(m)
-        count = np.abs(m)
-        kmax = int(count.max()) if count.size else 0
-        for step in range(kmax):
-            fwd = (sign > 0) & (count > step)
-            bwd = (sign < 0) & (count > step)
-            if np.any(fwd):
-                x[fwd] = self.fiber(x[fwd])
-            if np.any(bwd):
-                x[bwd] = self._fiber_inv(x[bwd])
-        return x
+    @staticmethod
+    def _fiber_power(x, m, lift, lift_inv):
+        """Apply lift m times to each point of x, in place (lift_inv -m
+        times), m an integer array.
 
-    def _steps(self, u_frac):
-        return np.floor(self.base(u_frac)).astype(np.int64)
+        A degree-one base gives floor(base(u)) at most two consecutive values
+        over u in [0, 1), so every point takes the steps they all share, and
+        one more step goes to the subset that needs it; a value further off,
+        from rounding at the table's wrap, takes a further subset step.
+        Points whose m is the integer a NaN casts to take no step.
+        """
+        if not m.size:
+            return
+        lo, hi = int(m.min()), int(m.max())
+        passes = []
+        if hi > 0:
+            passes.append((lift, m, max(lo, 0), hi))
+        if lo < 0:
+            n = -m
+            passes.append((lift_inv, n, max(int(n.min()), 0), int(n.max())))
+        for f, n, shared, top in passes:
+            for _ in range(shared):
+                x[...] = f(x)
+            for step in range(shared + 1, top + 1):
+                need = n >= step
+                x[need] = f(x[need])
 
     def eval_lift(self, z):
-        shape = np.shape(np.asarray(z, dtype=float))
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        u, x = z2[..., 0], z2[..., 1]
-        m = self._steps(wrap01(u))
-        out = np.stack([self.base(u), self._fiber_power(x, m)], axis=-1)
-        return out.reshape(shape)
+        z = np.asarray(z, dtype=float)
+        out = np.empty_like(z)
+        base_u, base_frac = self.base._lift_pair(z[..., 0])
+        out[..., 0] = base_u
+        out[..., 1] = z[..., 1]
+        m = np.floor(base_frac).astype(np.int64)
+        self._fiber_power(out[..., 1], m, self.fiber, self._fiber_inv)
+        return out
 
     def eval_inverse(self, z):
-        shape = np.shape(np.asarray(z, dtype=float))
-        z2 = np.atleast_2d(np.asarray(z, dtype=float))
-        up, xp = z2[..., 0], z2[..., 1]
-        u = self._base_inv(up)
-        m = self._steps(wrap01(u))
-        out = np.stack([u, self._fiber_power(xp, -m)], axis=-1)
-        return out.reshape(shape)
+        z = np.asarray(z, dtype=float)
+        out = np.empty_like(z)
+        u = self._base_inv(z[..., 0])
+        out[..., 0] = u
+        out[..., 1] = z[..., 1]
+        m = np.floor(self.base._lift_pair(u)[1]).astype(np.int64)
+        self._fiber_power(out[..., 1], m, self._fiber_inv, self.fiber)
+        return out
 
     def to_definition(self):
         return {
@@ -196,38 +207,48 @@ class DiskPush(TorusMapSpec):
         self.push = d
         self.radius = radius
         self.midpoint = wrap01(c0 + 0.5 * d)
+        # no point farther than this from the midpoint meets the support
+        # after a backward push
+        self._reach = radius + np.linalg.norm(d)
 
     def _eta(self, r):
-        return np.clip(2.0 * (1.0 - r), 0.0, 1.0)
+        return np.minimum(np.maximum(2.0 * (1.0 - r), 0.0), 1.0)
 
     def _rel(self, z):
         w = np.asarray(z, dtype=float) - self.midpoint
-        return w - np.round(w)
+        return w - np.rint(w)
+
+    @staticmethod
+    def _norm(w0, w1):
+        # what np.linalg.norm(..., axis=-1) computes for real input
+        return np.sqrt(w0 * w0 + w1 * w1)
 
     def eval_lift(self, z):
         z = np.asarray(z, dtype=float)
         w = self._rel(z)
-        r = np.linalg.norm(w, axis=-1) / self.radius
+        r = self._norm(w[..., 0], w[..., 1]) / self.radius
         return z + self._eta(r)[..., None] * self.push
 
     def eval_inverse(self, z):
         z = np.asarray(z, dtype=float)
         w = self._rel(z)
         # points whose backward fiber cannot meet the support are fixed
-        active = np.linalg.norm(w, axis=-1) <= self.radius + np.linalg.norm(self.push)
+        active = self._norm(w[..., 0], w[..., 1]) <= self._reach
         out = z.copy()
-        if not np.any(active):
+        if not active.any():
             return out
         wa = w[active]
+        w0, w1 = wa[..., 0], wa[..., 1]
+        p0, p1 = self.push
         # solve s = eta(|w - s*d| / R) by bisection; phi is strictly decreasing
         lo = np.zeros(wa.shape[:-1])
         hi = np.ones(wa.shape[:-1])
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            r = np.linalg.norm(wa - mid[..., None] * self.push, axis=-1) / self.radius
-            phi = self._eta(r) - mid
-            lo = np.where(phi > 0.0, mid, lo)
-            hi = np.where(phi > 0.0, hi, mid)
+            r = self._norm(w0 - mid * p0, w1 - mid * p1) / self.radius
+            up = self._eta(r) - mid > 0.0
+            np.copyto(lo, mid, where=up)
+            np.copyto(hi, mid, where=~up)
         s = 0.5 * (lo + hi)
         out[active] = z[active] - s[..., None] * self.push
         return out

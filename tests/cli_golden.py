@@ -23,8 +23,12 @@ MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 RIGID = '{"kind":"rigid","offset":[0.6180339887,0.4142135624]}'
 SUSPENSION = ('{"kind":"suspension","base":{"kind":"rigid","alpha":0.6180339887},'
               '"fiber":{"kind":"rigid","alpha":0.4142135624}}')
+BACKSTEP = ('{"kind":"composed","maps":[{"kind":"disk-push","center0":[0.3,0.5],'
+            '"center1":[0.31,0.5],"radius":0.05},{"kind":"suspension","base":'
+            '{"kind":"piecewise-affine","breaks":[[0,-1.3],[0.5,-0.9]]},'
+            '"fiber":{"kind":"denjoy-truncated","alpha":"golden","N":6}}]}')
 
-# every run but the last four is a CLI test's own run
+# every run but the last five is a CLI test's own run
 RUNS = {
     "rotnum-rigid": ["rotnum", "--rigid", "0.25", "--n", "1000"],
     "rotnum-identity": ["rotnum", "--rigid", "0", "--n", "10"],
@@ -56,6 +60,11 @@ RUNS = {
     "factor-rigid-odd": ["factor", "--map", RIGID, "--rho", "0.4142135624",
                          "--seed-point", "0.5,0", "--resolution", "31,32,64",
                          "--sladder", "16", "--max-iters", "60", "--grid", "12"],
+    # a base with floor(base(u)) in {-2, -1}: every suspension step applies
+    # the inverse fiber once to all points and once more to some
+    "deviations-suspension-backstep": ["deviations", "--map", BACKSTEP, "--v",
+                                       "0,1", "--rho", "0.1", "--nmax", "300",
+                                       "--samples", "8"],
 }
 
 

@@ -238,7 +238,8 @@ def test_rotnum_denjoy_cli(tmp_path):
 @pytest.mark.parametrize("name", ["factor-suspension",
                                   "gallery-unbounded-inessential",
                                   "gallery-fully-essential",
-                                  "factor-rigid-odd"])
+                                  "factor-rigid-odd",
+                                  "deviations-suspension-backstep"])
 def test_golden_runs(tmp_path, name):
     run_golden(name, tmp_path)
 

@@ -7,7 +7,9 @@ from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.serialize import circle_lift_from_definition, torus_map_from_definition
 from torusdyn.torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
                             SuspensionMap, apply_twist, normalize_isotopy_class)
-from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
+from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, wrap01
+
+from test_circle import TINY_NEGATIVES, open_table_eval
 
 
 def sample_maps():
@@ -265,3 +267,147 @@ def test_every_kind_equivariant_and_invertible(d, seed):
         assert np.max(np.abs(shifted - out - apply_twist(spec.k, p))) <= EQUIVARIANCE_TOL
     assert np.max(np.abs(spec.eval_lift(spec.eval_inverse(z)) - z)) <= ROUNDTRIP_TOL
     assert np.max(np.abs(spec.eval_inverse(out) - z)) <= ROUNDTRIP_TOL
+
+
+# -- the map evaluators against the per-call references they replaced ----------
+
+def ref_lift(lift, x):
+    """A circle lift through the open-table reference of test_circle."""
+    if lift.kind == "rigid":
+        return np.asarray(x, dtype=float) + lift.alpha
+    return open_table_eval(lift.bx, lift.by, x)
+
+
+def ref_fiber_power(spec, x, m):
+    """Sign and count masks per step, each step over the points it moves."""
+    x = np.array(x, dtype=float)
+    m = np.asarray(m)
+    sign = np.sign(m)
+    count = np.abs(m)
+    kmax = int(count.max()) if count.size else 0
+    for step in range(kmax):
+        fwd = (sign > 0) & (count > step)
+        bwd = (sign < 0) & (count > step)
+        if np.any(fwd):
+            x[fwd] = ref_lift(spec.fiber, x[fwd])
+        if np.any(bwd):
+            x[bwd] = ref_lift(spec._fiber_inv, x[bwd])
+    return x
+
+
+def ref_suspension(spec, z, inverse):
+    """Base values looked up twice, columns stacked and reshaped."""
+    shape = np.shape(np.asarray(z, dtype=float))
+    z2 = np.atleast_2d(np.asarray(z, dtype=float))
+    u, x = z2[..., 0], z2[..., 1]
+    if inverse:
+        u = ref_lift(spec._base_inv, u)
+        base_u = u
+    else:
+        base_u = ref_lift(spec.base, u)
+    m = np.floor(ref_lift(spec.base, wrap01(u))).astype(np.int64)
+    out = np.stack([base_u, ref_fiber_power(spec, x, -m if inverse else m)], axis=-1)
+    return out.reshape(shape)
+
+
+def ref_disk_push(dp, z, inverse):
+    """np.linalg.norm over the last axis, the reach recomputed per call."""
+    z = np.asarray(z, dtype=float)
+    w = z - dp.midpoint
+    w = w - np.round(w)
+    eta = lambda r: np.clip(2.0 * (1.0 - r), 0.0, 1.0)  # noqa: E731
+    if not inverse:
+        r = np.linalg.norm(w, axis=-1) / dp.radius
+        return z + eta(r)[..., None] * dp.push
+    active = np.linalg.norm(w, axis=-1) <= dp.radius + np.linalg.norm(dp.push)
+    out = z.copy()
+    if not np.any(active):
+        return out
+    wa = w[active]
+    lo = np.zeros(wa.shape[:-1])
+    hi = np.ones(wa.shape[:-1])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        r = np.linalg.norm(wa - mid[..., None] * dp.push, axis=-1) / dp.radius
+        phi = eta(r) - mid
+        lo = np.where(phi > 0.0, mid, lo)
+        hi = np.where(phi > 0.0, hi, mid)
+    s = 0.5 * (lo + hi)
+    out[active] = z[active] - s[..., None] * dp.push
+    return out
+
+
+def ref_eval(spec, z, inverse=False):
+    if isinstance(spec, ComposedMap):
+        for m in (reversed(spec.chain) if inverse else spec.chain):
+            z = ref_eval(m, z, inverse)
+        return np.asarray(z, dtype=float)
+    if isinstance(spec, SuspensionMap):
+        return ref_suspension(spec, z, inverse)
+    if isinstance(spec, DiskPush):
+        return ref_disk_push(spec, z, inverse)
+    return spec.eval_inverse(z) if inverse else spec.eval_lift(z)
+
+
+# bases whose floor(base(u)) takes {-2, -1}, {-1, 0}, {0, 1} and {2, 3} over
+# [0, 1), one whose by[0] is an integer, and one whose wrap end by[0] + 1
+# rounds up to 3.0, so that floor(base(u)) takes {1, 2, 3}
+STEP_BASES = [
+    {"kind": "piecewise-affine", "breaks": [[0.0, -1.3], [0.5, -0.9]]},
+    {"kind": "rigid", "alpha": -0.3},
+    {"kind": "piecewise-affine", "breaks": [[0.0, 0.6], [0.3, 0.7], [0.8, 1.2]]},
+    {"kind": "rigid", "alpha": 2.6},
+    {"kind": "piecewise-affine", "breaks": [[0.0, -1.0], [0.4, -0.2]]},
+    {"kind": "piecewise-affine", "breaks": [[0.0, 2.0 - 2.0 ** -52]]},
+]
+step_suspensions = st.builds(
+    lambda b, f: {"kind": "suspension", "base": b, "fiber": f},
+    st.sampled_from(STEP_BASES) | circle_definitions, circle_definitions)
+
+
+def _lifts_of(spec):
+    if isinstance(spec, ComposedMap):
+        return [lift for m in spec.chain for lift in _lifts_of(m)]
+    if isinstance(spec, SuspensionMap):
+        return [spec.base, spec.fiber, spec._base_inv, spec._fiber_inv]
+    return []
+
+
+def _probe_points(spec, coords):
+    """Breakpoints of every table lift (their integer translates and the
+    floats just below them and below their unit translates), the tiny
+    negatives, disk-push midpoints and drawn values."""
+    vals = [np.asarray(coords, dtype=float), np.array(TINY_NEGATIVES)]
+    for lift in _lifts_of(spec):
+        if lift.bx is not None:
+            for tab in (lift.bx, lift.by):
+                vals += [tab, tab - 1.0, tab + 2.0, np.nextafter(tab, -np.inf),
+                         np.nextafter(tab + 1.0, -np.inf)]
+    chain = spec.chain if isinstance(spec, ComposedMap) else [spec]
+    vals += [m.midpoint for m in chain if isinstance(m, DiskPush)]
+    return np.unique(np.concatenate(vals))
+
+
+@given(d=map_definitions | step_suspensions
+       | st.builds(lambda p, s: {"kind": "composed", "maps": [p, s]},
+                   disk_push_definitions(), step_suspensions),
+       coords=st.lists(st.floats(-3.0, 3.0), max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_map_evaluators_match_per_call_references(d, coords, seed):
+    spec = torus_map_from_definition(d)
+    pts = _probe_points(spec, coords)
+    rng = np.random.default_rng(seed)
+    pairs = np.column_stack([pts, rng.permutation(pts)])  # each value as u and x
+    grid = np.stack(np.meshgrid(rng.choice(pts, 5), rng.choice(pts, 4)), axis=-1)
+    for z in (pairs, grid, pairs[0], np.empty((0, 2)),
+              rng.uniform(-1.0, 2.0, (64, 2))):
+        for inverse in (False, True):
+            got = spec.eval_inverse(z) if inverse else spec.eval_lift(z)
+            want = ref_eval(spec, z, inverse)
+            assert got.shape == want.shape == z.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (d, inverse, z.shape)
+            # and on the images, where the inverse meets its own breakpoints
+            img = want
+            back = spec.eval_lift(img) if inverse else spec.eval_inverse(img)
+            assert back.tobytes() == ref_eval(spec, img, not inverse).tobytes()
