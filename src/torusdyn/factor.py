@@ -5,7 +5,8 @@ family of separating continua in the time-zero fiber, evaluate the height
 function h(z) = inf{s : z below the s-th continuum} by bisection, verify its
 equivariances, and project to a torus-to-circle factor map with measured
 semi-conjugacy defect. Each s value of the ladder is independent; fills are
-memoized on their rasterization key so repeated height queries are cheap.
+memoized on their rasterization key, and the fills of one t cell translate
+one band label, so repeated height queries are cheap.
 """
 
 from __future__ import annotations
@@ -104,6 +105,20 @@ class FiberFill:
     shift_cells: int
 
 
+def _band_fill(fiber, r0, r1):
+    """Lower fill of fiber rows [r0, r1], rows off the fiber being free: the
+    complement cells joined to row r0 through 4-adjacency with x wrap."""
+    band = np.zeros((fiber.shape[0], r1 - r0 + 1), dtype=bool)
+    c0, c1 = max(r0, 0), min(r1 + 1, fiber.shape[1])
+    band[:, c0 - r0:c1 - r0] = fiber[:, c0:c1]
+    lab = _label_x_wrapped(~band)
+    # the labels met on the bottom row, as a table indexed by label
+    member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
+    member[lab[:, 0]] = True
+    member[0] = False  # obstruction cells
+    return member[lab]
+
+
 def lower_component(tau, s):
     """Lower unbounded complement component of the flow-translated fiber.
 
@@ -111,29 +126,54 @@ def lower_component(tau, s):
     exactly s (rasterized once); the fill grows from the bottom window row
     through 4-adjacency with x wrap. A fill touching the top row is returned
     flagged not separating.
+
+    Only the band of the obstruction's rows and one free guard row on each
+    side that the window holds is labeled: the free rows below and above the
+    band each form one component with the band's edge row, so the rows below
+    are filled, and the rows above are filled when the band's top row meets
+    the fill. An obstruction wholly inside the window, with both guard rows,
+    is the same band at every shift, labeled once per t cell and kept in the
+    fill cache; one clipped by a window edge is labeled at its key; one
+    wholly outside the window, or an empty fiber, needs no label and shares
+    one read-only all-True fill per region.
     """
     geom = tau.geom
     it = int(geom.t_cell(s))
     shift = int(np.round(s / geom.h_y))
-    cached = tau._fills.get((it, shift))
+    fills = tau._fills
+    cached = fills.get((it, shift))
     if cached is not None:
         return cached
-    fiber = tau.mask.occ[it]
-    obstruction = np.zeros_like(fiber)
-    # rows [lo, hi) receive fiber rows [lo - shift, hi - shift); the guard
-    # keeps a negative hi from slicing from the end
-    lo, hi = max(shift, 0), min(geom.n_y + shift, geom.n_y)
-    if lo < hi:
-        obstruction[:, lo:hi] = fiber[:, lo - shift:hi - shift]
-    lab = _label_x_wrapped(~obstruction)
-    # the labels met on the bottom row, as a table indexed by label
-    member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
-    member[lab[:, 0]] = True
-    member[0] = False  # obstruction cells
-    fill = member[lab]
-    separating = not fill[:, -1].any()
-    out = FiberFill(fill=fill, separating=separating, shift_cells=shift)
-    tau._fills[it, shift] = out
+    fiber, n_y = tau.mask.occ[it], geom.n_y
+    rows = fills.get(("rows", it))
+    if rows is None:
+        # the first and last occupied rows; those of an empty fiber, (n_y, -1),
+        # leave the window at every shift
+        occupied = np.flatnonzero(fiber.any(axis=0))
+        rows = fills["rows", it] = ((int(occupied[0]), int(occupied[-1]))
+                                    if occupied.size else (n_y, -1))
+    if rows[1] + shift < 0 or rows[0] + shift >= n_y:
+        free = fills.get("free")
+        if free is None:
+            free = fills["free"] = np.ones((geom.n_x, n_y), dtype=bool)
+            free.flags.writeable = False
+        out = FiberFill(fill=free, separating=False, shift_cells=shift)
+    else:
+        # fiber rows [r0, r1]: the occupied rows and the guard rows in the window
+        r0, r1 = max(rows[0] - 1, -shift), min(rows[1] + 1, n_y - 1 - shift)
+        if (r0, r1) == (rows[0] - 1, rows[1] + 1):
+            band = fills.get(("band", it))
+            if band is None:
+                band = fills["band", it] = _band_fill(fiber, r0, r1)
+        else:
+            band = _band_fill(fiber, r0, r1)
+        top = bool(band[:, -1].any())
+        fill = np.empty((geom.n_x, n_y), dtype=bool)
+        fill[:, :r0 + shift] = True
+        fill[:, r0 + shift:r1 + shift + 1] = band
+        fill[:, r1 + shift + 1:] = top
+        out = FiberFill(fill=fill, separating=not top, shift_cells=shift)
+    fills[it, shift] = out
     return out
 
 

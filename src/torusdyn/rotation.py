@@ -8,6 +8,7 @@ takes its seed, so maxima are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -141,13 +142,13 @@ def proximality_scan(spec, x, partners, n_max=10_000):
     the orbit of each partner, for both signs of n; one result per partner.
 
     x and the partners are iterated together as one array, once forwards
-    and once backwards.
+    and once backwards; they are reduced mod 1 once, before the first step.
     """
     n_max = _positive_n_max(n_max)
-    z = np.array([x, *partners], dtype=float)
+    z = wrap01(np.array([x, *partners], dtype=float))
     best_f = best_b = np.full(len(z) - 1, np.inf)
-    for fwd, bwd in zip(iterates(spec.eval_torus, z, n_max),
-                        iterates(spec.eval_torus_inverse, z, n_max)):
+    for fwd, bwd in zip(iterates(spec._torus_step, z, n_max),
+                        iterates(partial(spec._torus_step, inverse=True), z, n_max)):
         best_f = np.minimum(best_f, torus_dist(fwd[0], fwd[1:]))
         best_b = np.minimum(best_b, torus_dist(bwd[0], bwd[1:]))
     return [ProximalityResult(forward_min=float(f), backward_min=float(b))
@@ -163,5 +164,5 @@ def recurrence_probe(spec, center, radius, n_max=1000, seed=0):
     box = center + radius * (2.0 * raw - 1.0)
     keep = torus_dist(box, center) < radius
     pts = np.vstack([center[None, :], box[keep][: samples - 1]])
-    return [n for n, z in enumerate(iterates(spec.eval_torus, wrap01(pts), n_max), 1)
+    return [n for n, z in enumerate(iterates(spec._torus_step, wrap01(pts), n_max), 1)
             if np.any(torus_dist(z, center) < radius)]

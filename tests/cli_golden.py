@@ -28,7 +28,7 @@ BACKSTEP = ('{"kind":"composed","maps":[{"kind":"disk-push","center0":[0.3,0.5],
             '{"kind":"piecewise-affine","breaks":[[0,-1.3],[0.5,-0.9]]},'
             '"fiber":{"kind":"denjoy-truncated","alpha":"golden","N":6}}]}')
 
-# every run but the last five is a CLI test's own run
+# every run but the last six is a CLI test's own run
 RUNS = {
     "rotnum-rigid": ["rotnum", "--rigid", "0.25", "--n", "1000"],
     "rotnum-identity": ["rotnum", "--rigid", "0", "--n", "10"],
@@ -65,6 +65,13 @@ RUNS = {
     "deviations-suspension-backstep": ["deviations", "--map", BACKSTEP, "--v",
                                        "0,1", "--rho", "0.1", "--nmax", "300",
                                        "--samples", "8"],
+    # a window one unit high: the region reaches rows 1 and n_y - 2, so the
+    # fills of most shifts are clipped by a window edge
+    "factor-rigid-tight-window": ["factor", "--map", RIGID, "--rho",
+                                  "0.4142135624", "--seed-point", "0.5,0",
+                                  "--resolution", "32,32,64", "--window", "1",
+                                  "--ball-radius", "0.47", "--sladder", "16",
+                                  "--max-iters", "60", "--grid", "12"],
 }
 
 

@@ -239,7 +239,8 @@ def test_rotnum_denjoy_cli(tmp_path):
                                   "gallery-unbounded-inessential",
                                   "gallery-fully-essential",
                                   "factor-rigid-odd",
-                                  "deviations-suspension-backstep"])
+                                  "deviations-suspension-backstep",
+                                  "factor-rigid-tight-window"])
 def test_golden_runs(tmp_path, name):
     run_golden(name, tmp_path)
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusdyn import factor
 from torusdyn.circle import CircleLift
-from torusdyn.factor import (build_tau, continuum_Cs, evaluate_h, heights,
+from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
                              verify_equivariance)
-from torusdyn.skew import build_centralized
+from torusdyn.skew import GridMask, _label_x_wrapped, build_centralized
 from torusdyn.torus import RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 
@@ -116,6 +117,139 @@ def test_lower_component_not_separating_on_empty_fiber():
     fl = lower_component(tau, 12.0)
     assert not fl.separating
     assert fl.fill.all()
+
+
+# -- fills by vertical translation ---------------------------------------------
+
+
+def reference_lower_component(tau, s):
+    """The fill of one key by a full label of the translated fiber (the
+    evaluator before fills were translated bands)."""
+    geom = tau.geom
+    it = int(geom.t_cell(s))
+    shift = int(np.round(s / geom.h_y))
+    fiber = tau.mask.occ[it]
+    obstruction = np.zeros_like(fiber)
+    lo, hi = max(shift, 0), min(geom.n_y + shift, geom.n_y)
+    if lo < hi:
+        obstruction[:, lo:hi] = fiber[:, lo - shift:hi - shift]
+    lab = _label_x_wrapped(~obstruction)
+    member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
+    member[lab[:, 0]] = True
+    member[0] = False
+    fill = member[lab]
+    return FiberFill(fill=fill, separating=not fill[:, -1].any(),
+                     shift_cells=shift)
+
+
+def key_kind(tau, it, shift):
+    """Where the obstruction of key (it, shift) lies: wholly inside the window
+    with a free row on each side, clipped by it, or outside it."""
+    rows = np.flatnonzero(tau.mask.occ[it].any(axis=0)) + shift
+    if not rows.size or rows[-1] < 0 or rows[0] >= tau.geom.n_y:
+        return "outside"
+    if rows[0] >= 1 and rows[-1] <= tau.geom.n_y - 2:
+        return "interior"
+    return "clipped"
+
+
+def swept_keys(tau):
+    """One s per (t cell, shift) key met by a sweep of s at h_y / 7 over
+    [-2 span - 1, 2 span + 1]."""
+    geom = tau.geom
+    span = geom.y_max - geom.y_min
+    keys = {}
+    for s in np.arange(-2.0 * span - 1.0, 2.0 * span + 1.0, geom.h_y / 7):
+        keys.setdefault((int(geom.t_cell(s)), int(np.round(s / geom.h_y))), s)
+    return keys
+
+
+@pytest.fixture(scope="module")
+def fill_regions(tau_susp_small):
+    rigid = build_centralized(RigidTranslation(A, B), B)
+    drift = build_centralized(RigidTranslation(0.1, 0.3), 0.0, c_est=0.0)
+    exhausted = build_tau(drift, (0.5, 0.0), ball_radius=0.2, n_t=16, n_x=16,
+                          n_y=32, half_height=1.0, max_iters=60, refine_rounds=0)
+    small = build_tau(rigid, (0.5, 0.0), n_t=32, n_x=32, n_y=64)
+    occ = small.mask.occ.copy()
+    occ[[0, 5, 6]] = False
+    # fiber 9 lets the fill through at x = 0 and has a pocket on its top row
+    # that opens only upwards: it is filled from above
+    top = np.flatnonzero(occ[9].any(axis=0))[-1]
+    occ[9, 0] = False
+    occ[9, 10, top] = False
+    edited = TauRegion(mask=GridMask(small.geom, occ), skew=small.skew,
+                       status=small.status, invariance={}, recurrence_times=[])
+    return {"rigid-32": small, "suspension-64": tau_susp_small,
+            "window-exhausted": exhausted, "edited-fibers": edited}
+
+
+def test_fills_match_full_labels(fill_regions):
+    exhausted = fill_regions["window-exhausted"].mask.occ
+    assert exhausted[:, :, 0].any() and exhausted[:, :, -1].any()
+    assert not fill_regions["edited-fibers"].mask.occ[5].any()
+    for name, tau in fill_regions.items():
+        tau._fills.clear()
+        keys = swept_keys(tau)
+        kinds = {key_kind(tau, *key) for key in keys}
+        assert kinds == {"interior", "clipped", "outside"}, name
+        for key, s in keys.items():
+            got, want = lower_component(tau, s), reference_lower_component(tau, s)
+            assert (got.fill.tobytes(), got.separating, got.shift_cells) == \
+                (want.fill.tobytes(), want.separating, want.shift_cells), (name, key)
+        tau._fills.clear()
+
+
+def test_heights_independent_of_order_and_cache(tau_susp_small, monkeypatch):
+    tau = tau_susp_small
+    geom = tau.geom
+    rng = np.random.default_rng(7)
+    z = np.column_stack([rng.uniform(0.0, 1.0, 40),
+                         rng.uniform(geom.y_min - 0.2, geom.y_max + 0.2, 40)])
+    tau._fills.clear()
+    cold = heights(tau, z)
+    assert any(k[0] == "band" for k in tau._fills)
+    warm = heights(tau, z)
+    tau._fills.clear()
+    back = [a[::-1] for a in heights(tau, z[::-1])]
+    for values, ok in (warm, back):
+        assert values.tobytes() == cold[0].tobytes()
+        assert ok.tobytes() == cold[1].tobytes()
+    assert cold[1][(z[:, 1] > geom.y_min) & (z[:, 1] < geom.y_max)].all()
+    # a band is kept only in the fill cache: two interior keys of one t cell
+    # share one label, and a cleared cache labels it again
+    by_cell = {}
+    for (it, shift), s in swept_keys(tau).items():
+        if key_kind(tau, it, shift) == "interior":
+            by_cell.setdefault(it, []).append(s)
+    pair = next(v[:2] for v in by_cell.values() if len(v) >= 2)
+    labels = []
+    real = factor._label_x_wrapped
+    monkeypatch.setattr(factor, "_label_x_wrapped",
+                        lambda occ: labels.append(1) or real(occ))
+    for _ in range(2):
+        tau._fills.clear()
+        for s in pair:
+            lower_component(tau, s)
+    assert len(labels) == 2
+    tau._fills.clear()
+
+
+def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
+    tau = tau_susp_small
+    tau._fills.clear()
+    labels = []
+    real = factor._label_x_wrapped
+    monkeypatch.setattr(factor, "_label_x_wrapped",
+                        lambda occ: labels.append(1) or real(occ))
+    verify_equivariance(tau, samples=24, s_ladder=32)
+    keys = [k for k in tau._fills if isinstance(k[0], int)]
+    clipped = sum(key_kind(tau, *k) == "clipped" for k in keys)
+    bands = sum(k[0] == "band" for k in tau._fills)
+    assert len(labels) == bands + clipped <= tau.geom.n_t + clipped
+    # with a full label per key this call made 333 labels
+    assert (len(keys), bands, clipped) == (333, 64, 73)
+    tau._fills.clear()
 
 
 def test_continuum_rigid_is_flat_circle(tau_rigid_small):

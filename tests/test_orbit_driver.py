@@ -17,8 +17,8 @@ from torusdyn.rotation import (estimate_rotation_set, horizontal_spread,
                                vertical_rotation_number)
 from torusdyn.skew import build_centralized, vertical_orbit_bound
 from torusdyn.torus import DehnTwist, RigidTranslation
-from torusdyn.util import (GOLDEN_MEAN, SQRT2_MINUS_1, lattice_points_2d,
-                           torus_dist, wrap01)
+from torusdyn.util import (GOLDEN_MEAN, SQRT2_MINUS_1, iterates,
+                           lattice_points_2d, torus_dist, wrap01)
 
 N = 40
 SAMPLES = 8
@@ -165,6 +165,20 @@ def test_orbit_probes_match_reference_loops(spec):
         assert _bits([r.backward_min for r in results]) == _bits(best_b)
     assert recurrence_probe(spec, (0.5, 0.5), 0.2, n_max=N, seed=SEED) == \
         ref_recurrence(spec, (0.5, 0.5), 0.2, N, SEED)
+
+
+def test_torus_steps_match_eval_torus_iterates(spec):
+    # the probes reduce once and step with the lift and one wrap01: wrap01
+    # returns values in [0, 1), never -0.0, and is the identity on them
+    z = np.random.default_rng(SEED).uniform(-3.0, 3.0, (SAMPLES, 2))
+    z[:2] = [[-0.0, 1.0], [-1e-300, 0.9999999999999999]]
+    reduced = wrap01(z)
+    for inverse, eval_torus in ((False, spec.eval_torus),
+                                (True, spec.eval_torus_inverse)):
+        steps = iterates(lambda w: spec._torus_step(w, inverse=inverse),
+                         reduced, N)
+        for got, want in zip(steps, iterates(eval_torus, z, N)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_skew_orbits_match_reference_loops(spec):
