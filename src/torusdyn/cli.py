@@ -21,9 +21,10 @@ from .factor import (build_tau, combine_transverse_factors, continuum_Cs,
                      project_to_torus_factor, verify_equivariance)
 from .gallery import (GALLERY_MANIFEST, example_fully_essential,
                       example_unbounded_inessential, manifest_suspension,
-                      obstruction_evidence, surgery_geometry)
-from .rotation import (deviation_profile, estimate_rotation_set,
-                       recurrence_probe)
+                      obstruction_probe, obstruction_verdict,
+                      surgery_geometry)
+from .rotation import (DeviationProbe, RecurrenceProbe, deviation_profile,
+                       estimate_rotation_set, walk_probes)
 from .serialize import (circle_lift_from_definition, dump_mask, parse_number,
                         torus_map_from_definition, write_csv, write_json)
 from .skew import (build_centralized, check_closed_form,
@@ -291,13 +292,15 @@ def cmd_gallery(args):
         return EXIT_OK
     ex = (example_unbounded_inessential() if name == "unbounded-inessential"
           else example_fully_essential())
-    prof = deviation_profile(ex.torus_map, (0, 1), ex.rho_vertical,
-                             n_max=args.nmax, samples=32, seed=args.seed)
-    times = recurrence_probe(ex.torus_map, ex.wandering_center,
-                             0.8 * ex.wandering_radius, n_max=args.nmax // 5,
-                             seed=args.seed)
-    ev = obstruction_evidence(ex, n_max=args.nmax,
-                              threshold=manifest["thresholds"]["proximality"])
+    # the three probes share one walk per direction
+    prof, scan, times = walk_probes(
+        ex.torus_map,
+        DeviationProbe((0, 1), ex.rho_vertical, n_max=args.nmax, samples=32,
+                       seed=args.seed),
+        obstruction_probe(ex, n_max=args.nmax),
+        RecurrenceProbe(ex.wandering_center, 0.8 * ex.wandering_radius,
+                        n_max=args.nmax // 5, seed=args.seed))
+    ev = obstruction_verdict(scan, threshold=manifest["thresholds"]["proximality"])
     payload = {
         "probe_points": {"w0": ex.w0, "w1": ex.w1, "w0_edge": ex.w0_edge,
                          "w1_edge": ex.w1_edge},

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circle import CircleLift, rotation_number
-from .rotation import proximality_scan
+from .rotation import ProximalityProbe, walk_probes
 from .serialize import circle_lift_from_definition
 from .torus import ComposedMap, DiskPush, SuspensionMap, TorusMapSpec
 from .util import GOLDEN_MEAN, SQRT2_MINUS_1, torus_dist, wrap01
@@ -334,17 +334,30 @@ def no_gap_window(A, n0):
 # -- obstruction evidence -------------------------------------------------------
 
 
-def obstruction_evidence(example, n_max=10_000, threshold=1e-2):
-    """The designated-quadruple evidence for an obstruction example.
+def obstruction_probe(example, n_max=10_000):
+    """The proximality probe of the designated quadruple.
 
     The probe pair (w0, w1) is separated by construction; w0 is checked
     proximal (forward) to the edge point over w1 and proximal (backward)
-    to the edge point over w0. One scan iterates w0 with both edge points;
-    "forward_pair" and "backward_pair" are its results for the w1 and the
-    w0 edge point.
+    to the edge point over w0. One probe iterates w0 with both edge points;
+    its results are those for the w1 and the w0 edge point.
     """
-    fwd, bwd = proximality_scan(example.torus_map, example.w0,
-                                [example.w1_edge, example.w0_edge], n_max=n_max)
+    return ProximalityProbe(example.w0, [example.w1_edge, example.w0_edge],
+                            n_max=n_max)
+
+
+def obstruction_verdict(scan, threshold=1e-2):
+    """The evidence dict from the results of `obstruction_probe`:
+    "forward_pair" and "backward_pair" are those for the w1 and the w0
+    edge point."""
+    fwd, bwd = scan
     obstruction = (fwd.forward_min < threshold) and (bwd.backward_min < threshold)
     return {"forward_pair": fwd, "backward_pair": bwd,
             "obstruction_evidence": obstruction}
+
+
+def obstruction_evidence(example, n_max=10_000, threshold=1e-2):
+    """The designated-quadruple evidence for an obstruction example: the
+    verdict of its `obstruction_probe` walked alone."""
+    [scan] = walk_probes(example.torus_map, obstruction_probe(example, n_max))
+    return obstruction_verdict(scan, threshold)

@@ -8,7 +8,6 @@ takes its seed, so maxima are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -56,23 +55,6 @@ def _rotation_cloud(spec, n_ladder, samples, seed):
                          points={n: (z - z0) / n for n, z in orbit if n in marks})
 
 
-def _two_sided_displacements(spec, n_max, samples, seed):
-    """(n, f^n(z) - z, f^-n(z) - z) for n = 1..n_max, z over the sample window:
-    lattice points in [0,1)^2 together with their (0,1) integer translates.
-
-    The translates matter for twisted maps: the displacement of z + (0,1)
-    differs from that of z by the linear twist term, which is exactly what
-    unbounded horizontal spread measures. For k = 0 they are redundant but
-    harmless.
-    """
-    base = lattice_points_2d(samples, seed=seed)
-    z0 = np.vstack([base, base + np.array([0.0, 1.0])])
-    walk = zip(iterates(spec.eval_lift, z0, n_max),
-               iterates(spec.eval_inverse, z0, n_max))
-    for n, (fwd, bwd) in enumerate(walk, 1):
-        yield n, fwd - z0, bwd - z0
-
-
 def estimate_rotation_set(spec, n_ladder=(100, 1000, 10_000), samples=64, seed=0):
     """Cloud of Birkhoff displacement averages for a map homotopic to identity."""
     if spec.k != 0:
@@ -86,30 +68,7 @@ def vertical_rotation_number(spec, n=10_000, samples=64, seed=0):
     return float(avg.mean()), float(avg.max() - avg.min())
 
 
-def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
-    """Tabulate D(n) = max_z |<f^n(z) - z, v> - n rho| over both signs of n.
-
-    The verdict is "bounded" when D attains no new maximum over the final 20%
-    of the ladder; it is sampled evidence, not a certificate.
-    """
-    v = np.asarray(v, dtype=float)
-    n_max = _positive_n_max(n_max)
-    rho = finite_multiples(rho, n_max)
-    value = np.zeros(n_max + 1)
-    # an overflow shows as a table entry that is not finite, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
-            value[n] = np.maximum(np.abs(df @ v - n * rho).max(),
-                                  np.abs(db @ v + n * rho).max())
-    if not np.isfinite(value).all():
-        raise ValueError(f"the deviation profile along v = {v.tolist()} is "
-                         f"not finite")
-    c_est = float(value.max())
-    cut = int(np.floor(0.8 * n_max))
-    # bounded: no new maximum over the final 20% (up to iteration roundoff)
-    verdict = "bounded" if value[: cut + 1].max() >= c_est - 1e-9 else "growing"
-    return DeviationProfile(n=np.arange(n_max + 1), value=value, c_est=c_est,
-                            verdict=verdict, caveat="sampled evidence only")
+# -- orbit probes ----------------------------------------------------------------
 
 
 @dataclass
@@ -119,22 +78,197 @@ class SpreadTable:
     consistent: bool  # forward/backward growth agrees at sample level
 
 
-def horizontal_spread(spec, n_max=1000, samples=64, seed=0):
-    """spread(n) = max over sample pairs of the first-coordinate displacement gap."""
-    n_max = _positive_n_max(n_max)
-    sf = np.zeros(n_max + 1)
-    sb = np.zeros(n_max + 1)
-    for n, df, db in _two_sided_displacements(spec, n_max, samples, seed):
-        sf[n] = df[:, 0].max() - df[:, 0].min()
-        sb[n] = db[:, 0].max() - db[:, 0].min()
-    consistent = bool(sb.max() <= sf.max() + 2.0 and sf.max() <= sb.max() + 2.0)
-    return SpreadTable(forward=sf, backward=sb, consistent=consistent)
-
-
 @dataclass
 class ProximalityResult:
     forward_min: float
     backward_min: float
+
+
+class _Probe:
+    """The rows of one orbit diagnostic, stepped by `walk_probes`.
+
+    ``z0`` holds the starting rows and ``steps`` the number of steps taken
+    forwards and, when ``backward``, as many backwards. A ``torus`` probe's
+    rows are reduced mod 1 and step by the induced torus map; the others
+    are unreduced lift points. ``_record(n, z, inverse)`` sees the probe's
+    rows after step n and ``_result()`` gives the diagnostic. The walk runs
+    under the union of the probes' numpy ``errstate`` settings.
+    """
+
+    torus = False
+    backward = True
+    errstate = {}
+
+
+class _TwoSidedTable(_Probe):
+    """A table over n = 0..n_max of f^n(z) - z and f^-n(z) - z, z over the
+    sample window: lattice points in [0,1)^2 together with their (0,1)
+    integer translates.
+
+    The translates matter for twisted maps: the displacement of z + (0,1)
+    differs from that of z by the linear twist term, which is exactly what
+    unbounded horizontal spread measures. For k = 0 they are redundant but
+    harmless.
+    """
+
+    def __init__(self, n_max, samples, seed):
+        self.steps = _positive_n_max(n_max)
+        base = lattice_points_2d(samples, seed=seed)
+        self.z0 = np.vstack([base, base + np.array([0.0, 1.0])])
+        self.table = (np.zeros(self.steps + 1), np.zeros(self.steps + 1))
+
+    def _record(self, n, z, inverse):
+        self.table[inverse][n] = self._entry(n, z - self.z0, inverse)
+
+
+class DeviationProbe(_TwoSidedTable):
+    """D(n) = max_z |<f^n(z) - z, v> - n rho| over both signs of n; see
+    `deviation_profile`."""
+
+    # an overflow shows as a table entry that is not finite, refused below
+    errstate = {"over": "ignore", "invalid": "ignore"}
+
+    def __init__(self, v, rho, n_max=10_000, samples=64, seed=0):
+        self.v = np.asarray(v, dtype=float)
+        super().__init__(n_max, samples, seed)
+        self.rho = finite_multiples(rho, self.steps)
+
+    def _entry(self, n, d, inverse):
+        dv = d @ self.v
+        return np.abs(dv + n * self.rho if inverse else dv - n * self.rho).max()
+
+    def _result(self):
+        value = np.maximum(*self.table)
+        if not np.isfinite(value).all():
+            raise ValueError(f"the deviation profile along v = {self.v.tolist()} "
+                             f"is not finite")
+        c_est = float(value.max())
+        cut = int(np.floor(0.8 * self.steps))
+        # bounded: no new maximum over the final 20% (up to iteration roundoff)
+        verdict = "bounded" if value[: cut + 1].max() >= c_est - 1e-9 else "growing"
+        return DeviationProfile(n=np.arange(self.steps + 1), value=value,
+                                c_est=c_est, verdict=verdict,
+                                caveat="sampled evidence only")
+
+
+class SpreadProbe(_TwoSidedTable):
+    """spread(n) over both signs of n; see `horizontal_spread`."""
+
+    def _entry(self, n, d, inverse):
+        return d[:, 0].max() - d[:, 0].min()
+
+    def _result(self):
+        sf, sb = self.table
+        consistent = bool(sb.max() <= sf.max() + 2.0 and sf.max() <= sb.max() + 2.0)
+        return SpreadTable(forward=sf, backward=sb, consistent=consistent)
+
+
+class ProximalityProbe(_Probe):
+    """Orbit distances of x to each partner; see `proximality_scan`."""
+
+    torus = True
+
+    def __init__(self, x, partners, n_max=10_000):
+        self.steps = _positive_n_max(n_max)
+        self.z0 = wrap01(np.array([x, *partners], dtype=float))
+        self.best = [np.full(len(self.z0) - 1, np.inf)] * 2
+
+    def _record(self, n, z, inverse):
+        self.best[inverse] = np.minimum(self.best[inverse], torus_dist(z[0], z[1:]))
+
+    def _result(self):
+        return [ProximalityResult(forward_min=float(f), backward_min=float(b))
+                for f, b in zip(*self.best)]
+
+
+class RecurrenceProbe(_Probe):
+    """Return times into a ball, forwards only; see `recurrence_probe`."""
+
+    torus = True
+    backward = False
+
+    def __init__(self, center, radius, n_max=1000, seed=0):
+        samples = 64  # the center and up to 63 lattice points of the ball
+        self.center = np.asarray(center, dtype=float)
+        self.radius = radius
+        # lattice sample of the ball (rejection from the bounding square), plus center
+        raw = lattice_points_2d(4 * samples, seed=seed)
+        box = self.center + radius * (2.0 * raw - 1.0)
+        keep = torus_dist(box, self.center) < radius
+        self.z0 = wrap01(np.vstack([self.center[None, :], box[keep][: samples - 1]]))
+        self.steps = max(int(n_max), 0)
+        self.times = []
+
+    def _record(self, n, z, inverse):
+        if np.any(torus_dist(z, self.center) < self.radius):
+            self.times.append(n)
+
+    def _result(self):
+        return self.times
+
+
+def walk_probes(spec, *probes):
+    """Step the rows of every probe as one stacked array and return the
+    probes' results, in order.
+
+    There is one walk forwards and one backwards, so one map evaluation per
+    step whatever the number of probes. Every map kind evaluates row by
+    row, so each result is bit for bit that of its probe walked alone. Lift
+    rows step by ``eval_lift`` or ``eval_inverse``; after each step the
+    torus rows get one ``wrap01``, which is ``_torus_step``. A probe leaves
+    the stack after its last step; one that does not walk backwards takes
+    no backward step.
+    """
+    with np.errstate(**{k: v for p in probes for k, v in p.errstate.items()}):
+        for inverse in (False, True):
+            _walk(spec, [p for p in probes if p.backward or not inverse], inverse)
+        return [p._result() for p in probes]
+
+
+def _walk(spec, probes, inverse):
+    """One direction of `walk_probes`: the stack is cut at each probe's
+    last step and walked on with the rows of the probes that remain."""
+    lift = spec.eval_inverse if inverse else spec.eval_lift
+    # lift rows first: the torus rows are one tail, reduced by one wrap01
+    live = sorted((p for p in probes if p.steps > 0), key=lambda p: p.torus)
+    rows = [p.z0 for p in live]
+    done = 0
+    while live:
+        ends = np.cumsum([len(r) for r in rows]).tolist()
+        spans = list(zip(live, [0, *ends], ends))
+        stop = min(p.steps for p in live)
+        step = _stack_step(lift, sum(len(p.z0) for p in live if not p.torus))
+        for n, z in enumerate(iterates(step, np.concatenate(rows), stop - done),
+                              done + 1):
+            for p, a, b in spans:
+                p._record(n, z[a:b], inverse)
+        rows = [z[a:b] for p, a, b in spans if p.steps > stop]
+        live = [p for p in live if p.steps > stop]
+        done = stop
+
+
+def _stack_step(lift, tail):
+    """The lift, then one wrap01 of the rows from ``tail`` on."""
+    def step(w):
+        out = lift(w)
+        if tail < len(out):
+            out[tail:] = wrap01(out[tail:])
+        return out
+    return step
+
+
+def deviation_profile(spec, v, rho, n_max=10_000, samples=64, seed=0):
+    """Tabulate D(n) = max_z |<f^n(z) - z, v> - n rho| over both signs of n.
+
+    The verdict is "bounded" when D attains no new maximum over the final 20%
+    of the ladder; it is sampled evidence, not a certificate.
+    """
+    return walk_probes(spec, DeviationProbe(v, rho, n_max, samples, seed))[0]
+
+
+def horizontal_spread(spec, n_max=1000, samples=64, seed=0):
+    """spread(n) = max over sample pairs of the first-coordinate displacement gap."""
+    return walk_probes(spec, SpreadProbe(n_max, samples, seed))[0]
 
 
 def proximality_scan(spec, x, partners, n_max=10_000):
@@ -144,25 +278,9 @@ def proximality_scan(spec, x, partners, n_max=10_000):
     x and the partners are iterated together as one array, once forwards
     and once backwards; they are reduced mod 1 once, before the first step.
     """
-    n_max = _positive_n_max(n_max)
-    z = wrap01(np.array([x, *partners], dtype=float))
-    best_f = best_b = np.full(len(z) - 1, np.inf)
-    for fwd, bwd in zip(iterates(spec._torus_step, z, n_max),
-                        iterates(partial(spec._torus_step, inverse=True), z, n_max)):
-        best_f = np.minimum(best_f, torus_dist(fwd[0], fwd[1:]))
-        best_b = np.minimum(best_b, torus_dist(bwd[0], bwd[1:]))
-    return [ProximalityResult(forward_min=float(f), backward_min=float(b))
-            for f, b in zip(best_f, best_b)]
+    return walk_probes(spec, ProximalityProbe(x, partners, n_max))[0]
 
 
 def recurrence_probe(spec, center, radius, n_max=1000, seed=0):
     """Return times n <= n_max at which some sampled ball point re-enters the ball."""
-    samples = 64  # the center and up to 63 lattice points of the ball
-    center = np.asarray(center, dtype=float)
-    # lattice sample of the ball (rejection from the bounding square), plus center
-    raw = lattice_points_2d(4 * samples, seed=seed)
-    box = center + radius * (2.0 * raw - 1.0)
-    keep = torus_dist(box, center) < radius
-    pts = np.vstack([center[None, :], box[keep][: samples - 1]])
-    return [n for n, z in enumerate(iterates(spec._torus_step, wrap01(pts), n_max), 1)
-            if np.any(torus_dist(z, center) < radius)]
+    return walk_probes(spec, RecurrenceProbe(center, radius, n_max, seed))[0]

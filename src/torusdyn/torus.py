@@ -25,7 +25,13 @@ def apply_twist(k, z):
 
 
 class TorusMapSpec:
-    """Base class: a lift with twist k, a kind tag and analytic inverse."""
+    """Base class: a lift with twist k, a kind tag and analytic inverse.
+
+    Every evaluator is row-independent: the image of each point of a batch
+    depends on that point alone, bit for bit, whatever else the batch
+    holds. So the rows of several orbits may be stacked and stepped by one
+    evaluation, as `rotation.walk_probes` does.
+    """
 
     kind = "abstract"
     k = 0

@@ -28,7 +28,7 @@ BACKSTEP = ('{"kind":"composed","maps":[{"kind":"disk-push","center0":[0.3,0.5],
             '{"kind":"piecewise-affine","breaks":[[0,-1.3],[0.5,-0.9]]},'
             '"fiber":{"kind":"denjoy-truncated","alpha":"golden","N":6}}]}')
 
-# every run but the last six is a CLI test's own run
+# every run but the last eight is a CLI test's own run
 RUNS = {
     "rotnum-rigid": ["rotnum", "--rigid", "0.25", "--n", "1000"],
     "rotnum-identity": ["rotnum", "--rigid", "0", "--n", "10"],
@@ -72,6 +72,11 @@ RUNS = {
                                   "--resolution", "32,32,64", "--window", "1",
                                   "--ball-radius", "0.47", "--sladder", "16",
                                   "--max-iters", "60", "--grid", "12"],
+    # short obstruction scans: one recurrence step (9 // 5) and none (4 // 5)
+    "gallery-fully-essential-9": ["gallery", "fully-essential", "--nmax", "9",
+                                  "--seed", "3"],
+    "gallery-unbounded-inessential-4": ["gallery", "unbounded-inessential",
+                                        "--nmax", "4"],
 }
 
 

@@ -240,7 +240,9 @@ def test_rotnum_denjoy_cli(tmp_path):
                                   "gallery-fully-essential",
                                   "factor-rigid-odd",
                                   "deviations-suspension-backstep",
-                                  "factor-rigid-tight-window"])
+                                  "factor-rigid-tight-window",
+                                  "gallery-fully-essential-9",
+                                  "gallery-unbounded-inessential-4"])
 def test_golden_runs(tmp_path, name):
     run_golden(name, tmp_path)
 

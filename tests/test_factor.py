@@ -109,14 +109,30 @@ def test_lower_component_unit_shift(tau_rigid_small):
     assert np.array_equal(f1.fill, shifted)
 
 
-def test_lower_component_not_separating_on_empty_fiber():
+def _identity_region():
     skew = build_centralized(RigidTranslation(0, 0), 0.0, c_est=0.0)
-    tau = build_tau(skew, (0.5, 0.0), ball_radius=0.1, n_t=16, n_x=16, n_y=64,
-                    max_iters=5, refine_rounds=0)
+    return build_tau(skew, (0.5, 0.0), ball_radius=0.1, n_t=16, n_x=16, n_y=64,
+                     max_iters=5, refine_rounds=0)
+
+
+def test_lower_component_not_separating_when_shifted_out_of_window():
+    tau = _identity_region()
     # shift the obstruction entirely out of the window
     fl = lower_component(tau, 12.0)
     assert not fl.separating
     assert fl.fill.all()
+
+
+def test_lower_component_not_separating_on_empty_fiber():
+    tau = _identity_region()
+    occ = tau.mask.occ
+    occ[int(tau.geom.t_cell(0.0))] = False
+    assert (~occ.any(axis=(1, 2))).any()
+    fl = lower_component(tau, 0.0)
+    assert not fl.separating
+    assert fl.fill.all()
+    # the occupied fiber of the next t cell blocks part of its fill
+    assert not lower_component(tau, tau.geom.h_t).fill.all()
 
 
 # -- fills by vertical translation ---------------------------------------------

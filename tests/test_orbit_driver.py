@@ -1,20 +1,25 @@
 """Bit identity of the orbit diagnostics against hand-stepped reference loops.
 
 The golden CLI hashes pin ``deviation_profile``, ``rotation_number``, the
-block orbit of the region build and the gallery's two probes on its two
+block orbit of the region build and the gallery's three probes on its two
 obstruction examples. The diagnostics below are pinned here instead, on
 every map: each reference is the diagnostic written as its own explicit
-loop, and the library's result must match it byte for byte.
+loop, and the library's result must match it byte for byte, also when
+``walk_probes`` steps several probes in one stack.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
+from torusdyn.cli import main as cli_main
 from torusdyn.gallery import (example_fully_essential,
                               example_unbounded_inessential, manifest_suspension)
-from torusdyn.rotation import (estimate_rotation_set, horizontal_spread,
+from torusdyn.rotation import (DeviationProbe, ProximalityProbe, RecurrenceProbe,
+                               estimate_rotation_set, horizontal_spread,
                                proximality_scan, recurrence_probe,
-                               vertical_rotation_number)
+                               vertical_rotation_number, walk_probes)
 from torusdyn.skew import build_centralized, vertical_orbit_bound
 from torusdyn.torus import DehnTwist, RigidTranslation
 from torusdyn.util import (GOLDEN_MEAN, SQRT2_MINUS_1, iterates,
@@ -67,6 +72,20 @@ def ref_horizontal_spread(spec, n_max, samples, seed):
         sf[n] = d1.max() - d1.min()
         sb[n] = d2.max() - d2.min()
     return sf, sb
+
+
+def ref_deviation(spec, v, rho, n_max, samples, seed):
+    base = lattice_points_2d(samples, seed=seed)
+    z0 = np.vstack([base, base + np.array([0.0, 1.0])])
+    v = np.asarray(v, dtype=float)
+    fwd = bwd = z0
+    value = np.zeros(n_max + 1)
+    for n in range(1, n_max + 1):
+        fwd = spec.eval_lift(fwd)
+        bwd = spec.eval_inverse(bwd)
+        value[n] = np.maximum(np.abs((fwd - z0) @ v - n * rho).max(),
+                              np.abs((bwd - z0) @ v + n * rho).max())
+    return value
 
 
 def ref_proximality(spec, x, partners, n_max):
@@ -191,3 +210,69 @@ def test_skew_orbits_match_reference_loops(spec):
     s0 = np.array([0.2, 0.3, 0.1])
     assert _bits(vertical_orbit_bound(skew, s0, n_max=N)) == \
         _bits(ref_orbit_bound(skew, s0, N))
+
+
+# -- the gallery's three probes on one shared walk -----------------------------
+
+
+def gallery_bundle(n_max, rho, x, partners, center, radius):
+    """The probes of ``torusdyn gallery`` for an obstruction example, with
+    its sample count and its recurrence ladder of n_max // 5 steps."""
+    return (DeviationProbe((0, 1), rho, n_max=n_max, samples=32, seed=SEED),
+            ProximalityProbe(x, partners, n_max=n_max),
+            RecurrenceProbe(center, radius, n_max=n_max // 5, seed=SEED))
+
+
+def _probe_cases():
+    """(map, bundle arguments but n_max) for every map, and for the two
+    obstruction examples their own probe points."""
+    for name in sorted(MAPS):
+        yield name, MAPS[name](), (0.25, (0.31, 0.52), [(0.33, 0.5), (0.7, 0.12)],
+                                   (0.5, 0.5), 0.2)
+    for name, make in (("unbounded-inessential", example_unbounded_inessential),
+                       ("fully-essential", example_fully_essential)):
+        ex = make()
+        yield name, ex.torus_map, (ex.rho_vertical, ex.w0,
+                                   [ex.w1_edge, ex.w0_edge],
+                                   ex.wandering_center, 0.8 * ex.wandering_radius)
+
+
+PROBE_CASES = list(_probe_cases())
+
+
+@pytest.mark.parametrize("name, spec, args", PROBE_CASES,
+                         ids=[case[0] for case in PROBE_CASES])
+def test_shared_walk_matches_reference_loops(name, spec, args):
+    rho, x, partners, center, radius = args
+    for n_max in (1, 4, 5, 9, N):  # 0, 0, 1, 1 and 8 recurrence steps
+        prof, scan, times = walk_probes(spec, *gallery_bundle(n_max, *args))
+        assert _bits(prof.value) == _bits(ref_deviation(spec, (0, 1), rho, n_max,
+                                                        32, SEED))
+        best_f, best_b = ref_proximality(spec, x, partners, n_max)
+        assert _bits([r.forward_min for r in scan]) == _bits(best_f)
+        assert _bits([r.backward_min for r in scan]) == _bits(best_b)
+        assert times == ref_recurrence(spec, center, radius, n_max // 5, SEED)
+
+
+def test_shared_walk_keeps_the_probe_errors(tmp_path, capsys):
+    ex = example_fully_essential()
+    args = (ex.rho_vertical, ex.w0, [ex.w1_edge, ex.w0_edge],
+            ex.wandering_center, ex.wandering_radius)
+    for n_max in (0, -3):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+            gallery_bundle(n_max, *args)
+        assert cli_main(["gallery", "fully-essential", "--nmax", str(n_max),
+                         "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "usage error: n_max must be >= 1\n"
+    with pytest.raises(ValueError, match=r"^rho inf times 5 steps is not finite$"):
+        gallery_bundle(5, float("inf"), *args[1:])
+    # an overflowing deviation table is refused after the shared walk, with
+    # no warning, as when the deviation probe walks alone
+    bundle = (DeviationProbe((1e308, 1e308), ex.rho_vertical, n_max=5,
+                             samples=32, seed=SEED), *gallery_bundle(5, *args)[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^the deviation profile along "
+                                             r"v = \[1e\+308, 1e\+308\] "
+                                             r"is not finite$"):
+            walk_probes(ex.torus_map, *bundle)

@@ -411,3 +411,77 @@ def test_map_evaluators_match_per_call_references(d, coords, seed):
             img = want
             back = spec.eval_lift(img) if inverse else spec.eval_inverse(img)
             assert back.tobytes() == ref_eval(spec, img, not inverse).tobytes()
+
+
+# -- row independence: a stacked batch evaluates as its parts ------------------
+
+
+def assert_rows_independent(spec, a, b):
+    """eval_lift and eval_inverse of a and b stacked are, row for row and
+    bit for bit, those of a and of b evaluated apart."""
+    both = np.concatenate([a, b])
+    for evaluate in (spec.eval_lift, spec.eval_inverse):
+        got = evaluate(both)
+        assert got[:len(a)].tobytes() == evaluate(a).tobytes()
+        assert got[len(a):].tobytes() == evaluate(b).tobytes()
+
+
+def _row_splits(spec, z):
+    """Splits of z's rows: by u mod 1, so that the halves of a suspension
+    can take different step counts, and by the distance to each disk push's
+    midpoint, so that only one half meets the push's support."""
+    chain = spec.chain if isinstance(spec, ComposedMap) else [spec]
+    keys = [wrap01(z[:, 0])]
+    for m in chain:
+        if isinstance(m, DiskPush):
+            w = m._rel(z)
+            keys.append(m._norm(w[:, 0], w[:, 1]))
+    for key in keys:
+        order = np.argsort(key, kind="stable")
+        for cut in (0, 1, len(z) // 2, len(z)):
+            yield z[order[:cut]], z[order[cut:]]
+
+
+@given(d=map_definitions | step_suspensions
+       | st.builds(lambda p, s: {"kind": "composed", "maps": [p, s]},
+                   disk_push_definitions(), step_suspensions),
+       coords=st.lists(st.floats(-3.0, 3.0), max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_evaluators_are_row_independent(d, coords, seed):
+    spec = torus_map_from_definition(d)
+    rng = np.random.default_rng(seed)
+    pts = _probe_points(spec, coords)
+    chain = spec.chain if isinstance(spec, ComposedMap) else [spec]
+    # points inside each push's disk, with the breakpoint pairs and spread points
+    near = [m.midpoint + m.radius * rng.uniform(-1.0, 1.0, (8, 2))
+            for m in chain if isinstance(m, DiskPush)]
+    z = np.concatenate([np.column_stack([pts, rng.permutation(pts)]),
+                        rng.uniform(-1.0, 2.0, (24, 2)), *near])
+    for a, b in _row_splits(spec, z):
+        assert_rows_independent(spec, a, b)
+
+
+def test_rows_independent_across_step_counts_and_push_support():
+    # floor(base(u)) is -2 for u in [0, 0.3) and -1 for u in [0.5, 1): the
+    # halves take different fiber-power passes apart and one shared pass
+    # plus a subset step together
+    susp = SuspensionMap(circle_lift_from_definition(
+        {"kind": "piecewise-affine", "breaks": [[0.0, -1.3], [0.5, -0.9]]}),
+        build_denjoy(GOLDEN_MEAN, N=6))
+    rng = np.random.default_rng(5)
+    a = np.column_stack([rng.uniform(0.0, 0.3, 32), rng.uniform(-1.0, 2.0, 32)])
+    b = np.column_stack([rng.uniform(0.5, 1.0, 32), rng.uniform(-1.0, 2.0, 32)])
+    m = [set(np.floor(susp.base(h[:, 0])).astype(int).tolist()) for h in (a, b)]
+    assert m == [{-2}, {-1}]
+    assert_rows_independent(susp, a, b)
+    # only the first half lies within the push's reach, so only it bisects
+    dp = DiskPush((0.3, 0.5), (0.31, 0.5), 0.05)
+    near = dp.midpoint + 0.03 * rng.uniform(-1.0, 1.0, (32, 2))
+    far = dp.midpoint + np.column_stack([rng.uniform(0.2, 0.8, 32),
+                                         rng.uniform(-1.0, 1.0, 32)])
+    reach = [dp._norm(*dp._rel(h).T) <= dp._reach for h in (near, far)]
+    assert reach[0].all() and not reach[1].any()
+    for spec in (dp, ComposedMap([dp, susp]), ComposedMap([susp, dp])):
+        assert_rows_independent(spec, near, far)
+        assert_rows_independent(spec, far, near)
