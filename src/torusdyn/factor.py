@@ -20,7 +20,7 @@ from .rotation import recurrence_probe
 from .skew import (GridMask, ball_fiber, close_fibers, component_of,
                    extend_to_envelopes, geometry_for, invariance_defect,
                    refine_envelopes, saturate_block_orbit, _CROSS,
-                   _label_x_wrapped)
+                   _components_meeting)
 from .util import circle_dist, finite_multiples, lattice_points_2d, wrap01
 
 
@@ -111,12 +111,13 @@ def _band_fill(fiber, r0, r1):
     band = np.zeros((fiber.shape[0], r1 - r0 + 1), dtype=bool)
     c0, c1 = max(r0, 0), min(r1 + 1, fiber.shape[1])
     band[:, c0 - r0:c1 - r0] = fiber[:, c0:c1]
-    lab = _label_x_wrapped(~band)
-    # the labels met on the bottom row, as a table indexed by label
-    member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
-    member[lab[:, 0]] = True
-    member[0] = False  # obstruction cells
-    return member[lab]
+    return _components_meeting(~band, np.s_[:, 0])
+
+
+def _fill_key(geom, s):
+    """Rasterization key of the fills at times s: the t cell, and the shift
+    in whole y cells as a float."""
+    return geom.t_cell(s), np.round(s / geom.h_y)
 
 
 def lower_component(tau, s):
@@ -138,8 +139,7 @@ def lower_component(tau, s):
     one read-only all-True fill per region.
     """
     geom = tau.geom
-    it = int(geom.t_cell(s))
-    shift = int(np.round(s / geom.h_y))
+    it, shift = map(int, _fill_key(geom, s))
     fills = tau._fills
     cached = fills.get((it, shift))
     if cached is not None:
@@ -237,9 +237,9 @@ def heights(tau, z, tol=None):
         q = np.flatnonzero(~out & (iy[p] < geom.n_y))
         if not q.size:
             return out
-        # one key per fill: (t cell, shift in y cells)
-        key = (geom.n_t * np.round(s[q] / geom.h_y).astype(np.int64)
-               + geom.t_cell(s[q]))
+        # one key per fill, as lower_component keys its cache
+        it, shift = _fill_key(geom, s[q])
+        key = geom.n_t * shift.astype(np.int64) + it
         order = np.argsort(key, kind="stable")
         for g in np.split(q[order], np.flatnonzero(np.diff(key[order])) + 1):
             fl = lower_component(tau, s[g[0]])

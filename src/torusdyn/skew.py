@@ -501,7 +501,8 @@ def _label_x_wrapped(occ, links=()):
     sh >= 0 also joins cell (t, x, y) to cell (t + 1, x, y - sh), t
     wrapping. One ndimage.label call labels every fiber; the x seam and the
     links then merge labels through a union-find over the unique label
-    pairs. Each component carries the smallest of its merged labels.
+    pairs. Returns the raw labels, 0 off occ, and the root table: root[lab]
+    names a cell's component by its smallest label, its first cell's.
     """
     structure = np.zeros((3,) * occ.ndim, dtype=bool)
     structure[(1,) * (occ.ndim - 2)] = _CROSS  # no adjacency across fibers
@@ -518,41 +519,40 @@ def _label_x_wrapped(occ, links=()):
         both = (a > 0) & (b > 0) & (a != b)
         keys.append(np.unique(a[both].astype(np.int64) * m + b[both]))
     keys = np.unique(np.concatenate(keys))
-    lut = np.arange(m, dtype=lab.dtype)
+    root = np.arange(m, dtype=lab.dtype)
 
     def find(i):
-        while lut[i] != i:
-            lut[i] = lut[lut[i]]
-            i = lut[i]
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
         return i
 
     for i, j in zip((keys // m).tolist(), (keys % m).tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
-            lut[max(ri, rj)] = min(ri, rj)
+            root[max(ri, rj)] = min(ri, rj)
     for i in np.unique(np.concatenate([keys // m, keys % m])).tolist():
-        lut[i] = find(i)
-    return lut[lab]
+        root[i] = find(i)
+    return lab, root
 
 
-def label_mask(mask):
-    """Label connected components under the product-metric grid topology.
-
-    In-fiber cells use 4-connectivity with x wrap; cells in neighboring
-    fibers (t wraps) are adjacent when their y intervals overlap after flow
-    transport over one t cell width.
-    """
-    sigma = mask.geom.fiber_shift_cells()
-    return _label_x_wrapped(mask.occ, links={int(np.floor(sigma)),
-                                             int(np.ceil(sigma))})
+def _components_meeting(occ, seed, links=()):
+    """Cells of occ whose component (``_label_x_wrapped``) meets occ[seed];
+    ``seed`` is any index of occ."""
+    lab, root = _label_x_wrapped(occ, links)
+    hit = np.zeros(len(root), dtype=bool)
+    hit[root[lab[seed]]] = True
+    hit[0] = False  # cells off occ
+    return hit[root][lab]
 
 
 def component_of(mask, seed_occ):
-    """Cells of the connected component(s) meeting the seed set."""
-    labels = label_mask(mask)
-    member = np.zeros(int(labels.max(initial=0)) + 1, dtype=bool)
-    member[labels[seed_occ & mask.occ]] = True  # cells off the mask have label 0
-    return member[labels]
+    """Cells of the connected component(s) meeting the seed set. Cells of
+    neighboring fibers (t wraps) are adjacent when their y intervals overlap
+    after flow transport over one t cell width."""
+    sigma = mask.geom.fiber_shift_cells()
+    return _components_meeting(mask.occ, seed_occ,
+                               links={int(np.floor(sigma)), int(np.ceil(sigma))})
 
 
 def _padded_dilation(occ):
@@ -670,10 +670,9 @@ def fiber_complement_components(mask, t):
     comp = ~mask.occ[it]
     if not comp.any():
         return [], it
-    lab = _label_x_wrapped(comp)
-    out = []
-    for lbl in np.unique(lab[lab > 0]):
-        cells = lab == lbl
-        out.append(FiberComponent(touches_bottom=bool(cells[:, 0].any()),
-                                  touches_top=bool(cells[:, -1].any())))
-    return out, it
+    lab, root = _label_x_wrapped(comp)
+    bottom, top = set(root[lab[:, 0]].tolist()), set(root[lab[:, -1]].tolist())
+    # the roots, in the raster order of their components' first cells
+    names = np.flatnonzero(root == np.arange(len(root)))[1:].tolist()
+    return [FiberComponent(touches_bottom=r in bottom, touches_top=r in top)
+            for r in names], it

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusdyn import factor
+import torusdyn.skew
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
@@ -149,7 +149,8 @@ def reference_lower_component(tau, s):
     lo, hi = max(shift, 0), min(geom.n_y + shift, geom.n_y)
     if lo < hi:
         obstruction[:, lo:hi] = fiber[:, lo - shift:hi - shift]
-    lab = _label_x_wrapped(~obstruction)
+    lab, root = _label_x_wrapped(~obstruction)
+    lab = root[lab]
     member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
     member[lab[:, 0]] = True
     member[0] = False
@@ -240,9 +241,9 @@ def test_heights_independent_of_order_and_cache(tau_susp_small, monkeypatch):
             by_cell.setdefault(it, []).append(s)
     pair = next(v[:2] for v in by_cell.values() if len(v) >= 2)
     labels = []
-    real = factor._label_x_wrapped
-    monkeypatch.setattr(factor, "_label_x_wrapped",
-                        lambda occ: labels.append(1) or real(occ))
+    real = torusdyn.skew._label_x_wrapped
+    monkeypatch.setattr(torusdyn.skew, "_label_x_wrapped",
+                        lambda *a: labels.append(1) or real(*a))
     for _ in range(2):
         tau._fills.clear()
         for s in pair:
@@ -255,9 +256,9 @@ def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
     tau = tau_susp_small
     tau._fills.clear()
     labels = []
-    real = factor._label_x_wrapped
-    monkeypatch.setattr(factor, "_label_x_wrapped",
-                        lambda occ: labels.append(1) or real(occ))
+    real = torusdyn.skew._label_x_wrapped
+    monkeypatch.setattr(torusdyn.skew, "_label_x_wrapped",
+                        lambda *a: labels.append(1) or real(*a))
     verify_equivariance(tau, samples=24, s_ladder=32)
     keys = [k for k in tau._fills if isinstance(k[0], int)]
     clipped = sum(key_kind(tau, *k) == "clipped" for k in keys)

@@ -9,11 +9,11 @@ from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
 from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
                            ball_fiber, build_centralized, check_closed_form,
-                           check_commutation, close_fibers, _padded_dilation,
-                           extend_to_envelopes, fiber_complement_components,
-                           gamma_flow, geometry_for, invariance_defect,
-                           label_mask, refine_envelopes, saturate_block_orbit,
-                           vertical_orbit_bound)
+                           check_commutation, close_fibers, component_of,
+                           _padded_dilation, extend_to_envelopes,
+                           fiber_complement_components, gamma_flow, geometry_for,
+                           invariance_defect, refine_envelopes,
+                           saturate_block_orbit, vertical_orbit_bound)
 from torusdyn.torus import (ComposedMap, DehnTwist, DiskPush, RigidTranslation,
                             SuspensionMap)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, skew_dist, wrap01
@@ -473,23 +473,37 @@ def bits(shape):
 @given(occ=bits(st.tuples(st.integers(1, 6), st.integers(1, 6))))
 @settings(max_examples=200, deadline=None)
 def test_label_x_wrapped_matches_flood_fill(occ):
-    assert_same_partition(_label_x_wrapped(occ), flood_fill_labels(occ[None])[0],
-                          occ)
+    lab, root = _label_x_wrapped(occ)
+    assert_same_partition(root[lab], flood_fill_labels(occ[None])[0], occ)
 
 
 @given(data=st.data(), n_t=st.integers(1, 4), n_x=st.integers(1, 5),
        n_y=st.sampled_from((1, 2, 3, 4, 6)),
        sigma=st.sampled_from((1.0, 2.0, 0.5, 1.5)))
 @settings(max_examples=200, deadline=None)
-def test_label_mask_matches_flood_fill(data, n_t, n_x, n_y, sigma):
+def test_component_of_matches_flood_fill(data, n_t, n_x, n_y, sigma):
     # these heights give exact cell sizes: an integer sigma links each fiber
     # to the next by one shift, a non-integer sigma by two
     geom = GridGeometry(n_t, n_x, n_y, 0.0, n_y / (n_t * sigma))
     assert geom.fiber_shift_cells() == sigma
     occ = data.draw(bits((n_t, n_x, n_y)))
-    shifts = {int(np.floor(sigma)), int(np.ceil(sigma))}
-    assert_same_partition(label_mask(GridMask(geom, occ)),
-                          flood_fill_labels(occ, shifts), occ)
+    seed = data.draw(bits((n_t, n_x, n_y)))
+    ref = flood_fill_labels(occ, {int(np.floor(sigma)), int(np.ceil(sigma))})
+    want = np.isin(ref, ref[seed & occ]) & occ
+    assert np.array_equal(component_of(GridMask(geom, occ), seed), want)
+
+
+@given(fiber=bits(st.tuples(st.integers(1, 6), st.integers(1, 6))))
+@settings(max_examples=200, deadline=None)
+def test_fiber_complement_components_match_flood_fill(fiber):
+    geom = GridGeometry(1, *fiber.shape, 0.0, 1.0)
+    comps, it = fiber_complement_components(GridMask(geom, fiber[None]), 0.0)
+    # flood fill numbers components in the raster order of their first cells
+    ref = flood_fill_labels(~fiber[None])[0]
+    want = [(bool((ref[:, 0] == k).any()), bool((ref[:, -1] == k).any()))
+            for k in range(1, ref.max(initial=0) + 1)]
+    assert it == 0
+    assert [(c.touches_bottom, c.touches_top) for c in comps] == want
 
 
 def test_grid_geometry_rejects_empty_sizes_and_window():
