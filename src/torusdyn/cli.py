@@ -375,9 +375,6 @@ class _SwappedMap(TorusMapSpec):
     def eval_inverse(self, z):
         return self.spec.eval_inverse(np.asarray(z, dtype=float)[..., ::-1])[..., ::-1]
 
-    def to_definition(self):
-        return {"kind": "swapped", "inner": self.spec.to_definition()}
-
 
 def _add_common(sub, groups=("seed", "map")):
     sub.add_argument("--out", default="out", help="output directory")

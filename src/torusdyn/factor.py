@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from . import skew as skew_layer
 from .rotation import recurrence_probe
 from .skew import (GridMask, ball_fiber, close_fibers, component_of,
                    extend_to_envelopes, geometry_for, invariance_defect,
@@ -44,20 +45,20 @@ class TauRegion:
 
 
 def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
-              half_height=None, max_iters=240, refine_rounds=20_000, seed=0):
+              half_height=None, max_iters=240, seed=0):
     """Saturate the half-width block over a ball at the given annulus point.
 
     The seed point should come with recurrence evidence; an empty probe
     result is attached as a warning, not a rejection. Window exhaustion is
-    propagated in the status and leaves the partial mask available. When
-    ``refine_rounds`` is positive the region's vertical envelopes are
-    additionally tracked in real arithmetic over that many rounds and the
-    mask is extended to them (set 0 to disable for maps whose fibers are
-    not vertically solid per column).
+    propagated in the status and leaves the partial mask available. The
+    mask is extended to the region's vertical envelopes, tracked in real
+    arithmetic until the extended rows stop changing over the last half of
+    the walk (checked at 16, 32, 64, ... rounds, capped at 20,000); the
+    provenance key ``refine_rounds`` records the rounds walked.
     """
     if not (0.0 < ball_radius <= 1.0):
         raise ValueError("ball radius must be in (0, 1]")
-    finite_multiples(skew.rho, max(max_iters, refine_rounds))
+    finite_multiples(skew.rho, max(max_iters, skew_layer._ENVELOPE_ROUNDS))
     x0, y0 = float(seed_point[0]), float(seed_point[1])
     geom = geometry_for(skew, center_y=y0, n_t=n_t, n_x=n_x, n_y=n_y,
                         half_height=half_height)
@@ -76,16 +77,14 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
                          f"cell center (y cells are {geom.h_y!r} high)")
     occ, seed_occ, status, rounds = saturate_block_orbit(
         skew, pts, geom, max_iters=max_iters)
-    if refine_rounds:
-        # boundary circle samples give the cloud exact vertical extremes
-        theta = 2.0 * np.pi * (np.arange(1024) + 0.5) / 1024
-        ring = np.column_stack([x0 + ball_radius * np.cos(theta),
-                                y0 + ball_radius * np.sin(theta)])
-        env_min, env_max = refine_envelopes(skew, np.vstack([pts, ring]), geom,
-                                            rounds=refine_rounds)
-        occ = extend_to_envelopes(occ, geom, env_min, env_max)
-        if occ[:, :, 0].any() or occ[:, :, -1].any():
-            status = "window-exhausted"
+    # boundary circle samples give the cloud exact vertical extremes
+    theta = 2.0 * np.pi * (np.arange(1024) + 0.5) / 1024
+    ring = np.column_stack([x0 + ball_radius * np.cos(theta),
+                            y0 + ball_radius * np.sin(theta)])
+    *envelopes, refine_rounds = refine_envelopes(skew, np.vstack([pts, ring]), geom)
+    occ = extend_to_envelopes(occ, geom, *envelopes)
+    if occ[:, :, 0].any() or occ[:, :, -1].any():
+        status = "window-exhausted"
     occ = close_fibers(occ)
     mask = GridMask(geom, occ, provenance={
         "seed": {"point": (x0, y0), "radius": ball_radius, "block_halfwidth": 0.5},

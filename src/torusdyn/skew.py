@@ -24,8 +24,10 @@ from .rotation import _positive_n_max
 from .util import (circle_dist, finite_multiples, iterates, nth_iterate,
                    skew_dist, wrap01)
 
-# block-orbit images per chunk of refine_envelopes
-_ENVELOPE_CHUNK = 32
+# block-orbit rounds per chunk of refine_envelopes, and its first checkpoint
+_ENVELOPE_CHUNK = 16
+# most block-orbit rounds refine_envelopes walks
+_ENVELOPE_ROUNDS = 20_000
 # saturation rounds without a new cell before it reports a fixed point
 _PATIENCE = 30
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -357,13 +359,10 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         flat[cells] = True
         return bool(lo <= 0 or hi >= n_y - 1), grew
 
-    def interior():
-        return padded[:, :, 1:-1].copy()
-
     orbit = _block_orbit(skew, pts, max_iters)
     _, w, c = next(orbit)
     raster_block(w, c, False)
-    seed_occ = interior()
+    seed_occ = padded[:, :, 1:-1].copy()
     status = "max-iters"
     stale = 0
     rounds = 0
@@ -382,17 +381,21 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
             status = "fixed-point"
             break
         grew = False
-    return interior(), seed_occ, status, rounds
+    return padded[:, :, 1:-1], seed_occ, status, rounds
 
 
-def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
+def refine_envelopes(skew, fiber_points, geom):
     """Per-fiber, per-column vertical extremes of the block orbit union.
 
     Tracks min/max of the transported fiber cloud per x column in exact
-    real arithmetic over ``rounds`` rounds, which closes the slow record
-    tails that finite 3D rasterization leaves at the region's top and bottom
-    edges. Returns (env_min, env_max) arrays of shape (n_t, n_x); columns
-    never touched stay at +inf/-inf.
+    real arithmetic, which closes the slow record tails that finite 3D
+    rasterization leaves at the region's top and bottom edges. Returns
+    (env_min, env_max, rounds): (n_t, n_x) arrays, +inf/-inf in columns
+    never touched, and the rounds walked. After 16, 32, 64, ... rounds the
+    walk takes the rows ``extend_to_envelopes`` fills per column and stops
+    once they equal the previous checkpoint's, none having changed over the
+    last half of the walk, or else at ``_ENVELOPE_ROUNDS``. On the measured
+    maps no row changed later than twice the round of the change before it.
 
     Phase buckets spare each image an (n_t, n_x) update. An image at block
     phase c puts a column extreme v at v - u in fiber t, where
@@ -409,6 +412,7 @@ def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
     """
     n_t, n_x = geom.n_t, geom.n_x
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
+    y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
     # the results come first in the heap: the bucket tables and chunks freed
     # above them do not stay resident under the later region stages
     env_min = np.empty((n_t, n_x))
@@ -416,22 +420,20 @@ def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
     low = np.full((2 * n_t, n_x), np.inf)
     high = np.full((2 * n_t, n_x), -np.inf)
     pts = np.asarray(fiber_points, dtype=float)
-    # (chunk, len(pts)) work arrays, allocated once; min and max are exact,
-    # so the order in which images reach the tables does not matter
-    jx = np.empty((_ENVELOPE_CHUNK, len(pts)))
+    # (2 * chunk, len(pts)) work arrays, allocated once; min and max are
+    # exact, so the order in which images reach the tables does not matter
+    jx = np.empty((2 * _ENVELOPE_CHUNK, len(pts)))
     lifted = np.empty_like(jx)
     cells = np.empty(jx.shape, dtype=np.int64)
-    c = np.empty(_ENVELOPE_CHUNK)
-    orbit = _block_orbit(skew, pts, rounds)
+    c = np.empty(2 * _ENVELOPE_CHUNK)
+    orbit = _block_orbit(skew, pts, _ENVELOPE_ROUNDS)
+    # the seed image is a chunk of its own, so that chunks end on whole rounds
+    k, walked, check, rows = 1, 0, _ENVELOPE_CHUNK, None
     while True:
-        k = 0
-        for _, w, phase in itertools.islice(orbit, _ENVELOPE_CHUNK):
-            c[k] = phase
-            np.multiply(w[:, 0], n_x, out=jx[k])
-            np.add(w[:, 1], phase, out=lifted[k])
-            k += 1
-        if not k:
-            break
+        for i, (_, w, phase) in enumerate(itertools.islice(orbit, k)):
+            c[i] = phase
+            np.multiply(w[:, 0], n_x, out=jx[i])
+            np.add(w[:, 1], phase, out=lifted[i])
         pattern = np.round(t_centers[None, :] - c[:k, None]).sum(axis=1)
         # geom.x_cell without its wrap01: the orbit's x is already in [0, 1)
         np.floor(jx[:k], out=jx[:k])
@@ -440,9 +442,16 @@ def refine_envelopes(skew, fiber_points, geom, rounds=20_000):
         cells[:k] = jx[:k]
         np.minimum.at(low.reshape(-1), cells[:k].ravel(), lifted[:k].ravel())
         np.maximum.at(high.reshape(-1), cells[:k].ravel(), lifted[:k].ravel())
-    _unfold_buckets(low, np.minimum, t_centers, env_min)
-    _unfold_buckets(high, np.maximum, t_centers, env_max)
-    return env_min, env_max
+        walked += k // 2
+        if walked in (check, _ENVELOPE_ROUNDS):
+            _unfold_buckets(low, np.minimum, t_centers, env_min)
+            _unfold_buckets(high, np.maximum, t_centers, env_max)
+            new = np.stack([y_centers.searchsorted(env_min, "left"),
+                            y_centers.searchsorted(env_max, "right")])
+            if walked == _ENVELOPE_ROUNDS or np.array_equal(new, rows):
+                return env_min, env_max, walked
+            rows, check = new, 2 * check
+        k = 2 * min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS - walked)
 
 
 def _unfold_buckets(table, best, t_centers, out):

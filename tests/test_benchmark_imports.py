@@ -5,6 +5,8 @@ import importlib.util
 import inspect
 import pathlib
 
+import numpy as np
+
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
 SPANS = PERFBENCH / "spans.py"
@@ -67,3 +69,37 @@ def test_benchmark_span_names_resolve():
             f"perfbench/spans.py: SPAN_GROUPS[{stem!r}] matches no traced name"
     for short in hooks:
         assert short in shorts, f"perfbench/spans.py: hook _after_{short}"
+
+
+def load_tracer():
+    """perfbench/spans.py's Tracer, run from its source (no bytecode is
+    written next to it)."""
+    namespace = {"__name__": "perfbench_spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+    return namespace["Tracer"]
+
+
+def test_benchmark_counter_hooks_read_real_results():
+    # the hooks index the results of the calls they follow, so a changed
+    # return shape would break only traced runs
+    from torusdyn.factor import build_tau, lower_component
+    from torusdyn.skew import (build_centralized, invariance_defect,
+                               saturate_block_orbit)
+    from torusdyn.torus import RigidTranslation
+
+    skew = build_centralized(RigidTranslation(0.618, 0.414), 0.414)
+    tau = build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16)
+    pts = np.array([[0.5, 0.0], [0.55, 0.1]])
+    saturated = saturate_block_orbit(skew, pts, tau.geom, max_iters=12)
+    assert saturated[2:] == ("max-iters", 12)
+    inv = invariance_defect(skew, tau.mask)
+    tracer = load_tracer()("hooks")
+    tracer._after_saturate_block_orbit(0, (skew, pts, tau.geom), {}, saturated)
+    tracer._after_build_tau(1, (skew, (0.5, 0.0)), {}, tau)
+    tracer._after_invariance_defect(2, (skew, tau.mask), {}, inv)
+    # two calls with one fill key: the second is a cache hit
+    for i in (3, 4):
+        tracer._after_lower_component(i, (tau, 0.3), {}, lower_component(tau, 0.3))
+    assert tracer.rounds == 12
+    assert tracer.region_cells == tracer.invariance_cells == tau.mask.count > 0
+    assert list(tracer.fill_miss_spans) == [3]

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import warnings
@@ -13,7 +12,6 @@ import cli_golden
 from cli_golden import RIGID, RUNS
 from torusdyn import cli
 from torusdyn.cli import main
-from torusdyn.factor import build_tau
 
 
 def run(args):
@@ -247,17 +245,11 @@ def test_golden_runs(tmp_path, name):
     run_golden(name, tmp_path)
 
 
-# quick regions for tests that check no region: the 20,000 envelope rounds
-# take seconds even on a few cells
-QUICK = functools.partial(build_tau, refine_rounds=0)
-
-
 def test_factor_empty_ladder_check_exits_2(tmp_path, capsys):
     for sladder in ("1", "0"):
         out = tmp_path / sladder
-        with mock.patch.object(cli, "build_tau", QUICK):
-            code = run(RUNS["factor-rigid"] + ["--sladder", sladder,
-                                               "--out", str(out)])
+        code = run(RUNS["factor-rigid"] + ["--sladder", sladder,
+                                           "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("numeric check failed:") and err.count("\n") == 1
@@ -272,8 +264,7 @@ def test_config_names_every_output_flag(tmp_path):
             "double-factor": (["double-factor", "--map", RIGID, "--resolution",
                                "16,16,32", "--grid", "4"], "double_factor.json")}
     for command, (argv, name) in runs.items():
-        with mock.patch.object(cli, "build_tau", QUICK):
-            assert run(argv + ["--out", str(tmp_path / command)]) == 0
+        assert run(argv + ["--out", str(tmp_path / command)]) == 0
         doc = json.loads((tmp_path / command / name).read_text())
         flags = {a.dest.replace("_", "-") for a in commands[command]._actions}
         assert flags - {"help", "out", "config", "map-file"} <= set(doc["config"])
@@ -615,8 +606,7 @@ def test_fuzzed_argv_and_config_exit_cleanly(tmp_path_factory, case):
         (out / "cfg.json").write_text(json.dumps(config))
         argv = argv + ["--config", str(out / "cfg.json")]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-            mock.patch.object(cli, "build_tau", QUICK):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = run(argv + ["--out", str(out)])
     text = err.getvalue()
     event(f"{argv[0]} exit code {code}")

@@ -22,19 +22,26 @@ def bounded(tau):
     return not (occ[:, :, 0].any() or occ[:, :, -1].any())
 
 
+def build_tau_walking(rounds, *args, **kwargs):
+    """build_tau with its envelope walk capped at the given rounds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", rounds)
+        return build_tau(*args, **kwargs)
+
+
 @pytest.fixture(scope="module")
 def tau_rigid_small():
     skew = build_centralized(RigidTranslation(A, B), B, c_est=0.0)
-    return build_tau(skew, (0.5, 0.0), ball_radius=0.15, n_t=64, n_x=64,
-                     n_y=128, max_iters=150, refine_rounds=4000)
+    return build_tau_walking(4000, skew, (0.5, 0.0), ball_radius=0.15, n_t=64,
+                             n_x=64, n_y=128, max_iters=150)
 
 
 @pytest.fixture(scope="module")
 def tau_susp_small():
     susp = SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B))
     skew = build_centralized(susp, A * B, c_est=B)
-    return build_tau(skew, (0.5, 0.0), ball_radius=0.15, n_t=64, n_x=64,
-                     n_y=128, max_iters=150, refine_rounds=4000)
+    return build_tau_walking(4000, skew, (0.5, 0.0), ball_radius=0.15, n_t=64,
+                             n_x=64, n_y=128, max_iters=150)
 
 
 def test_build_tau_rigid(tau_rigid_small):
@@ -56,7 +63,7 @@ def test_build_tau_rigid(tau_rigid_small):
 def test_build_tau_identity_like_is_seed_block():
     skew = build_centralized(RigidTranslation(0, 0), 0.0, c_est=0.0)
     tau = build_tau(skew, (0.5, 0.0), ball_radius=0.2, n_t=32, n_x=32, n_y=64,
-                    max_iters=20, refine_rounds=200)
+                    max_iters=20)
     geom = tau.geom
     # every fiber holds the ball shifted by its flow offset: same cell count
     counts = tau.mask.occ.sum(axis=(1, 2))
@@ -77,14 +84,13 @@ def test_build_tau_rejects_an_empty_seed_ball():
     skew = build_centralized(RigidTranslation(A, B), B)
     with pytest.raises(ValueError, match="the seed ball of radius 0.15 covers "
                                          "no cell center"):
-        build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, half_height=1e300,
-                  refine_rounds=0)
+        build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, half_height=1e300)
 
 
 def test_build_tau_rejects_rho_overflowing_over_the_run():
+    # the check covers the envelope walk's cap, whatever rounds it walks
     skew = build_centralized(RigidTranslation(A, B), 1e305)
-    build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, max_iters=2,
-              refine_rounds=0)
+    build_tau_walking(0, skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, max_iters=2)
     with pytest.raises(ValueError, match="times 20000 steps is not finite"):
         build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16, max_iters=2)
 
@@ -92,7 +98,7 @@ def test_build_tau_rejects_rho_overflowing_over_the_run():
 def test_build_tau_window_exhaustion_propagates():
     skew = build_centralized(RigidTranslation(0.1, 0.3), 0.0, c_est=0.0)
     tau = build_tau(skew, (0.5, 0.0), ball_radius=0.2, n_t=16, n_x=16, n_y=32,
-                    half_height=1.0, max_iters=60, refine_rounds=0)
+                    half_height=1.0, max_iters=60)
     assert tau.status == "window-exhausted"
 
 
@@ -112,7 +118,7 @@ def test_lower_component_unit_shift(tau_rigid_small):
 def _identity_region():
     skew = build_centralized(RigidTranslation(0, 0), 0.0, c_est=0.0)
     return build_tau(skew, (0.5, 0.0), ball_radius=0.1, n_t=16, n_x=16, n_y=64,
-                     max_iters=5, refine_rounds=0)
+                     max_iters=5)
 
 
 def test_lower_component_not_separating_when_shifted_out_of_window():
@@ -185,8 +191,10 @@ def swept_keys(tau):
 def fill_regions(tau_susp_small):
     rigid = build_centralized(RigidTranslation(A, B), B)
     drift = build_centralized(RigidTranslation(0.1, 0.3), 0.0, c_est=0.0)
-    exhausted = build_tau(drift, (0.5, 0.0), ball_radius=0.2, n_t=16, n_x=16,
-                          n_y=32, half_height=1.0, max_iters=60, refine_rounds=0)
+    # envelopes of the seed image alone: extended to the drift's walked
+    # envelopes the region leaves no fill key interior
+    exhausted = build_tau_walking(0, drift, (0.5, 0.0), ball_radius=0.2, n_t=16,
+                                  n_x=16, n_y=32, half_height=1.0, max_iters=60)
     small = build_tau(rigid, (0.5, 0.0), n_t=32, n_x=32, n_y=64)
     occ = small.mask.occ.copy()
     occ[[0, 5, 6]] = False
@@ -459,6 +467,9 @@ def test_rigid_region_is_the_slab(rigid_128):
     assert tau.status == "max-iters" and tau.invariance == {"forward": 0,
                                                             "backward": 0}
     assert np.array_equal(tau.mask.occ, np.broadcast_to(slab, tau.mask.occ.shape))
+    # the benchmark's geometry: the extended rows still change after 16,384
+    # rounds, so the envelope walk runs to its cap
+    assert tau.mask.provenance["refine_rounds"] == 20_000
 
 
 def test_unit_vertical_translation_moves_the_window(rigid_128):
@@ -479,8 +490,8 @@ def test_suspension_unit_vertical_translation_moves_the_window(tau_susp_small):
     low = tau_susp_small
     susp = SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B))
     skew = build_centralized(susp, A * B, c_est=B)
-    high = build_tau(skew, (0.5, 1.0), ball_radius=0.15, n_t=64, n_x=64,
-                     n_y=128, max_iters=150, refine_rounds=4000)
+    high = build_tau_walking(4000, skew, (0.5, 1.0), ball_radius=0.15, n_t=64,
+                             n_x=64, n_y=128, max_iters=150)
     m = round(1.0 / low.geom.h_y)
     assert high.geom.y_min == low.geom.y_min + m * low.geom.h_y
     assert high.geom.y_max == low.geom.y_max + m * low.geom.h_y
@@ -490,14 +501,14 @@ def test_suspension_unit_vertical_translation_moves_the_window(tau_susp_small):
 
 def test_rigid_x_translation_rolls_the_mask():
     # the rigid map commutes with x -> x + k/n_x, so a seed moved by k/n_x
-    # gives the mask rolled by k along x. With no envelope rounds the region
-    # falls short of the slab and is not invariant under a roll, so the
-    # symmetry is tested, exactly: no float tie moves a cell
+    # gives the mask rolled by k along x. With the envelope walk capped at 0
+    # rounds (the seed image's envelopes alone) the region falls short of the
+    # slab and is not invariant under a roll, so the symmetry is tested,
+    # exactly: no float tie moves a cell
     skew = build_centralized(RigidTranslation(A, B), B)
 
     def build(x0):
-        return build_tau(skew, (x0, 0.0), n_t=64, n_x=64, n_y=128,
-                         refine_rounds=0)
+        return build_tau_walking(0, skew, (x0, 0.0), n_t=64, n_x=64, n_y=128)
 
     base = build(0.5)
     assert not np.array_equal(np.roll(base.mask.occ, 1, axis=1), base.mask.occ)

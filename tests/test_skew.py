@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+import torusdyn.skew
 from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
@@ -252,7 +253,7 @@ def test_saturate_block_past_window_is_exhausted():
         skew, ball_cloud(geom, (0.5, 0.0), 0.15), geom, max_iters=240)
     assert (status, rounds) == ("window-exhausted", 1)
     assert np.array_equal(occ, seed)
-    tau = build_tau(skew, (0.5, 0.0), n_t=16, n_x=16, n_y=32, refine_rounds=0)
+    tau = build_tau(skew, (0.5, 0.0), n_t=16, n_x=16, n_y=32)
     assert tau.status == "window-exhausted"
 
 
@@ -337,34 +338,52 @@ def test_saturate_matches_allocating_reference(name):
 # -- envelope refinement -------------------------------------------------------
 
 
-def dense_envelopes(skew, pts, geom, rounds):
+def dense_envelopes(skew, clouds, rounds):
     """The per-image envelope update that the phase buckets replaced: each
     image lowers (raises) the whole (n_t, n_x) table by its column extremes
-    minus every fiber's flow offset."""
-    t_centers = geom.centers(np.arange(geom.n_t), 0, 0)[0]
-    env_min = np.full((geom.n_t, geom.n_x), np.inf)
-    env_max = np.full((geom.n_t, geom.n_x), -np.inf)
+    minus every fiber's flow offset. ``clouds`` lists (pts, geom) pairs;
+    their orbits are walked together, one map evaluation per direction and
+    round, and the images are taken 64 at a time. Min and max are exact, so
+    neither changes a bit. Returns one (env_min, env_max) per cloud."""
+    bounds = np.cumsum([0] + [len(pts) for pts, _ in clouds])
+    tables = [(geom, geom.centers(np.arange(geom.n_t), 0, 0)[0],
+               np.full((geom.n_t, geom.n_x), np.inf),
+               np.full((geom.n_t, geom.n_x), -np.inf)) for _, geom in clouds]
 
-    def update(w, t_center):
-        u = t_centers - t_center
-        u -= np.round(u)
-        jx = geom.x_cell(w[:, 0])
-        colmin = np.full(geom.n_x, np.inf)
-        colmax = np.full(geom.n_x, -np.inf)
-        np.minimum.at(colmin, jx, w[:, 1])
-        np.maximum.at(colmax, jx, w[:, 1])
-        np.minimum(env_min, colmin[None, :] - u[:, None], out=env_min)
-        np.maximum(env_max, colmax[None, :] - u[:, None], out=env_max)
+    def update(w, c):
+        # w holds the images of the stacked clouds, c their block phases
+        for (geom, t_centers, env_min, env_max), a, b in zip(tables, bounds,
+                                                             bounds[1:]):
+            u = t_centers[None, :] - c[:, None]
+            u -= np.round(u)
+            jx = geom.x_cell(w[:, a:b, 0]) + geom.n_x * np.arange(len(c))[:, None]
+            colmin = np.full((len(c), geom.n_x), np.inf)
+            colmax = np.full((len(c), geom.n_x), -np.inf)
+            np.minimum.at(colmin.reshape(-1), jx.ravel(), w[:, a:b, 1].ravel())
+            np.maximum.at(colmax.reshape(-1), jx.ravel(), w[:, a:b, 1].ravel())
+            np.minimum(env_min, (colmin[:, None, :] - u[:, :, None]).min(axis=0),
+                       out=env_min)
+            np.maximum(env_max, (colmax[:, None, :] - u[:, :, None]).max(axis=0),
+                       out=env_max)
 
-    update(pts, 0.0)
+    pts = np.vstack([pts for pts, _ in clouds])
+    update(pts[None], np.zeros(1))
+    w = np.empty((64,) + pts.shape)
+    c = np.empty(64)
     fwd = bwd = pts
+    k = 0
     for n in range(1, rounds + 1):
         fwd = skew.spec.annulus_map(fwd)
         bwd = skew.spec.annulus_map(bwd, inverse=True)
-        shift = np.array([0.0, n * skew.rho])
-        update(fwd - shift, wrap01(n * skew.rho))
-        update(bwd + shift, wrap01(-n * skew.rho))
-    return env_min, env_max
+        w[k], w[k + 1] = fwd, bwd
+        w[k, :, 1] -= n * skew.rho
+        w[k + 1, :, 1] += n * skew.rho
+        c[k], c[k + 1] = wrap01(n * skew.rho), wrap01(-n * skew.rho)
+        k += 2
+        if k == len(c) or n == rounds:
+            update(w[:k], c[:k])
+            k = 0
+    return [(env_min, env_max) for *_, env_min, env_max in tables]
 
 
 def _denjoy_suspension():
@@ -384,26 +403,42 @@ ENVELOPE_SKEWS = {
 }
 
 
-@pytest.mark.parametrize("rounds", [0, 1, 7, 300])
+def envelope_cloud(geom, x0, radius, n_ring):
+    """A ball cloud at (x0, 0) and n_ring points of its boundary circle, as
+    the region build takes them."""
+    theta = 2.0 * np.pi * (np.arange(n_ring) + 0.5) / n_ring
+    ring = np.column_stack([x0 + radius * np.cos(theta), radius * np.sin(theta)])
+    return np.vstack([ball_cloud(geom, (x0, 0.0), radius), ring])
+
+
+def extended_rows(geom, env_min, env_max):
+    """The cells extend_to_envelopes adds to an empty grid."""
+    occ = np.zeros((geom.n_t, geom.n_x, geom.n_y), dtype=bool)
+    return extend_to_envelopes(occ, geom, env_min, env_max)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 300])
 @pytest.mark.parametrize("n_t,n_x", [(15, 16), (32, 32)])
 @pytest.mark.parametrize("name", sorted(ENVELOPE_SKEWS))
-def test_refine_envelopes_matches_dense_update(name, n_t, n_x, rounds):
+def test_refine_envelopes_matches_dense_update(name, n_t, n_x, cap, monkeypatch):
+    monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", cap)
     skew = ENVELOPE_SKEWS[name]()
     geom = geometry_for(skew, center_y=0.0, n_t=n_t, n_x=n_x, n_y=2 * n_x,
                         half_height=2.0)
-    # a ball cloud and its boundary ring, as the region build takes them; the
-    # ring around x0 = 0.05 crosses the x seam, so its x starts outside [0, 1)
+    # the ring around x0 = 0.05 crosses the x seam, so its x starts outside
+    # [0, 1)
     for x0, radius in ((0.5, 0.12), (0.05, 0.15)):
-        check_refined_envelopes(skew, geom, rounds, x0, radius)
+        check_refined_envelopes(skew, geom, cap, x0, radius)
 
 
-def check_refined_envelopes(skew, geom, rounds, x0, radius):
+def check_refined_envelopes(skew, geom, cap, x0, radius):
     n_t, n_x = geom.n_t, geom.n_x
-    theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
-    ring = np.column_stack([x0 + radius * np.cos(theta), radius * np.sin(theta)])
-    pts = np.vstack([ball_cloud(geom, (x0, 0.0), radius), ring])
-    got = refine_envelopes(skew, pts, geom, rounds=rounds)
-    want = dense_envelopes(skew, pts, geom, rounds)
+    pts = envelope_cloud(geom, x0, radius, 64)
+    *got, rounds = refine_envelopes(skew, pts, geom)
+    # checkpoints fall at 16, 32, 64, ... rounds and at the cap; the first
+    # has no earlier rows to match
+    assert rounds == cap or (rounds < cap and rounds in (32, 64, 128, 256))
+    want, = dense_envelopes(skew, [(pts, geom)], rounds)
     for g, w in zip(got, want):
         assert g.shape == w.shape == (n_t, n_x)
         finite = np.isfinite(w)
@@ -412,9 +447,42 @@ def check_refined_envelopes(skew, geom, rounds, x0, radius):
         assert np.max(np.abs(g[finite] - w[finite]), initial=0.0) <= 1e-15
     if rounds == 0:  # the seed's columns alone
         assert not np.isfinite(got[0]).all()
-    occ = np.zeros((n_t, n_x, geom.n_y), dtype=bool)
-    assert np.array_equal(extend_to_envelopes(occ, geom, *got),
-                          extend_to_envelopes(occ, geom, *want))
+    assert np.array_equal(extended_rows(geom, *got), extended_rows(geom, *want))
+
+
+# geometries of the region build, as the CLI's golden runs and the tests
+# build them: (skew, resolution, half height, ball radius, rounds walked).
+# Suspension 3.1 still changes a row after 16,384 rounds. The clouds ring
+# their balls with 256 points, not the build's 1,024: that quarters the
+# reference walk and walks the same rounds
+ENVELOPE_WALKS = {
+    "rigid-32": ("rigid", (32, 32, 64), None, 0.15, 512),
+    "rigid-31": ("rigid", (31, 32, 64), None, 0.15, 512),
+    "rigid-tight-window": ("rigid", (32, 32, 64), 1.0, 0.47, 1024),
+    "rigid-8": ("rigid", (8, 8, 16), None, 0.15, 512),
+    "suspension-32": ("suspension", (32, 32, 64), None, 0.15, 20_000),
+}
+
+
+@pytest.mark.parametrize("key", ["rigid", "suspension"])
+def test_refine_envelopes_stops_with_the_rows_of_the_cap(key):
+    # the walk stops once the extended rows have not changed over its last
+    # half; the rows it stops at are those of the full 20,000 rounds
+    skew = ENVELOPE_SKEWS[key]()
+    walked, clouds, got = {}, [], []
+    for name, (k, (n_t, n_x, n_y), half_height, radius, _) in ENVELOPE_WALKS.items():
+        if k == key:
+            geom = geometry_for(skew, n_t=n_t, n_x=n_x, n_y=n_y,
+                                half_height=half_height)
+            pts = envelope_cloud(geom, 0.5, radius, 256)
+            *envelopes, walked[name] = refine_envelopes(skew, pts, geom)
+            clouds.append((pts, geom))
+            got.append(envelopes)
+    assert walked == {name: walk[-1] for name, walk in ENVELOPE_WALKS.items()
+                      if walk[0] == key}
+    want = dense_envelopes(skew, clouds, 20_000)
+    for name, (_, geom), g, w in zip(walked, clouds, got, want):
+        assert np.array_equal(extended_rows(geom, *g), extended_rows(geom, *w)), name
 
 
 def test_fiber_complement_components(rigid_skew):
@@ -583,11 +651,12 @@ def test_invariance_defect_matches_per_sample_fibers(occ, offset, rho, edge_rows
         assert invariance_defect(skew, mask) == invariance_per_sample(skew, mask)
 
 
-def test_invariance_defect_of_a_pushed_region():
+def test_invariance_defect_of_a_pushed_region(monkeypatch):
     # the rigid region pushed by a small disk is invariant up to a few cells:
     # the per-direction counts are nonzero and equal the per-sample body's
+    monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", 0)
     skew = build_centralized(ComposedMap([RigidTranslation(A, B), PUSH]), B)
-    tau = build_tau(skew, (0.5, 0.0), n_t=64, n_x=64, n_y=128, refine_rounds=0)
+    tau = build_tau(skew, (0.5, 0.0), n_t=64, n_x=64, n_y=128)
     assert tau.invariance == {"forward": 1, "backward": 4}
     assert invariance_per_sample(skew, tau.mask) == tau.invariance
 
