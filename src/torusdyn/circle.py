@@ -185,13 +185,14 @@ def _pwa_from_pairs(pairs):
         raise ValueError("duplicate breakpoints")
     if bx[0] != 0.0:
         # close the table at 0 using the wrap segment from (bx[-1]-1, by[-1]-1);
-        # an end breakpoint within rounding of 0 or 1 is moved onto 0 instead
+        # an end breakpoint within rounding of 0 or 1 is moved onto 0 instead,
+        # also when the start value plus 1 rounds onto the last value
         x0, y0 = bx[-1] - 1.0, by[-1] - 1.0
         t = (0.0 - x0) / (bx[0] - x0)
         v0 = y0 + t * (by[0] - y0)
         if v0 >= by[0]:
             bx[0] = 0.0
-        elif v0 <= y0:
+        elif v0 <= y0 or v0 + 1.0 <= by[-1]:
             bx, by = np.roll(bx, 1), np.roll(by, 1)
             bx[0], by[0] = 0.0, y0
         else:

@@ -493,6 +493,8 @@ def main(argv=None):
             value = getattr(args, flag)
             if value is not None and value < least:  # None: gallery's manifest value
                 raise UsageError(f"--{flag} must be at least {least}, not {value}")
+        if getattr(args, "tol", None) is not None and not args.tol > 0.0:
+            raise UsageError(f"--tol must be positive, not {args.tol!r}")
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from . import skew as skew_layer
 from .rotation import recurrence_probe
 from .skew import (GridMask, ball_fiber, close_fibers, component_of,
                    extend_to_envelopes, geometry_for, invariance_defect,
-                   refine_envelopes, saturate_block_orbit, _CROSS,
-                   _components_meeting)
+                   refine_envelopes, saturate_block_orbit, _components_meeting,
+                   _or_shifted)
 from .util import circle_dist, finite_multiples, lattice_points_2d, wrap01
 
 
@@ -189,11 +188,11 @@ class ContinuumApprox:
 
 
 def continuum_Cs(tau, s):
-    """Boundary cells of the lower fill: obstruction cells adjacent to it."""
+    """Boundary cells of the lower fill: obstruction cells 4-adjacent to it."""
     fl = lower_component(tau, s)
-    # x wraps; the empty rows padded onto y stop the wrap there
-    grown = ndimage.maximum_filter(np.pad(fl.fill, ((0, 0), (1, 1))),
-                                   footprint=_CROSS, mode="wrap")[:, 1:-1]
+    grown = fl.fill.copy()
+    _or_shifted(grown, fl.fill, 0, wrap=True)
+    _or_shifted(grown, fl.fill, 1, wrap=False)
     ix, iy = np.nonzero(grown & ~fl.fill)
     _, xs, ys = tau.geom.centers(0, ix, iy)
     return ContinuumApprox(points=np.column_stack([xs, ys]), fill=fl)
@@ -225,8 +224,8 @@ def heights(tau, z, tol=None):
     geom = tau.geom
     if tol is None:
         tol = 0.5 * geom.h_y
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tol must be positive, not {tol!r}")
     z = np.asarray(z, dtype=float).reshape(-1, 2)
     ix, iy = geom.x_cell(z[:, 0]), geom.y_cell(z[:, 1])
 

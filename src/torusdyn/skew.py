@@ -30,7 +30,6 @@ _ENVELOPE_CHUNK = 16
 _ENVELOPE_ROUNDS = 20_000
 # saturation rounds without a new cell before it reports a fixed point
 _PATIENCE = 30
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # (x, y) offsets of the invariance samples in cells: the center and four
 # corners inset to +-1/4 so exact gridline hits stay in their cell
 _INSET = np.array([(0.0, 0.0), (-0.25, -0.25), (-0.25, 0.25), (0.25, -0.25),
@@ -486,21 +485,32 @@ def extend_to_envelopes(occ, geom, env_min, env_max):
     return occ | solid
 
 
+def _or_shifted(out, src, axis, wrap):
+    """out |= src shifted one cell either way along axis, the cells shifted
+    past its ends wrapping round or dropped; out and src must not overlap."""
+    a, b = np.moveaxis(out, axis, 0), np.moveaxis(src, axis, 0)
+    a[1:] |= b[:-1]
+    a[:-1] |= b[1:]
+    if wrap:
+        a[[0, -1]] |= b[[-1, 0]]
+
+
 def close_fibers(occ):
-    """Morphological closing of each fiber, x-wrap aware.
+    """Morphological closing of each fiber by a 5x3 box, x wrapping exactly.
 
     Regularizes the rasterized region at grid scale: single-column notches
     and pinholes left by finite orbit sampling are filled while flat edges
-    stay put. Used as the grid-scale closure of the region before boundaries
-    are extracted.
+    stay put. y lies between two empty guard rows; the erosion, the
+    complement's dilation complemented, reads past them as occupied, which
+    changes only the guard rows. Returns a view of the array without them.
     """
-    # x padded by wrapping over the closing's reach, 2 cells for the dilation
-    # and 2 for the erosion, so the seam is no edge; y by empty rows. The
-    # structure spans one fiber
-    f = np.pad(occ, ((0, 0), (4, 4), (1, 1)), mode="wrap")
-    f[:, :, [0, -1]] = False
-    closed = ndimage.binary_closing(f, structure=np.ones((1, 5, 3), dtype=bool))
-    return closed[:, 4:-4, 1:-1]
+    f = np.pad(occ, ((0, 0), (0, 0), (1, 1)))
+    for fiber in f:  # a fiber at a time: the copies stay one fiber small
+        for _ in range(2):
+            for axis, wrap in ((0, True), (0, True), (1, False)):
+                _or_shifted(fiber, fiber.copy(), axis, wrap)
+            np.logical_not(fiber, out=fiber)
+    return f[:, :, 1:-1]
 
 
 def _label_x_wrapped(occ, links=()):
@@ -514,7 +524,7 @@ def _label_x_wrapped(occ, links=()):
     names a cell's component by its smallest label, its first cell's.
     """
     structure = np.zeros((3,) * occ.ndim, dtype=bool)
-    structure[(1,) * (occ.ndim - 2)] = _CROSS  # no adjacency across fibers
+    structure[(1,) * (occ.ndim - 2)] = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]  # in a fiber
     lab, num = ndimage.label(occ, structure=structure)
     pairs = [(lab[..., 0, :], lab[..., -1, :])]
     n_t, n_y = occ.shape[0], occ.shape[-1]
@@ -568,24 +578,15 @@ def _padded_dilation(occ):
     """One-cell box dilation of occ between two False guard rows.
 
     t and x wrap, y clamps; the result has shape (n_t, n_x, n_y + 2). The
-    box is dilated one axis at a time, y first, by in-place ors of shifted
-    slices.
+    box is dilated one axis at a time, y first, by ``_or_shifted``.
     """
-    padded = np.zeros(occ.shape[:2] + (occ.shape[2] + 2,), dtype=bool)
+    padded = np.pad(occ, ((0, 0), (0, 0), (1, 1)))
     out = padded[:, :, 1:-1]
-    # padded rows j and j + 2 are the window rows below and above row j + 1
-    padded[:, :, :-2] = occ
-    padded[:, :, 2:] |= occ
-    out |= occ
-    padded[:, :, [0, -1]] = False
+    _or_shifted(out, occ, 2, wrap=False)  # the guard rows stay False
     cur = np.empty_like(out)
     for axis in (1, 0):  # x, then t: both wrap
         cur[...] = out
-        a, c = np.moveaxis(out, axis, 0), np.moveaxis(cur, axis, 0)
-        a[1:] |= c[:-1]
-        a[:1] |= c[-1:]
-        a[:-1] |= c[1:]
-        a[-1:] |= c[:1]
+        _or_shifted(out, cur, axis, wrap=True)
     return padded
 
 
@@ -672,7 +673,7 @@ def fiber_complement_components(mask, t):
 
     Components are unbounded exactly when they touch the top or bottom
     window row. An empty fiber yields a single degenerate component flagged
-    as touching both edges.
+    as touching both edges; a full fiber yields none.
     """
     geom = mask.geom
     it = int(geom.t_cell(t))

@@ -204,6 +204,19 @@ def test_inverse_roundtrip():
         assert np.max(np.abs(lift(inv(xs)) - xs)) <= 1e-10
 
 
+def test_inverse_of_a_table_starting_a_rounding_below_zero():
+    # the inverse's start value at 0 plus 1 rounds onto its last value, 1.0,
+    # so its end breakpoint is moved onto 0 and the table validates
+    lift = CircleLift.piecewise_affine([[0.0, -2.220446049250313e-16],
+                                        [0.3333333333333333, 0.6666666666666664]])
+    inv = lift.inverse()
+    assert inv.bx.tolist() == [0.0, 0.6666666666666664]
+    assert inv.by.tolist() == [0.0, 0.3333333333333333]
+    xs = np.random.default_rng(7).uniform(-3, 3, 500)
+    assert np.max(np.abs(inv(lift(xs)) - xs)) <= 1e-10
+    assert np.max(np.abs(lift(inv(xs)) - xs)) <= 1e-10
+
+
 # -- the closed breakpoint table against an open-table reference --------------
 
 def open_table_eval(bx, by, x):

@@ -463,6 +463,17 @@ def test_count_flag_below_minimum_is_usage_error(argv, flag, tmp_path, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-0.5"])
+def test_nonpositive_tol_is_usage_error(tol, tmp_path, capsys):
+    # checked before any work: nothing is built and no file is written
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "build_tau", side_effect=AssertionError):
+        _usage_exit(RUNS["factor-rigid"] + ["--tol", tol, "--out", str(out)], capsys)
+    assert not out.exists()
+    run(RUNS["factor-rigid"] + ["--tol", tol, "--out", str(out)])
+    assert "--tol" in capsys.readouterr().err
+
+
 RIGID_CIRCLE = '{"kind":"rigid","alpha":0.25}'
 
 

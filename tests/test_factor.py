@@ -3,13 +3,15 @@ import signal
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import torusdyn.factor
 import torusdyn.skew
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
                              verify_equivariance)
-from torusdyn.skew import GridMask, _label_x_wrapped, build_centralized
+from torusdyn.skew import GridGeometry, GridMask, _label_x_wrapped, build_centralized
 from torusdyn.torus import RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 
@@ -288,6 +290,34 @@ def test_continuum_rigid_is_flat_circle(tau_rigid_small):
                                                abs=3 * tau.geom.h_y)
 
 
+def boundary_by_rolls(fill):
+    """Cells 4-adjacent to the fill and off it, from rolled copies: x rolls
+    round the circle, y rolls are cut at the window edges."""
+    grown = fill.copy()
+    for axis in (0, 1):
+        for d in (-1, 1):
+            r = np.roll(fill, d, axis=axis)
+            if axis == 1:
+                r[:, 0 if d == 1 else -1] = False
+            grown |= r
+    return grown & ~fill
+
+
+@given(fill=arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))))
+@settings(max_examples=200, deadline=None)
+def test_continuum_is_the_fill_boundary(fill):
+    geom = GridGeometry(1, *fill.shape, -1.0, 1.0)
+    tau = TauRegion(mask=GridMask(geom, fill[None]), skew=None, status="",
+                    invariance={}, recurrence_times=[])
+    fill.flags.writeable = False  # as the shared all-True fill is
+    fl = FiberFill(fill=fill, separating=True, shift_cells=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusdyn.factor, "lower_component", lambda tau, s: fl)
+        cs = continuum_Cs(tau, 0.0)
+    _, xs, ys = geom.centers(0, *np.nonzero(boundary_by_rolls(fill)))
+    assert cs.points.tobytes() == np.column_stack([xs, ys]).tobytes()
+
+
 def test_continuum_ladder_disjoint(tau_rigid_small):
     tau = tau_rigid_small
     h = tau.geom.h_y
@@ -441,7 +471,8 @@ def test_heights_end_below_float_spacing(tau_rigid_small):
 
 
 def test_heights_reject_nonpositive_tol(tau_rigid_small):
-    for tol in (0.0, -1e-3):
+    # NaN too: it compares false with every width, so nothing would bisect
+    for tol in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             heights(tau_rigid_small, [[0.3, 0.1]], tol=tol)
 

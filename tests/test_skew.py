@@ -689,7 +689,8 @@ def close_each_fiber(occ):
     return out
 
 
-@given(occ=arrays(bool, st.tuples(*[st.integers(1, 6)] * 3),
+# x spans up to 10 cells, more than the closing's reach of 4 each way
+@given(occ=arrays(bool, st.tuples(*[st.integers(1, 10)] * 3),
                   elements=st.sampled_from([False] * 4 + [True])))
 @settings(max_examples=300, deadline=None)
 def test_morphology_matches_references(occ):

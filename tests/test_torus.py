@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from torusdyn.circle import CircleLift, build_denjoy
@@ -257,6 +257,11 @@ def test_circle_lifts_degree_one(d, seed):
 
 
 @given(d=map_definitions, seed=st.integers(0, 2**32 - 1))
+@example(d={"kind": "suspension", "base": {"kind": "rigid", "alpha": 0.3},
+            "fiber": {"kind": "piecewise-affine",
+                      "breaks": [[0.0, -2.220446049250313e-16],
+                                 [0.3333333333333333, 0.6666666666666664]]}},
+         seed=0)
 @settings(max_examples=300, deadline=None)
 def test_every_kind_equivariant_and_invertible(d, seed):
     spec = torus_map_from_definition(d)
