@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -46,9 +47,9 @@ GALLERY_ALIASES = {
 
 
 # the least value of each count flag, checked before any work
-_COUNT_MINIMUMS = {"deviations": {"samples": 1}, "skeworbit": {"nmax": 0},
-                   "factor": {"grid": 1, "sladder": 0}, "gallery": {"nscan": 1},
-                   "double-factor": {"grid": 1}}
+_COUNT_MINIMUMS = {"deviations": {"samples": 1, "nmax": 1}, "skeworbit": {"nmax": 0},
+                   "factor": {"grid": 1, "sladder": 0},
+                   "gallery": {"nscan": 1, "nmax": 1}, "double-factor": {"grid": 1}}
 
 
 class UsageError(Exception):
@@ -64,7 +65,12 @@ class WindowExhausted(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors become a UsageError, reported on one line."""
+    """Argument errors become a UsageError, reported on one line; a word
+    like -1,1, -.5 or -4e-1 is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

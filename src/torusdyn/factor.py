@@ -4,9 +4,10 @@ From a saturated bounded invariant region of the skew-product, extract the
 family of separating continua in the time-zero fiber, evaluate the height
 function h(z) = inf{s : z below the s-th continuum} by bisection, verify its
 equivariances, and project to a torus-to-circle factor map with measured
-semi-conjugacy defect. Each s value of the ladder is independent; fills are
-memoized on their rasterization key, and the fills of one t cell translate
-one band label, so repeated height queries are cheap.
+semi-conjugacy defect. Each s value of the ladder is independent. The fill
+at time s translates a band label of its t cell; the bisection reads
+membership straight from the bands, cached in the region's fill cache, and
+only the continua and the ladder paste fills, memoized on their key.
 """
 
 from __future__ import annotations
@@ -103,46 +104,24 @@ class FiberFill:
     shift_cells: int
 
 
-def _band_fill(fiber, r0, r1):
-    """Lower fill of fiber rows [r0, r1], rows off the fiber being free: the
-    complement cells joined to row r0 through 4-adjacency with x wrap."""
-    band = np.zeros((fiber.shape[0], r1 - r0 + 1), dtype=bool)
-    c0, c1 = max(r0, 0), min(r1 + 1, fiber.shape[1])
-    band[:, c0 - r0:c1 - r0] = fiber[:, c0:c1]
-    return _components_meeting(~band, np.s_[:, 0])
-
-
 def _fill_key(geom, s):
     """Rasterization key of the fills at times s: the t cell, and the shift
     in whole y cells as a float."""
     return geom.t_cell(s), np.round(s / geom.h_y)
 
 
-def lower_component(tau, s):
-    """Lower unbounded complement component of the flow-translated fiber.
-
-    The obstruction is the time-s-mod-1 fiber of the region translated up by
-    exactly s (rasterized once); the fill grows from the bottom window row
-    through 4-adjacency with x wrap. A fill touching the top row is returned
-    flagged not separating.
-
-    Only the band of the obstruction's rows and one free guard row on each
-    side that the window holds is labeled: the free rows below and above the
-    band each form one component with the band's edge row, so the rows below
-    are filled, and the rows above are filled when the band's top row meets
-    the fill. An obstruction wholly inside the window, with both guard rows,
-    is the same band at every shift, labeled once per t cell and kept in the
-    fill cache; one clipped by a window edge is labeled at its key; one
-    wholly outside the window, or an empty fiber, needs no label and shares
-    one read-only all-True fill per region.
+def _band(tau, it, shift):
+    """Lower fill of the band of key (it, shift) as ``(lo, band, top)``, or
+    None when the translated obstruction leaves the window or the fiber is
+    empty. The band is window rows [lo, lo + band.shape[1]): the
+    obstruction's rows and one free guard row on each side that the window
+    holds. The free rows below and above it each form one component with its
+    edge row, so the rows below are filled, and the rows above when ``top``,
+    its top row meeting the fill. Bands are cached in ``tau._fills`` by
+    fiber row range: an obstruction inside the window is one band per t
+    cell at every shift; one clipped by a window edge, one per clipped range.
     """
-    geom = tau.geom
-    it, shift = map(int, _fill_key(geom, s))
-    fills = tau._fills
-    cached = fills.get((it, shift))
-    if cached is not None:
-        return cached
-    fiber, n_y = tau.mask.occ[it], geom.n_y
+    fills, n_y, fiber = tau._fills, tau.geom.n_y, tau.mask.occ[it]
     rows = fills.get(("rows", it))
     if rows is None:
         # the first and last occupied rows; those of an empty fiber, (n_y, -1),
@@ -151,27 +130,38 @@ def lower_component(tau, s):
         rows = fills["rows", it] = ((int(occupied[0]), int(occupied[-1]))
                                     if occupied.size else (n_y, -1))
     if rows[1] + shift < 0 or rows[0] + shift >= n_y:
-        free = fills.get("free")
-        if free is None:
-            free = fills["free"] = np.ones((geom.n_x, n_y), dtype=bool)
-            free.flags.writeable = False
-        out = FiberFill(fill=free, separating=False, shift_cells=shift)
-    else:
-        # fiber rows [r0, r1]: the occupied rows and the guard rows in the window
-        r0, r1 = max(rows[0] - 1, -shift), min(rows[1] + 1, n_y - 1 - shift)
-        if (r0, r1) == (rows[0] - 1, rows[1] + 1):
-            band = fills.get(("band", it))
-            if band is None:
-                band = fills["band", it] = _band_fill(fiber, r0, r1)
-        else:
-            band = _band_fill(fiber, r0, r1)
-        top = bool(band[:, -1].any())
-        fill = np.empty((geom.n_x, n_y), dtype=bool)
-        fill[:, :r0 + shift] = True
-        fill[:, r0 + shift:r1 + shift + 1] = band
-        fill[:, r1 + shift + 1:] = top
-        out = FiberFill(fill=fill, separating=not top, shift_cells=shift)
-    fills[it, shift] = out
+        return None
+    # fiber rows [r0, r1]: the occupied rows and the guard rows in the window
+    r0, r1 = max(rows[0] - 1, -shift), min(rows[1] + 1, n_y - 1 - shift)
+    cached = fills.get(("band", it, r0, r1))
+    if cached is None:
+        free = np.ones((fiber.shape[0], r1 - r0 + 1), dtype=bool)
+        c0, c1 = max(r0, 0), min(r1 + 1, n_y)  # rows off the fiber are free
+        free[:, c0 - r0:c1 - r0] = ~fiber[:, c0:c1]
+        band = _components_meeting(free, np.s_[:, 0])
+        cached = fills["band", it, r0, r1] = band, bool(band[:, -1].any())
+    return (r0 + shift, *cached)
+
+
+def lower_component(tau, s):
+    """Lower unbounded complement component of the flow-translated fiber.
+
+    The obstruction is the time-s-mod-1 fiber of the region translated up by
+    exactly s (rasterized once); the fill grows from the bottom window row
+    through 4-adjacency with x wrap. A fill touching the top row is returned
+    flagged not separating. The fill is pasted from the key's band
+    (``_band``), every row filled when there is none, and memoized per key.
+    """
+    it, shift = map(int, _fill_key(tau.geom, s))
+    out = tau._fills.get((it, shift))
+    if out is None:
+        fill = np.ones((tau.geom.n_x, tau.geom.n_y), dtype=bool)
+        # no band: every row is filled, and the fill is not separating
+        lo, band, top = _band(tau, it, shift) or (0, fill[:, :0], True)
+        fill[:, lo:lo + band.shape[1]] = band
+        fill[:, lo + band.shape[1]:] = top
+        out = tau._fills[it, shift] = FiberFill(fill=fill, separating=not top,
+                                                shift_cells=shift)
     return out
 
 
@@ -235,18 +225,24 @@ def heights(tau, z, tol=None):
         q = np.flatnonzero(~out & (iy[p] < geom.n_y))
         if not q.size:
             return out
-        # one key per fill, as lower_component keys its cache
+        # one group per fill key, read from the key's band
         it, shift = _fill_key(geom, s[q])
         key = geom.n_t * shift.astype(np.int64) + it
         order = np.argsort(key, kind="stable")
-        for g in np.split(q[order], np.flatnonzero(np.diff(key[order])) + 1):
-            fl = lower_component(tau, s[g[0]])
-            if not fl.separating:
-                # the translated obstruction left the window: everything is on
-                # one side of the continuum, decided by the translation sign
-                out[g] = fl.shift_cells >= 0
-            else:
-                out[g] = fl.fill[ix[p[g]], iy[p[g]]]
+        cut = np.flatnonzero(np.diff(key[order])) + 1
+        for g, j in zip(np.split(q[order], cut), order[np.r_[0, cut]]):
+            got = _band(tau, int(it[j]), int(shift[j]))
+            if got is None or got[2]:
+                # not separating: everything is on one side of the continuum,
+                # decided by the translation sign
+                out[g] = shift[j] >= 0
+                continue
+            lo, band, _ = got
+            x, y = ix[p[g]], iy[p[g]] - lo
+            # rows below the band are members, rows above it are not
+            hit, inside = y < 0, (y >= 0) & (y < band.shape[1])
+            hit[inside] = band[x[inside], y[inside]]
+            out[g] = hit
         return out
 
     span = geom.y_max - geom.y_min

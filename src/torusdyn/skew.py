@@ -502,15 +502,18 @@ def close_fibers(occ):
     and pinholes left by finite orbit sampling are filled while flat edges
     stay put. y lies between two empty guard rows; the erosion, the
     complement's dilation complemented, reads past them as occupied, which
-    changes only the guard rows. Returns a view of the array without them.
+    changes only the guard rows. Returns a new C-contiguous array without
+    them, so ndimage.label reads it without a copy.
     """
-    f = np.pad(occ, ((0, 0), (0, 0), (1, 1)))
-    for fiber in f:  # a fiber at a time: the copies stay one fiber small
+    out = np.empty(occ.shape, dtype=bool)
+    for t, src in enumerate(occ):  # a fiber at a time: the copies stay one fiber small
+        fiber = np.pad(src, ((0, 0), (1, 1)))
         for _ in range(2):
             for axis, wrap in ((0, True), (0, True), (1, False)):
                 _or_shifted(fiber, fiber.copy(), axis, wrap)
             np.logical_not(fiber, out=fiber)
-    return f[:, :, 1:-1]
+        out[t] = fiber[:, 1:-1]
+    return out
 
 
 def _label_x_wrapped(occ, links=()):

@@ -103,3 +103,37 @@ def test_benchmark_counter_hooks_read_real_results():
     assert tracer.rounds == 12
     assert tracer.region_cells == tracer.invariance_cells == tau.mask.count > 0
     assert list(tracer.fill_miss_spans) == [3]
+
+
+def test_benchmark_repetitions_start_cold(monkeypatch):
+    # perfbench's heights workload clears tau._fills before each repetition;
+    # a cache kept anywhere else would let later repetitions skip labels
+    import torusdyn.skew
+    from torusdyn.circle import CircleLift
+    from torusdyn.factor import (build_tau, continuum_Cs, heights,
+                                 verify_equivariance)
+    from torusdyn.skew import build_centralized
+    from torusdyn.torus import SuspensionMap
+
+    a, b = 0.618, 0.414
+    skew = build_centralized(SuspensionMap(CircleLift.rigid(a), CircleLift.rigid(b)),
+                             a * b, c_est=b)
+    tau = build_tau(skew, (0.5, 0.0), n_t=16, n_x=16, n_y=32)
+    labels = []
+    real = torusdyn.skew._label_x_wrapped
+    monkeypatch.setattr(torusdyn.skew, "_label_x_wrapped",
+                        lambda *args: labels.append(1) or real(*args))
+    geom = tau.geom
+    rng = np.random.default_rng(0)
+    z = np.column_stack([rng.uniform(0.0, 1.0, 32),
+                         rng.uniform(geom.y_min, geom.y_max, 32)])
+    counts = []
+    for _ in range(2):
+        tau._fills.clear()
+        before = len(labels)
+        heights(tau, z)
+        verify_equivariance(tau, samples=16, s_ladder=16)
+        for j in range(16):
+            continuum_Cs(tau, j / 16)
+        counts.append(len(labels) - before)
+    assert counts[0] > 0 and counts[1] == counts[0]

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 import warnings
 from unittest import mock
 
@@ -436,11 +437,48 @@ def test_unbounded_map_values_are_usage_errors(tmp_path, capsys):
 
 
 def test_nmax_zero_is_usage_error(tmp_path, capsys):
-    out = ["--out", str(tmp_path)]
-    _usage_exit(["gallery", "unbounded-inessential", "--nmax", "0", *out], capsys)
-    _usage_exit(["deviations", "--map", RIGID, "--rho", "0", "--nmax", "0",
-                 *out], capsys)
-    assert not list(tmp_path.glob("*.json"))
+    # refused before any work: no out dir, no algebra check, no probe
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "check_commutation", side_effect=AssertionError), \
+            mock.patch.object(cli, "walk_probes", side_effect=AssertionError):
+        for example in ("suspension", "unbounded-inessential", "fully-essential"):
+            _usage_exit(["gallery", example, "--nmax", "0", "--out", str(out)],
+                        capsys)
+        _usage_exit(["deviations", "--map", RIGID, "--rho", "0", "--nmax", "0",
+                     "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def _run_bytes(argv, out, capsys):
+    """Exit code, stdout, stderr and the output files' bytes of one run."""
+    code = run(argv + ["--out", str(out)])
+    std = capsys.readouterr()
+    files = {p.relative_to(out).as_posix(): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    shutil.rmtree(out, ignore_errors=True)
+    return code, std.out, std.err, files
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (RUNS["deviations-rigid"], "--v", "-1,1"),
+    (RUNS["skeworbit-rigid"], "--state", "-0.1,0,0"),
+    (RUNS["factor-rigid"], "--seed-point", "-0.5,0"),
+    (["skeworbit", "--map", RIGID, "--nmax", "2"], "--rho", "-4e-1"),
+], ids=["v", "state", "seed-point", "rho-exponent"])
+def test_negative_values_read_as_values(argv, flag, value, tmp_path, capsys):
+    # argparse took only -digits and -digits.digits for a negative number,
+    # so these read as an unknown option; the flag given last wins over the
+    # run's own
+    out = tmp_path / "out"
+    spaced = _run_bytes(argv + [flag, value], out, capsys)
+    joined = _run_bytes(argv + [f"{flag}={value}"], out, capsys)
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == joined
+
+
+def test_option_like_value_is_still_refused(tmp_path, capsys):
+    _usage_exit(["skeworbit", "--map", RIGID, "--rho", "-x", "--nmax", "2",
+                 "--out", str(tmp_path)], capsys)
 
 
 @pytest.mark.parametrize("argv,flag", [

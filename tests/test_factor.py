@@ -262,6 +262,22 @@ def test_heights_independent_of_order_and_cache(tau_susp_small, monkeypatch):
     tau._fills.clear()
 
 
+def test_heights_keep_no_fill(tau_susp_small):
+    # the bisection reads bands: it neither asks for a fill nor keeps one
+    tau = tau_susp_small
+    geom = tau.geom
+    rng = np.random.default_rng(3)
+    z = np.column_stack([rng.uniform(0.0, 1.0, 64),
+                         rng.uniform(geom.y_min - 0.2, geom.y_max + 0.2, 64)])
+    tau._fills.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusdyn.factor, "lower_component", None)
+        heights(tau, z)
+    assert any(k[0] == "band" for k in tau._fills)
+    assert not any(isinstance(v, FiberFill) for v in tau._fills.values())
+    tau._fills.clear()
+
+
 def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
     tau = tau_susp_small
     tau._fills.clear()
@@ -270,12 +286,16 @@ def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
     monkeypatch.setattr(torusdyn.skew, "_label_x_wrapped",
                         lambda *a: labels.append(1) or real(*a))
     verify_equivariance(tau, samples=24, s_ladder=32)
-    keys = [k for k in tau._fills if isinstance(k[0], int)]
-    clipped = sum(key_kind(tau, *k) == "clipped" for k in keys)
-    bands = sum(k[0] == "band" for k in tau._fills)
-    assert len(labels) == bands + clipped <= tau.geom.n_t + clipped
+    # bands are cached by fiber row range: the interior range of a t cell is
+    # its occupied rows and a guard row each side, any other range is clipped
+    bands = [k[1:] for k in tau._fills if k[0] == "band"]
+    rows = {it: np.flatnonzero(tau.mask.occ[it].any(axis=0)) for it, _, _ in bands}
+    interior = sum((r0, r1) == (rows[it][0] - 1, rows[it][-1] + 1)
+                   for it, r0, r1 in bands)
+    assert len(labels) == len(bands)
+    assert interior <= tau.geom.n_t
     # with a full label per key this call made 333 labels
-    assert (len(keys), bands, clipped) == (333, 64, 73)
+    assert (interior, len(bands) - interior) == (64, 73)
     tau._fills.clear()
 
 
@@ -309,7 +329,7 @@ def test_continuum_is_the_fill_boundary(fill):
     geom = GridGeometry(1, *fill.shape, -1.0, 1.0)
     tau = TauRegion(mask=GridMask(geom, fill[None]), skew=None, status="",
                     invariance={}, recurrence_times=[])
-    fill.flags.writeable = False  # as the shared all-True fill is
+    fill.flags.writeable = False  # a memoized fill must not be written
     fl = FiberFill(fill=fill, separating=True, shift_cells=0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torusdyn.factor, "lower_component", lambda tau, s: fl)
@@ -403,8 +423,9 @@ def test_h_span_on_region_cells(tau_rigid_small):
     assert max(hs) - min(hs) <= extent + 2 * geom.h_y
 
 
-def _reference_height(tau, z, tol):
-    """One point's height by scalar bisection, with the stop rule of heights."""
+def _reference_height(tau, z, tol, fill_of=lower_component):
+    """One point's height by scalar bisection, with the stop rule of heights,
+    membership read from the fill ``fill_of(tau, s)``."""
     geom = tau.geom
     tol = 0.5 * geom.h_y if tol is None else tol
     x, y = float(z[0]), float(z[1])
@@ -415,7 +436,7 @@ def _reference_height(tau, z, tol):
             return True
         if iy >= geom.n_y:
             return False
-        fl = lower_component(tau, s)
+        fl = fill_of(tau, s)
         if not fl.separating:
             return fl.shift_cells >= 0
         return bool(fl.fill[ix, iy])
@@ -451,6 +472,26 @@ def test_heights_match_scalar_bisection(tau_rigid_small, tau_susp_small, pts, to
         ref = [_reference_height(tau, p, tol) for p in z]
         assert values.tolist() == [v for v, _ in ref]
         assert ok.tolist() == [o for _, o in ref]
+
+
+def test_heights_match_full_label_bisection(fill_regions):
+    # the bands the bisection reads give the memberships of full labels
+    rng = np.random.default_rng(5)
+    for name, tau in fill_regions.items():
+        geom = tau.geom
+        # random points, and points on the window's two bottom and two top
+        # rows, where bands are clipped
+        edge = geom.y_min + (np.array([0, 1, geom.n_y - 2, geom.n_y - 1]) + 0.5) * geom.h_y
+        z = np.vstack([np.column_stack([rng.uniform(0.0, 1.0, 48),
+                                        rng.uniform(geom.y_min - 0.3, geom.y_max + 0.3, 48)]),
+                       np.column_stack([np.repeat((np.arange(8) + 0.5) / 8, 4),
+                                        np.tile(edge, 8)])])
+        tau._fills.clear()
+        values, ok = heights(tau, z)
+        tau._fills.clear()
+        ref = [_reference_height(tau, p, None, reference_lower_component) for p in z]
+        assert values.tobytes() == np.array([v for v, _ in ref]).tobytes(), name
+        assert ok.tobytes() == np.array([o for _, o in ref]).tobytes(), name
 
 
 def test_heights_end_below_float_spacing(tau_rigid_small):

@@ -263,7 +263,9 @@ def test_shared_walk_keeps_the_probe_errors(tmp_path, capsys):
             gallery_bundle(n_max, *args)
         assert cli_main(["gallery", "fully-essential", "--nmax", str(n_max),
                          "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "usage error: n_max must be >= 1\n"
+        # the CLI refuses the count before any work, with its flag's name
+        assert capsys.readouterr().err == \
+            f"usage error: --nmax must be at least 1, not {n_max}\n"
     with pytest.raises(ValueError, match=r"^rho inf times 5 steps is not finite$"):
         gallery_bundle(5, float("inf"), *args[1:])
     # an overflowing deviation table is refused after the shared walk, with
