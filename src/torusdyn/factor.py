@@ -54,7 +54,9 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     mask is extended to the region's vertical envelopes, tracked in real
     arithmetic until the extended rows stop changing over the last half of
     the walk (checked at 16, 32, 64, ... rounds, capped at 20,000); the
-    provenance key ``refine_rounds`` records the rounds walked.
+    provenance key ``refine_rounds`` records the rounds walked. For a
+    column-wise map (``TorusMapSpec.column_wise``) that walk and the
+    invariance check read only each column's lowest and highest points.
     """
     if not (0.0 < ball_radius <= 1.0):
         raise ValueError("ball radius must be in (0, 1]")

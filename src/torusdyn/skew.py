@@ -277,26 +277,25 @@ def _block_orbit(skew, pts, rounds):
 
     The n-th image of the half-width block of a cloud W at time 0 is the
     half-width block of f^n(W) shifted down by n*rho, centered at n*rho.
-    Yields (n, w, c) for n = 0, then +n and -n for each round: the shifted
-    cloud w and the block phase c = n*rho mod 1, the time of the block's
-    center. Every yielded x is in [0, 1): the cloud is reduced once, and
-    each step is the lean annulus step, which only reduces its output.
+    Yields (n, img, shift, c) for n = 0, then +n and -n for each round: the
+    annulus image img of the cloud, to be read and not written, whose
+    heights y - shift are the shifted cloud's, and the block phase
+    c = n*rho mod 1, the time of the block's center. Every yielded x is in
+    [0, 1): the cloud is reduced once, and each step is the lean annulus
+    step, which only reduces its output.
     """
     pts = np.array(pts, dtype=float)
     pts[:, 0] = wrap01(pts[:, 0])
-    yield 0, pts, 0.0
+    yield 0, pts, 0.0, 0.0
     step = skew.spec._annulus_step
     walk = zip(iterates(step, pts, rounds),
                iterates(functools.partial(step, inverse=True), pts, rounds))
     shifts = np.arange(1, rounds + 1) * skew.rho
     phases = zip(shifts, wrap01(shifts), wrap01(-shifts))
     for n, (fwd, bwd), (shift, c_fwd, c_bwd) in zip(itertools.count(1), walk, phases):
-        w = fwd.copy()
-        w[:, 1] -= shift
-        yield n, w, c_fwd
-        w = bwd.copy()
-        w[:, 1] += shift
-        yield -n, w, c_bwd
+        yield n, fwd, shift, c_fwd
+        # the backward cloud's heights y + shift are y - (-shift), bit for bit
+        yield -n, bwd, -shift, c_bwd
 
 
 def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
@@ -328,26 +327,28 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     fiber_base = np.arange(n_t, dtype=float) * n_x
 
     # (n_t, len(pts)) work arrays, allocated once for every image
+    ys = np.empty(len(pts))
     yy = np.empty((n_t, len(pts)))
     column = np.empty_like(yy)
     cells = np.empty(yy.shape, dtype=np.int64)
     hit = np.empty(yy.shape, dtype=bool)
 
-    def raster_block(w, c, grew):
-        """Mark the half-width block of the cloud w at phase c. Returns
-        (edge, grew): whether a height reached the top or bottom row of the
-        window or beyond it, and whether a cell was new or ``grew`` was
-        already set."""
+    def raster_block(img, shift, c, grew):
+        """Mark the half-width block at phase c of the image img, its
+        heights shifted down by shift. Returns (edge, grew): whether a
+        height reached the top or bottom row of the window or beyond it,
+        and whether a cell was new or ``grew`` was already set."""
         # signed flow offsets in [-1/2, 1/2] of the fiber centers from the
         # block's center
         u = t_centers - c
         u -= np.round(u)
-        # fiber i holds the cloud shifted down by its flow offset
-        np.subtract(w[None, :, 1], u[:, None], out=yy)
+        # fiber i holds the shifted cloud shifted down by its flow offset
+        np.subtract(img[:, 1], shift, out=ys)
+        np.subtract(ys[None, :], u[:, None], out=yy)
         _guard_rows(yy, geom)
         lo, hi = yy.min(), yy.max()
         # padded flat index (fiber, x, 1 + y) of each point
-        np.add(fiber_base[:, None], geom.x_cell(w[:, 0])[None, :], out=column)
+        np.add(fiber_base[:, None], geom.x_cell(img[:, 0])[None, :], out=column)
         np.multiply(column, n_y + 2, out=column)
         np.add(column, 1.0, out=column)
         np.add(column, yy, out=column)
@@ -359,15 +360,14 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         return bool(lo <= 0 or hi >= n_y - 1), grew
 
     orbit = _block_orbit(skew, pts, max_iters)
-    _, w, c = next(orbit)
-    raster_block(w, c, False)
+    raster_block(*next(orbit)[1:], False)
     seed_occ = padded[:, :, 1:-1].copy()
     status = "max-iters"
     stale = 0
     rounds = 0
     edge = grew = False
-    for n, w, c in orbit:
-        at_edge, grew = raster_block(w, c, grew)
+    for n, *image in orbit:
+        at_edge, grew = raster_block(*image, grew)
         edge |= at_edge
         if n > 0:
             continue  # a round ends with its backward image
@@ -407,7 +407,8 @@ def refine_envelopes(skew, fiber_points, geom):
     edge falls on the same side as in the per-image update. Prefix and
     suffix extremes over the rows then give each fiber its envelope
     (``_unfold_buckets``). The entries equal the per-image extremes of
-    v - u up to a few ulps.
+    v - u up to a few ulps. For a column-wise map only each x's lowest and
+    highest point is walked (``_envelope_cloud``).
     """
     n_t, n_x = geom.n_t, geom.n_x
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
@@ -418,29 +419,39 @@ def refine_envelopes(skew, fiber_points, geom):
     env_max = np.empty((n_t, n_x))
     low = np.full((2 * n_t, n_x), np.inf)
     high = np.full((2 * n_t, n_x), -np.inf)
-    pts = np.asarray(fiber_points, dtype=float)
-    # (2 * chunk, len(pts)) work arrays, allocated once; min and max are
-    # exact, so the order in which images reach the tables does not matter
-    jx = np.empty((2 * _ENVELOPE_CHUNK, len(pts)))
+    pts, lows, highs = _envelope_cloud(skew.spec, fiber_points)
+    # work arrays, allocated once: a chunk's images as the orbit gives them,
+    # and (len(pts), 2 * chunk) tables with a point's images side by side,
+    # so that each scatter reads one block of rows. min and max are exact,
+    # so the order in which images reach the bucket tables does not matter
+    size = 2 * _ENVELOPE_CHUNK
+    images = np.empty((size, len(pts), 2))
+    jx = np.empty((len(pts), size))
     lifted = np.empty_like(jx)
     cells = np.empty(jx.shape, dtype=np.int64)
-    c = np.empty(2 * _ENVELOPE_CHUNK)
+    shift = np.empty(size)
+    c = np.empty(size)
     orbit = _block_orbit(skew, pts, _ENVELOPE_ROUNDS)
     # the seed image is a chunk of its own, so that chunks end on whole rounds
     k, walked, check, rows = 1, 0, _ENVELOPE_CHUNK, None
     while True:
-        for i, (_, w, phase) in enumerate(itertools.islice(orbit, k)):
-            c[i] = phase
-            np.multiply(w[:, 0], n_x, out=jx[i])
-            np.add(w[:, 1], phase, out=lifted[i])
+        for i, (_, img, s_i, c_i) in enumerate(itertools.islice(orbit, k)):
+            images[i] = img
+            shift[i], c[i] = s_i, c_i
+        x, y = images[:k, :, 0].T, images[:k, :, 1].T
+        fx, v, fcells = jx[:, :k], lifted[:, :k], cells[:, :k]
         pattern = np.round(t_centers[None, :] - c[:k, None]).sum(axis=1)
         # geom.x_cell without its wrap01: the orbit's x is already in [0, 1)
-        np.floor(jx[:k], out=jx[:k])
-        np.minimum(jx[:k], n_x - 1, out=jx[:k])
-        np.add(jx[:k], ((pattern + n_t) * n_x)[:, None], out=jx[:k])
-        cells[:k] = jx[:k]
-        np.minimum.at(low.reshape(-1), cells[:k].ravel(), lifted[:k].ravel())
-        np.maximum.at(high.reshape(-1), cells[:k].ravel(), lifted[:k].ravel())
+        np.multiply(x, n_x, out=fx)
+        np.floor(fx, out=fx)
+        np.minimum(fx, n_x - 1, out=fx)
+        np.add(fx, (pattern + n_t) * n_x, out=fx)
+        fcells[...] = fx
+        # the shifted height plus the phase, (y - shift) + c
+        np.subtract(y, shift[:k], out=v)
+        np.add(v, c[:k], out=v)
+        np.minimum.at(low.reshape(-1), fcells[lows].ravel(), v[lows].ravel())
+        np.maximum.at(high.reshape(-1), fcells[highs].ravel(), v[highs].ravel())
         walked += k // 2
         if walked in (check, _ENVELOPE_ROUNDS):
             _unfold_buckets(low, np.minimum, t_centers, env_min)
@@ -451,6 +462,30 @@ def refine_envelopes(skew, fiber_points, geom):
                 return env_min, env_max, walked
             rows, check = new, 2 * check
         k = 2 * min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS - walked)
+
+
+def _envelope_cloud(spec, fiber_points):
+    """(pts, lows, highs): the cloud refine_envelopes walks, and the slices
+    of it whose images its min and max scatters read.
+
+    Every point is kept, and read by both, unless the map is column-wise
+    (``TorusMapSpec.column_wise``). Then the points of one exact x keep one
+    column and their height order in every image, so only the lowest can
+    set a column minimum and only the highest a maximum. The cloud keeps
+    those two of each x, in the order [lowest only | both | highest only],
+    x reduced once.
+    """
+    pts = np.array(fiber_points, dtype=float)
+    pts[:, 0] = wrap01(pts[:, 0])
+    if not spec.column_wise:
+        return pts, slice(None), slice(None)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    new_x = pts[order[1:], 0] != pts[order[:-1], 0]
+    first = np.concatenate([[True], new_x])
+    last = np.concatenate([new_x, [True]])
+    parts = [order[first & ~last], order[first & last], order[last & ~first]]
+    both = len(parts[0]) + len(parts[1])
+    return pts[np.concatenate(parts)], slice(0, both), slice(len(parts[0]), None)
 
 
 def _unfold_buckets(table, best, t_centers, out):
@@ -476,8 +511,9 @@ def extend_to_envelopes(occ, geom, env_min, env_max):
 
     Valid when the region's fibers are vertically solid per column, which
     holds for maps acting column-wise on the annulus (rigid translations
-    and circle-over-circle suspensions); the extension only restores the
-    extreme rows that finite rasterization missed.
+    and circle-over-circle suspensions; ``TorusMapSpec.column_wise`` marks
+    those whose float evaluation keeps it exactly); the extension only
+    restores the extreme rows that finite rasterization missed.
     """
     y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
     solid = ((y_centers[None, None, :] >= env_min[:, :, None])
@@ -577,20 +613,31 @@ def component_of(mask, seed_occ):
                                links={int(np.floor(sigma)), int(np.ceil(sigma))})
 
 
-def _padded_dilation(occ):
-    """One-cell box dilation of occ between two False guard rows.
+def _dilated_fiber(occ, j):
+    """Fiber j of the one-cell box dilation of occ, between two False guard
+    rows: shape (n_x, n_y + 2).
 
-    t and x wrap, y clamps; the result has shape (n_t, n_x, n_y + 2). The
-    box is dilated one axis at a time, y first, by ``_or_shifted``.
+    t and x wrap, y clamps. The box is dilated one axis at a time: t by an
+    or of the three fibers, then y and x by ``_or_shifted``.
     """
-    padded = np.pad(occ, ((0, 0), (0, 0), (1, 1)))
-    out = padded[:, :, 1:-1]
-    _or_shifted(out, occ, 2, wrap=False)  # the guard rows stay False
-    cur = np.empty_like(out)
-    for axis in (1, 0):  # x, then t: both wrap
-        cur[...] = out
-        _or_shifted(out, cur, axis, wrap=True)
-    return padded
+    n_t, n_x, n_y = occ.shape
+    out = np.zeros((n_x, n_y + 2), dtype=bool)
+    inner = out[:, 1:-1]
+    for dt in (-1, 0, 1):
+        inner |= occ[(j + dt) % n_t]
+    cur = inner.copy()
+    _or_shifted(inner, cur, 1, wrap=False)  # the guard rows stay False
+    cur[...] = inner
+    _or_shifted(inner, cur, 0, wrap=True)
+    return out
+
+
+def _runs(a):
+    """(first, last, solid) per row of a 2-D bool array: the first and last
+    True column and whether the Trues are one run (False when none)."""
+    first = a.argmax(axis=1)
+    last = a.shape[1] - 1 - a[:, ::-1].argmax(axis=1)
+    return first, last, np.count_nonzero(a, axis=1) == last - first + 1
 
 
 def invariance_defect(skew, mask):
@@ -603,59 +650,96 @@ def invariance_defect(skew, mask):
     the annulus points (x, ytil + t) that ``CentralizedSkew.step`` forms,
     stepped by the lean annulus step; an image height is (y - t) - rho, as
     in the step, and one beyond the window counts as outside.
+
+    For a column-wise map (``TorusMapSpec.column_wise``) the images of one
+    sample offset over a column lie in one image column, in the order of
+    their heights. So where the source column is one run and each image
+    column of the dilation is one run, the column passes when its two end
+    cells pass. Every cell of any other column is checked, so the counts
+    are exact.
     """
     geom = mask.geom
+    occ = mask.occ
     n_t, n_x, n_y = geom.n_t, geom.n_x, geom.n_y
-    # rows 0 and n_y + 1 of the dilation guard the window and are False:
-    # image heights beyond it are clipped into them
-    flat = _padded_dilation(mask.occ).reshape(-1)
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
     dx = _INSET[:, 0] * geom.h_x
     dy = _INSET[:, 1] * geom.h_y
-    # (5 * k_max) work arrays, allocated once from the largest fiber; a
-    # fiber of k cells uses their first 5 * k entries
-    size = len(_INSET) * int(mask.occ.sum(axis=(1, 2)).max(initial=0))
+    column_wise = skew.spec.column_wise
+    # (5 * k_max) work arrays, allocated once from the largest fiber or the
+    # end cells of every column; a batch of k cells uses their first 5 * k
+    # entries
+    size = len(_INSET) * max(int(occ.sum(axis=(1, 2)).max(initial=0)), 2 * n_x)
     samples = np.empty(2 * size)
     jx = np.empty(size)
     jy = np.empty(size)
     cells = np.empty(size, dtype=np.int64)
     hit = np.empty(size, dtype=bool)
     step = skew.spec._annulus_step
-    directions = []
-    for key, inverse in (("forward", False), ("backward", True)):
-        rho = -skew.rho if inverse else skew.rho
-        # per source fiber, the padded flat index of window row 0 in column
-        # 0 of its image fiber
-        base = geom.t_cell(t_centers + rho) * (n_x * (n_y + 2)) + 1.0
-        directions.append((key, inverse, rho, base))
-    bad = {"forward": 0, "backward": 0}
-    for it in range(n_t):
-        ix, iy = np.nonzero(mask.occ[it])
-        k = len(_INSET) * ix.size
-        if not k:
-            continue
+
+    def sample(it, ix, iy):
+        """The (5 * k, 2) samples of the cells (it, ix, iy), and t."""
         t, x, y = geom.centers(it, ix, iy)
-        pts = samples[:2 * k].reshape(len(_INSET), -1, 2)
+        pts = samples[:2 * len(_INSET) * ix.size].reshape(len(_INSET), ix.size, 2)
         np.add(x, dx[:, None], out=pts[..., 0])
         np.add(y, dy[:, None], out=pts[..., 1])
         pts[..., 1] += t
-        fx, fy, fcells, fhit = jx[:k], jy[:k], cells[:k], hit[:k]
-        for key, inverse, rho, base in directions:
-            img = step(pts.reshape(-1, 2), inverse)
-            # geom.x_cell without its wrap01: the step's x is in [0, 1)
-            np.multiply(img[:, 0], n_x, out=fx)
-            np.floor(fx, out=fx)
-            np.minimum(fx, n_x - 1, out=fx)
-            # the guard-clipped y cell of the image height (y - t) - rho
-            np.subtract(img[:, 1], t, out=fy)
-            np.subtract(fy, rho, out=fy)
-            _guard_rows(fy, geom)
-            # padded flat index (fiber, x, 1 + y) of each image
-            np.multiply(fx, n_y + 2, out=fx)
-            np.add(fx, fy, out=fx)
-            np.add(fx, base[it], out=fx)
-            fcells[...] = fx
-            np.take(flat, fcells, out=fhit)
+        return pts.reshape(-1, 2), t
+
+    def image_cells(pts, t, inverse, rho):
+        """(5, k) flat indices (x, 1 + y) in the padded image fiber of the
+        samples' images, heights beyond the window in the guard rows."""
+        img = step(pts, inverse)
+        fx, fy, fcells = jx[:len(pts)], jy[:len(pts)], cells[:len(pts)]
+        # geom.x_cell without its wrap01: the step's x is in [0, 1)
+        np.multiply(img[:, 0], n_x, out=fx)
+        np.floor(fx, out=fx)
+        np.minimum(fx, n_x - 1, out=fx)
+        # the guard-clipped y cell of the image height (y - t) - rho
+        np.subtract(img[:, 1], t, out=fy)
+        np.subtract(fy, rho, out=fy)
+        _guard_rows(fy, geom)
+        np.multiply(fx, n_y + 2, out=fx)
+        np.add(fx, fy, out=fx)
+        np.add(fx, 1.0, out=fx)
+        fcells[...] = fx
+        return fcells.reshape(len(_INSET), len(pts) // len(_INSET))
+
+    directions = []
+    for key, inverse in (("forward", False), ("backward", True)):
+        rho = -skew.rho if inverse else skew.rho
+        directions.append((key, inverse, rho, geom.t_cell(t_centers + rho)))
+    bad = {"forward": 0, "backward": 0}
+    for it in range(n_t):
+        fiber = occ[it]
+        if column_wise:
+            first, last, solid = _runs(fiber)
+            cols = np.flatnonzero(solid)
+            occupied = fiber[np.arange(n_x), first]
+            ends = (np.concatenate([cols, cols]),
+                    np.concatenate([first[cols], last[cols]]))
+        else:
+            ix, iy = np.nonzero(fiber)
+            if not ix.size:
+                continue
+            pts, t = sample(it, ix, iy)  # both directions step these
+        for key, inverse, rho, image_fiber in directions:
+            dil = _dilated_fiber(occ, image_fiber[it])
+            if column_wise:
+                to_x, row = np.divmod(image_cells(*sample(it, *ends), inverse, rho),
+                                      n_y + 2)
+                lo, hi, one_run = _runs(dil)
+                ok = one_run[to_x] & (lo[to_x] <= row) & (row <= hi[to_x])
+                passed = np.zeros(n_x, dtype=bool)
+                passed[cols] = ok.reshape(len(_INSET), 2, cols.size).all(axis=(0, 1))
+                # every cell of the other columns is checked
+                redo = np.flatnonzero(occupied & ~passed)
+                ix, iy = np.nonzero(fiber[redo])
+                if not ix.size:
+                    continue
+                ix = redo[ix]
+                pts, t = sample(it, ix, iy)
+            fhit = hit[:len(pts)]
+            np.take(dil.reshape(-1), image_cells(pts, t, inverse, rho).ravel(), out=fhit)
             inside = np.count_nonzero(fhit.reshape(len(_INSET), -1).all(axis=0))
             bad[key] += ix.size - int(inside)
     return bad

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .circle import CircleLift
+from .circle import KIND_RIGID, CircleLift
 from .util import wrap01
 
 
@@ -31,10 +31,18 @@ class TorusMapSpec:
     depends on that point alone, bit for bit, whatever else the batch
     holds. So the rows of several orbits may be stacked and stepped by one
     evaluation, as `rotation.walk_probes` does.
+
+    ``column_wise`` declares that both evaluators act column by column: the
+    image x is a function of x alone, bit for bit, and the image height is
+    nondecreasing in y. So the annulus step maps each column into one
+    column and keeps the order of heights, and the region build reads only
+    a column's ends (`skew.refine_envelopes`, `skew.invariance_defect`). A
+    kind declares it only where float evaluation keeps both exactly.
     """
 
     kind = "abstract"
     k = 0
+    column_wise = False
 
     def eval_lift(self, z):
         raise NotImplementedError
@@ -74,6 +82,7 @@ class TorusMapSpec:
 class RigidTranslation(TorusMapSpec):
     kind = "rigid"
     k = 0
+    column_wise = True
 
     def __init__(self, a, b):
         self.offset = np.array([float(a), float(b)])
@@ -136,6 +145,9 @@ class SuspensionMap(TorusMapSpec):
         self.fiber = fiber_lift
         self._base_inv = base_lift.inverse()
         self._fiber_inv = fiber_lift.inverse()
+        # fl(y + c) is monotone in y; a piecewise-affine fiber may step back
+        # an ulp at a breakpoint, so only a rigid fiber is declared
+        self.column_wise = fiber_lift.kind == KIND_RIGID
 
     @staticmethod
     def _fiber_power(x, m, lift, lift_inv):
@@ -283,6 +295,7 @@ class ComposedMap(TorusMapSpec):
         if not self.chain:
             raise ValueError("empty composition chain")
         self.k = sum(m.k for m in self.chain)
+        self.column_wise = all(m.column_wise for m in self.chain)
 
     def eval_lift(self, z):
         out = np.asarray(z, dtype=float)

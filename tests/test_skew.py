@@ -8,10 +8,11 @@ import torusdyn.skew
 from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
-from torusdyn.skew import (GridGeometry, GridMask, SkewState, _label_x_wrapped,
-                           ball_fiber, build_centralized, check_closed_form,
+from torusdyn.skew import (GridGeometry, GridMask, SkewState, _envelope_cloud,
+                           _label_x_wrapped, ball_fiber, build_centralized,
+                           check_closed_form,
                            check_commutation, close_fibers, component_of,
-                           _padded_dilation, extend_to_envelopes,
+                           _dilated_fiber, extend_to_envelopes,
                            fiber_complement_components, gamma_flow, geometry_for,
                            invariance_defect, refine_envelopes,
                            saturate_block_orbit, vertical_orbit_bound)
@@ -127,9 +128,14 @@ def test_vertical_orbit_bound_rejects_empty_ladder(n_max):
 # -- grids ---------------------------------------------------------------------
 
 
+def padded_dilation(occ):
+    """One-cell box dilation between two guard rows, fiber by fiber."""
+    return np.stack([_dilated_fiber(occ, j) for j in range(occ.shape[0])])
+
+
 def dilate_mask(occ):
     """One-cell box dilation; t and x wrap, y clamps."""
-    return _padded_dilation(occ)[:, :, 1:-1]
+    return padded_dilation(occ)[:, :, 1:-1]
 
 
 def small_geom(skew, n=48):
@@ -450,6 +456,31 @@ def check_refined_envelopes(skew, geom, cap, x0, radius):
     assert np.array_equal(extended_rows(geom, *got), extended_rows(geom, *want))
 
 
+@pytest.mark.parametrize("cap", [1, 300])
+@pytest.mark.parametrize("n_t,n_x", [(15, 16), (32, 32)])
+@pytest.mark.parametrize("name", sorted(k for k, make in ENVELOPE_SKEWS.items()
+                                        if make().spec.column_wise))
+def test_column_ends_walk_the_full_cloud(name, n_t, n_x, cap, monkeypatch):
+    # the walk of each column's lowest and highest point gives the full
+    # cloud's envelopes and rounds bit for bit
+    monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", cap)
+    skew, full_skew = ENVELOPE_SKEWS[name](), ENVELOPE_SKEWS[name]()
+    # every point, read by both scatters
+    monkeypatch.setattr(full_skew.spec, "column_wise", False)
+    geom = geometry_for(skew, center_y=0.0, n_t=n_t, n_x=n_x, n_y=2 * n_x,
+                        half_height=2.0)
+    for x0, radius in ((0.5, 0.12), (0.05, 0.15)):
+        pts = envelope_cloud(geom, x0, radius, 64)
+        # each scatter reads fewer points than the cloud holds
+        cloud, lows, highs = _envelope_cloud(skew.spec, pts)
+        assert max(len(cloud[lows]), len(cloud[highs])) < len(pts)
+        thinned = refine_envelopes(skew, pts, geom)
+        full = refine_envelopes(full_skew, pts, geom)
+        assert thinned[2] == full[2]
+        for got, want in zip(thinned[:2], full[:2]):
+            assert got.tobytes() == want.tobytes()
+
+
 # geometries of the region build, as the CLI's golden runs and the tests
 # build them: (skew, resolution, half height, ball radius, rounds walked).
 # Suspension 3.1 still changes a row after 16,384 rounds. The clouds ring
@@ -651,6 +682,45 @@ def test_invariance_defect_matches_per_sample_fibers(occ, offset, rho, edge_rows
         assert invariance_defect(skew, mask) == invariance_per_sample(skew, mask)
 
 
+@st.composite
+def column_masks(draw):
+    """Masks of one run of rows or none per (t, x) column, a few cells
+    flipped: so some columns are not one run, neighbouring runs leave gaps
+    in the dilation's columns, and images of end cells leave it."""
+    n_t, n_x, n_y = (draw(st.integers(1, 5)), draw(st.integers(1, 6)),
+                     draw(st.integers(1, 10)))
+    lo = draw(arrays(np.int64, (n_t, n_x), elements=st.integers(0, n_y)))
+    size = draw(arrays(np.int64, (n_t, n_x), elements=st.integers(0, n_y)))
+    rows = np.arange(n_y)
+    occ = (rows >= lo[..., None]) & (rows < (lo + size)[..., None])
+    return occ ^ draw(arrays(bool, occ.shape,
+                             elements=st.sampled_from([False] * 9 + [True])))
+
+
+column_wise_specs = st.one_of(
+    st.builds(RigidTranslation, st.floats(-1, 1), st.floats(-0.5, 0.5)),
+    st.builds(lambda a, b: SuspensionMap(CircleLift.rigid(a), CircleLift.rigid(b)),
+              st.floats(-1, 1), st.floats(-0.5, 0.5)),
+    st.builds(lambda a, b, c: ComposedMap([
+        SuspensionMap(CircleLift.piecewise_affine([(0.0, a), (0.5, a + 0.3)]),
+                      CircleLift.rigid(b)), RigidTranslation(0.0, c)]),
+        st.floats(-1, 1), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+
+
+@given(occ=column_masks(), spec=column_wise_specs,
+       rho=st.sampled_from(["edge", "-edge", B, 0.5, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_invariance_end_cells_match_the_full_check(occ, spec, rho):
+    assert spec.column_wise
+    geom = GridGeometry(*occ.shape, -1.0, 1.0)
+    rho = {"edge": 1.5 / geom.n_t, "-edge": -2.5 / geom.n_t}.get(rho, rho)
+    skew = build_centralized(spec, rho)
+    mask = GridMask(geom, occ)
+    ends = invariance_defect(skew, mask)
+    spec.column_wise = False  # every cell through the per-cell check
+    assert ends == invariance_defect(skew, mask)
+
+
 def test_invariance_defect_of_a_pushed_region(monkeypatch):
     # the rigid region pushed by a small disk is invariant up to a few cells:
     # the per-direction counts are nonzero and equal the per-sample body's
@@ -695,5 +765,5 @@ def close_each_fiber(occ):
 @settings(max_examples=300, deadline=None)
 def test_morphology_matches_references(occ):
     assert np.array_equal(dilate_mask(occ), dilate_by_rolls(occ))
-    assert not _padded_dilation(occ)[:, :, [0, -1]].any()
+    assert not padded_dilation(occ)[:, :, [0, -1]].any()
     assert np.array_equal(close_fibers(occ), close_each_fiber(occ))

@@ -490,3 +490,52 @@ def test_rows_independent_across_step_counts_and_push_support():
     for spec in (dp, ComposedMap([dp, susp]), ComposedMap([susp, dp])):
         assert_rows_independent(spec, near, far)
         assert_rows_independent(spec, far, near)
+
+
+# -- the column-wise declaration -----------------------------------------------
+
+
+def declared_column_wise(d):
+    """Rigid translations, suspensions with a rigid fiber and compositions of
+    these declare column_wise; twists, disk pushes and table fibers do not."""
+    if d["kind"] == "composed":
+        return all(declared_column_wise(m) for m in d["maps"])
+    if d["kind"] == "suspension":
+        return d["fiber"]["kind"] == "rigid"
+    return d["kind"] == "rigid"
+
+
+rigid_definitions = st.builds(lambda a, b: {"kind": "rigid", "offset": [a, b]},
+                              reals, reals)
+rigid_fiber_suspensions = st.builds(
+    lambda b, a: {"kind": "suspension", "base": b,
+                  "fiber": {"kind": "rigid", "alpha": a}},
+    st.sampled_from(STEP_BASES) | circle_definitions, reals)
+column_wise_definitions = st.builds(
+    lambda maps: {"kind": "composed", "maps": maps},
+    st.lists(rigid_definitions | rigid_fiber_suspensions, min_size=1, max_size=3))
+
+
+@given(d=(map_definitions | step_suspensions | rigid_fiber_suspensions
+          | column_wise_definitions),
+       coords=st.lists(st.floats(-3.0, 3.0), max_size=12),
+       heights=st.lists(st.floats(-3.0, 3.0), max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_column_wise_declaration(d, coords, heights, seed):
+    # a column-wise annulus step keeps the image x of a column bit for bit
+    # and the order of its heights, both ways
+    spec = torus_map_from_definition(d)
+    assert spec.column_wise == declared_column_wise(d)
+    if not spec.column_wise:
+        return
+    rng = np.random.default_rng(seed)
+    xs = np.unique(wrap01(_probe_points(spec, coords)))  # reduced, as stepped
+    ys = np.sort(np.concatenate([heights, TINY_NEGATIVES, [0.0, 1.0],
+                                 rng.uniform(-3.0, 3.0, 16)]))
+    z = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+    for inverse in (False, True):
+        img = spec._annulus_step(z.reshape(-1, 2), inverse).reshape(z.shape)
+        bits = img[..., 0].view(np.int64)
+        assert (bits == bits[:, :1]).all(), (d, inverse)
+        assert (np.diff(img[..., 1], axis=1) >= 0.0).all(), (d, inverse)
