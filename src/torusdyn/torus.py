@@ -210,6 +210,9 @@ class DiskPush(TorusMapSpec):
     Realized as z + d * eta(|z - c| / R) with c the midpoint of the centers,
     d = center1 - center0 and eta a plateau bump (1 on [0, 1/2], affine to 0
     at 1). The map is the identity exactly outside the disk of radius R.
+    The inverse is z - s * d with s = eta(|w - s * d| / R), w = z - c: s = 1
+    where |w - d| <= R/2, s = 0 outside the disk, and in between the root
+    in (0, 1) of the quadratic that eta's affine part gives.
     """
 
     kind = "disk-push"
@@ -221,6 +224,8 @@ class DiskPush(TorusMapSpec):
         radius = float(radius)
         if not (0.0 < radius < 0.25):
             raise ValueError("radius must be in (0, 1/4)")
+        if not (np.isfinite(c0).all() and np.isfinite(c1).all()):
+            raise ValueError("centers must be finite")
         d = c1 - c0
         d = d - np.round(d)  # nearest torus representative of the push vector
         if np.linalg.norm(d) > 0.49 * radius:
@@ -230,9 +235,6 @@ class DiskPush(TorusMapSpec):
         self.push = d
         self.radius = radius
         self.midpoint = wrap01(c0 + 0.5 * d)
-        # no point farther than this from the midpoint meets the support
-        # after a backward push
-        self._reach = radius + np.linalg.norm(d)
 
     def _eta(self, r):
         return np.minimum(np.maximum(2.0 * (1.0 - r), 0.0), 1.0)
@@ -255,26 +257,21 @@ class DiskPush(TorusMapSpec):
     def eval_inverse(self, z):
         z = np.asarray(z, dtype=float)
         w = self._rel(z)
-        # points whose backward fiber cannot meet the support are fixed
-        active = self._norm(w[..., 0], w[..., 1]) <= self._reach
-        out = z.copy()
-        if not active.any():
-            return out
-        wa = w[active]
-        w0, w1 = wa[..., 0], wa[..., 1]
+        w0, w1 = w[..., 0], w[..., 1]
         p0, p1 = self.push
-        # solve s = eta(|w - s*d| / R) by bisection; phi is strictly decreasing
-        lo = np.zeros(wa.shape[:-1])
-        hi = np.ones(wa.shape[:-1])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            r = self._norm(w0 - mid * p0, w1 - mid * p1) / self.radius
-            up = self._eta(r) - mid > 0.0
-            np.copyto(lo, mid, where=up)
-            np.copyto(hi, mid, where=~up)
-        s = 0.5 * (lo + hi)
-        out[active] = z[active] - s[..., None] * self.push
-        return out
+        rr = self.radius * self.radius
+        # on eta's affine part a*s^2 + b*s + c = 0, a > 0 since |d| <= 0.49 R
+        c = rr - (w0 * w0 + w1 * w1)
+        inside = c > 0.0
+        if not inside.any():
+            return z.copy()
+        a = 0.25 * rr - (p0 * p0 + p1 * p1)
+        b = 2.0 * (w0 * p0 + w1 * p1) - rr
+        # the smaller root without cancellation; the discriminant dips below 0
+        # only by rounding, near the double root w = 2d on the plateau
+        s = 2.0 * c / (np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)) - b)
+        s = np.where(self._norm(w0 - p0, w1 - p1) <= 0.5 * self.radius, 1.0, s)
+        return np.where(inside[..., None], z - s[..., None] * self.push, z)
 
     def to_definition(self):
         return {

@@ -141,6 +141,10 @@ def test_disk_push_rejections():
         DiskPush((0.1, 0.1), (0.3, 0.1), 0.2)  # too far for the radius
     with pytest.raises(ValueError):
         DiskPush((0.1, 0.1), (0.11, 0.1), 0.3)  # radius >= 1/4
+    with pytest.raises(ValueError):
+        DiskPush((0.3, np.nan), (0.35, 0.5), 0.2)  # every image would be NaN
+    with pytest.raises(ValueError):
+        DiskPush((0.3, 0.5), (np.inf, 0.5), 0.2)
 
 
 def test_normalize_examples():
@@ -316,29 +320,46 @@ def ref_suspension(spec, z, inverse):
 
 
 def ref_disk_push(dp, z, inverse):
-    """np.linalg.norm over the last axis, the reach recomputed per call."""
+    """np.linalg.norm over the last axis; the inverse's plateau and affine
+    branches each under their own mask, every other row left as it is."""
     z = np.asarray(z, dtype=float)
     w = z - dp.midpoint
     w = w - np.round(w)
-    eta = lambda r: np.clip(2.0 * (1.0 - r), 0.0, 1.0)  # noqa: E731
+    d, rr = dp.push, dp.radius * dp.radius
     if not inverse:
         r = np.linalg.norm(w, axis=-1) / dp.radius
-        return z + eta(r)[..., None] * dp.push
+        return z + np.clip(2.0 * (1.0 - r), 0.0, 1.0)[..., None] * d
+    out = z.copy()
+    c = np.asarray(rr - (w * w).sum(axis=-1))
+    plateau = (c > 0.0) & (np.linalg.norm(w - d, axis=-1) <= 0.5 * dp.radius)
+    affine = (c > 0.0) & ~plateau
+    out[plateau] = z[plateau] - d
+    wa, ca = w[affine], c[affine]
+    a = 0.25 * rr - (d * d).sum()
+    b = 2.0 * (wa * d).sum(axis=-1) - rr
+    s = 2.0 * ca / (np.sqrt(b * b - 4.0 * a * ca) - b)
+    out[affine] = z[affine] - s[..., None] * d
+    return out
+
+
+def bisect_disk_push_inverse(dp, z):
+    """The push's inverse by 60 rounds of bisection for s = eta(|w - s*d| / R)
+    on every point within R + |d| of the midpoint: an accuracy reference."""
+    z = np.asarray(z, dtype=float)
+    w = z - dp.midpoint
+    w = w - np.round(w)
     active = np.linalg.norm(w, axis=-1) <= dp.radius + np.linalg.norm(dp.push)
     out = z.copy()
-    if not np.any(active):
-        return out
     wa = w[active]
     lo = np.zeros(wa.shape[:-1])
     hi = np.ones(wa.shape[:-1])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         r = np.linalg.norm(wa - mid[..., None] * dp.push, axis=-1) / dp.radius
-        phi = eta(r) - mid
-        lo = np.where(phi > 0.0, mid, lo)
-        hi = np.where(phi > 0.0, hi, mid)
-    s = 0.5 * (lo + hi)
-    out[active] = z[active] - s[..., None] * dp.push
+        up = np.clip(2.0 * (1.0 - r), 0.0, 1.0) - mid > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    out[active] = z[active] - (0.5 * (lo + hi))[..., None] * dp.push
     return out
 
 
@@ -418,6 +439,47 @@ def test_map_evaluators_match_per_call_references(d, coords, seed):
             assert back.tobytes() == ref_eval(spec, img, not inverse).tobytes()
 
 
+def _push_probe_points(dp, rng):
+    """Preimages at r*R from the midpoint, for r = 0, one ulp either side of
+    1/2 and of 1, and spread over [0, 1.2]; their images; a grid over signed
+    zeros, the midpoint's coordinates and the disk's edges along the axes;
+    and spread points."""
+    r = np.concatenate([[0.0]] + [[np.nextafter(e, 0.0), e, np.nextafter(e, 2.0)]
+                                  for e in (0.5, 1.0)] + [rng.uniform(0.0, 1.2, 16)])
+    angle = rng.uniform(0.0, 2.0 * np.pi, r.size)
+    pre = dp.midpoint + (r * dp.radius)[:, None] * np.column_stack(
+        [np.cos(angle), np.sin(angle)])
+    vals = np.concatenate([[-0.0, 0.0], dp.midpoint, dp.midpoint - dp.radius,
+                           dp.midpoint + dp.radius])
+    grid = np.stack(np.meshgrid(vals, vals), axis=-1).reshape(-1, 2)
+    return np.concatenate([pre, dp.eval_lift(pre), grid, rng.uniform(-1.0, 2.0, (16, 2))])
+
+
+@given(d=disk_push_definitions(), seed=st.integers(0, 2**32 - 1))
+@example(d={"kind": "disk-push", "center0": [0.3, 0.5], "center1": [0.3, 0.5],
+            "radius": 0.2}, seed=0)  # |d| = 0
+@example(d={"kind": "disk-push", "center0": [0.3, 0.5], "center1": [0.396, 0.5],
+            "radius": 0.2}, seed=0)  # |d| = 0.48 R
+# midpoint (1/8, 1/2) and R = 1/8: the row (-0.0, 0.5) lies exactly on the
+# disk's edge, and pushing it by 0 * d would turn its -0.0 into 0.0
+@example(d={"kind": "disk-push", "center0": [0.140625, 0.5],
+            "center1": [0.109375, 0.5], "radius": 0.125}, seed=0)
+@settings(max_examples=300, deadline=None)
+def test_disk_push_inverse_closed_form_matches_bisection(d, seed):
+    dp = torus_map_from_definition(d)
+    z = _push_probe_points(dp, np.random.default_rng(seed))
+    got = dp.eval_inverse(z)
+    want = bisect_disk_push_inverse(dp, z)
+    tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(z))
+    assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want))
+    assert np.max(np.abs(dp.eval_lift(got) - z)) <= ROUNDTRIP_TOL
+    assert np.max(np.abs(dp.eval_inverse(dp.eval_lift(z)) - z)) <= ROUNDTRIP_TOL
+    # rows outside the open disk come back bit for bit
+    w = dp._rel(z)
+    outside = dp.radius * dp.radius - (w * w).sum(axis=-1) <= 0.0
+    assert got[outside].tobytes() == z[outside].tobytes()
+
+
 # -- row independence: a stacked batch evaluates as its parts ------------------
 
 
@@ -480,13 +542,13 @@ def test_rows_independent_across_step_counts_and_push_support():
     m = [set(np.floor(susp.base(h[:, 0])).astype(int).tolist()) for h in (a, b)]
     assert m == [{-2}, {-1}]
     assert_rows_independent(susp, a, b)
-    # only the first half lies within the push's reach, so only it bisects
+    # only the first half lies inside the push's disk, so only it moves
     dp = DiskPush((0.3, 0.5), (0.31, 0.5), 0.05)
     near = dp.midpoint + 0.03 * rng.uniform(-1.0, 1.0, (32, 2))
     far = dp.midpoint + np.column_stack([rng.uniform(0.2, 0.8, 32),
                                          rng.uniform(-1.0, 1.0, 32)])
-    reach = [dp._norm(*dp._rel(h).T) <= dp._reach for h in (near, far)]
-    assert reach[0].all() and not reach[1].any()
+    inside = [np.linalg.norm(dp._rel(h), axis=-1) < dp.radius for h in (near, far)]
+    assert inside[0].all() and not inside[1].any()
     for spec in (dp, ComposedMap([dp, susp]), ComposedMap([susp, dp])):
         assert_rows_independent(spec, near, far)
         assert_rows_independent(spec, far, near)
