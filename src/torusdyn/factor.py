@@ -91,7 +91,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     mask = GridMask(geom, occ, provenance={
         "seed": {"point": (x0, y0), "radius": ball_radius, "block_halfwidth": 0.5},
         "iterations": rounds, "refine_rounds": refine_rounds, "status": status})
-    mask.occ = component_of(mask, seed_occ)
+    component_of(mask, seed_occ)  # clears the other components in mask.occ
     inv = invariance_defect(skew, mask)
     return TauRegion(mask=mask, skew=skew, status=status, invariance=inv,
                      recurrence_times=times, warnings=warnings)

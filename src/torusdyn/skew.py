@@ -507,18 +507,24 @@ def _unfold_buckets(table, best, t_centers, out):
 
 
 def extend_to_envelopes(occ, geom, env_min, env_max):
-    """Add the rows between the tracked envelopes to the occupancy.
+    """Or the rows between the tracked envelopes into occ, in place, and
+    return it.
 
-    Valid when the region's fibers are vertically solid per column, which
-    holds for maps acting column-wise on the annulus (rigid translations
-    and circle-over-circle suspensions; ``TorusMapSpec.column_wise`` marks
-    those whose float evaluation keeps it exactly); the extension only
-    restores the extreme rows that finite rasterization missed.
+    A (t, x) column gains the cells whose centers lie in
+    [env_min, env_max]: the rows [lo, hi) that the cell centers'
+    ``searchsorted`` of the two envelopes gives, the rows
+    ``refine_envelopes`` checks. Every column's rows lie in the band
+    [min lo, max hi), so only the band is compared, one fiber at a time,
+    and no full-grid temporary is built. This restores the extreme rows
+    that finite rasterization missed.
     """
     y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
-    solid = ((y_centers[None, None, :] >= env_min[:, :, None])
-             & (y_centers[None, None, :] <= env_max[:, :, None]))
-    return occ | solid
+    a = y_centers.searchsorted(env_min, "left").min()
+    b = y_centers.searchsorted(env_max, "right").max()
+    y_band = y_centers[a:b]
+    for fiber, lo, hi in zip(occ[:, :, a:b], env_min, env_max):
+        fiber |= (y_band >= lo[:, None]) & (y_band <= hi[:, None])
+    return occ
 
 
 def _or_shifted(out, src, axis, wrap):
@@ -536,19 +542,26 @@ def close_fibers(occ):
 
     Regularizes the rasterized region at grid scale: single-column notches
     and pinholes left by finite orbit sampling are filled while flat edges
-    stay put. y lies between two empty guard rows; the erosion, the
-    complement's dilation complemented, reads past them as occupied, which
-    changes only the guard rows. Returns a new C-contiguous array without
-    them, so ndimage.label reads it without a copy.
+    stay put. Each fiber is closed only on its occupied rows [lo, hi),
+    between two empty guard rows; the erosion, the complement's dilation
+    complemented, reads past them as occupied, which changes only the guard
+    rows. That is the closing of the whole fiber: the rows inside read the
+    same dilation, and a row outside stays empty, because its erosion
+    reads the next row away from [lo, hi), where the dilation is empty.
+    Returns a new C-contiguous array, empty off the bands.
     """
-    out = np.empty(occ.shape, dtype=bool)
-    for t, src in enumerate(occ):  # a fiber at a time: the copies stay one fiber small
-        fiber = np.pad(src, ((0, 0), (1, 1)))
+    out = np.zeros(occ.shape, dtype=bool)
+    for t, src in enumerate(occ):  # a fiber at a time: the copies stay one band small
+        rows = np.flatnonzero(src.any(axis=0))
+        if not len(rows):
+            continue
+        lo, hi = rows[0], rows[-1] + 1
+        fiber = np.pad(src[:, lo:hi], ((0, 0), (1, 1)))
         for _ in range(2):
             for axis, wrap in ((0, True), (0, True), (1, False)):
                 _or_shifted(fiber, fiber.copy(), axis, wrap)
             np.logical_not(fiber, out=fiber)
-        out[t] = fiber[:, 1:-1]
+        out[t, :, lo:hi] = fiber[:, 1:-1]
     return out
 
 
@@ -607,10 +620,23 @@ def _components_meeting(occ, seed, links=()):
 def component_of(mask, seed_occ):
     """Cells of the connected component(s) meeting the seed set. Cells of
     neighboring fibers (t wraps) are adjacent when their y intervals overlap
-    after flow transport over one t cell width."""
+    after flow transport over one t cell width.
+
+    Only a contiguous copy of the occupied rows, the band, is labeled, and
+    the cells of other components are cleared in ``mask.occ`` itself, which
+    is returned. The band's labels are the whole grid's: the cells off it
+    are empty, flow links join rows of the band only, and ``ndimage.label``
+    numbers the band's cells in the same raster order.
+    """
+    occ = mask.occ
+    rows = np.flatnonzero(occ.any(axis=(0, 1)))
+    if not len(rows):
+        return occ
+    band = np.s_[:, :, rows[0]:rows[-1] + 1]
     sigma = mask.geom.fiber_shift_cells()
-    return _components_meeting(mask.occ, seed_occ,
-                               links={int(np.floor(sigma)), int(np.ceil(sigma))})
+    occ[band] = _components_meeting(np.ascontiguousarray(occ[band]), seed_occ[band],
+                                    links={int(np.floor(sigma)), int(np.ceil(sigma))})
+    return occ
 
 
 def _dilated_fiber(occ, j):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -767,3 +769,68 @@ def test_morphology_matches_references(occ):
     assert np.array_equal(dilate_mask(occ), dilate_by_rolls(occ))
     assert not padded_dilation(occ)[:, :, [0, -1]].any()
     assert np.array_equal(close_fibers(occ), close_each_fiber(occ))
+
+
+@st.composite
+def banded_grids(draw):
+    """Grids whose occupied rows lie in a random band [lo, hi): often one
+    row, or rows reaching the window's first or last row, sometimes none."""
+    n_t, n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    lo = draw(st.sampled_from((0, n_y - 1)) | st.integers(0, n_y - 1))
+    hi = draw(st.sampled_from((lo, lo + 1, n_y)) | st.integers(lo, n_y))
+    occ = np.zeros((n_t, n_x, n_y), dtype=bool)
+    occ[:, :, lo:hi] = draw(arrays(bool, (n_t, n_x, hi - lo),
+                                   elements=st.sampled_from((False, True, True))))
+    return occ
+
+
+def extend_by_comparison(occ, geom, env_min, env_max):
+    """The envelope extension as one full-grid comparison."""
+    y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
+    solid = ((y_centers[None, None, :] >= env_min[:, :, None])
+             & (y_centers[None, None, :] <= env_max[:, :, None]))
+    return occ | solid
+
+
+@given(data=st.data(), occ=banded_grids(), sigma=st.sampled_from((1.0, 2.0, 0.5, 1.5)))
+@settings(max_examples=300, deadline=None)
+def test_band_stages_match_full_grid_references(data, occ, sigma):
+    n_t, n_x, n_y = occ.shape
+    geom = GridGeometry(n_t, n_x, n_y, 0.0, n_y / (n_t * sigma))
+    assert np.array_equal(close_fibers(occ), close_each_fiber(occ))
+
+    seed = data.draw(bits(occ.shape))
+    ref = flood_fill_labels(occ, {int(np.floor(sigma)), int(np.ceil(sigma))})
+    mask = GridMask(geom, occ.copy())
+    assert component_of(mask, seed) is mask.occ
+    assert np.array_equal(mask.occ, np.isin(ref, ref[seed & occ]) & occ)
+
+    # envelopes on cell centers, a quarter cell off them, beyond the window
+    # and untouched (+-inf)
+    y_centers = geom.centers(0, 0, np.arange(n_y))[2]
+    quarter = geom.h_y / 4
+    values = np.concatenate([y_centers, y_centers - quarter, y_centers + quarter,
+                             [-1.0, geom.y_max + 1.0, -np.inf, np.inf]])
+    env_min, env_max = (data.draw(arrays(float, (n_t, n_x), elements=st.sampled_from(values)))
+                        for _ in range(2))
+    out = occ.copy()
+    assert extend_to_envelopes(out, geom, env_min, env_max) is out
+    assert np.array_equal(out, extend_by_comparison(occ, geom, env_min, env_max))
+
+
+def test_component_of_labels_only_the_band():
+    # 64 occupied rows of 1024: the whole grid's int32 labels would take 4 MiB
+    n_t, n_x, n_y = 16, 64, 1024
+    occ = np.zeros((n_t, n_x, n_y), dtype=bool)
+    occ[:, :, 480:544] = np.random.default_rng(0).random((n_t, n_x, 64)) < 0.6
+    seed = np.zeros_like(occ)
+    seed[:, :, 500] = True
+    mask = GridMask(GridGeometry(n_t, n_x, n_y, 0.0, n_y / (n_t * 2.0)), occ)
+    tracemalloc.start()
+    try:
+        component_of(mask, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.occ[:, :, 500].any()
+    assert peak < 4 * occ.size / 4
