@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .rotation import _positive_n_max
 from .util import (circle_dist, finite_multiples, iterates, nth_iterate,
@@ -207,7 +206,15 @@ class GridGeometry:
         return t, x, y
 
     def fiber_shift_cells(self):
-        """Gamma transport over one t cell, measured in y cells."""
+        """Gamma transport over one t cell, measured in y cells.
+
+        A window snapped to cells of height 1/m (``geometry_for``) shifts by
+        exactly m / n_t, an integer whenever n_t divides m; the float ratio
+        h_t / h_y can round to either side of it.
+        """
+        m = float(np.round(self.n_y / (self.y_max - self.y_min)))
+        if m >= 1.0 and self.y_max == self.y_min + self.n_y * (1.0 / m):
+            return m / self.n_t
         return self.h_t / self.h_y
 
 
@@ -538,7 +545,8 @@ def _or_shifted(out, src, axis, wrap):
 
 
 def close_fibers(occ):
-    """Morphological closing of each fiber by a 5x3 box, x wrapping exactly.
+    """Morphological closing of each fiber by a 5x3 box, x wrapping exactly,
+    in place in occ, which is returned.
 
     Regularizes the rasterized region at grid scale: single-column notches
     and pinholes left by finite orbit sampling are filled while flat edges
@@ -548,10 +556,10 @@ def close_fibers(occ):
     rows. That is the closing of the whole fiber: the rows inside read the
     same dilation, and a row outside stays empty, because its erosion
     reads the next row away from [lo, hi), where the dilation is empty.
-    Returns a new C-contiguous array, empty off the bands.
+    The closing only adds cells, so each fiber's closed rows are written
+    back over its own.
     """
-    out = np.zeros(occ.shape, dtype=bool)
-    for t, src in enumerate(occ):  # a fiber at a time: the copies stay one band small
+    for src in occ:  # a fiber at a time: the copies stay one band small
         rows = np.flatnonzero(src.any(axis=0))
         if not len(rows):
             continue
@@ -561,72 +569,140 @@ def close_fibers(occ):
             for axis, wrap in ((0, True), (0, True), (1, False)):
                 _or_shifted(fiber, fiber.copy(), axis, wrap)
             np.logical_not(fiber, out=fiber)
-        out[t, :, lo:hi] = fiber[:, 1:-1]
-    return out
+        src[:, lo:hi] = fiber[:, 1:-1]
+    return occ
 
 
 def _label_x_wrapped(occ, links=()):
-    """Connected components of one fiber (n_x, n_y) or a stack (n_t, n_x, n_y).
+    """Connected components of one fiber (n_x, n_y) or a stack (n_t, n_x, n_y),
+    labeled by runs.
 
     Cells are 4-adjacent inside each fiber, with x wrap. Each link shift
     sh >= 0 also joins cell (t, x, y) to cell (t + 1, x, y - sh), t
-    wrapping. One ndimage.label call labels every fiber; the x seam and the
-    links then merge labels through a union-find over the unique label
-    pairs. Returns the raw labels, 0 off occ, and the root table: root[lab]
-    names a cell's component by its smallest label, its first cell's.
+    wrapping. A run is a maximal stretch of occ along y in one (t, x) line.
+    Runs of lines x and x + 1 join when their rows overlap, and for each
+    shift sh a run [s, e) of line (t, x) joins the runs of line (t + 1, x)
+    that overlap [s - sh, e - sh). Each run looks up only its first partner
+    in each direction (``_first_partners``), and ``_union`` merges them.
+
+    Returns (runs, root): runs is an (R, 2) array of flat indices into occ,
+    the first cell of each run and one past its last, in raster order;
+    root[k] is the smallest run index of run k's component, its first run,
+    which holds the component's first cell in raster order. The indices are
+    int32 below 2**31 cells. occ may be a view whose last axis is a slice.
     """
-    structure = np.zeros((3,) * occ.ndim, dtype=bool)
-    structure[(1,) * (occ.ndim - 2)] = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]  # in a fiber
-    lab, num = ndimage.label(occ, structure=structure)
-    pairs = [(lab[..., 0, :], lab[..., -1, :])]
-    n_t, n_y = occ.shape[0], occ.shape[-1]
-    for sh in links:
-        # one fiber pair at a time keeps the pair keys small
-        cut = max(n_y - sh, 0)
-        pairs += [(lab[t, :, sh:], lab[(t + 1) % n_t, :, :cut]) for t in range(n_t)]
-    m = num + 1
-    keys = []
-    for a, b in pairs:
-        both = (a > 0) & (b > 0) & (a != b)
-        keys.append(np.unique(a[both].astype(np.int64) * m + b[both]))
-    keys = np.unique(np.concatenate(keys))
-    root = np.arange(m, dtype=lab.dtype)
+    n_x, n_y = occ.shape[-2:]
+    lines = occ.reshape(-1, n_y)
+    # a run [s, e) of line l starts at position l * width + s of the marks
+    # and stops at l * width + e; the two marks after the last line are a
+    # sentinel run, which starts after every position that is looked up
+    width = n_y + 1
+    size = len(lines) * width
+    marks = np.empty(size + 2, dtype=bool)
+    marks[size:] = True
+    grid = marks[:size].reshape(-1, width)
+    grid[:, 0] = lines[:, 0]
+    grid[:, -1] = lines[:, -1]
+    np.not_equal(lines[:, 1:], lines[:, :-1], out=grid[:, 1:-1])
+    pos = np.flatnonzero(marks).astype(np.int32 if size < 2**31 - 2 else np.int64)
+    del marks, grid  # freed before the pairs are looked up
+    start, stop = pos[0::2], pos[1::2]
+    root = np.arange(len(start) - 1, dtype=pos.dtype)
+    n_t = len(lines) // n_x
+    moves = [(1, 0, 0), (-1, 0, 0)]
+    moves += [move for sh in links for move in ((0, 1, sh), (0, -1, -sh))]
+    for move in moves:
+        root = _union(root, *_first_partners(start, stop, n_t, n_x, width, move))
+    ends = pos[:-2]
+    return (ends - ends // width).reshape(-1, 2), root
 
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
 
-    for i, j in zip((keys // m).tolist(), (keys % m).tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            root[max(ri, rj)] = min(ri, rj)
-    for i in np.unique(np.concatenate([keys // m, keys % m])).tolist():
-        root[i] = find(i)
-    return lab, root
+def _first_partners(start, stop, n_t, n_x, width, move):
+    """Pairs (k, j) of runs that one line move joins, as two index arrays.
+
+    For move (dx, dt, sh), run k of line (t, x) joins the runs of line
+    (t + dt, x + dx), both wrapping, that overlap its rows shifted by -sh;
+    j is the first of them, the first run that stops after the shifted
+    start, kept when it starts before the shifted stop. That finds every
+    overlapping pair, from one side or the other: when k meets several
+    runs, each one after the first starts inside k, so k is their first
+    partner in the opposite move. start and stop are the runs' mark
+    positions (``_label_x_wrapped``), the sentinel run last.
+    """
+    dx, dt, sh = move
+    starts, stops = start[:-1], stop[:-1]
+    line = starts // width
+    if dt:
+        t = line // n_x
+        step = ((t + dt) % n_t - t) * n_x
+    else:
+        x = line % n_x
+        step = (x + dx) % n_x - x
+    step *= width
+    if sh:
+        line *= width  # the line's first position: shifted rows stay in it
+        lo = np.clip(starts - sh, line, line + width - 1) + step
+        hi = np.clip(stops - sh, line, line + width - 1) + step
+    else:
+        lo, hi = starts + step, stops + step
+    j = stop.searchsorted(lo, side="right")
+    joined = start.take(j) < hi
+    return np.flatnonzero(joined).astype(start.dtype), j[joined].astype(start.dtype)
+
+
+def _union(root, a, b):
+    """Merge the trees of root over the pairs (a, b) and return the table.
+
+    root must point every index at its tree's root, and so does the table
+    returned. Each round hooks the larger root of every pair still split to
+    the smallest root it is paired with, then jumps pointers until every
+    index points at a root again. A round hooks h <= min(len(a),
+    len(root) - 1) roots, never a component's smallest, so an index is at
+    most h + 1 pointers from its root, and h.bit_length() jumps reach it.
+    A tree's root stays its smallest index.
+    """
+    while True:
+        a, b = root.take(a), root.take(b)
+        split = a != b
+        if not split.any():
+            return root
+        a, b = a[split], b[split]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        for _ in range(min(len(a), len(root) - 1).bit_length()):
+            root = root.take(root)
 
 
 def _components_meeting(occ, seed, links=()):
     """Cells of occ whose component (``_label_x_wrapped``) meets occ[seed];
-    ``seed`` is any index of occ."""
-    lab, root = _label_x_wrapped(occ, links)
+    ``seed`` is any index of occ. The runs met are expanded straight into
+    the boolean result."""
+    runs, root = _label_x_wrapped(occ, links)
+    picked = np.zeros(occ.shape, dtype=bool)
+    picked[seed] = occ[seed]
+    first = runs[:, 0].searchsorted(np.flatnonzero(picked), side="right") - 1
+    del picked  # freed before the result is made
     hit = np.zeros(len(root), dtype=bool)
-    hit[root[lab[seed]]] = True
-    hit[0] = False  # cells off occ
-    return hit[root][lab]
+    hit[root.take(first)] = True
+    # the result alternates between the gaps and the runs, a run set when
+    # its component is hit
+    bounds = np.empty(2 * len(runs) + 2, dtype=runs.dtype)
+    bounds[0], bounds[1:-1], bounds[-1] = 0, runs.ravel(), occ.size
+    cells = np.zeros(len(bounds) - 1, dtype=bool)
+    cells[1::2] = hit.take(root)
+    return np.repeat(cells, np.diff(bounds)).reshape(occ.shape)
 
 
 def component_of(mask, seed_occ):
     """Cells of the connected component(s) meeting the seed set. Cells of
     neighboring fibers (t wraps) are adjacent when their y intervals overlap
-    after flow transport over one t cell width.
+    after flow transport over one t cell width: the link shifts are the
+    floor and the ceiling of ``GridGeometry.fiber_shift_cells``, one shift
+    when it is an integer.
 
-    Only a contiguous copy of the occupied rows, the band, is labeled, and
-    the cells of other components are cleared in ``mask.occ`` itself, which
-    is returned. The band's labels are the whole grid's: the cells off it
-    are empty, flow links join rows of the band only, and ``ndimage.label``
-    numbers the band's cells in the same raster order.
+    Only the occupied rows, the band, are labeled, and the cells of other
+    components are cleared in ``mask.occ`` itself, which is returned. The
+    band's components are the whole grid's: the cells off it are empty, and
+    flow links join rows of the band only.
     """
     occ = mask.occ
     rows = np.flatnonzero(occ.any(axis=(0, 1)))
@@ -634,7 +710,7 @@ def component_of(mask, seed_occ):
         return occ
     band = np.s_[:, :, rows[0]:rows[-1] + 1]
     sigma = mask.geom.fiber_shift_cells()
-    occ[band] = _components_meeting(np.ascontiguousarray(occ[band]), seed_occ[band],
+    occ[band] = _components_meeting(occ[band], seed_occ[band],
                                     links={int(np.floor(sigma)), int(np.ceil(sigma))})
     return occ
 
@@ -793,9 +869,11 @@ def fiber_complement_components(mask, t):
     comp = ~mask.occ[it]
     if not comp.any():
         return [], it
-    lab, root = _label_x_wrapped(comp)
-    bottom, top = set(root[lab[:, 0]].tolist()), set(root[lab[:, -1]].tolist())
+    runs, root = _label_x_wrapped(comp)
+    # a run starts on the bottom row, or stops past the top row, at a
+    # multiple of the line length
+    bottom, top = (set(root[runs[:, i] % comp.shape[1] == 0].tolist()) for i in (0, 1))
     # the roots, in the raster order of their components' first cells
-    names = np.flatnonzero(root == np.arange(len(root)))[1:].tolist()
+    names = np.flatnonzero(root == np.arange(len(root))).tolist()
     return [FiberComponent(touches_bottom=r in bottom, touches_top=r in top)
             for r in names], it

@@ -7,11 +7,12 @@ from hypothesis.extra.numpy import arrays
 
 import torusdyn.factor
 import torusdyn.skew
+from labels_reference import component_names
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
                              verify_equivariance)
-from torusdyn.skew import GridGeometry, GridMask, _label_x_wrapped, build_centralized
+from torusdyn.skew import GridGeometry, GridMask, build_centralized
 from torusdyn.torus import RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 
@@ -157,8 +158,7 @@ def reference_lower_component(tau, s):
     lo, hi = max(shift, 0), min(geom.n_y + shift, geom.n_y)
     if lo < hi:
         obstruction[:, lo:hi] = fiber[:, lo - shift:hi - shift]
-    lab, root = _label_x_wrapped(~obstruction)
-    lab = root[lab]
+    lab = component_names(~obstruction)
     member = np.zeros(int(lab.max(initial=0)) + 1, dtype=bool)
     member[lab[:, 0]] = True
     member[0] = False

@@ -2,16 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 import torusdyn.skew
+from labels_reference import (component_names, ndimage_components_meeting,
+                              ndimage_label_x_wrapped)
 from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
-from torusdyn.skew import (GridGeometry, GridMask, SkewState, _envelope_cloud,
-                           _label_x_wrapped, ball_fiber, build_centralized,
+from torusdyn.skew import (GridGeometry, GridMask, SkewState, _components_meeting,
+                           _envelope_cloud, ball_fiber, build_centralized,
                            check_closed_form,
                            check_commutation, close_fibers, component_of,
                            _dilated_fiber, extend_to_envelopes,
@@ -574,8 +576,69 @@ def bits(shape):
 @given(occ=bits(st.tuples(st.integers(1, 6), st.integers(1, 6))))
 @settings(max_examples=200, deadline=None)
 def test_label_x_wrapped_matches_flood_fill(occ):
-    lab, root = _label_x_wrapped(occ)
-    assert_same_partition(root[lab], flood_fill_labels(occ[None])[0], occ)
+    assert_same_partition(component_names(occ), flood_fill_labels(occ[None])[0], occ)
+
+
+def spiral(n_x, n_y):
+    """One path of cells winding inwards from the corner, a free cell
+    between its turns: its runs join in a long chain."""
+    occ = np.zeros((n_x, n_y), dtype=bool)
+    x, y, dx, dy = 0, 0, 0, 1
+    occ[x, y] = True
+    while True:
+        for _ in range(2):
+            nx, ny = x + dx, y + dy
+            ax, ay = nx + dx, ny + dy
+            if (0 <= nx < n_x and 0 <= ny < n_y and not occ[nx, ny]
+                    and not (0 <= ax < n_x and 0 <= ay < n_y and occ[ax, ay])):
+                break
+            dx, dy = dy, -dx  # turn
+        else:
+            return occ
+        x, y = nx, ny
+        occ[x, y] = True
+
+
+def dense_names(names):
+    """Names renumbered 0, 1, ... in increasing order."""
+    return np.unique(names, return_inverse=True)[1].reshape(names.shape)
+
+
+@st.composite
+def label_cases(draw):
+    """(occ, links, seed): fibers, and stacks with link shifts from 0 to
+    past n_y; n_x of 1 included, where the x seam joins a line to itself."""
+    n_x, n_y = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        shape, links = (n_x, n_y), ()
+    else:
+        shape = (draw(st.integers(1, 5)), n_x, n_y)
+        links = draw(st.sets(st.integers(0, n_y + 2), max_size=2))
+    return draw(bits(shape)), links, draw(bits(shape))
+
+
+_SPIRAL = spiral(9, 12)
+_STACK = np.stack([_SPIRAL, ~_SPIRAL, _SPIRAL[::-1]])
+
+
+@given(case=label_cases())
+@example(case=(np.zeros((3, 4, 5), dtype=bool), {1}, np.ones((3, 4, 5), dtype=bool)))
+@example(case=(np.ones((3, 4, 5), dtype=bool), {0, 5}, np.arange(60).reshape(3, 4, 5) == 7))
+@example(case=(np.array([[True, False, True, True]]), (), np.zeros((1, 4), dtype=bool)))
+@example(case=(np.array([[[1, 0, 1, 1]], [[0, 1, 1, 0]]], dtype=bool), {0, 1},
+               np.array([[[0, 0, 0, 1]], [[0, 0, 0, 0]]], dtype=bool)))
+@example(case=(_SPIRAL, (), np.eye(9, 12, dtype=bool)))
+@example(case=(~_SPIRAL, (), _SPIRAL))
+@example(case=(_STACK, {0}, np.arange(_STACK.size).reshape(_STACK.shape) == 200))
+@settings(max_examples=300, deadline=None)
+def test_run_labels_match_ndimage(case):
+    occ, links, seed = case
+    lab, root = ndimage_label_x_wrapped(occ, links)
+    # the same partition, named in the raster order of the first cells
+    assert np.array_equal(dense_names(component_names(occ, links)), dense_names(root[lab]))
+    for s in (seed, np.s_[..., 0]):
+        assert np.array_equal(_components_meeting(occ, s, links),
+                              ndimage_components_meeting(occ, s, links))
 
 
 @given(data=st.data(), n_t=st.integers(1, 4), n_x=st.integers(1, 5),
@@ -592,6 +655,35 @@ def test_component_of_matches_flood_fill(data, n_t, n_x, n_y, sigma):
     ref = flood_fill_labels(occ, {int(np.floor(sigma)), int(np.ceil(sigma))})
     want = np.isin(ref, ref[seed & occ]) & occ
     assert np.array_equal(component_of(GridMask(geom, occ), seed), want)
+
+
+def test_snapped_windows_link_by_the_exact_shift(rigid_skew):
+    # geometry_for snaps the cells to height 1/m, so a t cell shifts the
+    # fibers by m / n_t cells. Every window of half height 2 up to 1024 rows
+    # whose m a t count n_t >= 2 divides shifts by the integer m // n_t (the
+    # ratio h_t / h_y rounds off it in 487 of these 4,840, 10.999999999999998
+    # at n_t = 3 and n_y = 132), and component_of links by it alone: a cell
+    # one row above or below the linked one stays apart
+    for n_y in range(3, 1025):
+        m = -(-n_y // 4)
+        for n_t in range(2, m + 1):
+            if m % n_t:
+                continue
+            for center_y in (0.0, 0.37, -5.2):
+                geom = geometry_for(rigid_skew, center_y=center_y, n_t=n_t, n_x=1,
+                                    n_y=n_y, half_height=2.0)
+                assert geom.fiber_shift_cells() == m // n_t
+            sh = m // n_t
+            occ = np.zeros((n_t, 1, n_y), dtype=bool)
+            occ[0, 0, n_y - 1] = True
+            below = [r for r in (n_y - sh, n_y - 2 - sh) if 0 <= r]
+            occ[1, 0, below] = True
+            seed = np.zeros_like(occ)
+            seed[0, 0, n_y - 1] = True
+            assert component_of(GridMask(geom, occ.copy()), seed).sum() == 1
+            if n_y - 1 - sh >= 0:
+                occ[1, 0, n_y - 1 - sh] = True
+                assert component_of(GridMask(geom, occ), seed).sum() == len(below) + 2
 
 
 @given(fiber=bits(st.tuples(st.integers(1, 6), st.integers(1, 6))))
@@ -768,7 +860,9 @@ def close_each_fiber(occ):
 def test_morphology_matches_references(occ):
     assert np.array_equal(dilate_mask(occ), dilate_by_rolls(occ))
     assert not padded_dilation(occ)[:, :, [0, -1]].any()
-    assert np.array_equal(close_fibers(occ), close_each_fiber(occ))
+    closed = occ.copy()
+    assert close_fibers(closed) is closed  # in place
+    assert np.array_equal(closed, close_each_fiber(occ))
 
 
 @st.composite
@@ -797,7 +891,7 @@ def extend_by_comparison(occ, geom, env_min, env_max):
 def test_band_stages_match_full_grid_references(data, occ, sigma):
     n_t, n_x, n_y = occ.shape
     geom = GridGeometry(n_t, n_x, n_y, 0.0, n_y / (n_t * sigma))
-    assert np.array_equal(close_fibers(occ), close_each_fiber(occ))
+    assert np.array_equal(close_fibers(occ.copy()), close_each_fiber(occ))
 
     seed = data.draw(bits(occ.shape))
     # the links the full grid uses: h_t / h_y can round below the nominal
