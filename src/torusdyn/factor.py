@@ -109,7 +109,7 @@ class FiberFill:
 def _fill_key(geom, s):
     """Rasterization key of the fills at times s: the t cell, and the shift
     in whole y cells as a float."""
-    return geom.t_cell(s), np.round(s / geom.h_y)
+    return geom.t_cell(s), np.rint(s / geom.h_y)
 
 
 def _band(tau, it, shift):
@@ -205,12 +205,13 @@ def evaluate_h(tau, z, tol=None):
 def heights(tau, z, tol=None):
     """Heights of annulus points: bisect s on lower-component membership.
 
-    All points of the (m, 2) array ``z`` are bisected together. Each step
-    fetches every fill its active points need once, by rasterization key;
-    points below the window are always members, points above never are. A
-    point stops at ``tol`` (half a y cell by default) or when its midpoint
-    equals an end of its bracket, so a ``tol`` below the float spacing ends
-    too. Membership is monotone in s up to rasterization jitter; a violated
+    All points of the (m, 2) array ``z`` are bisected together. Points
+    below the window are always members and points above never are, tested
+    once per call. Each step sorts the other active points by rasterization
+    key and reads each key's band once, for a slice of that order. A point
+    stops at ``tol`` (half a y cell by default) or when its midpoint equals
+    an end of its bracket, so a ``tol`` below the float spacing ends too.
+    Membership is monotone in s up to rasterization jitter; a violated
     initial bracket is reported in ``ordering_ok`` instead of raising.
     """
     geom = tau.geom
@@ -220,31 +221,39 @@ def heights(tau, z, tol=None):
         raise ValueError(f"tol must be positive, not {tol!r}")
     z = np.asarray(z, dtype=float).reshape(-1, 2)
     ix, iy = geom.x_cell(z[:, 0]), geom.y_cell(z[:, 1])
+    # a point's window test is the same at every s: points below the window
+    # are always members, points above never are, only the rest read bands
+    below = iy < 0
+    within = ~below & (iy < geom.n_y)
+    n_t = geom.n_t
 
     def member(s, p):
         """Membership of points ``p`` in the lower components at times ``s``."""
-        out = iy[p] < 0
-        q = np.flatnonzero(~out & (iy[p] < geom.n_y))
+        out = below[p]
+        q = within[p].nonzero()[0]
         if not q.size:
             return out
-        # one group per fill key, read from the key's band
+        # one group per fill key: a slice of the points sorted by key
         it, shift = _fill_key(geom, s[q])
-        key = geom.n_t * shift.astype(np.int64) + it
-        order = np.argsort(key, kind="stable")
-        cut = np.flatnonzero(np.diff(key[order])) + 1
-        for g, j in zip(np.split(q[order], cut), order[np.r_[0, cut]]):
-            got = _band(tau, int(it[j]), int(shift[j]))
+        key = n_t * shift.astype(np.int64) + it
+        order = key.argsort(kind="stable")
+        q, key = q[order], key[order]
+        x, y = ix[p[q]], iy[p[q]]
+        starts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()]
+        for g0, g1, k in zip(starts, [*starts[1:], q.size], key[starts].tolist()):
+            shift, it = divmod(k, n_t)
+            got = _band(tau, it, shift)
             if got is None or got[2]:
                 # not separating: everything is on one side of the continuum,
                 # decided by the translation sign
-                out[g] = shift[j] >= 0
+                out[q[g0:g1]] = shift >= 0
                 continue
+            # rows below the band read its free bottom guard row, all filled;
+            # rows above it its free top guard row, empty as the fill
+            # separates. A band clipped by a window edge has no rows beyond it
             lo, band, _ = got
-            x, y = ix[p[g]], iy[p[g]] - lo
-            # rows below the band are members, rows above it are not
-            hit, inside = y < 0, (y >= 0) & (y < band.shape[1])
-            hit[inside] = band[x[inside], y[inside]]
-            out[g] = hit
+            out[q[g0:g1]] = band[x[g0:g1], np.minimum(np.maximum(y[g0:g1] - lo, 0),
+                                                      band.shape[1] - 1)]
         return out
 
     span = geom.y_max - geom.y_min
@@ -252,14 +261,16 @@ def heights(tau, z, tol=None):
     every = np.arange(len(z))
     ok = ~member(lo, every)
     ok[ok] = member(hi[ok], every[ok])
-    active = every[hi - lo > tol]
+    keep = hi - lo > tol
+    active, a, b = every[keep], lo[keep], hi[keep]
     while active.size:
-        a, b = lo[active], hi[active]
         mid = 0.5 * (a + b)
         inside = member(mid, active)
-        hi[active[inside]] = mid[inside]
-        lo[active[~inside]] = mid[~inside]
-        active = active[(hi[active] - lo[active] > tol) & (mid != a) & (mid != b)]
+        moved = (mid != a) & (mid != b)
+        a, b = np.where(inside, a, mid), np.where(inside, mid, b)
+        lo[active], hi[active] = a, b
+        keep = (b - a > tol) & moved
+        active, a, b = active[keep], a[keep], b[keep]
     return 0.5 * (lo + hi), ok
 
 
@@ -276,8 +287,10 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     """Defects of the two height equivariances plus ladder ordering check.
 
     Reports max |h(z + (0,1)) - h(z) - 1| and |h(f z) - h(z) - rho| over
-    samples, and counts ladder pairs s < s' (at least two s-steps apart)
-    whose lower components fail strict inclusion.
+    samples, and counts ladder pairs s < s' (at least two y cells apart)
+    whose lower components fail strict inclusion. The rungs' fills are
+    compared packed to bits, which counts the same pairs as the boolean
+    fills.
     """
     geom = tau.geom
     skew = tau.skew
@@ -288,14 +301,18 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     h1, _ = heights(tau, z + [0.0, 1.0], tol=tol)
     h2, _ = heights(tau, skew.spec.annulus_map(z), tol=tol)
     ladder = np.arange(s_ladder) / s_ladder
-    fills = np.array([lower_component(tau, s).fill for s in ladder])
+    # each rung's fill packed to bits; the zero padding bits of the last byte
+    # are the same on both sides, so they add to neither test
+    fills = np.empty((ladder.size, (geom.n_x * geom.n_y + 7) // 8), dtype=np.uint8)
+    for k, s in enumerate(ladder):
+        fills[k] = np.packbits(lower_component(tau, s).fill)
     violations = pairs = 0
     for i in range(ladder.size - 1):
         # rung i against every later rung at least two y cells above it
         f, later = fills[i], fills[i + 1:]
         far = ladder[i + 1:] - ladder[i] >= 2.0 * geom.h_y
-        subset = ~(f & ~later).any(axis=(1, 2))
-        strict = (later & ~f).any(axis=(1, 2))
+        subset = ~(f & ~later).any(axis=1)
+        strict = (later & ~f).any(axis=1)
         pairs += int(far.sum())
         violations += int((far & ~(subset & strict)).sum())
     return EquivarianceReport(

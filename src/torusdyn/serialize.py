@@ -184,16 +184,25 @@ def _plain(obj):
 
 
 def rle_encode(bits):
-    """Run lengths of a flattened boolean array, starting with a zero run."""
-    flat = np.asarray(bits, dtype=bool).ravel()
-    if flat.size == 0:
+    """Run lengths of a flattened boolean array, starting with a zero run.
+
+    The array is read one slice of its first axis at a time (one t fiber of
+    a mask), so a strided array, such as a mask's view into its padded grid,
+    is copied one slice at a time and not whole. A run that crosses a slice
+    edge is one run.
+    """
+    bits = np.asarray(bits, dtype=bool)
+    if bits.size == 0:
         return []
-    changes = np.nonzero(np.diff(flat))[0] + 1
-    bounds = np.concatenate([[0], changes, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return [int(r) for r in runs]
+    changes, pos, last = [], 0, bits.flat[0]
+    for part in bits if bits.ndim > 1 else bits.reshape(1, -1):
+        flat = part.ravel()
+        if flat[0] != last:
+            changes.append([pos])
+        changes.append(np.flatnonzero(flat[1:] != flat[:-1]) + (pos + 1))
+        pos, last = pos + flat.size, flat[-1]
+    runs = np.diff(np.concatenate([[0], *changes, [pos]])).tolist()
+    return [0] + runs if bits.flat[0] else runs
 
 
 def rle_decode(runs, size):
@@ -219,16 +228,3 @@ def dump_mask(path, mask, config):
         "rle": rle_encode(mask.occ),
     }
     write_json(path, payload, config)
-
-
-def load_mask(path):
-    from .skew import GridGeometry, GridMask
-
-    with open(path) as fh:
-        doc = json.load(fh)
-    res = doc["result"]
-    n_t, n_x, n_y = res["resolution"]
-    geom = GridGeometry(n_t=n_t, n_x=n_x, n_y=n_y, y_min=res["window"][0],
-                        y_max=res["window"][1])
-    occ = rle_decode(res["rle"], n_t * n_x * n_y).reshape(n_t, n_x, n_y)
-    return GridMask(geom, occ, res.get("provenance", {}))

@@ -1,8 +1,9 @@
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import torusdyn.factor
@@ -11,7 +12,7 @@ from labels_reference import component_names
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
-                             verify_equivariance)
+                             verify_equivariance, _band)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
 from torusdyn.torus import RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
@@ -516,6 +517,184 @@ def test_heights_reject_nonpositive_tol(tau_rigid_small):
     for tol in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="tol must be positive"):
             heights(tau_rigid_small, [[0.3, 0.1]], tol=tol)
+
+
+# -- packed ladder check and slice-grouped bisection ---------------------------
+
+
+def reference_ladder_check(tau, s_ladder):
+    """``(ordering_violations, pairs_checked)`` of the ladder check on the
+    stacked boolean fills (the check before it packed them to bits)."""
+    geom = tau.geom
+    ladder = np.arange(s_ladder) / s_ladder
+    fills = np.array([lower_component(tau, s).fill for s in ladder])
+    violations = pairs = 0
+    for i in range(ladder.size - 1):
+        f, later = fills[i], fills[i + 1:]
+        far = ladder[i + 1:] - ladder[i] >= 2.0 * geom.h_y
+        subset = ~(f & ~later).any(axis=(1, 2))
+        strict = (later & ~f).any(axis=(1, 2))
+        pairs += int(far.sum())
+        violations += int((far & ~(subset & strict)).sum())
+    return violations, pairs
+
+
+def reference_heights(tau, z, tol=None):
+    """``heights`` with the membership of its bisection before the groups
+    were slices of the key-sorted points and the window tests were hoisted
+    out of the step: groups by ``np.split`` and a per-group row test."""
+    geom = tau.geom
+    tol = 0.5 * geom.h_y if tol is None else tol
+    z = np.asarray(z, dtype=float).reshape(-1, 2)
+    ix, iy = geom.x_cell(z[:, 0]), geom.y_cell(z[:, 1])
+
+    def member(s, p):
+        out = iy[p] < 0
+        q = np.flatnonzero(~out & (iy[p] < geom.n_y))
+        if not q.size:
+            return out
+        it, shift = geom.t_cell(s[q]), np.round(s[q] / geom.h_y)
+        key = geom.n_t * shift.astype(np.int64) + it
+        order = np.argsort(key, kind="stable")
+        cut = np.flatnonzero(np.diff(key[order])) + 1
+        for g, j in zip(np.split(q[order], cut), order[np.r_[0, cut]]):
+            got = _band(tau, int(it[j]), int(shift[j]))
+            if got is None or got[2]:
+                out[g] = shift[j] >= 0
+                continue
+            lo, band, _ = got
+            x, y = ix[p[g]], iy[p[g]] - lo
+            hit, inside = y < 0, (y >= 0) & (y < band.shape[1])
+            hit[inside] = band[x[inside], y[inside]]
+            out[g] = hit
+        return out
+
+    span = geom.y_max - geom.y_min
+    lo, hi = z[:, 1] - span, z[:, 1] + span
+    every = np.arange(len(z))
+    ok = ~member(lo, every)
+    ok[ok] = member(hi[ok], every[ok])
+    active = every[hi - lo > tol]
+    while active.size:
+        a, b = lo[active], hi[active]
+        mid = 0.5 * (a + b)
+        inside = member(mid, active)
+        hi[active[inside]] = mid[inside]
+        lo[active[~inside]] = mid[~inside]
+        active = active[(hi[active] - lo[active] > tol) & (mid != a) & (mid != b)]
+    return 0.5 * (lo + hi), ok
+
+
+@pytest.fixture(scope="module")
+def rigid_skew():
+    return build_centralized(RigidTranslation(A, B), B, c_est=0.0)
+
+
+@st.composite
+def fibers(draw):
+    """Occupancy of a small region: per t cell a slab of rows, some of them
+    against or past a window edge, with drawn cells flipped. n_x * n_y is
+    often not a multiple of 8."""
+    n_t, n_x, n_y = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                     draw(st.integers(3, 13)))
+    occ = np.zeros((n_t, n_x, n_y), dtype=bool)
+    for it in range(n_t):
+        r0 = draw(st.integers(0, n_y - 1))
+        occ[it, :, r0:r0 + draw(st.integers(0, 4))] = True
+    return occ ^ draw(arrays(bool, occ.shape,
+                             elements=st.booleans() if draw(st.booleans())
+                             else st.just(False)))
+
+
+def region_of(occ, skew):
+    """A region on the window [-0.5, 0.5] with the given cells."""
+    geom = GridGeometry(*occ.shape, -0.5, 0.5)
+    return TauRegion(mask=GridMask(geom, occ), skew=skew, status="",
+                     invariance={}, recurrence_times=[])
+
+
+# a fiber whose fill is separating at every shift that keeps it in the window
+SLAB = np.zeros((2, 3, 5), dtype=bool)
+SLAB[:, :, 2] = True
+
+
+@example(occ=SLAB, s_ladder=2, samples=3)
+@example(occ=SLAB, s_ladder=1, samples=1)
+@example(occ=SLAB, s_ladder=0, samples=1)
+@given(occ=fibers(), s_ladder=st.sampled_from([0, 1, 2, 3, 5, 8, 17]),
+       samples=st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_packed_ladder_check_matches_boolean(rigid_skew, occ, s_ladder, samples):
+    tau = region_of(occ, rigid_skew)
+    eq = verify_equivariance(tau, samples=samples, s_ladder=s_ladder)
+    assert (eq.ordering_violations, eq.pairs_checked) == \
+        reference_ladder_check(tau, s_ladder)
+
+
+# points as (x, y as a fraction of the window), below, inside and above it
+QUERIES = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-0.7, 1.7)),
+                   min_size=1, max_size=40)
+
+
+@example(occ=SLAB, pts=[(0.5, -0.5), (0.1, 0.5), (0.9, 1.5)], tol=None)
+@given(occ=fibers(), pts=QUERIES,
+       tol=st.sampled_from([None, 0.03, 1e-6, 1e-300]))
+@settings(max_examples=150, deadline=None)
+def test_sliced_groups_match_split_groups(rigid_skew, occ, pts, tol):
+    tau = region_of(occ, rigid_skew)
+    z = np.array([(x, -0.5 + v) for x, v in pts])
+    values, ok = heights(tau, z, tol=tol)
+    want_values, want_ok = reference_heights(tau, z, tol=tol)
+    assert values.tobytes() == want_values.tobytes()
+    assert ok.tobytes() == want_ok.tobytes()
+    # one-point queries: every step holds one group
+    for i in range(min(len(z), 4)):
+        one = heights(tau, z[i], tol=tol)
+        assert (one[0].tobytes(), one[1].tobytes()) == \
+            (want_values[i:i + 1].tobytes(), want_ok[i:i + 1].tobytes())
+
+
+def test_packed_check_and_sliced_groups_on_built_regions(fill_regions):
+    # realistic regions, with keys that a window edge clips
+    rng = np.random.default_rng(11)
+    for name, tau in fill_regions.items():
+        geom = tau.geom
+        tau._fills.clear()
+        for s_ladder in (0, 1, 2, 32):
+            eq = verify_equivariance(tau, samples=16, s_ladder=s_ladder)
+            assert (eq.ordering_violations, eq.pairs_checked) == \
+                reference_ladder_check(tau, s_ladder), (name, s_ladder)
+        edge = geom.y_min + (np.array([0, 1, geom.n_y - 2, geom.n_y - 1]) + 0.5) * geom.h_y
+        z = np.vstack([np.column_stack([rng.uniform(0.0, 1.0, 64),
+                                        rng.uniform(geom.y_min - 0.3, geom.y_max + 0.3, 64)]),
+                       np.column_stack([np.repeat((np.arange(8) + 0.5) / 8, 4),
+                                        np.tile(edge, 8)])])
+        want = reference_heights(tau, z)
+        got = heights(tau, z)
+        assert (got[0].tobytes(), got[1].tobytes()) == \
+            (want[0].tobytes(), want[1].tobytes()), name
+        for i in range(0, len(z), 7):
+            one = evaluate_h(tau, z[i])
+            assert (one.value, one.ordering_ok) == (want[0][i], want[1][i]), name
+        tau._fills.clear()
+
+
+def test_ladder_check_memory(rigid_128):
+    # the benchmark's ladder: 128 rungs at 128x128x256. The stacked boolean
+    # fills and their temporaries peaked at 12.5 MB traced, the packed ones
+    # at 1.6 MB
+    tau = rigid_128[0.0]
+    tau._fills.clear()
+    verify_equivariance(tau, samples=128, s_ladder=128)  # fills and bands cached
+    tracemalloc.start()
+    try:
+        eq = verify_equivariance(tau, samples=128, s_ladder=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        tau._fills.clear()
+    assert eq.pairs_checked > 0 and eq.ordering_violations == 0
+    assert peak <= 4 * 2**20, peak
 
 
 # -- metamorphic oracles of the region build -----------------------------------

@@ -3,12 +3,37 @@ import json
 import numpy as np
 import pytest
 
-from torusdyn.serialize import (circle_lift_from_definition, load_mask,
-                                dump_mask, rle_decode, rle_encode,
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from torusdyn.serialize import (circle_lift_from_definition, dump_mask,
+                                rle_decode, rle_encode,
                                 torus_map_from_definition, write_csv,
                                 write_json)
 from torusdyn.skew import GridGeometry, GridMask
 from torusdyn.util import GOLDEN_MEAN
+
+
+def load_mask(path):
+    """The mask a ``dump_mask`` file holds."""
+    with open(path) as fh:
+        res = json.load(fh)["result"]
+    n_t, n_x, n_y = res["resolution"]
+    geom = GridGeometry(n_t=n_t, n_x=n_x, n_y=n_y, y_min=res["window"][0],
+                        y_max=res["window"][1])
+    occ = rle_decode(res["rle"], n_t * n_x * n_y).reshape(n_t, n_x, n_y)
+    return GridMask(geom, occ, res.get("provenance", {}))
+
+
+def flat_rle(bits):
+    """Run lengths of the whole flattened array at once, starting with a
+    zero run (the encoder before it read one slice at a time)."""
+    flat = np.asarray(bits, dtype=bool).ravel()
+    if flat.size == 0:
+        return []
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(flat)) + 1, [flat.size]])
+    runs = np.diff(bounds).tolist()
+    return [0] + runs if flat[0] else runs
 
 
 def test_rle_roundtrip():
@@ -18,6 +43,30 @@ def test_rle_roundtrip():
         assert np.array_equal(rle_decode(rle_encode(bits), bits.size), bits)
     assert rle_encode(np.zeros(0, dtype=bool)) == []
     assert rle_encode(np.array([True])) == [0, 1]
+
+
+@given(grid=arrays(bool, st.tuples(st.integers(1, 5), st.integers(1, 4),
+                                   st.integers(1, 6))),
+       fill=st.sampled_from(["drawn", "empty", "full", "slab"]))
+@settings(max_examples=200, deadline=None)
+def test_rle_of_a_strided_mask_matches_the_flat_runs(grid, fill):
+    # a mask's occ is rows 1 to n_y of a padded grid: runs are found one t
+    # fiber at a time and joined across the fiber edges
+    if fill == "empty":
+        grid[...] = False
+    elif fill == "full":
+        grid[...] = True
+    elif fill == "slab":
+        grid[...] = False
+        grid[:, :, grid.shape[2] // 2:] = True
+    padded = np.zeros(grid.shape[:2] + (grid.shape[2] + 2,), dtype=bool)
+    padded[:, :, 1:-1] = grid
+    occ = padded[:, :, 1:-1]
+    want = flat_rle(grid)
+    assert rle_encode(occ) == want
+    assert rle_encode(grid) == want
+    assert rle_encode(grid.ravel()) == want
+    assert rle_decode(want, grid.size).tobytes() == grid.tobytes()
 
 
 def test_mask_dump_bit_exact(tmp_path):
