@@ -6,8 +6,9 @@ function h(z) = inf{s : z below the s-th continuum} by bisection, verify its
 equivariances, and project to a torus-to-circle factor map with measured
 semi-conjugacy defect. Each s value of the ladder is independent. The fill
 at time s translates a band label of its t cell; the bisection reads
-membership straight from the bands, cached in the region's fill cache, and
-only the continua and the ladder paste fills, memoized on their key.
+membership straight from the bands, labeled together per step and cached in
+the region's fill cache, and only the continua and the ladder paste fills,
+memoized on their key.
 """
 
 from __future__ import annotations
@@ -108,41 +109,78 @@ class FiberFill:
 
 def _fill_key(geom, s):
     """Rasterization key of the fills at times s: the t cell, and the shift
-    in whole y cells as a float."""
-    return geom.t_cell(s), np.rint(s / geom.h_y)
+    in whole y cells, rounded half to even. Arrays give a float shift, a
+    Python float s two Python ints."""
+    shift = s / geom.h_y
+    return geom.t_cell(s), (round(shift) if isinstance(shift, float)
+                            else np.rint(shift))
 
 
-def _band(tau, it, shift):
-    """Lower fill of the band of key (it, shift) as ``(lo, band, top)``, or
-    None when the translated obstruction leaves the window or the fiber is
-    empty. The band is window rows [lo, lo + band.shape[1]): the
+def _bands(tau, keys):
+    """Lower fills of the bands of keys (it, shift), each as ``(lo, band,
+    top)``, or None when the translated obstruction leaves the window or the
+    fiber is empty. The band is window rows [lo, lo + band.shape[1]): the
     obstruction's rows and one free guard row on each side that the window
     holds. The free rows below and above it each form one component with its
     edge row, so the rows below are filled, and the rows above when ``top``,
     its top row meeting the fill. Bands are cached in ``tau._fills`` by
     fiber row range: an obstruction inside the window is one band per t
     cell at every shift; one clipped by a window edge, one per clipped range.
+
+    The bands missing from the cache are labeled in one call: stacked, each
+    padded with occupied rows above its top guard row. Layers have no links,
+    so each is labeled alone, and each is kept as a compact copy.
     """
-    fills, n_y, fiber = tau._fills, tau.geom.n_y, tau.mask.occ[it]
-    rows = fills.get(("rows", it))
-    if rows is None:
-        # the first and last occupied rows; those of an empty fiber, (n_y, -1),
-        # leave the window at every shift
-        occupied = np.flatnonzero(fiber.any(axis=0))
-        rows = fills["rows", it] = ((int(occupied[0]), int(occupied[-1]))
-                                    if occupied.size else (n_y, -1))
-    if rows[1] + shift < 0 or rows[0] + shift >= n_y:
-        return None
-    # fiber rows [r0, r1]: the occupied rows and the guard rows in the window
-    r0, r1 = max(rows[0] - 1, -shift), min(rows[1] + 1, n_y - 1 - shift)
-    cached = fills.get(("band", it, r0, r1))
-    if cached is None:
-        free = np.ones((fiber.shape[0], r1 - r0 + 1), dtype=bool)
-        c0, c1 = max(r0, 0), min(r1 + 1, n_y)  # rows off the fiber are free
-        free[:, c0 - r0:c1 - r0] = ~fiber[:, c0:c1]
-        band = _components_meeting(free, np.s_[:, 0])
-        cached = fills["band", it, r0, r1] = band, bool(band[:, -1].any())
-    return (r0 + shift, *cached)
+    fills, n_y, occ = tau._fills, tau.geom.n_y, tau.mask.occ
+    found, missing = [], {}
+    for it, shift in keys:
+        rows = fills.get(("rows", it))
+        if rows is None:
+            # the first and last occupied rows; those of an empty fiber,
+            # (n_y, -1), leave the window at every shift
+            occupied = np.flatnonzero(occ[it].any(axis=0))
+            rows = fills["rows", it] = ((int(occupied[0]), int(occupied[-1]))
+                                        if occupied.size else (n_y, -1))
+        if rows[1] + shift < 0 or rows[0] + shift >= n_y:
+            found.append(None)
+            continue
+        # fiber rows [r0, r1]: the occupied rows and the guard rows in the window
+        r0, r1 = max(rows[0] - 1, -shift), min(rows[1] + 1, n_y - 1 - shift)
+        key = "band", it, r0, r1
+        if key not in fills:
+            missing[key] = r1 - r0 + 1
+        found.append((r0 + shift, key))
+    if missing:
+        free = np.zeros((len(missing), occ.shape[1], max(missing.values())), dtype=bool)
+        for layer, (_, it, r0, r1) in zip(free, missing):
+            layer[:, :r1 - r0 + 1] = True
+            c0, c1 = max(r0, 0), min(r1 + 1, n_y)  # rows off the fiber are free
+            layer[:, c0 - r0:c1 - r0] = ~occ[it, :, c0:c1]
+        labeled = _components_meeting(free, np.s_[:, :, 0])
+        for layer, (key, height) in zip(labeled, missing.items()):
+            band = layer[:, :height].copy()
+            fills[key] = band, bool(band[:, -1].any())
+    return [None if got is None else (got[0], *fills[got[1]]) for got in found]
+
+
+def _band(tau, it, shift):
+    """The band of one key (``_bands``)."""
+    return _bands(tau, [(it, shift)])[0]
+
+
+def _band_member(got, shift, x, y):
+    """Membership of window cells (x, y) in the lower fill of a key of the
+    given shift, from its band ``got`` (``_bands``). With no band, or one
+    whose top row meets the fill, the fill does not separate: every cell is
+    on one side of the continuum, decided by the translation sign. Rows below
+    the band read its free bottom guard row, all filled; rows above it its
+    free top guard row, empty as the fill separates. A band clipped by a
+    window edge has no rows beyond it.
+    """
+    if got is None or got[2]:
+        return shift >= 0
+    lo, band, _ = got
+    return band[x, np.minimum(np.maximum(y - lo, 0), band.shape[1] - 1)]
 
 
 def lower_component(tau, s):
@@ -196,10 +234,55 @@ class HeightValue:
     ordering_ok: bool
 
 
+def _resolve_tol(geom, tol):
+    """The bisection tolerance: half a y cell by default, checked positive."""
+    if tol is None:
+        tol = 0.5 * geom.h_y
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tol must be positive, not {tol!r}")
+    return tol
+
+
 def evaluate_h(tau, z, tol=None):
-    """Height of one annulus point; see ``heights``."""
-    values, ok = heights(tau, [z], tol=tol)
-    return HeightValue(value=float(values[0]), ordering_ok=bool(ok[0]))
+    """Height of one annulus point z, of shape (2,) or (1, 2).
+
+    The value and ``ordering_ok`` are those of ``heights(tau, [z], tol)``,
+    bit for bit: the point is bisected in Python floats with the same steps,
+    the same fill keys (``_fill_key``), the same band cache (``_band``) and
+    the same reading of a band (``_band_member``), which spares the array
+    bookkeeping of a step for one point.
+    """
+    geom = tau.geom
+    tol = _resolve_tol(geom, tol)
+    z = np.asarray(z, dtype=float)
+    if z.shape not in ((2,), (1, 2)):
+        raise ValueError(f"evaluate_h takes one point of shape (2,) or (1, 2), "
+                         f"not {z.shape}")
+    z = z.reshape(1, 2)
+    ix, iy = int(geom.x_cell(z[:, 0])[0]), int(geom.y_cell(z[:, 1])[0])
+    below = iy < 0
+    within = not below and iy < geom.n_y
+
+    def member(s):
+        if not within:
+            return below
+        it, shift = _fill_key(geom, s)
+        return _band_member(_band(tau, it, shift), shift, ix, iy)
+
+    y = float(z[0, 1])
+    span = geom.y_max - geom.y_min
+    a, b = y - span, y + span
+    ok = not member(a) and member(b)
+    bisect = b - a > tol
+    while bisect:
+        mid = 0.5 * (a + b)
+        moved = mid != a and mid != b
+        if member(mid):
+            b = mid
+        else:
+            a = mid
+        bisect = b - a > tol and moved
+    return HeightValue(value=0.5 * (a + b), ordering_ok=bool(ok))
 
 
 def heights(tau, z, tol=None):
@@ -208,17 +291,17 @@ def heights(tau, z, tol=None):
     All points of the (m, 2) array ``z`` are bisected together. Points
     below the window are always members and points above never are, tested
     once per call. Each step sorts the other active points by rasterization
-    key and reads each key's band once, for a slice of that order. A point
-    stops at ``tol`` (half a y cell by default) or when its midpoint equals
-    an end of its bracket, so a ``tol`` below the float spacing ends too.
-    Membership is monotone in s up to rasterization jitter; a violated
-    initial bracket is reported in ``ordering_ok`` instead of raising.
+    key, fetches the bands of all its keys with one ``_bands`` call, which
+    labels the missing ones together, and reads each band
+    (``_band_member``) for a slice of that order. A point stops at ``tol``
+    (half a y cell by default) or when its midpoint equals an end of its
+    bracket, so a ``tol`` below the float spacing ends too. Membership is
+    monotone in s up to rasterization jitter; a violated initial bracket is
+    reported in ``ordering_ok`` instead of raising. ``evaluate_h`` bisects
+    one point with the same steps in Python floats.
     """
     geom = tau.geom
-    if tol is None:
-        tol = 0.5 * geom.h_y
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tol must be positive, not {tol!r}")
+    tol = _resolve_tol(geom, tol)
     z = np.asarray(z, dtype=float).reshape(-1, 2)
     ix, iy = geom.x_cell(z[:, 0]), geom.y_cell(z[:, 1])
     # a point's window test is the same at every s: points below the window
@@ -240,20 +323,10 @@ def heights(tau, z, tol=None):
         q, key = q[order], key[order]
         x, y = ix[p[q]], iy[p[q]]
         starts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()]
-        for g0, g1, k in zip(starts, [*starts[1:], q.size], key[starts].tolist()):
-            shift, it = divmod(k, n_t)
-            got = _band(tau, it, shift)
-            if got is None or got[2]:
-                # not separating: everything is on one side of the continuum,
-                # decided by the translation sign
-                out[q[g0:g1]] = shift >= 0
-                continue
-            # rows below the band read its free bottom guard row, all filled;
-            # rows above it its free top guard row, empty as the fill
-            # separates. A band clipped by a window edge has no rows beyond it
-            lo, band, _ = got
-            out[q[g0:g1]] = band[x[g0:g1], np.minimum(np.maximum(y[g0:g1] - lo, 0),
-                                                      band.shape[1] - 1)]
+        keys = [divmod(k, n_t)[::-1] for k in key[starts].tolist()]  # (it, shift)
+        for g0, g1, (_, shift), got in zip(starts, [*starts[1:], q.size], keys,
+                                           _bands(tau, keys)):
+            out[q[g0:g1]] = _band_member(got, shift, x[g0:g1], y[g0:g1])
         return out
 
     span = geom.y_max - geom.y_min
@@ -288,9 +361,10 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
 
     Reports max |h(z + (0,1)) - h(z) - 1| and |h(f z) - h(z) - rho| over
     samples, and counts ladder pairs s < s' (at least two y cells apart)
-    whose lower components fail strict inclusion. The rungs' fills are
-    compared packed to bits, which counts the same pairs as the boolean
-    fills.
+    whose lower components fail strict inclusion. The bands of all rungs
+    are fetched with one ``_bands`` call, which labels the missing ones
+    together, before the rungs' fills are pasted; the fills are compared
+    packed to bits, which counts the same pairs as the boolean fills.
     """
     geom = tau.geom
     skew = tau.skew
@@ -301,6 +375,7 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     h1, _ = heights(tau, z + [0.0, 1.0], tol=tol)
     h2, _ = heights(tau, skew.spec.annulus_map(z), tol=tol)
     ladder = np.arange(s_ladder) / s_ladder
+    _bands(tau, [_fill_key(geom, s) for s in ladder.tolist()])
     # each rung's fill packed to bits; the zero padding bits of the last byte
     # are the same on both sides, so they add to neither test
     fills = np.empty((ladder.size, (geom.n_x * geom.n_y + 7) // 8), dtype=np.uint8)
@@ -319,7 +394,7 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
         unit_translate_defect=float(np.max(np.abs(h1 - h0 - 1.0), initial=0.0)),
         map_defect=float(np.max(np.abs(h2 - h0 - skew.rho), initial=0.0)),
         ordering_violations=violations, pairs_checked=pairs,
-        tol=0.5 * geom.h_y if tol is None else tol)  # as heights resolves it
+        tol=_resolve_tol(geom, tol))
 
 
 @dataclass

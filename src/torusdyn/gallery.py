@@ -226,9 +226,6 @@ class SurgeryGeometry:
         beats the chord between the segment endpoints."""
         return 2.0 * self.delta
 
-    def diameter_table(self, n_range=50):
-        return {int(n): self.domain_diameter(n) for n in range(-n_range, n_range + 1)}
-
 
 def _segment_min_dist(p0, p1, q0, q1):
     """Min distance between two plane segments."""

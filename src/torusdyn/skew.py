@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,8 +220,12 @@ class GridGeometry:
 
 
 def _wrapped_cell(v, n):
-    """Cell index in [0, n) of a circle coordinate."""
-    return np.minimum(np.floor(wrap01(v) * n).astype(np.int64), n - 1)
+    """Cell index in [0, n) of a circle coordinate; a Python int for a 0-d
+    one, which one-point height queries ask for at every step."""
+    c = wrap01(v) * n
+    if isinstance(c, float):
+        return min(math.floor(c), n - 1)
+    return np.minimum(np.floor(c).astype(np.int64), n - 1)
 
 
 def geometry_for(skew, center_y=0.0, n_t=256, n_x=256, n_y=512, half_height=None):

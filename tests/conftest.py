@@ -12,6 +12,12 @@ ALPHA = 0.6180339887
 BETA = 0.4142135624
 
 
+def diameter_table(geo, n_range=50):
+    """Diameters of the blown-up domains n = -n_range..n_range of a surgery
+    geometry, by n."""
+    return {n: geo.domain_diameter(n) for n in range(-n_range, n_range + 1)}
+
+
 @pytest.fixture(scope="session")
 def susp31():
     return suspension_map(CircleLift.rigid(ALPHA), CircleLift.rigid(BETA))

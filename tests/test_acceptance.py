@@ -24,7 +24,7 @@ from torusdyn.skew import (SkewState, build_centralized, check_closed_form,
 from torusdyn.torus import DehnTwist, RigidTranslation, normalize_isotopy_class
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, lattice_points_2d
 
-from conftest import ALPHA, BETA
+from conftest import ALPHA, BETA, diameter_table
 
 
 def verdict(num, name, ok, detail):
@@ -256,7 +256,7 @@ def test_criterion_10_obstruction_evidence(ex32):
     schedule_exact = all(
         geo.fiber_halfwidth(n, geo.center(n)) == 2.0 ** (-abs(n) - 10) * geo.delta
         for n in range(-50, 51))
-    diameters = set(geo.diameter_table(50).values())
+    diameters = set(diameter_table(geo, 50).values())
     elapsed = time.time() - t0
     ok = (ev["forward_pair"].forward_min < 1e-2
           and ev["backward_pair"].backward_min < 1e-2

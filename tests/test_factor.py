@@ -1,3 +1,4 @@
+import contextlib
 import signal
 import tracemalloc
 
@@ -8,13 +9,13 @@ from hypothesis.extra.numpy import arrays
 
 import torusdyn.factor
 import torusdyn.skew
-from labels_reference import component_names
+from labels_reference import component_names, ndimage_components_meeting
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
                              verify_equivariance, _band)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
-from torusdyn.torus import RigidTranslation, SuspensionMap
+from torusdyn.torus import ComposedMap, DiskPush, RigidTranslation, SuspensionMap
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
@@ -282,10 +283,11 @@ def test_heights_keep_no_fill(tau_susp_small):
 def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
     tau = tau_susp_small
     tau._fills.clear()
-    labels = []
+    # the bands a call labels are the layers of its stack
+    layers = []
     real = torusdyn.skew._label_x_wrapped
     monkeypatch.setattr(torusdyn.skew, "_label_x_wrapped",
-                        lambda *a: labels.append(1) or real(*a))
+                        lambda occ, *a: layers.append(occ.shape[0]) or real(occ, *a))
     verify_equivariance(tau, samples=24, s_ladder=32)
     # bands are cached by fiber row range: the interior range of a t cell is
     # its occupied rows and a guard row each side, any other range is clipped
@@ -293,7 +295,9 @@ def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
     rows = {it: np.flatnonzero(tau.mask.occ[it].any(axis=0)) for it, _, _ in bands}
     interior = sum((r0, r1) == (rows[it][0] - 1, rows[it][-1] + 1)
                    for it, r0, r1 in bands)
-    assert len(labels) == len(bands)
+    assert sum(layers) == len(bands)
+    # a step, and the whole ladder, labels its missing bands in one call
+    assert len(layers) < len(bands)
     assert interior <= tau.geom.n_t
     # with a full label per key this call made 333 labels
     assert (interior, len(bands) - interior) == (64, 73)
@@ -677,6 +681,159 @@ def test_packed_check_and_sliced_groups_on_built_regions(fill_regions):
             one = evaluate_h(tau, z[i])
             assert (one.value, one.ordering_ok) == (want[0][i], want[1][i]), name
         tau._fills.clear()
+
+
+# -- one-point heights in floats and batched band labels -----------------------
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body after the given seconds (SIGALRM)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"not done in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def tau_pushed_small():
+    # a disk push that the region meets: the map is not column-wise
+    push = DiskPush((0.45, 0.1), (0.5, 0.12), 0.2)
+    skew = build_centralized(ComposedMap([RigidTranslation(A, B), push]), B)
+    return build_tau_walking(64, skew, (0.5, 0.0), ball_radius=0.15, n_t=16,
+                             n_x=16, n_y=32, max_iters=40)
+
+
+@pytest.fixture(scope="module")
+def built_regions(tau_rigid_small, tau_susp_small, tau_pushed_small):
+    return {"rigid": tau_rigid_small, "suspension": tau_susp_small,
+            "pushed": tau_pushed_small}
+
+
+# y as a fraction of the window: below, inside and above it, and dyadic
+# heights, whose bisection midpoints land on half y cells, where the shift
+# rounds half to even
+HEIGHT_FRACTIONS = st.one_of(st.floats(-0.7, 1.7),
+                             st.sampled_from([-0.5, 0.0, 0.25, 0.5, 0.625, 1.0, 1.5]))
+XS = st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5]))
+
+
+@example(name="rigid", pts=[(-0.0, 0.5), (1.0, 0.25), (0.3, -0.5), (0.7, 1.5)],
+         tol="h_y/7", warm=False, occ=SLAB)
+@given(name=st.sampled_from(["rigid", "suspension", "pushed", "fibers"]),
+       pts=st.lists(st.tuples(XS, HEIGHT_FRACTIONS), min_size=1, max_size=4),
+       tol=st.sampled_from([None, 1e-300, 0.3, 1e3, "h_y/7"]), warm=st.booleans(),
+       occ=fibers())
+@settings(max_examples=120, deadline=None)
+def test_evaluate_h_matches_heights(built_regions, rigid_skew, name, pts, tol, warm,
+                                    occ):
+    tau = built_regions.get(name) or region_of(occ, rigid_skew)
+    geom = tau.geom
+    tol = geom.h_y / 7 if tol == "h_y/7" else tol
+    for x, v in pts:
+        z = (x, geom.y_min + v * (geom.y_max - geom.y_min))
+        if not warm:
+            tau._fills.clear()
+        with deadline(10):
+            got = evaluate_h(tau, z, tol=tol)
+        if not warm:
+            tau._fills.clear()
+        values, ok = heights(tau, [z], tol=tol)
+        assert type(got.value) is float and type(got.ordering_ok) is bool
+        assert np.float64(got.value).tobytes() == values.tobytes(), z
+        assert got.ordering_ok == bool(ok[0]), z
+        # a (1, 2) point is the same point
+        assert evaluate_h(tau, np.array([z]), tol=tol) == got
+    tau._fills.clear()
+
+
+def test_evaluate_h_takes_exactly_one_point(tau_rigid_small):
+    # four numbers used to be read as two points, the first one's height
+    # returned
+    tau = tau_rigid_small
+    for z in ([0.3, 0.1, 0.5, 0.2], [[0.3, 0.1], [0.5, 0.2]], [0.3], 0.3,
+              [[[0.3, 0.1]]], [0.3, 0.1, 0.5]):
+        with pytest.raises(ValueError, match="one point"):
+            evaluate_h(tau, z)
+    assert evaluate_h(tau, [[0.3, 0.1]]) == evaluate_h(tau, (0.3, 0.1))
+
+
+def reference_band(tau, it, shift):
+    """``(lo, band, top, cache key)`` of one key's band, labeled alone on
+    ndimage, or None: the band cache's one-key body."""
+    n_y, fiber = tau.geom.n_y, tau.mask.occ[it]
+    occupied = np.flatnonzero(fiber.any(axis=0))
+    if not occupied.size or occupied[-1] + shift < 0 or occupied[0] + shift >= n_y:
+        return None
+    r0 = int(max(occupied[0] - 1, -shift))
+    r1 = int(min(occupied[-1] + 1, n_y - 1 - shift))
+    free = np.ones((fiber.shape[0], r1 - r0 + 1), dtype=bool)
+    c0, c1 = max(r0, 0), min(r1 + 1, n_y)
+    free[:, c0 - r0:c1 - r0] = ~fiber[:, c0:c1]
+    band = ndimage_components_meeting(free, np.s_[:, 0])
+    return r0 + shift, band, bool(band[:, -1].any()), ("band", it, r0, r1)
+
+
+@st.composite
+def band_keys(draw):
+    """A small region and keys (it, shift) of it, duplicates among them,
+    with shifts that clip the band at either window edge or leave it, and
+    how many of the keys to fetch first. Each fiber is a slab of rows with
+    cells flipped, densely or sparsely, so that some fills get through and
+    some rows hold pockets."""
+    n_t, n_x, n_y = (draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                     draw(st.integers(3, 13)))
+    occ = np.zeros((n_t, n_x, n_y), dtype=bool)
+    for it in range(n_t):
+        r0 = draw(st.integers(0, n_y - 1))
+        occ[it, :, r0:r0 + draw(st.integers(0, 5))] = True
+    flips = draw(st.sampled_from([[False], [False] * 5 + [True], [False, True]]))
+    occ ^= draw(arrays(bool, occ.shape, elements=st.sampled_from(flips)))
+    key = st.tuples(st.integers(0, n_t - 1), st.integers(-n_y - 2, n_y + 2))
+    keys = draw(st.lists(key, min_size=1, max_size=12))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=4))
+    return occ, keys, draw(st.integers(0, len(keys)))
+
+
+# fiber 1 lets the fill through at x = 0 and has a pocket at x = 2 on row 5,
+# the window's top row at shift 2: its band is shorter than fiber 0's, so
+# the stack pads it, and the pocket is not filled
+POCKET = np.zeros((2, 4, 8), dtype=bool)
+POCKET[0, :, 1:7] = True
+POCKET[1, 1:, 3:6] = True
+POCKET[1, 2, 5] = False
+
+
+@example(drawn=(POCKET, [(0, 0), (1, 2)], 0))
+@given(drawn=band_keys())
+@settings(max_examples=200, deadline=None)
+def test_batched_bands_match_one_key_labels(rigid_skew, drawn):
+    occ, keys, warm = drawn
+    tau = region_of(occ, rigid_skew)
+    # the first keys warm the cache, so the second call labels only the rest
+    torusdyn.factor._bands(tau, keys[:warm])
+    got = torusdyn.factor._bands(tau, keys)
+    want = [reference_band(tau, *key) for key in keys]
+    assert len(got) == len(keys)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert (g[0], g[1].shape, g[1].tobytes(), g[2]) == \
+                (w[0], w[1].shape, w[1].tobytes(), w[2])
+    # the cache holds exactly the bands one-key labels make, each a compact
+    # array of its own
+    cached = {k: v for k, v in tau._fills.items() if k[0] == "band"}
+    assert set(cached) == {w[3] for w in want if w is not None}
+    for w in filter(None, want):
+        band, top = cached[w[3]]
+        assert (band.tobytes(), band.shape, top) == (w[1].tobytes(), w[1].shape, w[2])
+        assert band.base is None and band.flags.c_contiguous
 
 
 def test_ladder_check_memory(rigid_128):

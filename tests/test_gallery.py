@@ -14,6 +14,8 @@ from torusdyn.rotation import (ProximalityResult, deviation_profile,
                                recurrence_probe)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, circle_dist, wrap01
 
+from conftest import diameter_table
+
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
 
 
@@ -144,7 +146,7 @@ def test_surgery_schedule_values():
     sampled = geo.fiber_halfwidth(5, seg)
     assert np.all(sampled >= 0.0)
     assert np.all(sampled <= 2.0 ** (-5 - 10) * geo.delta + 1e-18)
-    diam = geo.diameter_table(50)
+    diam = diameter_table(geo, 50)
     assert set(diam.values()) == {2 * geo.delta}
     assert len(diam) == 101
 
