@@ -48,8 +48,9 @@ GALLERY_ALIASES = {
 
 # the least value of each count flag, checked before any work
 _COUNT_MINIMUMS = {"deviations": {"samples": 1, "nmax": 1}, "skeworbit": {"nmax": 0},
-                   "factor": {"grid": 1, "sladder": 0},
-                   "gallery": {"nscan": 1, "nmax": 1}, "double-factor": {"grid": 1}}
+                   "factor": {"grid": 1, "sladder": 0, "max-iters": 0},
+                   "gallery": {"nscan": 1, "nmax": 1},
+                   "double-factor": {"grid": 1, "max-iters": 0}}
 
 
 class UsageError(Exception):
@@ -99,6 +100,8 @@ def _numbers(text, count, flag, cast=parse_number):
 
 def _resolution(args):
     n_t, n_x, n_y = _numbers(args.resolution, 3, "resolution", int)
+    if min(n_t, n_x, n_y) < 1:
+        raise UsageError(f"--resolution {args.resolution} has an entry below 1")
     if n_t * n_x * n_y > 2 ** 28:  # 8 times the 256x256x512 default
         raise UsageError(f"--resolution {args.resolution} has more than 2^28 cells")
     return n_t, n_x, n_y
@@ -496,7 +499,7 @@ def main(argv=None):
         except SystemExit:  # --help and --version
             return EXIT_OK
         for flag, least in _COUNT_MINIMUMS.get(args.command, {}).items():
-            value = getattr(args, flag)
+            value = getattr(args, flag.replace("-", "_"))
             if value is not None and value < least:  # None: gallery's manifest value
                 raise UsageError(f"--{flag} must be at least {least}, not {value}")
         if getattr(args, "tol", None) is not None and not args.tol > 0.0:

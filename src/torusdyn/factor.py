@@ -55,9 +55,10 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     mask is extended to the region's vertical envelopes, tracked in real
     arithmetic until the extended rows stop changing over the last half of
     the walk (checked at 16, 32, 64, ... rounds, capped at 20,000); the
-    provenance key ``refine_rounds`` records the rounds walked. For a
-    column-wise map (``TorusMapSpec.column_wise``) that walk and the
-    invariance check read only each column's lowest and highest points.
+    provenance key ``refine_rounds`` records the rounds walked. The walk
+    follows the seed ball's 1,024-point boundary ring alone: each block
+    image is the closed disk bounded by the image of the ball's boundary
+    circle, so its extremes over any vertical strip lie on that curve.
     """
     if not (0.0 < ball_radius <= 1.0):
         raise ValueError("ball radius must be in (0, 1]")
@@ -70,7 +71,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     warnings = []
     if not times:
         warnings.append("no recurrence evidence for the seed point")
-    # fiber cloud: cell centers of the rasterized seed ball
+    # saturation's fiber cloud: cell centers of the rasterized seed ball
     pred = ball_fiber((x0, y0), ball_radius)
     _, X, Y = geom.centers(0, *np.indices((geom.n_x, geom.n_y)))
     inside = pred(X, Y)
@@ -80,11 +81,12 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
                          f"cell center (y cells are {geom.h_y!r} high)")
     occ, seed_occ, status, rounds = saturate_block_orbit(
         skew, pts, geom, max_iters=max_iters)
-    # boundary circle samples give the cloud exact vertical extremes
+    # boundary circle samples: every block image's vertical extremes lie on
+    # the image of this circle
     theta = 2.0 * np.pi * (np.arange(1024) + 0.5) / 1024
     ring = np.column_stack([x0 + ball_radius * np.cos(theta),
                             y0 + ball_radius * np.sin(theta)])
-    *envelopes, refine_rounds = refine_envelopes(skew, np.vstack([pts, ring]), geom)
+    *envelopes, refine_rounds = refine_envelopes(skew, ring, geom)
     occ = extend_to_envelopes(occ, geom, *envelopes)
     if occ[:, :, 0].any() or occ[:, :, -1].any():
         status = "window-exhausted"

@@ -400,7 +400,9 @@ def refine_envelopes(skew, fiber_points, geom):
 
     Tracks min/max of the transported fiber cloud per x column in exact
     real arithmetic, which closes the slow record tails that finite 3D
-    rasterization leaves at the region's top and bottom edges. Returns
+    rasterization leaves at the region's top and bottom edges. Every point
+    of the cloud is walked and read by both scatters; the region build
+    passes its seed ball's boundary ring (``factor.build_tau``). Returns
     (env_min, env_max, rounds): (n_t, n_x) arrays, +inf/-inf in columns
     never touched, and the rounds walked. After 16, 32, 64, ... rounds the
     walk takes the rows ``extend_to_envelopes`` fills per column and stops
@@ -419,8 +421,7 @@ def refine_envelopes(skew, fiber_points, geom):
     edge falls on the same side as in the per-image update. Prefix and
     suffix extremes over the rows then give each fiber its envelope
     (``_unfold_buckets``). The entries equal the per-image extremes of
-    v - u up to a few ulps. For a column-wise map only each x's lowest and
-    highest point is walked (``_envelope_cloud``).
+    v - u up to a few ulps.
     """
     n_t, n_x = geom.n_t, geom.n_x
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
@@ -431,19 +432,19 @@ def refine_envelopes(skew, fiber_points, geom):
     env_max = np.empty((n_t, n_x))
     low = np.full((2 * n_t, n_x), np.inf)
     high = np.full((2 * n_t, n_x), -np.inf)
-    pts, lows, highs = _envelope_cloud(skew.spec, fiber_points)
     # work arrays, allocated once: a chunk's images as the orbit gives them,
-    # and (len(pts), 2 * chunk) tables with a point's images side by side,
-    # so that each scatter reads one block of rows. min and max are exact,
-    # so the order in which images reach the bucket tables does not matter
+    # and (len(fiber_points), 2 * chunk) tables with a point's images side
+    # by side, so that each scatter reads one block of rows. min and max are
+    # exact, so the order in which images reach the bucket tables does not
+    # matter
     size = 2 * _ENVELOPE_CHUNK
-    images = np.empty((size, len(pts), 2))
-    jx = np.empty((len(pts), size))
+    images = np.empty((size, len(fiber_points), 2))
+    jx = np.empty((len(fiber_points), size))
     lifted = np.empty_like(jx)
     cells = np.empty(jx.shape, dtype=np.int64)
     shift = np.empty(size)
     c = np.empty(size)
-    orbit = _block_orbit(skew, pts, _ENVELOPE_ROUNDS)
+    orbit = _block_orbit(skew, fiber_points, _ENVELOPE_ROUNDS)
     # the seed image is a chunk of its own, so that chunks end on whole rounds
     k, walked, check, rows = 1, 0, _ENVELOPE_CHUNK, None
     while True:
@@ -462,8 +463,8 @@ def refine_envelopes(skew, fiber_points, geom):
         # the shifted height plus the phase, (y - shift) + c
         np.subtract(y, shift[:k], out=v)
         np.add(v, c[:k], out=v)
-        np.minimum.at(low.reshape(-1), fcells[lows].ravel(), v[lows].ravel())
-        np.maximum.at(high.reshape(-1), fcells[highs].ravel(), v[highs].ravel())
+        np.minimum.at(low.reshape(-1), fcells.ravel(), v.ravel())
+        np.maximum.at(high.reshape(-1), fcells.ravel(), v.ravel())
         walked += k // 2
         if walked in (check, _ENVELOPE_ROUNDS):
             _unfold_buckets(low, np.minimum, t_centers, env_min)
@@ -474,30 +475,6 @@ def refine_envelopes(skew, fiber_points, geom):
                 return env_min, env_max, walked
             rows, check = new, 2 * check
         k = 2 * min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS - walked)
-
-
-def _envelope_cloud(spec, fiber_points):
-    """(pts, lows, highs): the cloud refine_envelopes walks, and the slices
-    of it whose images its min and max scatters read.
-
-    Every point is kept, and read by both, unless the map is column-wise
-    (``TorusMapSpec.column_wise``). Then the points of one exact x keep one
-    column and their height order in every image, so only the lowest can
-    set a column minimum and only the highest a maximum. The cloud keeps
-    those two of each x, in the order [lowest only | both | highest only],
-    x reduced once.
-    """
-    pts = np.array(fiber_points, dtype=float)
-    pts[:, 0] = wrap01(pts[:, 0])
-    if not spec.column_wise:
-        return pts, slice(None), slice(None)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    new_x = pts[order[1:], 0] != pts[order[:-1], 0]
-    first = np.concatenate([[True], new_x])
-    last = np.concatenate([new_x, [True]])
-    parts = [order[first & ~last], order[first & last], order[last & ~first]]
-    both = len(parts[0]) + len(parts[1])
-    return pts[np.concatenate(parts)], slice(0, both), slice(len(parts[0]), None)
 
 
 def _unfold_buckets(table, best, t_centers, out):

@@ -35,9 +35,9 @@ class TorusMapSpec:
     ``column_wise`` declares that both evaluators act column by column: the
     image x is a function of x alone, bit for bit, and the image height is
     nondecreasing in y. So the annulus step maps each column into one
-    column and keeps the order of heights, and the region build reads only
-    a column's ends (`skew.refine_envelopes`, `skew.invariance_defect`). A
-    kind declares it only where float evaluation keeps both exactly.
+    column and keeps the order of heights, and the invariance check reads
+    only a column's end cells (`skew.invariance_defect`). A kind declares
+    it only where float evaluation keeps both exactly.
     """
 
     kind = "abstract"
@@ -53,9 +53,6 @@ class TorusMapSpec:
     def eval_torus(self, z):
         """Induced map on T^2 (representatives in [0,1))."""
         return self._torus_step(wrap01(z))
-
-    def eval_torus_inverse(self, z):
-        return self._torus_step(wrap01(z), inverse=True)
 
     def _torus_step(self, w, inverse=False):
         """eval_torus of points already in [0, 1), where the input reduction

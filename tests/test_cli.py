@@ -571,6 +571,25 @@ def test_resolution_over_the_cell_cap_is_usage_error(argv, resolution, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [RUNS["factor-rigid"], RUNS["double-factor-rigid"]],
+                         ids=["factor", "double-factor"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--resolution", "0,16,32", "--resolution 0,16,32 has an entry below 1"),
+    ("--max-iters", "-1", "--max-iters must be at least 0, not -1")],
+    ids=["resolution", "max-iters"])
+def test_bad_counts_are_refused_before_any_work(argv, flag, value, message,
+                                                tmp_path, capsys):
+    # refused before the rotation-set walk or the region build runs, so no
+    # --out directory is left behind
+    out = tmp_path / "out"
+    with mock.patch.object(cli, "build_tau", side_effect=AssertionError), \
+            mock.patch.object(cli, "estimate_rotation_set",
+                              side_effect=AssertionError):
+        assert run(argv + [flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_version_exits_0(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.strip() == cli.__version__

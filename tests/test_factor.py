@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import signal
 import tracemalloc
 
@@ -15,7 +16,8 @@ from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, eval
                              lower_component, project_to_torus_factor,
                              verify_equivariance, _band)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
-from torusdyn.torus import ComposedMap, DiskPush, RigidTranslation, SuspensionMap
+from torusdyn.torus import (ComposedMap, DiskPush, RigidTranslation, SuspensionMap,
+                            TorusMapSpec)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
 
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
@@ -925,3 +927,69 @@ def test_rigid_x_translation_rolls_the_mask():
         assert np.array_equal(moved.mask.occ, np.roll(base.mask.occ, k, axis=1))
         assert moved.invariance == base.invariance
         assert moved.status == base.status
+
+
+class InversePush(TorusMapSpec):
+    """The inverse of a disk push: its two evaluators swapped."""
+
+    kind = "inverse-push"
+
+    def __init__(self, push):
+        self.push = push
+
+    def eval_lift(self, z):
+        return self.push.eval_inverse(z)
+
+    def eval_inverse(self, z):
+        return self.push.eval_lift(z)
+
+
+def conjugate_heights(push, t, x, y):
+    """Heights of P^-1(t, x, y), where P^(t, x, y) = (t, P(x, y + t) - (0, t))
+    lifts the push P to the skew-product."""
+    return push.eval_inverse(np.stack([x, y + t], axis=-1))[..., 1] - t
+
+
+@pytest.mark.parametrize("push_vector", [(0.06, 0.0), (0.0, 0.06),
+                                         (0.06 / np.sqrt(2), 0.06 / np.sqrt(2))],
+                         ids=["horizontal", "vertical", "diagonal"])
+def test_conjugated_rigid_region_lies_between_its_oracles(push_vector):
+    # f = P R P^-1 has the skew-product P^ F_R P^-1, and P^ commutes with the
+    # flow, so f's region from the seed ball B is P^ of R's region from
+    # P^-1(B): the slab [m - 1/2, M + 1/2] of heights, m and M the extremes
+    # of P^-1 over B, which lie on the image of its boundary circle
+    rigid = RigidTranslation(0.6180339887, 0.4142135624)
+    center = np.array([0.5, 0.2])
+    # pushed from (0.5, 0.2): the vertical push centered there, from
+    # (0.5, 0.17) to (0.5, 0.23), moves the ball's top to M = 0.09375
+    # exactly, and M + 1/2 falls on a row of cell centers, which the walk's
+    # envelopes approach only from inside
+    push = DiskPush(center, center + push_vector, 0.2)
+    skew = build_centralized(ComposedMap([InversePush(push), rigid, push]),
+                             0.4142135624)
+    seed, radius = (0.5, 0.0), 0.15
+    tau = build_tau(skew, seed, ball_radius=radius, n_t=32, n_x=32, n_y=64)
+    theta = 2.0 * np.pi * np.arange(100_000) / 100_000
+    circle = np.column_stack([seed[0] + radius * np.cos(theta),
+                              seed[1] + radius * np.sin(theta)])
+    h = push.eval_inverse(circle)[:, 1]
+    lo, hi = h.min() - 0.5, h.max() + 0.5
+    geom = tau.geom
+    cells = np.indices((geom.n_t, geom.n_x, geom.n_y))
+    # the inner oracle: the cells whose centers lie in P^(slab)
+    v = conjugate_heights(push, *geom.centers(*cells))
+    inner = (v >= lo) & (v <= hi)
+    # the outer one: the cells that meet it, by 5 x 5 x 5 samples per cell
+    # from face to face
+    outer = np.zeros_like(inner)
+    for dt, dx, dy in itertools.product(np.linspace(-0.5, 0.5, 5), repeat=3):
+        v = conjugate_heights(push, *geom.centers(cells[0] + dt, cells[1] + dx,
+                                                  cells[2] + dy))
+        outer |= (v >= lo) & (v <= hi)
+    occ = tau.mask.occ
+    missing = int((inner & ~occ).sum())
+    beyond = int((occ & ~outer).sum())
+    over = int((occ & ~inner).sum())
+    assert missing == beyond == 0, (
+        f"{missing} cells of the inner oracle missing, {beyond} beyond the "
+        f"outer oracle, {over} over the inner oracle; status {tau.status}")

@@ -2,10 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
+import torusdyn.factor
 import torusdyn.skew
 from labels_reference import (component_names, ndimage_components_meeting,
                               ndimage_label_x_wrapped)
@@ -13,7 +14,7 @@ from torusdyn.circle import CircleLift, build_denjoy
 from torusdyn.factor import build_tau
 from torusdyn.gallery import suspension_map
 from torusdyn.skew import (GridGeometry, GridMask, SkewState, _components_meeting,
-                           _envelope_cloud, ball_fiber, build_centralized,
+                           ball_fiber, build_centralized,
                            check_closed_form,
                            check_commutation, close_fibers, component_of,
                            _dilated_fiber, extend_to_envelopes,
@@ -413,12 +414,19 @@ ENVELOPE_SKEWS = {
 }
 
 
-def envelope_cloud(geom, x0, radius, n_ring):
-    """A ball cloud at (x0, 0) and n_ring points of its boundary circle, as
-    the region build takes them."""
+def seed_ring(center, radius, n_ring=1024):
+    """n_ring points of a ball's boundary circle, spaced as the region build
+    spaces the 1,024 of its ring."""
     theta = 2.0 * np.pi * (np.arange(n_ring) + 0.5) / n_ring
-    ring = np.column_stack([x0 + radius * np.cos(theta), radius * np.sin(theta)])
-    return np.vstack([ball_cloud(geom, (x0, 0.0), radius), ring])
+    return np.column_stack([center[0] + radius * np.cos(theta),
+                            center[1] + radius * np.sin(theta)])
+
+
+def envelope_cloud(geom, x0, radius, n_ring):
+    """A ball cloud at (x0, 0) and n_ring points of its boundary circle, in
+    one cloud: a walk of every point, interior and boundary alike."""
+    return np.vstack([ball_cloud(geom, (x0, 0.0), radius),
+                      seed_ring((x0, 0.0), radius, n_ring)])
 
 
 def extended_rows(geom, env_min, env_max):
@@ -460,36 +468,94 @@ def check_refined_envelopes(skew, geom, cap, x0, radius):
     assert np.array_equal(extended_rows(geom, *got), extended_rows(geom, *want))
 
 
-@pytest.mark.parametrize("cap", [1, 300])
-@pytest.mark.parametrize("n_t,n_x", [(15, 16), (32, 32)])
-@pytest.mark.parametrize("name", sorted(k for k, make in ENVELOPE_SKEWS.items()
-                                        if make().spec.column_wise))
-def test_column_ends_walk_the_full_cloud(name, n_t, n_x, cap, monkeypatch):
-    # the walk of each column's lowest and highest point gives the full
-    # cloud's envelopes and rounds bit for bit
-    monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", cap)
-    skew, full_skew = ENVELOPE_SKEWS[name](), ENVELOPE_SKEWS[name]()
-    # every point, read by both scatters
-    monkeypatch.setattr(full_skew.spec, "column_wise", False)
-    geom = geometry_for(skew, center_y=0.0, n_t=n_t, n_x=n_x, n_y=2 * n_x,
+def pushed_skew(a, b, center, push, radius):
+    """The rigid map (a, b) followed by a disk push, at rho = b."""
+    center = np.asarray(center)
+    return build_centralized(ComposedMap([
+        RigidTranslation(a, b), DiskPush(center, center + push, radius)]), b)
+
+
+envelope_skews = st.one_of(
+    st.sampled_from(sorted(ENVELOPE_SKEWS)).map(lambda name: ENVELOPE_SKEWS[name]()),
+    st.builds(pushed_skew, st.floats(0, 1), st.floats(-0.5, 0.5),
+              st.tuples(st.floats(0, 1), st.floats(-0.5, 0.5)),
+              st.tuples(st.floats(-0.03, 0.03), st.floats(-0.03, 0.03)),
+              st.floats(0.13, 0.24)))
+
+
+@given(skew=envelope_skews, n_t=st.integers(3, 16), n_x=st.integers(4, 24),
+       center=st.tuples(st.floats(0, 1), st.floats(-0.5, 0.5)),
+       radius=st.floats(0.05, 0.3), max_iters=st.integers(0, 12),
+       rounds=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_ring_walk_lies_inside_the_full_cloud_walk(skew, n_t, n_x, center, radius,
+                                                   max_iters, rounds):
+    # the ring is a subset of the ball cloud and ring that the walk once
+    # followed, so after as many rounds its envelopes lie inside theirs, and
+    # so does the region extended to them, closed and cut to the seed's
+    # component: every stage after the walk is monotone
+    geom = geometry_for(skew, center_y=center[1], n_t=n_t, n_x=n_x, n_y=2 * n_x,
                         half_height=2.0)
-    for x0, radius in ((0.5, 0.12), (0.05, 0.15)):
-        pts = envelope_cloud(geom, x0, radius, 64)
-        # each scatter reads fewer points than the cloud holds
-        cloud, lows, highs = _envelope_cloud(skew.spec, pts)
-        assert max(len(cloud[lows]), len(cloud[highs])) < len(pts)
-        thinned = refine_envelopes(skew, pts, geom)
-        full = refine_envelopes(full_skew, pts, geom)
-        assert thinned[2] == full[2]
-        for got, want in zip(thinned[:2], full[:2]):
-            assert got.tobytes() == want.tobytes()
+    pts = ball_cloud(geom, center, radius)
+    assume(len(pts))
+    occ, seed_occ, *_ = saturate_block_orbit(skew, pts, geom, max_iters=max_iters)
+    ring = seed_ring(center, radius)
+    with pytest.MonkeyPatch.context() as mp:
+        # the first checkpoint is the cap: both walks take exactly `rounds`
+        mp.setattr(torusdyn.skew, "_ENVELOPE_CHUNK", rounds)
+        mp.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", rounds)
+        *inner, walked = refine_envelopes(skew, ring, geom)
+        *outer, full_walked = refine_envelopes(skew, np.vstack([pts, ring]), geom)
+    assert walked == full_walked == rounds
+    assert (inner[0] >= outer[0]).all() and (inner[1] <= outer[1]).all()
+    regions = []
+    for env_min, env_max in (inner, outer):
+        mask = GridMask(geom, close_fibers(
+            extend_to_envelopes(occ.copy(), geom, env_min, env_max)))
+        component_of(mask, seed_occ)
+        regions.append(mask.occ)
+    assert not (regions[0] & ~regions[1]).any()
+
+
+def test_ring_walk_keeps_two_cells_fewer_on_one_pushed_map(monkeypatch):
+    # the one input known to differ: the ring's sampled image misses a column
+    # extreme that an interior cell center reaches. Both builds exhaust the
+    # window, so the CLI exits 3 on either
+    rho = 0.6227839023579725
+    skew = build_centralized(ComposedMap([
+        RigidTranslation(0.49628800860494526, rho),
+        DiskPush((0.29999992916061924, 0.008125675218756623),
+                 (0.3349949361382909, 0.02530850284911494), 0.1771678857392966)]),
+        rho, c_est=0.3)
+    seed, radius = (0.716506189798748, -0.22548369614428185), 0.10947965499128279
+
+    def build():
+        return build_tau(skew, seed, ball_radius=radius, n_t=24, n_x=24, n_y=48)
+
+    by_ring = build()
+
+    def full_cloud_walk(skew, ring, geom):
+        cloud = np.vstack([ball_cloud(geom, seed, radius), ring])
+        return refine_envelopes(skew, cloud, geom)
+
+    monkeypatch.setattr(torusdyn.factor, "refine_envelopes", full_cloud_walk)
+    by_cloud = build()
+    assert (by_ring.mask.count, by_cloud.mask.count) == (11_555, 11_557)
+    assert not (by_ring.mask.occ & ~by_cloud.mask.occ).any()
+    lost = np.argwhere(by_cloud.mask.occ & ~by_ring.mask.occ).tolist()
+    assert lost == [[16, 8, 35], [16, 8, 36]]
+    for tau in (by_ring, by_cloud):
+        assert tau.status == "window-exhausted"
+        assert tau.mask.provenance["refine_rounds"] == 4096
+        assert tau.invariance == {"forward": 0, "backward": 0}
 
 
 # geometries of the region build, as the CLI's golden runs and the tests
 # build them: (skew, resolution, half height, ball radius, rounds walked).
-# Suspension 3.1 still changes a row after 16,384 rounds. The clouds ring
-# their balls with 256 points, not the build's 1,024: that quarters the
-# reference walk and walks the same rounds
+# Suspension 3.1 still changes a row after 16,384 rounds. The clouds are
+# each ball's cell centers and 256 points of its boundary circle, where the
+# build walks its 1,024-point ring alone: that quarters the reference walk,
+# and both walk the rounds below
 ENVELOPE_WALKS = {
     "rigid-32": ("rigid", (32, 32, 64), None, 0.15, 512),
     "rigid-31": ("rigid", (31, 32, 64), None, 0.15, 512),
