@@ -165,11 +165,6 @@ def _bands(tau, keys):
     return [None if got is None else (got[0], *fills[got[1]]) for got in found]
 
 
-def _band(tau, it, shift):
-    """The band of one key (``_bands``)."""
-    return _bands(tau, [(it, shift)])[0]
-
-
 def _band_member(got, shift, x, y):
     """Membership of window cells (x, y) in the lower fill of a key of the
     given shift, from its band ``got`` (``_bands``). With no band, or one
@@ -192,14 +187,14 @@ def lower_component(tau, s):
     exactly s (rasterized once); the fill grows from the bottom window row
     through 4-adjacency with x wrap. A fill touching the top row is returned
     flagged not separating. The fill is pasted from the key's band
-    (``_band``), every row filled when there is none, and memoized per key.
+    (``_bands``), every row filled when there is none, and memoized per key.
     """
     it, shift = map(int, _fill_key(tau.geom, s))
     out = tau._fills.get((it, shift))
     if out is None:
         fill = np.ones((tau.geom.n_x, tau.geom.n_y), dtype=bool)
         # no band: every row is filled, and the fill is not separating
-        lo, band, top = _band(tau, it, shift) or (0, fill[:, :0], True)
+        lo, band, top = _bands(tau, [(it, shift)])[0] or (0, fill[:, :0], True)
         fill[:, lo:lo + band.shape[1]] = band
         fill[:, lo + band.shape[1]:] = top
         out = tau._fills[it, shift] = FiberFill(fill=fill, separating=not top,
@@ -250,7 +245,7 @@ def evaluate_h(tau, z, tol=None):
 
     The value and ``ordering_ok`` are those of ``heights(tau, [z], tol)``,
     bit for bit: the point is bisected in Python floats with the same steps,
-    the same fill keys (``_fill_key``), the same band cache (``_band``) and
+    the same fill keys (``_fill_key``), the same band cache (``_bands``) and
     the same reading of a band (``_band_member``), which spares the array
     bookkeeping of a step for one point.
     """
@@ -269,7 +264,7 @@ def evaluate_h(tau, z, tol=None):
         if not within:
             return below
         it, shift = _fill_key(geom, s)
-        return _band_member(_band(tau, it, shift), shift, ix, iy)
+        return _band_member(_bands(tau, [(it, shift)])[0], shift, ix, iy)
 
     y = float(z[0, 1])
     span = geom.y_max - geom.y_min

@@ -163,24 +163,16 @@ def write_json(path, payload, config):
            "gallery_manifest_hash": manifest_hash(),
            "result": payload}
     with open(path, "w") as fh:
-        json.dump(_plain(doc), fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=_plain)
         fh.write("\n")
 
 
 def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    return obj
+    """The JSON form of a value json cannot write: a numpy array or scalar
+    as its ``tolist()`` (np.float64 is a float, and written as one)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def rle_encode(bits):

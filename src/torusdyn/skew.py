@@ -284,6 +284,19 @@ def _guard_rows(h, geom):
     np.clip(h, -1, geom.n_y, out=h)
 
 
+def _padded_cells(geom, x, rows, out):
+    """Write to out the flat index x cell * (n_y + 2) + 1 + row of each point
+    in a fiber padded with one guard row at each end, x broadcasting against
+    rows. x must already be in [0, 1) (``geom.x_cell`` without its wrap01)
+    and rows clipped into the guard rows (``_guard_rows``). The sums are
+    integers well inside the exact range of a double."""
+    col = np.floor(x * geom.n_x)
+    np.minimum(col, geom.n_x - 1, out=col)
+    col *= geom.n_y + 2
+    col += 1.0
+    np.add(col, rows, out=out, casting="unsafe")
+
+
 def _block_orbit(skew, pts, rounds):
     """Transported fiber clouds of the block orbit, round by round.
 
@@ -334,14 +347,11 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     padded[:, :, [0, -1]] = True
     flat = padded.reshape(-1)  # a view: marking flat cells marks padded
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
-    # cell indices are kept as floats: every index sum below is an integer
-    # well inside the exact range of a double
-    fiber_base = np.arange(n_t, dtype=float) * n_x
+    fiber_base = np.arange(n_t)[:, None] * (n_x * (n_y + 2))
 
     # (n_t, len(pts)) work arrays, allocated once for every image
     ys = np.empty(len(pts))
     yy = np.empty((n_t, len(pts)))
-    column = np.empty_like(yy)
     cells = np.empty(yy.shape, dtype=np.int64)
     hit = np.empty(yy.shape, dtype=bool)
 
@@ -360,11 +370,8 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         _guard_rows(yy, geom)
         lo, hi = yy.min(), yy.max()
         # padded flat index (fiber, x, 1 + y) of each point
-        np.add(fiber_base[:, None], geom.x_cell(img[:, 0])[None, :], out=column)
-        np.multiply(column, n_y + 2, out=column)
-        np.add(column, 1.0, out=column)
-        np.add(column, yy, out=column)
-        cells[...] = column
+        _padded_cells(geom, img[:, 0], yy, cells)
+        np.add(cells, fiber_base, out=cells)
         if not grew:
             np.take(flat, cells, out=hit)
             grew = not hit.all()
@@ -733,18 +740,20 @@ def invariance_defect(skew, mask):
     and its samples share one image fiber per direction. The samples are
     the annulus points (x, ytil + t) that ``CentralizedSkew.step`` forms,
     stepped by the lean annulus step; an image height is (y - t) - rho, as
-    in the step, and one beyond the window counts as outside.
+    in the step, and one beyond the window counts as outside. A cell is
+    inside when the padded cells (``_padded_cells``) of all its samples'
+    images are set in the padded dilation of its image fiber.
 
     For a column-wise map (``TorusMapSpec.column_wise``) the images of one
     sample offset over a column lie in one image column, in the order of
-    their heights. So where the source column is one run and each image
-    column of the dilation is one run, the column passes when its two end
-    cells pass. Every cell of any other column is checked, so the counts
-    are exact.
+    their heights. So a source column of one run passes when its two end
+    cells are inside the dilation with its columns that are not one run
+    cleared. Every cell of any other column is tested against the whole
+    dilation, so the counts are exact.
     """
     geom = mask.geom
     occ = mask.occ
-    n_t, n_x, n_y = geom.n_t, geom.n_x, geom.n_y
+    n_t, n_x = geom.n_t, geom.n_x
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
     dx = _INSET[:, 0] * geom.h_x
     dy = _INSET[:, 1] * geom.h_y
@@ -753,40 +762,30 @@ def invariance_defect(skew, mask):
     # end cells of every column; a batch of k cells uses their first 5 * k
     # entries
     size = len(_INSET) * max(int(occ.sum(axis=(1, 2)).max(initial=0)), 2 * n_x)
-    samples = np.empty(2 * size)
-    jx = np.empty(size)
-    jy = np.empty(size)
+    samples = np.empty((size, 2))
+    rows = np.empty(size)
     cells = np.empty(size, dtype=np.int64)
     hit = np.empty(size, dtype=bool)
     step = skew.spec._annulus_step
 
-    def sample(it, ix, iy):
-        """The (5 * k, 2) samples of the cells (it, ix, iy), and t."""
+    def inside(it, ix, iy, dil, inverse, rho):
+        """Whether the images of all five samples of each cell (it, ix, iy)
+        lie in the padded image fiber dil: k bools."""
         t, x, y = geom.centers(it, ix, iy)
-        pts = samples[:2 * len(_INSET) * ix.size].reshape(len(_INSET), ix.size, 2)
+        k = len(_INSET) * ix.size
+        pts = samples[:k].reshape(len(_INSET), ix.size, 2)
         np.add(x, dx[:, None], out=pts[..., 0])
         np.add(y, dy[:, None], out=pts[..., 1])
         pts[..., 1] += t
-        return pts.reshape(-1, 2), t
-
-    def image_cells(pts, t, inverse, rho):
-        """(5, k) flat indices (x, 1 + y) in the padded image fiber of the
-        samples' images, heights beyond the window in the guard rows."""
-        img = step(pts, inverse)
-        fx, fy, fcells = jx[:len(pts)], jy[:len(pts)], cells[:len(pts)]
-        # geom.x_cell without its wrap01: the step's x is in [0, 1)
-        np.multiply(img[:, 0], n_x, out=fx)
-        np.floor(fx, out=fx)
-        np.minimum(fx, n_x - 1, out=fx)
+        img = step(samples[:k], inverse)  # its x is in [0, 1)
         # the guard-clipped y cell of the image height (y - t) - rho
+        fy = rows[:k]
         np.subtract(img[:, 1], t, out=fy)
         np.subtract(fy, rho, out=fy)
         _guard_rows(fy, geom)
-        np.multiply(fx, n_y + 2, out=fx)
-        np.add(fx, fy, out=fx)
-        np.add(fx, 1.0, out=fx)
-        fcells[...] = fx
-        return fcells.reshape(len(_INSET), len(pts) // len(_INSET))
+        _padded_cells(geom, img[:, 0], fy, cells[:k])
+        np.take(dil.reshape(-1), cells[:k], out=hit[:k])
+        return hit[:k].reshape(len(_INSET), -1).all(axis=0)
 
     directions = []
     for key, inverse in (("forward", False), ("backward", True)):
@@ -805,27 +804,19 @@ def invariance_defect(skew, mask):
             ix, iy = np.nonzero(fiber)
             if not ix.size:
                 continue
-            pts, t = sample(it, ix, iy)  # both directions step these
         for key, inverse, rho, image_fiber in directions:
             dil = _dilated_fiber(occ, image_fiber[it])
             if column_wise:
-                to_x, row = np.divmod(image_cells(*sample(it, *ends), inverse, rho),
-                                      n_y + 2)
-                lo, hi, one_run = _runs(dil)
-                ok = one_run[to_x] & (lo[to_x] <= row) & (row <= hi[to_x])
+                ok = inside(it, *ends, dil & _runs(dil)[2][:, None], inverse, rho)
                 passed = np.zeros(n_x, dtype=bool)
-                passed[cols] = ok.reshape(len(_INSET), 2, cols.size).all(axis=(0, 1))
+                passed[cols] = ok.reshape(2, cols.size).all(axis=0)
                 # every cell of the other columns is checked
                 redo = np.flatnonzero(occupied & ~passed)
                 ix, iy = np.nonzero(fiber[redo])
                 if not ix.size:
                     continue
                 ix = redo[ix]
-                pts, t = sample(it, ix, iy)
-            fhit = hit[:len(pts)]
-            np.take(dil.reshape(-1), image_cells(pts, t, inverse, rho).ravel(), out=fhit)
-            inside = np.count_nonzero(fhit.reshape(len(_INSET), -1).all(axis=0))
-            bad[key] += ix.size - int(inside)
+            bad[key] += int(np.count_nonzero(~inside(it, ix, iy, dil, inverse, rho)))
     return bad
 
 

@@ -14,7 +14,7 @@ from labels_reference import component_names, ndimage_components_meeting
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
                              lower_component, project_to_torus_factor,
-                             verify_equivariance, _band)
+                             verify_equivariance, _bands)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
 from torusdyn.torus import (ComposedMap, DiskPush, RigidTranslation, SuspensionMap,
                             TorusMapSpec)
@@ -564,7 +564,7 @@ def reference_heights(tau, z, tol=None):
         order = np.argsort(key, kind="stable")
         cut = np.flatnonzero(np.diff(key[order])) + 1
         for g, j in zip(np.split(q[order], cut), order[np.r_[0, cut]]):
-            got = _band(tau, int(it[j]), int(shift[j]))
+            got = _bands(tau, [(int(it[j]), int(shift[j]))])[0]
             if got is None or got[2]:
                 out[g] = shift[j] >= 0
                 continue
@@ -880,6 +880,19 @@ def test_rigid_region_is_the_slab(rigid_128):
     # the benchmark's geometry: the extended rows still change after 16,384
     # rounds, so the envelope walk runs to its cap
     assert tau.mask.provenance["refine_rounds"] == 20_000
+
+
+@pytest.mark.parametrize("radius, missing", [(0.09375, 2048), (0.1, 0)])
+def test_rigid_region_misses_a_slab_edge_on_a_row_of_centers(radius, missing):
+    # the envelopes reach the slab's edge |y| = r + 1/2 only in the limit: when
+    # it is a row of cell centers (r + 1/2 = 9.5 cells of 1/16), the closed
+    # slab's top and bottom rows, 2 x 32 x 32 cells, are missing; else none
+    skew = build_centralized(RigidTranslation(A, B), B)
+    tau = build_tau(skew, (0.5, 0.0), ball_radius=radius, n_t=32, n_x=32, n_y=64)
+    ys = tau.geom.centers(0, 0, np.arange(tau.geom.n_y))[2]
+    slab = np.broadcast_to(np.abs(ys) <= radius + 0.5, tau.mask.occ.shape)
+    assert int((slab & ~tau.mask.occ).sum()) == missing
+    assert not (tau.mask.occ & ~slab).any()
 
 
 def test_unit_vertical_translation_moves_the_window(rigid_128):

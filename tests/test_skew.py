@@ -822,6 +822,18 @@ def invariance_per_sample(skew, mask):
 PUSH = DiskPush((0.3, 0.3), (0.32, 0.31), 0.1)
 
 
+def _gapped_image_column():
+    """A solid column x = 1, rows 1-6, in fiber 0, and only its end rows in
+    fibers 2-4. With offset (0, 1/2) and rho = 1/2, F moves fiber 0 to fiber 3
+    and keeps each cell, both ways: the two end cells land in the dilation,
+    whose column x = 1 has a gap at rows 3-4, so those two cells leave it."""
+    occ = np.zeros((6, 3, 8), dtype=bool)
+    occ[0, 1, 1:7] = True
+    occ[2:5, 1, [1, 6]] = True
+    return occ
+
+
+@example(occ=_gapped_image_column(), offset=(0.0, 0.5), rho=0.5, edge_rows=False)
 @given(occ=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6),
                                   st.integers(1, 8))),
        offset=st.tuples(st.floats(-1, 1), st.floats(-0.5, 0.5)),
