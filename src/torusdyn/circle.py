@@ -278,34 +278,24 @@ def build_denjoy(alpha, gap_schedule=None, N=40):
     table = DenjoyGapTable(indices=idx, length=lengths,
                            a=a, b=b, normalizer=1.0 + S, truncation_tol=tail)
 
-    # breakpoint table: endpoints of gaps -N..N-1 mapped onto gaps -N+1..N;
-    # gap N carries no constraint and is absorbed by its free arc
-    pos = {}
-    for j, n in enumerate(idx):
-        if n < N:
-            jn = j + 1  # orbit index n+1 is at slot j+1 (idx is sorted by n)
-            pos[a[j]] = a[jn]
-            pos[b[j]] = b[jn]
-    xs = np.array(sorted(pos))
-    vals = np.array([pos[x] for x in xs])
+    # breakpoint table: endpoints a_n, b_n of gaps -N..N-1 mapped onto gaps
+    # -N+1..N (idx is sorted by n, so gap n+1 is at the next slot); gap N
+    # carries no constraint and is absorbed by its free arc
+    src = np.stack([a[:-1], b[:-1]], axis=1).ravel()
+    dst = np.stack([a[1:], b[1:]], axis=1).ravel()
+    order = np.argsort(src, kind="stable")
+    # a gap narrower than rounding has a_n == b_n: one breakpoint, b_n's image
+    order = order[np.append(np.diff(src[order]) != 0.0, True)]
+    vals = dst[order]
     # unwrap image positions onto a single increasing lift branch
-    lifted = vals.copy()
-    wind = 0.0
-    for k in range(1, lifted.size):
-        if vals[k] <= vals[k - 1]:
-            wind += 1.0
-        lifted[k] = vals[k] + wind
-    bx, by = _pwa_from_pairs(zip(xs, lifted))
+    wind = np.concatenate([[0], np.cumsum(vals[1:] <= vals[:-1])])
+    bx, by = _pwa_from_pairs(zip(src[order], vals + wind))
     lift = CircleLift(KIND_DENJOY, bx=bx, by=by, gap_table=table,
                       target_alpha=float(alpha))
 
-    # construction-time checks: affine transport of every constrained gap
-    for j, n in enumerate(idx):
-        if n < N:
-            img_a = wrap01(lift(a[j]))
-            img_b = wrap01(lift(b[j]))
-            if abs(img_a - a[j + 1]) > 1e-10 or abs(img_b - b[j + 1]) > 1e-10:
-                raise AssertionError("gap transport endpoints inconsistent")
+    # construction-time check: affine transport of every constrained gap
+    if np.any(np.abs(wrap01(lift(src)) - dst) > 1e-10):
+        raise AssertionError("gap transport endpoints inconsistent")
     return lift
 
 

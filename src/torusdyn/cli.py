@@ -47,7 +47,8 @@ GALLERY_ALIASES = {
 
 
 # the least value of each count flag, checked before any work
-_COUNT_MINIMUMS = {"deviations": {"samples": 1, "nmax": 1}, "skeworbit": {"nmax": 0},
+_COUNT_MINIMUMS = {"rotnum": {"n": 1}, "deviations": {"samples": 1, "nmax": 1},
+                   "skeworbit": {"nmax": 0},
                    "factor": {"grid": 1, "sladder": 0, "max-iters": 0},
                    "gallery": {"nscan": 1, "nmax": 1},
                    "double-factor": {"grid": 1, "max-iters": 0}}
@@ -130,6 +131,11 @@ def cmd_rotnum(args):
                             else args.denjoy_order)
     else:
         lift = circle_lift_from_definition(json.loads(args.circle))
+    # a rigid lift's estimate is alpha whatever the start point
+    if args.x0 is None:
+        args.x0 = 0.0
+    elif lift.kind == "rigid":
+        raise UsageError("--x0 does not apply to a rigid lift")
     est, bound = rotation_number(lift, args.x0, args.n)
     slack = lift.truncation_tol
     print(f"rotation number estimate {est!r} +- {bound + slack!r}")
@@ -412,7 +418,8 @@ def build_parser():
                    help="--denjoy blows up the orbit points |n| <= this (default 40)")
     s.add_argument("--circle", default=None, help="inline JSON circle lift")
     s.add_argument("--n", type=int, default=100_000)
-    s.add_argument("--x0", type=parse_number, default=0.0)
+    s.add_argument("--x0", type=parse_number, default=None,
+                   help="orbit start (default 0; not for a rigid lift)")
     _add_common(s, groups=())
     s.set_defaults(func=cmd_rotnum)
 
@@ -516,6 +523,10 @@ def main(argv=None):
         return EXIT_WINDOW
     except (ValueError, OverflowError, OSError) as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("usage error: the input is too large (out of memory)",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

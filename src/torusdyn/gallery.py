@@ -103,6 +103,15 @@ class ObstructionExample:
     notes: dict = field(default_factory=dict)
 
 
+def _pushed_example(susp, w0, w1, radius, edge, **probe):
+    """The suspension composed with a push from w0 to w1, its edge points
+    at height ``edge`` over w0 and w1, and its vertical rotation number."""
+    return ObstructionExample(
+        torus_map=ComposedMap([DiskPush(w0, w1, radius), susp.torus_map]),
+        w0=w0, w1=w1, w0_edge=(w0[0], edge), w1_edge=(w1[0], edge),
+        rho_vertical=susp.rho_base * susp.rho_fiber, **probe)
+
+
 def example_unbounded_inessential():
     """Rigid-over-Denjoy suspension composed with a push in a wandering block.
 
@@ -119,22 +128,12 @@ def example_unbounded_inessential():
     half = 0.5 * (b0 - a0)
     if push_radius >= 0.95 * half:
         raise ValueError("push radius does not fit inside the gap block")
-    w0 = (seed_time, mid)
-    w1 = (seed_time + push_dt, mid)
-    f = ComposedMap([DiskPush(w0, w1, push_radius), susp.torus_map])
-    rho_v = susp.rho_base * susp.rho_fiber
-    return ObstructionExample(
-        torus_map=f,
-        w0=w0,
-        w1=w1,
-        w0_edge=(w0[0], b0),
-        w1_edge=(w1[0], b0),
+    return _pushed_example(
+        susp, (seed_time, mid), (seed_time + push_dt, mid), push_radius, b0,
         wandering_center=(seed_time + 0.5 * push_dt, mid),
         wandering_radius=min(half * 0.95, push_radius + push_dt),
-        rho_vertical=rho_v,
         notes={"gap0": (a0, b0), "denjoy_N": m["fiber"]["N"],
-               "truncation_tol": g2.truncation_tol},
-    )
+               "truncation_tol": g2.truncation_tol})
 
 
 def example_fully_essential():
@@ -149,43 +148,33 @@ def example_fully_essential():
     susp = manifest_suspension("fully-essential")
     g1, g2 = susp.base, susp.fiber
     gt = g1.gap_table
-    # find a short base gap flanked by arcs wide enough for the margins
+    # the first short base gap flanked by arcs wide enough for the margins;
+    # the arcs around the ends wrap through one turn
     order = np.argsort(gt.a)
     a_s, b_s = gt.a[order], gt.b[order]
-    choice = None
-    for j in range(len(order)):
-        prev_end = b_s[j - 1] if j > 0 else b_s[-1] - 1.0
-        next_start = a_s[(j + 1) % len(order)] if j + 1 < len(order) else a_s[0] + 1.0
-        if (b_s[j] - a_s[j] < 2e-3 and a_s[j] - prev_end > 2 * margin
-                and next_start - b_s[j] > 2 * margin):
-            choice = j
-            break
-    if choice is None:
+    prev_end, next_start = np.roll(b_s, 1), np.roll(a_s, -1)
+    prev_end[0] -= 1.0
+    next_start[-1] += 1.0
+    fits = ((b_s - a_s < 2e-3) & (a_s - prev_end > 2 * margin)
+            & (next_start - b_s > 2 * margin))
+    choice = int(np.argmax(fits))
+    if not fits[choice]:
         raise RuntimeError("no base gap with wide enough flanking arcs")
     s0 = float(a_s[choice] - margin)
     s1 = float(b_s[choice] + margin)
     a0, b0 = g2.gap_table.gap(0)
     y0 = 0.5 * (a0 + b0)
-    w0 = (wrap01(s0), y0)
-    w1 = (wrap01(s1), y0)
     radius = min(0.045, 0.9 * 0.5 * (b0 - a0))
     if (s1 - s0) > 0.45 * radius:
         radius = min(0.24, max(radius, (s1 - s0) / 0.45 + 1e-3))
-    f = ComposedMap([DiskPush(w0, w1, radius), susp.torus_map])
     crossings = crossing_times(g1, s0, s1)
-    return ObstructionExample(
-        torus_map=f,
-        w0=w0,
-        w1=w1,
-        w0_edge=(w0[0], b0),
-        w1_edge=(w1[0], b0),
+    return _pushed_example(
+        susp, (wrap01(s0), y0), (wrap01(s1), y0), radius, b0,
         wandering_center=(wrap01(0.5 * (s0 + s1)), y0),
         wandering_radius=radius,
-        rho_vertical=susp.rho_base * susp.rho_fiber,
         notes={"s0": s0, "s1": s1, "crossing_count": len(crossings),
                "base_gap": (float(a_s[choice]), float(b_s[choice])),
-               "denjoy_N": m["fiber"]["N"]},
-    )
+               "denjoy_N": m["fiber"]["N"]})
 
 
 def crossing_times(base_lift, s0, s1):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from torusdyn.circle import (CircleLift, build_denjoy, denjoy_semiconjugacy,
-                             geometric_gap_schedule, rotation_number)
+from torusdyn.circle import (KIND_DENJOY, CircleLift, DenjoyGapTable,
+                             _pwa_from_pairs, build_denjoy,
+                             denjoy_semiconjugacy, geometric_gap_schedule,
+                             rotation_number)
 from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1, circle_dist, wrap01
 
 GOLDEN = GOLDEN_MEAN
@@ -137,6 +139,96 @@ def test_build_denjoy_rejects_underflowing_schedule_before_allocating():
     for N in (2000, 10**12):
         with pytest.raises(ValueError, match="positive"):
             build_denjoy(GOLDEN, N=N)
+
+
+def build_denjoy_reference(alpha, gap_schedule, N):
+    """The breakpoint table built one gap at a time: a dict from each
+    constrained endpoint to its image, a scalar unwrap loop and a per-gap
+    transport check. Returns (bx, by, gap table)."""
+    idx = np.arange(-N, N + 1)
+    lengths = np.array([float(gap_schedule(int(n))) for n in idx])
+    if np.any(lengths <= 0.0):
+        raise ValueError("gap lengths must be positive")
+    S = float(lengths.sum())
+    if S >= 1.0:
+        raise ValueError("gap schedule mass must be < 1")
+    theta = wrap01(idx * float(alpha))
+    if np.min(np.diff(np.sort(theta))) <= 1e-9:
+        raise ValueError("orbit points too close; reduce N or change alpha")
+    order = np.argsort(theta)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(idx.size)
+    csum = np.concatenate([[0.0], np.cumsum(lengths[order])])
+    a = (theta + csum[rank]) / (1.0 + S)
+    b = a + lengths / (1.0 + S)
+    tail = sum(float(gap_schedule(int(n))) + float(gap_schedule(int(-n)))
+               for n in range(N + 1, N + 200))
+    table = DenjoyGapTable(indices=idx, length=lengths, a=a, b=b,
+                           normalizer=1.0 + S, truncation_tol=tail)
+    pos = {}
+    for j in range(idx.size - 1):
+        pos[a[j]] = a[j + 1]
+        pos[b[j]] = b[j + 1]
+    xs = np.array(sorted(pos))
+    vals = np.array([pos[x] for x in xs])
+    lifted = vals.copy()
+    wind = 0.0
+    for k in range(1, lifted.size):
+        if vals[k] <= vals[k - 1]:
+            wind += 1.0
+        lifted[k] = vals[k] + wind
+    bx, by = _pwa_from_pairs(zip(xs, lifted))
+    lift = CircleLift(KIND_DENJOY, bx=bx, by=by)
+    for j in range(idx.size - 1):
+        if (abs(wrap01(lift(a[j])) - a[j + 1]) > 1e-10
+                or abs(wrap01(lift(b[j])) - b[j + 1]) > 1e-10):
+            raise AssertionError("gap transport endpoints inconsistent")
+    return bx, by, table
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, AssertionError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def denjoy_inputs(draw):
+    # rational angles put orbit points on top of each other
+    alpha = draw(st.floats(-2.0, 2.0)
+                 | st.sampled_from([0.0, 0.25, 1 / 3, 0.5 + 1e-12, GOLDEN]))
+    N = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        return alpha, geometric_gap_schedule(draw(st.floats(1e-6, 0.99))), N
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=2 * N + 1,
+                            max_size=2 * N + 1))
+    mass = draw(st.floats(1e-6, 1.2))
+    lengths = [mass * w / sum(weights) for w in weights]
+    return alpha, (lambda n: lengths[n + N] if abs(n) <= N else 0.0), N
+
+
+@given(case=denjoy_inputs())
+# gap -33 is narrower than rounding (a == b): its endpoint is one breakpoint;
+# at N = 50 both sides refuse the table
+@example(case=(2 ** -7, geometric_gap_schedule(1e-6), 33))
+@example(case=(2 ** -7, geometric_gap_schedule(1e-6), 50))
+@settings(max_examples=150, deadline=None)
+def test_build_denjoy_matches_per_gap_reference(case):
+    alpha, schedule, N = case
+    got = _outcome(lambda: build_denjoy(alpha, schedule, N))
+    want = _outcome(lambda: build_denjoy_reference(alpha, schedule, N))
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+        return
+    bx, by, table = want
+    assert isinstance(got, CircleLift), got
+    assert got.bx.tobytes() == bx.tobytes() and got.by.tobytes() == by.tobytes()
+    gt = got.gap_table
+    for name in ("indices", "length", "a", "b"):
+        assert getattr(gt, name).tobytes() == getattr(table, name).tobytes(), name
+    assert (gt.normalizer, gt.truncation_tol) == (table.normalizer,
+                                                  table.truncation_tol)
 
 
 def test_rotation_number_rigid_exact():

@@ -489,8 +489,10 @@ def test_option_like_value_is_still_refused(tmp_path, capsys):
     (RUNS["deviations-rigid"] + ["--samples", "-2"], "--samples"),
     (RUNS["skeworbit-state"] + ["--nmax", "-4"], "--nmax"),
     (["gallery", "surgery-geometry", "--nscan", "-3"], "--nscan"),
+    (["rotnum", "--rigid", "0.25", "--n", "0"], "--n"),
+    (["rotnum", "--denjoy", "golden", "--n", "-3"], "--n"),
 ], ids=["factor-grid", "factor-sladder", "double-factor-grid", "samples-0",
-        "samples-negative", "skeworbit-nmax", "nscan"])
+        "samples-negative", "skeworbit-nmax", "nscan", "rotnum-n", "denjoy-n"])
 def test_count_flag_below_minimum_is_usage_error(argv, flag, tmp_path, capsys):
     # checked before any work: nothing is built and no file is written
     out = tmp_path / "out"
@@ -533,11 +535,15 @@ RIGID_CIRCLE = '{"kind":"rigid","alpha":0.25}'
     (["gallery", "3.4-geometry", "--seed", "9"], None),
     (["gallery", "surgery-geometry", "--nmax", "10000", "--seed", "0"], None),
     (["gallery", "surgery-geometry"], {"seed": 9}),
+    (["rotnum", "--rigid", "0.25", "--x0", "5"], None),
+    (["rotnum", "--circle", RIGID_CIRCLE, "--x0", "0"], None),
+    (["rotnum", "--rigid", "0.25"], {"x0": 5}),
 ], ids=["rigid-denjoy", "rigid-circle", "denjoy-circle", "config-denjoy",
         "denjoy-order-alone", "config-denjoy-order", "map-and-map-file",
         "config-map-file", "config-map", "factor-map-and-map-file",
         "double-factor-config-map", "surgery-nmax", "surgery-seed",
-        "surgery-defaults-given", "config-surgery-seed"])
+        "surgery-defaults-given", "config-surgery-seed", "rigid-x0",
+        "rigid-circle-x0-given", "config-rigid-x0"])
 def test_ignored_flag_combinations_are_usage_errors(argv, config, tmp_path,
                                                     capsys):
     # each of these used to run, silently dropping one of the flags
@@ -588,6 +594,28 @@ def test_bad_counts_are_refused_before_any_work(argv, flag, value, message,
         assert run(argv + [flag, value, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+
+
+def test_rotnum_x0_moves_the_orbit_of_a_moving_lift(tmp_path):
+    # --x0 is refused only where the estimate cannot depend on it
+    table = '{"kind":"piecewise-affine","breaks":[[0,0.1],[0.5,0.7]]}'
+    docs = []
+    for x0 in ("0", "0.3"):
+        out = tmp_path / x0
+        assert run(["rotnum", "--circle", table, "--n", "10", "--x0", x0,
+                    "--out", str(out)]) == 0
+        docs.append(json.loads((out / "rotnum.json").read_text()))
+    assert [d["config"]["x0"] for d in docs] == [0.0, 0.3]
+    assert docs[0]["result"]["estimate"] != docs[1]["result"]["estimate"]
+
+
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys):
+    # a count too large to allocate exits 1 on one line, not with a traceback
+    with mock.patch.object(cli, "deviation_profile",
+                           side_effect=MemoryError("Unable to allocate 7.3 TiB")):
+        assert run(RUNS["deviations-rigid"] + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: the input is too large (out of memory)\n"
 
 
 def test_version_exits_0(capsys):

@@ -234,3 +234,37 @@ def test_manifest_matches_constructor_defaults(ex32, ex33):
     assert ex32.w0[0] == pytest.approx(m32["seed_time"])
     m33 = GALLERY_MANIFEST["fully-essential"]
     assert ex33.notes["denjoy_N"] == m33["fiber"]["N"]
+
+
+def first_fit_reference(gt, margin):
+    """Index, in order of a, of the first base gap shorter than 2e-3 whose
+    flanking arcs both exceed 2 * margin, scanned gap by gap; None if none."""
+    order = np.argsort(gt.a)
+    a_s, b_s = gt.a[order], gt.b[order]
+    for j in range(len(order)):
+        prev_end = b_s[j - 1] if j > 0 else b_s[-1] - 1.0
+        next_start = a_s[(j + 1) % len(order)] if j + 1 < len(order) else a_s[0] + 1.0
+        if (b_s[j] - a_s[j] < 2e-3 and a_s[j] - prev_end > 2 * margin
+                and next_start - b_s[j] > 2 * margin):
+            return j
+    return None
+
+
+@pytest.mark.parametrize("margin,sorted_gap", [
+    (0.0005, 1), (0.001, 1), (0.002, 1), (0.003, 1), (0.004, 3), (0.008, None)])
+def test_fully_essential_takes_the_first_fitting_gap(margin, sorted_gap,
+                                                     monkeypatch):
+    from torusdyn.gallery import GALLERY_MANIFEST, manifest_suspension
+
+    monkeypatch.setitem(GALLERY_MANIFEST["fully-essential"], "margin", margin)
+    gt = manifest_suspension("fully-essential").base.gap_table
+    assert first_fit_reference(gt, margin) == sorted_gap
+    if sorted_gap is None:
+        with pytest.raises(RuntimeError, match="flanking arcs"):
+            example_fully_essential()
+        return
+    order = np.argsort(gt.a)
+    a_s, b_s = gt.a[order], gt.b[order]
+    ex = example_fully_essential()
+    assert ex.notes["base_gap"] == (a_s[sorted_gap], b_s[sorted_gap])
+    assert ex.notes["s0"] == a_s[sorted_gap] - margin

@@ -5,6 +5,8 @@
   ``skew._or_shifted``. A CLI run is checked not to load scipy at all.
 - ``util.wrap01`` is the one mod-1 reduction: no ``x % 1`` (nor ``np.mod``,
   ``np.fmod``, ``np.remainder``, ``math.fmod`` or ``divmod`` by 1) appears.
+- The library never prints: no module but ``cli.py`` calls ``print`` or
+  touches ``sys.stdout`` or ``sys.stderr``.
 """
 
 import ast
@@ -72,6 +74,26 @@ def mod_one_breaches(name, tree):
     return [f"{name}:{n}" for n in sorted(out)]
 
 
+def print_breaches(name, tree):
+    """Where a module prints or reaches for the standard streams."""
+    streams = {"stdout", "stderr", "__stdout__", "__stderr__"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            bad = getattr(node.func, "id", None) == "print"
+        elif isinstance(node, ast.Attribute):
+            bad = (node.attr in streams
+                   and getattr(node.value, "id", None) == "sys")
+        elif isinstance(node, ast.ImportFrom):
+            bad = node.module == "sys" and any(a.name in streams
+                                               for a in node.names)
+        else:
+            continue
+        if bad:
+            out.append(node.lineno)
+    return [f"{name}:{n}" for n in sorted(set(out))]
+
+
 def test_no_module_imports_scipy():
     assert [b for name, tree in sources() for b in scipy_breaches(name, tree)] == []
 
@@ -99,6 +121,11 @@ def test_wrap01_is_the_one_mod1_reduction():
     assert [b for name, tree in sources() for b in mod_one_breaches(name, tree)] == []
 
 
+def test_library_never_prints():
+    assert [b for name, tree in sources() if name != "cli.py"
+            for b in print_breaches(name, tree)] == []
+
+
 def test_scans_catch_breaches():
     # the scans see what they are written to refuse
     bad = ast.parse("from scipy import ndimage\n"
@@ -114,3 +141,13 @@ def test_scans_catch_breaches():
     mods = ast.parse("a = x % 1\nx %= 1.0\nnp.mod(x, 1)\nmath.fmod(x, 1)\n"
                      "y = x % 2\nz = divmod(x, 1)\n")
     assert mod_one_breaches("m.py", mods) == [f"m.py:{n}" for n in (1, 2, 3, 4, 6)]
+    prints = ast.parse("print('x')\n"
+                       "sys.stdout.write('x')\n"
+                       "log(file=sys.stderr)\n"
+                       "from sys import stderr\n"
+                       "sys.__stdout__.flush()\n"
+                       "self.print('x')\n"
+                       "stdout = 'sys.stdout'\n"
+                       "os.stderr\n"
+                       "logging.getLogger('torusdyn').info('x')\n")
+    assert print_breaches("m.py", prints) == [f"m.py:{n}" for n in (1, 2, 3, 4, 5)]
