@@ -67,13 +67,15 @@ class CircleLift:
             self.by = by
             # the table closed once with the wrap segment's end, so segment j
             # runs from breakpoint j to breakpoint j + 1 for every j, with
-            # width x1 - x0 and rise y1 - y0; lists for the scalar path
+            # width x1 - x0 and rise y1 - y0; column j of _packed holds
+            # segment j's (y0, x0, rise, width), read with one gather; lists
+            # for the scalar path
             closed_x = np.append(bx, bx[0] + 1.0)
             self._ends = closed_x[1:]
-            self._width = np.diff(closed_x)
-            self._rise = np.diff(np.append(by, by[0] + 1.0))
-            self._lists = tuple(a.tolist() for a in
-                                (bx, by, self._width, self._rise))
+            width = np.diff(closed_x)
+            rise = np.diff(np.append(by, by[0] + 1.0))
+            self._packed = np.stack([by, bx, rise, width])
+            self._lists = tuple(a.tolist() for a in (bx, by, width, rise))
 
     # -- constructors ------------------------------------------------------
 
@@ -102,8 +104,8 @@ class CircleLift:
     def _segment(self, u):
         """(y0, t) with lift(u) = y0 + t for u in [0, 1): y0 the value at the
         start of u's segment, t the rise over it up to u."""
-        j = self._ends.searchsorted(u, side="right")
-        return self.by[j], (u - self.bx[j]) * self._rise[j] / self._width[j]
+        seg = self._packed.take(self._ends.searchsorted(u, side="right"), axis=1)
+        return seg[0], (u - seg[1]) * seg[2] / seg[3]
 
     def _lift_pair(self, x):
         """lift(x) and lift(wrap01(x)) from one reduction and one lookup.
@@ -117,6 +119,14 @@ class CircleLift:
             return xa + self.alpha, u + self.alpha
         y0, t = self._segment(u)
         return np.rint(xa - u) + y0 + t, y0 + t
+
+    def _lift_unit(self, u):
+        """lift(u) for u already in [0, 1): the second value of
+        `_lift_pair`, with no integer part to restore."""
+        if self.kind == KIND_RIGID:
+            return u + self.alpha
+        y0, t = self._segment(u)
+        return y0 + t
 
     def eval_scalar(self, x):
         """Scalar fast path used by long orbit loops."""
@@ -242,6 +252,13 @@ def build_denjoy(alpha, gap_schedule=None, N=40):
     the arcs between materialized gaps it is the affine order completion of
     the blown-up rotation, within the documented truncation tolerance
     (the untruncated schedule mass beyond |N|) of the ideal construction.
+
+    A gap narrower than rounding at its position has a_n == b_n. As the
+    source of a transport it is one breakpoint carrying b_n's image, so
+    alpha 2^-7 with geometric mass 1e-6 and N = 33 is accepted with gap -33
+    of width 0. A gap of positive width cannot map onto a gap whose
+    endpoints coincide, on the circle or once unwrapped onto the lift's
+    branch, and the refusal names such a gap of smallest |n|.
     """
     N = int(N)
     if N < 1:
@@ -289,7 +306,17 @@ def build_denjoy(alpha, gap_schedule=None, N=40):
     vals = dst[order]
     # unwrap image positions onto a single increasing lift branch
     wind = np.concatenate([[0], np.cumsum(vals[1:] <= vals[:-1])])
-    bx, by = _pwa_from_pairs(zip(src[order], vals + wind))
+    lifted = vals + wind
+    # a gap of positive width cannot map onto one whose endpoints coincide,
+    # on the circle (a_n == b_n) or once unwrapped onto the lift's branch
+    image = np.repeat(idx[1:], 2)[order]  # the gap each breakpoint maps into
+    flat = image[1:][(vals[1:] == vals[:-1]) | (lifted[1:] == lifted[:-1])]
+    if flat.size:
+        n = int(flat[np.argmin(np.abs(flat))])
+        raise ValueError(f"gap {n} of length {lengths[n + N]:.3g} is below "
+                         f"rounding at its position, and gap {n - 1} maps onto "
+                         f"it; lower N or raise the gap lengths")
+    bx, by = _pwa_from_pairs(zip(src[order], lifted))
     lift = CircleLift(KIND_DENJOY, bx=bx, by=by, gap_table=table,
                       target_alpha=float(alpha))
 

@@ -291,14 +291,23 @@ class NoGapWindow:
         return True
 
     def check_assignment(self, m_prime, xi):
-        """Per-assignment consequence: the image {j - xi(j)} spans at least
-        n0 and its sorted gaps never exceed max(A) - min(A) + 1."""
-        if len(xi) != self.m0 + 1:
+        """Per-assignment consequence: the image {j - xi(j)}, j over the
+        window from m_prime, spans at least n0 and its sorted gaps never
+        exceed max(A) - min(A) + 1.
+
+        ``xi`` is one assignment of the window's length, or a (k, m0 + 1)
+        array of k assignments, one a row; the result is one bool, or an
+        array of k. A repeated image value is a gap of 0, so each row's
+        image is sorted with its repeats.
+        """
+        xi = np.asarray(xi)
+        if xi.ndim not in (1, 2) or xi.shape[-1] != self.m0 + 1:
             raise ValueError("assignment length must be the window length")
-        img = sorted({j - x for j, x in enumerate(xi, int(m_prime))})
-        max_jump = self._max_jump
-        return (img[-1] - img[0] >= self.n0
-                and all(b - a <= max_jump for a, b in zip(img, img[1:])))
+        img = np.sort(np.arange(int(m_prime), int(m_prime) + self.m0 + 1)
+                      - np.atleast_2d(xi), axis=1)
+        ok = ((img[:, -1] - img[:, 0] >= self.n0)
+              & (np.diff(img, axis=1) <= self._max_jump).all(axis=1))
+        return bool(ok[0]) if xi.ndim == 1 else ok
 
     @functools.cached_property
     def _max_jump(self):

@@ -8,6 +8,7 @@ takes its seed, so maxima are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -90,9 +91,11 @@ class _Probe:
     ``z0`` holds the starting rows and ``steps`` the number of steps taken
     forwards and, when ``backward``, as many backwards. A ``torus`` probe's
     rows are reduced mod 1 and step by the induced torus map; the others
-    are unreduced lift points. ``_record(n, z, inverse)`` sees the probe's
-    rows after step n and ``_result()`` gives the diagnostic. The walk runs
-    under the union of the probes' numpy ``errstate`` settings.
+    are unreduced lift points. ``_record(n0, z, inverse)`` sees a block of
+    consecutive steps: ``z[i]`` holds the probe's rows after step n0 + i,
+    and a block never runs past the probe's last step. ``_result()`` gives
+    the diagnostic. The walk runs under the union of the probes' numpy
+    ``errstate`` settings.
     """
 
     torus = False
@@ -117,8 +120,9 @@ class _TwoSidedTable(_Probe):
         self.z0 = np.vstack([base, base + np.array([0.0, 1.0])])
         self.table = (np.zeros(self.steps + 1), np.zeros(self.steps + 1))
 
-    def _record(self, n, z, inverse):
-        self.table[inverse][n] = self._entry(n, z - self.z0, inverse)
+    def _record(self, n0, z, inverse):
+        n = np.arange(n0, n0 + len(z))
+        self.table[inverse][n0:n0 + len(z)] = self._entry(n, z - self.z0, inverse)
 
 
 class DeviationProbe(_TwoSidedTable):
@@ -134,8 +138,10 @@ class DeviationProbe(_TwoSidedTable):
         self.rho = finite_multiples(rho, self.steps)
 
     def _entry(self, n, d, inverse):
+        # a stack of matrix-vector products, each bit for bit one step's d @ v
         dv = d @ self.v
-        return np.abs(dv + n * self.rho if inverse else dv - n * self.rho).max()
+        drift = (n * self.rho)[:, None]
+        return np.abs(dv + drift if inverse else dv - drift).max(axis=1)
 
     def _result(self):
         value = np.maximum(*self.table)
@@ -155,7 +161,7 @@ class SpreadProbe(_TwoSidedTable):
     """spread(n) over both signs of n; see `horizontal_spread`."""
 
     def _entry(self, n, d, inverse):
-        return d[:, 0].max() - d[:, 0].min()
+        return d[..., 0].max(axis=1) - d[..., 0].min(axis=1)
 
     def _result(self):
         sf, sb = self.table
@@ -173,8 +179,9 @@ class ProximalityProbe(_Probe):
         self.z0 = wrap01(np.array([x, *partners], dtype=float))
         self.best = [np.full(len(self.z0) - 1, np.inf)] * 2
 
-    def _record(self, n, z, inverse):
-        self.best[inverse] = np.minimum(self.best[inverse], torus_dist(z[0], z[1:]))
+    def _record(self, n0, z, inverse):
+        near = torus_dist(z[:, :1], z[:, 1:]).min(axis=0)
+        self.best[inverse] = np.minimum(self.best[inverse], near)
 
     def _result(self):
         return [ProximalityResult(forward_min=float(f), backward_min=float(b))
@@ -199,9 +206,9 @@ class RecurrenceProbe(_Probe):
         self.steps = max(int(n_max), 0)
         self.times = []
 
-    def _record(self, n, z, inverse):
-        if np.any(torus_dist(z, self.center) < self.radius):
-            self.times.append(n)
+    def _record(self, n0, z, inverse):
+        hit = (torus_dist(z, self.center) < self.radius).any(axis=1)
+        self.times.extend((n0 + np.flatnonzero(hit)).tolist())
 
     def _result(self):
         return self.times
@@ -215,9 +222,11 @@ def walk_probes(spec, *probes):
     step whatever the number of probes. Every map kind evaluates row by
     row, so each result is bit for bit that of its probe walked alone. Lift
     rows step by ``eval_lift`` or ``eval_inverse``; after each step the
-    torus rows get one ``wrap01``, which is ``_torus_step``. A probe leaves
-    the stack after its last step; one that does not walk backwards takes
-    no backward step.
+    torus rows get one ``wrap01``, which is ``_torus_step``. The iterates
+    are gathered in blocks of consecutive steps, and each probe records a
+    block in one call, ``_record(n0, z, inverse)`` with ``z[i]`` its rows
+    after step n0 + i. A probe leaves the stack after its last step; one
+    that does not walk backwards takes no backward step.
     """
     with np.errstate(**{k: v for p in probes for k, v in p.errstate.items()}):
         for inverse in (False, True):
@@ -225,9 +234,17 @@ def walk_probes(spec, *probes):
         return [p._result() for p in probes]
 
 
+# steps per block of `_walk`, fewer for a stack so wide that a block of this
+# many steps would pass _BLOCK_BYTES; a block holds at least one step
+_BLOCK_STEPS = 64
+_BLOCK_BYTES = 2**20
+
+
 def _walk(spec, probes, inverse):
     """One direction of `walk_probes`: the stack is cut at each probe's
-    last step and walked on with the rows of the probes that remain."""
+    last step and walked on with the rows of the probes that remain. Each
+    stage fills one buffer with a block of steps at a time, and blocks end
+    at the stage's cut."""
     lift = spec.eval_inverse if inverse else spec.eval_lift
     # lift rows first: the torus rows are one tail, reduced by one wrap01
     live = sorted((p for p in probes if p.steps > 0), key=lambda p: p.torus)
@@ -238,11 +255,17 @@ def _walk(spec, probes, inverse):
         spans = list(zip(live, [0, *ends], ends))
         stop = min(p.steps for p in live)
         step = _stack_step(lift, sum(len(p.z0) for p in live if not p.torus))
-        for n, z in enumerate(iterates(step, np.concatenate(rows), stop - done),
-                              done + 1):
+        z = np.concatenate(rows)
+        orbit = iterates(step, z, stop - done)
+        width = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // max(z.nbytes, 1)))
+        block = np.empty((min(width, stop - done), *z.shape))
+        for n0 in range(done + 1, stop + 1, len(block)):
+            filled = block[:min(len(block), stop + 1 - n0)]
+            for i, w in enumerate(islice(orbit, len(filled))):
+                filled[i] = w
             for p, a, b in spans:
-                p._record(n, z[a:b], inverse)
-        rows = [z[a:b] for p, a, b in spans if p.steps > stop]
+                p._record(n0, filled[:, a:b], inverse)
+        rows = [filled[-1, a:b] for p, a, b in spans if p.steps > stop]
         live = [p for p in live if p.steps > stop]
         done = stop
 

@@ -189,7 +189,7 @@ class SuspensionMap(TorusMapSpec):
         u = self._base_inv(z[..., 0])
         out[..., 0] = u
         out[..., 1] = z[..., 1]
-        m = np.floor(self.base._lift_pair(u)[1]).astype(np.int64)
+        m = np.floor(self.base._lift_unit(wrap01(u))).astype(np.int64)
         self._fiber_power(out[..., 1], m, self._fiber_inv, self.fiber)
         return out
 

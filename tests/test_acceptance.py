@@ -6,7 +6,7 @@ count and the nontrivial factor pipeline).
 """
 
 import time
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -192,7 +192,9 @@ def test_criterion_8_window_combinatorics():
                     # feasible, otherwise drive the extremal adversaries
                     count = size ** (w.m0 + 1)
                     if count <= 20_000:
-                        xis = product(A, repeat=w.m0 + 1)
+                        # every assignment, one a row, in product's order
+                        xis = np.array(A)[np.indices((size,) * (w.m0 + 1))
+                                          .reshape(w.m0 + 1, -1).T]
                     else:
                         lohi = [min(A), max(A)]
                         xis = [tuple(lohi[j % 2] for j in range(w.m0 + 1)),
@@ -201,10 +203,10 @@ def test_criterion_8_window_combinatorics():
                         rng = np.random.default_rng(hash((A, n0)) % 2**32)
                         xis += [tuple(rng.choice(A, w.m0 + 1))
                                 for _ in range(200)]
-                    for xi in xis:
-                        assignments += 1
-                        if not w.check_assignment(0, xi):
-                            failures.append((A, n0, xi))
+                        xis = np.array(xis)
+                    ok = w.check_assignment(0, xis)
+                    assignments += len(xis)
+                    failures += [(A, n0, tuple(xi)) for xi in xis[~ok].tolist()]
                 checked += 1
     elapsed = time.time() - t0
     ok = not failures and elapsed <= 60.0

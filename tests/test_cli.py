@@ -436,6 +436,21 @@ def test_unbounded_map_values_are_usage_errors(tmp_path, capsys):
     _one_line_usage_error(capsys)
 
 
+def test_denjoy_gaps_below_rounding_are_named(tmp_path, capsys):
+    # N = 33 keeps gap -33 at width 0 in floats; at N = 50 gap 33 would map
+    # onto gap 34, whose width rounds to 0
+    circle = ('{"kind":"denjoy-truncated","alpha":0.0078125,"N":%d,'
+              '"total_mass":1e-6}')
+    assert run(["rotnum", "--circle", circle % 33, "--n", "10",
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["rotnum", "--circle", circle % 50, "--n", "10",
+                "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: gap 34 of length 1.94e-17 is below rounding at its "
+        "position, and gap 33 maps onto it; lower N or raise the gap lengths\n")
+
+
 def test_nmax_zero_is_usage_error(tmp_path, capsys):
     # refused before any work: no out dir, no algebra check, no probe
     out = tmp_path / "out"

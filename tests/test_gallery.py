@@ -225,6 +225,28 @@ def test_check_assignment_matches_reference(data, A, n0, m_prime):
             check(m_prime, bad)
 
 
+@given(data=st.data(), A=st.sets(st.integers(-6, 6), min_size=1, max_size=4),
+       n0=st.integers(0, 5), m_prime=st.integers(-20, 20), k=st.integers(0, 8))
+@settings(max_examples=300, deadline=None)
+def test_check_assignment_batch_matches_reference(data, A, n0, m_prime, k):
+    w = no_gap_window(A, n0)
+    entry = st.one_of(st.sampled_from(w.values), st.integers(-9, 9))
+    rows = data.draw(st.lists(st.lists(entry, min_size=w.m0 + 1,
+                                       max_size=w.m0 + 1),
+                              min_size=k, max_size=k))
+    xis = np.array(rows, dtype=np.int64).reshape(k, w.m0 + 1)
+    got = w.check_assignment(m_prime, xis)
+    assert got.dtype == bool and got.shape == (k,)
+    assert got.tolist() == [check_assignment_reference(w, m_prime, xi)
+                            for xi in rows]
+    # the scalar call is the batch's one-row case
+    for xi in rows:
+        assert w.check_assignment(m_prime, xi) is bool(
+            w.check_assignment(m_prime, [xi])[0])
+    with pytest.raises(ValueError, match="window length"):
+        w.check_assignment(m_prime, np.zeros((k, w.m0 + 2), dtype=np.int64))
+
+
 def test_manifest_matches_constructor_defaults(ex32, ex33):
     from torusdyn.gallery import GALLERY_MANIFEST
 

@@ -8,6 +8,7 @@ loop, and the library's result must match it byte for byte, also when
 ``walk_probes`` steps several probes in one stack.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,10 +17,12 @@ import pytest
 from torusdyn.cli import main as cli_main
 from torusdyn.gallery import (example_fully_essential,
                               example_unbounded_inessential, manifest_suspension)
-from torusdyn.rotation import (DeviationProbe, ProximalityProbe, RecurrenceProbe,
-                               estimate_rotation_set, horizontal_spread,
-                               proximality_scan, recurrence_probe,
-                               vertical_rotation_number, walk_probes)
+from torusdyn.rotation import (_BLOCK_BYTES, _BLOCK_STEPS, DeviationProbe,
+                               ProximalityProbe, RecurrenceProbe, SpreadProbe,
+                               deviation_profile, estimate_rotation_set,
+                               horizontal_spread, proximality_scan,
+                               recurrence_probe, vertical_rotation_number,
+                               walk_probes)
 from torusdyn.skew import build_centralized, vertical_orbit_bound
 from torusdyn.torus import DehnTwist, RigidTranslation
 from torusdyn.util import (GOLDEN_MEAN, SQRT2_MINUS_1, iterates,
@@ -258,6 +261,67 @@ def test_shared_walk_matches_reference_loops(name, spec, args):
         assert _bits([r.forward_min for r in scan]) == _bits(best_f)
         assert _bits([r.backward_min for r in scan]) == _bits(best_b)
         assert times == ref_recurrence(spec, center, radius, n_max // 5, SEED)
+
+
+# -- block edges ---------------------------------------------------------------
+
+B = _BLOCK_STEPS
+# a walk of one step, one step short of a block, one block, one step past
+# it, and two blocks and three steps
+BLOCK_EDGES = (1, B - 1, B, B + 1, 2 * B + 3)
+
+
+@pytest.mark.parametrize("name, spec, args", PROBE_CASES,
+                         ids=[case[0] for case in PROBE_CASES])
+def test_block_edges_match_reference_loops(name, spec, args):
+    rho, x, partners, center, radius = args
+    top = max(BLOCK_EDGES)
+    # the tables and return times of a longer walk begin with those of a
+    # shorter one, so one reference walk serves every length
+    dev = {v: ref_deviation(spec, v, rho, top, SAMPLES, SEED)
+           for v in ((0, 1), (0.6, 0.8))}
+    sf, sb = ref_horizontal_spread(spec, top, SAMPLES, SEED)
+    returns = ref_recurrence(spec, center, radius, top, SEED)
+    for n_max in BLOCK_EDGES:
+        # the spread probe leaves the stack two steps early, so the block
+        # that holds its last step is cut there
+        cut = max(n_max - 2, 1)
+        vert, tilted, spread, scan, times = walk_probes(
+            spec,
+            DeviationProbe((0, 1), rho, n_max=n_max, samples=SAMPLES, seed=SEED),
+            DeviationProbe((0.6, 0.8), rho, n_max=n_max, samples=SAMPLES,
+                           seed=SEED),
+            SpreadProbe(cut, SAMPLES, SEED),
+            ProximalityProbe(x, partners, n_max=n_max),
+            RecurrenceProbe(center, radius, n_max=n_max, seed=SEED))
+        assert _bits(vert.value) == _bits(dev[(0, 1)][:n_max + 1])
+        assert _bits(tilted.value) == _bits(dev[(0.6, 0.8)][:n_max + 1])
+        assert _bits(spread.forward) == _bits(sf[:cut + 1])
+        assert _bits(spread.backward) == _bits(sb[:cut + 1])
+        best_f, best_b = ref_proximality(spec, x, partners, n_max)
+        assert _bits([r.forward_min for r in scan]) == _bits(best_f)
+        assert _bits([r.backward_min for r in scan]) == _bits(best_b)
+        assert times == [n for n in returns if n <= n_max]
+        assert all(type(n) is int for n in times)
+
+
+def test_block_memory_stays_near_one_block():
+    # 2**14 samples and their (0, 1) translates: 2**15 rows, 512 KiB a step,
+    # so a block is capped at two steps, 1 MiB; B steps would be 32 MiB
+    step_bytes = 2 * 2**14 * 2 * 8
+    spec = RigidTranslation(GOLDEN_MEAN, SQRT2_MINUS_1)
+    tracemalloc.start()
+    try:
+        deviation_profile(spec, (0, 1), SQRT2_MINUS_1, n_max=3 * B,
+                          samples=2**14, seed=SEED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the block, the record's difference of the block from the starting
+    # rows, and three projections of the difference of half a block each;
+    # the starting rows, the stack, the current iterate and its image; and
+    # 2 MiB for the sampler's set-up and numpy's own buffers
+    assert peak < 3.5 * _BLOCK_BYTES + 4 * step_bytes + 2**21
 
 
 def test_shared_walk_keeps_the_probe_errors(tmp_path, capsys):
