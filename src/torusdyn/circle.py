@@ -10,6 +10,7 @@ gaps that are transported affinely one onto the next.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,11 @@ class DenjoyGapTable:
     b: np.ndarray
     normalizer: float
     truncation_tol: float
+
+    @functools.cached_property
+    def order(self):
+        """The gaps' slots in circle order, by left endpoint a."""
+        return np.argsort(self.a)
 
     def gap(self, n):
         """Endpoints (a_n, b_n) of the gap with orbit index n."""
@@ -331,9 +337,8 @@ class DenjoySemiconjugacy:
 
     def __init__(self, gap_table):
         self.table = gap_table
-        order = np.argsort(gap_table.a)
-        self._a_un = gap_table.a[order] * gap_table.normalizer
-        self._len = gap_table.length[order]
+        self._a_un = gap_table.a[gap_table.order] * gap_table.normalizer
+        self._len = gap_table.length[gap_table.order]
         self._cum = np.concatenate([[0.0], np.cumsum(self._len)])
 
     def __call__(self, y):

@@ -368,9 +368,9 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     pts = lattice_points_2d(samples, seed=seed)
     y_c = 0.5 * (geom.y_min + geom.y_max)
     z = np.column_stack([pts[:, 0], y_c - 0.75 + 1.5 * pts[:, 1]])
-    h0, _ = heights(tau, z, tol=tol)
-    h1, _ = heights(tau, z + [0.0, 1.0], tol=tol)
-    h2, _ = heights(tau, skew.spec.annulus_map(z), tol=tol)
+    # each point bisects alone: one call for z, z + (0, 1) and f z
+    h0, h1, h2 = heights(tau, np.vstack([z, z + [0.0, 1.0], skew.spec.annulus_map(z)]),
+                         tol=tol)[0].reshape(3, -1)
     ladder = np.arange(s_ladder) / s_ladder
     _bands(tau, [_fill_key(geom, s) for s in ladder.tolist()])
     # each rung's fill packed to bits; the zero padding bits of the last byte
@@ -421,8 +421,9 @@ def project_to_torus_factor(tau, grid=(64, 32), tol=None):
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     z = np.column_stack([X.ravel(), Y.ravel()])
     skew = tau.skew
-    vals = heights(tau, z, tol=tol)[0].reshape(X.shape)
-    imgs = heights(tau, skew.spec.annulus_map(z), tol=tol)[0].reshape(X.shape)
+    # each point bisects alone: one call for z and f z
+    vals, imgs = heights(tau, np.vstack([z, skew.spec.annulus_map(z)]),
+                         tol=tol)[0].reshape(2, *X.shape)
     defects = circle_dist(wrap01(imgs), wrap01(vals + skew.rho))
     monotone = bool(np.all(np.diff(vals, axis=1) >= -2.0 * geom.h_y))
     return FactorMap(x_grid=xs, y_grid=ys, values=vals,

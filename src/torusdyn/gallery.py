@@ -150,8 +150,7 @@ def example_fully_essential():
     gt = g1.gap_table
     # the first short base gap flanked by arcs wide enough for the margins;
     # the arcs around the ends wrap through one turn
-    order = np.argsort(gt.a)
-    a_s, b_s = gt.a[order], gt.b[order]
+    a_s, b_s = gt.a[gt.order], gt.b[gt.order]
     prev_end, next_start = np.roll(b_s, 1), np.roll(a_s, -1)
     prev_end[0] -= 1.0
     next_start[-1] += 1.0
@@ -181,8 +180,7 @@ def crossing_times(base_lift, s0, s1):
     """Sampled times in (0,1) at which the arc from s1 to s0 meets the
     base's non-gap set (the recurrent set of the truncated model)."""
     gt = base_lift.gap_table
-    order = np.argsort(gt.a)
-    a_s, b_s = gt.a[order], gt.b[order]
+    a_s, b_s = gt.a[gt.order], gt.b[gt.order]
     t = np.linspace(0.0, 1.0, 10_000, endpoint=False)[1:]
     v = wrap01(t * s0 + (1.0 - t) * s1)
     j = np.searchsorted(a_s, v, side="right") - 1

@@ -744,12 +744,12 @@ def invariance_defect(skew, mask):
     inside when the padded cells (``_padded_cells``) of all its samples'
     images are set in the padded dilation of its image fiber.
 
-    For a column-wise map (``TorusMapSpec.column_wise``) the images of one
-    sample offset over a column lie in one image column, in the order of
-    their heights. So a source column of one run passes when its two end
-    cells are inside the dilation with its columns that are not one run
-    cleared. Every cell of any other column is tested against the whole
-    dilation, so the counts are exact.
+    One pass serves every map. A column-wise map (``TorusMapSpec.column_wise``)
+    admits each source column of one run to the end-cell test: the images
+    of one sample offset over it lie in one image column, in height order,
+    so it passes when its two end cells are inside the dilation with its
+    columns that are not one run cleared. Every cell of each other occupied
+    column is tested against the whole dilation, so the counts are exact.
     """
     geom = mask.geom
     occ = mask.occ
@@ -757,7 +757,6 @@ def invariance_defect(skew, mask):
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
     dx = _INSET[:, 0] * geom.h_x
     dy = _INSET[:, 1] * geom.h_y
-    column_wise = skew.spec.column_wise
     # (5 * k_max) work arrays, allocated once from the largest fiber or the
     # end cells of every column; a batch of k cells uses their first 5 * k
     # entries
@@ -794,29 +793,23 @@ def invariance_defect(skew, mask):
     bad = {"forward": 0, "backward": 0}
     for it in range(n_t):
         fiber = occ[it]
-        if column_wise:
-            first, last, solid = _runs(fiber)
-            cols = np.flatnonzero(solid)
-            occupied = fiber[np.arange(n_x), first]
-            ends = (np.concatenate([cols, cols]),
-                    np.concatenate([first[cols], last[cols]]))
-        else:
-            ix, iy = np.nonzero(fiber)
-            if not ix.size:
-                continue
+        first, last, solid = _runs(fiber)
+        cols = np.flatnonzero(solid & skew.spec.column_wise)  # end-cell test
+        occupied = fiber[np.arange(n_x), first]
+        ends = (np.concatenate([cols, cols]),
+                np.concatenate([first[cols], last[cols]]))
         for key, inverse, rho, image_fiber in directions:
             dil = _dilated_fiber(occ, image_fiber[it])
-            if column_wise:
+            passed = np.zeros(n_x, dtype=bool)
+            if cols.size:
                 ok = inside(it, *ends, dil & _runs(dil)[2][:, None], inverse, rho)
-                passed = np.zeros(n_x, dtype=bool)
                 passed[cols] = ok.reshape(2, cols.size).all(axis=0)
-                # every cell of the other columns is checked
-                redo = np.flatnonzero(occupied & ~passed)
-                ix, iy = np.nonzero(fiber[redo])
-                if not ix.size:
-                    continue
-                ix = redo[ix]
-            bad[key] += int(np.count_nonzero(~inside(it, ix, iy, dil, inverse, rho)))
+            # every cell of the other occupied columns is checked
+            redo = np.flatnonzero(occupied & ~passed)
+            ix, iy = np.nonzero(fiber[redo])
+            if ix.size:
+                bad[key] += int(np.count_nonzero(
+                    ~inside(it, redo[ix], iy, dil, inverse, rho)))
     return bad
 
 

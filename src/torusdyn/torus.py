@@ -34,10 +34,10 @@ class TorusMapSpec:
 
     ``column_wise`` declares that both evaluators act column by column: the
     image x is a function of x alone, bit for bit, and the image height is
-    nondecreasing in y. So the annulus step maps each column into one
-    column and keeps the order of heights, and the invariance check reads
-    only a column's end cells (`skew.invariance_defect`). A kind declares
-    it only where float evaluation keeps both exactly.
+    nondecreasing in y. So the annulus step keeps each column in one column
+    and the order of heights, and the flag admits a column of one run to
+    the end-cell test of `skew.invariance_defect` (no count changes). A
+    kind declares it only where float evaluation keeps both exactly.
     """
 
     kind = "abstract"

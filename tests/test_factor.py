@@ -12,13 +12,14 @@ import torusdyn.factor
 import torusdyn.skew
 from labels_reference import component_names, ndimage_components_meeting
 from torusdyn.circle import CircleLift
-from torusdyn.factor import (FiberFill, TauRegion, build_tau, continuum_Cs, evaluate_h, heights,
-                             lower_component, project_to_torus_factor,
-                             verify_equivariance, _bands)
+from torusdyn.factor import (FactorMap, FiberFill, TauRegion, build_tau, continuum_Cs,
+                             evaluate_h, heights, lower_component,
+                             project_to_torus_factor, verify_equivariance, _bands)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
 from torusdyn.torus import (ComposedMap, DiskPush, RigidTranslation, SuspensionMap,
                             TorusMapSpec)
-from torusdyn.util import GOLDEN_MEAN, SQRT2_MINUS_1
+from torusdyn.util import (GOLDEN_MEAN, SQRT2_MINUS_1, circle_dist, lattice_points_2d,
+                           wrap01)
 
 A, B = GOLDEN_MEAN, SQRT2_MINUS_1
 
@@ -728,6 +729,10 @@ XS = st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5]
 
 @example(name="rigid", pts=[(-0.0, 0.5), (1.0, 0.25), (0.3, -0.5), (0.7, 1.5)],
          tol="h_y/7", warm=False, occ=SLAB)
+# on a three-row window the first midpoint, s = -1/2, is a shift of -1.5 rows:
+# half to even rounds it to -2, half up to -1
+@example(name="fibers", pts=[(0.0, 0.0)], tol=None, warm=False,
+         occ=np.array([[[False, False, True]]]))
 @given(name=st.sampled_from(["rigid", "suspension", "pushed", "fibers"]),
        pts=st.lists(st.tuples(XS, HEIGHT_FRACTIONS), min_size=1, max_size=4),
        tol=st.sampled_from([None, 1e-300, 0.3, 1e3, "h_y/7"]), warm=st.booleans(),
@@ -1006,3 +1011,90 @@ def test_conjugated_rigid_region_lies_between_its_oracles(push_vector):
     assert missing == beyond == 0, (
         f"{missing} cells of the inner oracle missing, {beyond} beyond the "
         f"outer oracle, {over} over the inner oracle; status {tau.status}")
+
+
+# -- one heights call per report -----------------------------------------------
+
+
+HEIGHT_POINTS = st.lists(st.tuples(XS, HEIGHT_FRACTIONS), max_size=6)
+
+
+@given(name=st.sampled_from(["rigid", "suspension", "pushed", "fibers"]),
+       first=HEIGHT_POINTS, second=HEIGHT_POINTS,
+       tol=st.sampled_from([None, 1e-300, 0.03, "h_y/7"]), occ=fibers())
+@settings(max_examples=80, deadline=None)
+def test_heights_treat_each_point_alone(built_regions, rigid_skew, name, first,
+                                        second, tol, occ):
+    # the contract the stacked reports rest on: the heights of two stacked
+    # batches are those of each batch alone, bit for bit, with the fill cache
+    # cleared before every call and with it warm
+    tau = built_regions.get(name) or region_of(occ, rigid_skew)
+    geom = tau.geom
+    tol = geom.h_y / 7 if tol == "h_y/7" else tol
+    a, b = (np.array([(x, geom.y_min + v * (geom.y_max - geom.y_min))
+                      for x, v in pts]).reshape(-1, 2) for pts in (first, second))
+    for warm in (False, True):
+        got = []
+        for z in (np.vstack([a, b]), a, b):
+            if not warm:
+                tau._fills.clear()
+            with deadline(10):
+                got.append(heights(tau, z, tol=tol))
+        both, alone = got[0], [np.concatenate(p) for p in zip(*got[1:])]
+        assert both[0].tobytes() == alone[0].tobytes(), warm
+        assert both[1].tobytes() == alone[1].tobytes(), warm
+    tau._fills.clear()
+
+
+def reference_equivariance_defects(tau, samples=128, tol=None, seed=0):
+    """The two height defects of ``verify_equivariance``, from its three
+    ``heights`` calls before it stacked their queries."""
+    geom = tau.geom
+    skew = tau.skew
+    pts = lattice_points_2d(samples, seed=seed)
+    y_c = 0.5 * (geom.y_min + geom.y_max)
+    z = np.column_stack([pts[:, 0], y_c - 0.75 + 1.5 * pts[:, 1]])
+    h0, _ = heights(tau, z, tol=tol)
+    h1, _ = heights(tau, z + [0.0, 1.0], tol=tol)
+    h2, _ = heights(tau, skew.spec.annulus_map(z), tol=tol)
+    return (float(np.max(np.abs(h1 - h0 - 1.0), initial=0.0)),
+            float(np.max(np.abs(h2 - h0 - skew.rho), initial=0.0)))
+
+
+def reference_torus_factor(tau, grid=(64, 32), tol=None):
+    """``project_to_torus_factor`` with its two ``heights`` calls before it
+    stacked their queries."""
+    geom = tau.geom
+    n_gx, n_gy = grid
+    y_c = 0.5 * (geom.y_min + geom.y_max)
+    xs = (np.arange(n_gx) + 0.5) / n_gx
+    ys = y_c - 0.5 + (np.arange(n_gy) + 0.5) / n_gy
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    z = np.column_stack([X.ravel(), Y.ravel()])
+    skew = tau.skew
+    vals = heights(tau, z, tol=tol)[0].reshape(X.shape)
+    imgs = heights(tau, skew.spec.annulus_map(z), tol=tol)[0].reshape(X.shape)
+    defects = circle_dist(wrap01(imgs), wrap01(vals + skew.rho))
+    monotone = bool(np.all(np.diff(vals, axis=1) >= -2.0 * geom.h_y))
+    return FactorMap(x_grid=xs, y_grid=ys, values=vals,
+                     defect_max=float(np.max(defects)),
+                     defect_mean=float(np.mean(defects)), monotone_in_y=monotone)
+
+
+@pytest.mark.parametrize("name", ["rigid", "suspension", "pushed"])
+def test_reports_match_separate_height_calls(built_regions, name):
+    tau = built_regions[name]
+    for tol, seed in ((None, 0), (1e-300, 5)):
+        tau._fills.clear()
+        eq = verify_equivariance(tau, samples=24, tol=tol, s_ladder=4, seed=seed)
+        tau._fills.clear()
+        assert (eq.unit_translate_defect, eq.map_defect) == \
+            reference_equivariance_defects(tau, samples=24, tol=tol, seed=seed)
+        tau._fills.clear()
+        fm = project_to_torus_factor(tau, grid=(12, 6), tol=tol)
+        tau._fills.clear()
+        want = reference_torus_factor(tau, grid=(12, 6), tol=tol)
+        assert fm.values.tobytes() == want.values.tobytes()
+        assert (fm.defect_max, fm.defect_mean, fm.monotone_in_y) == \
+            (want.defect_max, want.defect_mean, want.monotone_in_y)
+    tau._fills.clear()

@@ -833,7 +833,20 @@ def _gapped_image_column():
     return occ
 
 
+def _twisted_one_run_column():
+    """One fiber of a (1, 6, 4) grid on [-1, 1] whose column x = 1 is one run
+    over all four rows. The twist moves each sample along x by its height,
+    so the column's images spread over several columns: forwards both end
+    cells land in the dilation, but row 1 reaches column 3, whose rows 0-1
+    the dilation misses. Only the per-cell check sees that cell leave."""
+    occ = np.zeros((1, 6, 4), dtype=bool)
+    occ[0, 0, 0] = occ[0, 1] = occ[0, 2:4, 3] = True
+    occ[0, 5, [0, 1, 3]] = True
+    return occ
+
+
 @example(occ=_gapped_image_column(), offset=(0.0, 0.5), rho=0.5, edge_rows=False)
+@example(occ=_twisted_one_run_column(), offset=(0.0, 0.0), rho=0.0, edge_rows=False)
 @given(occ=arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6),
                                   st.integers(1, 8))),
        offset=st.tuples(st.floats(-1, 1), st.floats(-0.5, 0.5)),
