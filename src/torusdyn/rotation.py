@@ -7,13 +7,14 @@ takes its seed, so maxima are reproducible bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
-from .util import (finite_multiples, iterates, lattice_points_2d, torus_dist,
-                   wrap01)
+from .util import (_both_ways, finite_multiples, iterates, lattice_points_2d,
+                   torus_dist, wrap01)
 
 
 @dataclass
@@ -93,8 +94,11 @@ class _Probe:
     rows are reduced mod 1 and step by the induced torus map; the others
     are unreduced lift points. ``_record(n0, z, inverse)`` sees a block of
     consecutive steps: ``z[i]`` holds the probe's rows after step n0 + i,
-    and a block never runs past the probe's last step. ``_result()`` gives
-    the diagnostic. The walk runs under the union of the probes' numpy
+    and a block never runs past the probe's last step. A probe that walks
+    ``backward`` keeps what it records of each direction in
+    ``records[inverse]``, replaced as a whole by `walk_probes` when the
+    backward walk ran in another process. ``_result()`` gives the
+    diagnostic. The walk runs under the union of the probes' numpy
     ``errstate`` settings.
     """
 
@@ -118,11 +122,11 @@ class _TwoSidedTable(_Probe):
         self.steps = _positive_n_max(n_max)
         base = lattice_points_2d(samples, seed=seed)
         self.z0 = np.vstack([base, base + np.array([0.0, 1.0])])
-        self.table = (np.zeros(self.steps + 1), np.zeros(self.steps + 1))
+        self.records = [np.zeros(self.steps + 1), np.zeros(self.steps + 1)]
 
     def _record(self, n0, z, inverse):
         n = np.arange(n0, n0 + len(z))
-        self.table[inverse][n0:n0 + len(z)] = self._entry(n, z - self.z0, inverse)
+        self.records[inverse][n0:n0 + len(z)] = self._entry(n, z - self.z0, inverse)
 
 
 class DeviationProbe(_TwoSidedTable):
@@ -144,7 +148,7 @@ class DeviationProbe(_TwoSidedTable):
         return np.abs(dv + drift if inverse else dv - drift).max(axis=1)
 
     def _result(self):
-        value = np.maximum(*self.table)
+        value = np.maximum(*self.records)
         if not np.isfinite(value).all():
             raise ValueError(f"the deviation profile along v = {self.v.tolist()} "
                              f"is not finite")
@@ -164,7 +168,7 @@ class SpreadProbe(_TwoSidedTable):
         return d[..., 0].max(axis=1) - d[..., 0].min(axis=1)
 
     def _result(self):
-        sf, sb = self.table
+        sf, sb = self.records
         consistent = bool(sb.max() <= sf.max() + 2.0 and sf.max() <= sb.max() + 2.0)
         return SpreadTable(forward=sf, backward=sb, consistent=consistent)
 
@@ -177,15 +181,15 @@ class ProximalityProbe(_Probe):
     def __init__(self, x, partners, n_max=10_000):
         self.steps = _positive_n_max(n_max)
         self.z0 = wrap01(np.array([x, *partners], dtype=float))
-        self.best = [np.full(len(self.z0) - 1, np.inf)] * 2
+        self.records = [np.full(len(self.z0) - 1, np.inf)] * 2
 
     def _record(self, n0, z, inverse):
         near = torus_dist(z[:, :1], z[:, 1:]).min(axis=0)
-        self.best[inverse] = np.minimum(self.best[inverse], near)
+        self.records[inverse] = np.minimum(self.records[inverse], near)
 
     def _result(self):
         return [ProximalityResult(forward_min=float(f), backward_min=float(b))
-                for f, b in zip(*self.best)]
+                for f, b in zip(*self.records)]
 
 
 class RecurrenceProbe(_Probe):
@@ -227,10 +231,24 @@ def walk_probes(spec, *probes):
     block in one call, ``_record(n0, z, inverse)`` with ``z[i]`` its rows
     after step n0 + i. A probe leaves the stack after its last step; one
     that does not walk backwards takes no backward step.
+
+    The two walks are independent, so they are the two halves of
+    `util._both_ways`: where it forks, the backward walk runs in a child
+    process and sends back each backward-walking probe's backward record,
+    which replaces the probe's own. The records are those of the walk here,
+    bit for bit. With no probe walking backwards nothing forks.
     """
+    back = [p for p in probes if p.backward]
     with np.errstate(**{k: v for p in probes for k, v in p.errstate.items()}):
-        for inverse in (False, True):
-            _walk(spec, [p for p in probes if p.backward or not inverse], inverse)
+        forward = _walk(spec, probes, False)
+        if not back:
+            next(forward)
+        else:
+            halves = _both_ways(forward, _walk(spec, back, True))
+            with contextlib.closing(halves):
+                for _, records in halves:
+                    for p, record in zip(back, records):
+                        p.records[1] = record
         return [p._result() for p in probes]
 
 
@@ -241,10 +259,11 @@ _BLOCK_BYTES = 2**20
 
 
 def _walk(spec, probes, inverse):
-    """One direction of `walk_probes`: the stack is cut at each probe's
-    last step and walked on with the rows of the probes that remain. Each
-    stage fills one buffer with a block of steps at a time, and blocks end
-    at the stage's cut."""
+    """One direction of `walk_probes`, a generator that yields once, when
+    the walk is done: the probes' backward records, or None forwards. The
+    stack is cut at each probe's last step and walked on with the rows of
+    the probes that remain. Each stage fills one buffer with a block of
+    steps at a time, and blocks end at the stage's cut."""
     lift = spec.eval_inverse if inverse else spec.eval_lift
     # lift rows first: the torus rows are one tail, reduced by one wrap01
     live = sorted((p for p in probes if p.steps > 0), key=lambda p: p.torus)
@@ -268,6 +287,7 @@ def _walk(spec, probes, inverse):
         rows = [filled[-1, a:b] for p, a, b in spans if p.steps > stop]
         live = [p for p in live if p.steps > stop]
         done = stop
+    yield [p.records[1] for p in probes] if inverse else None
 
 
 def _stack_step(lift, tail):

@@ -13,6 +13,7 @@ occupancy grid.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rotation import _positive_n_max
-from .util import (circle_dist, finite_multiples, iterates, nth_iterate,
-                   skew_dist, wrap01)
+from .util import (_both_ways, circle_dist, finite_multiples, iterates,
+                   nth_iterate, skew_dist, wrap01)
 
 # block-orbit rounds per chunk of refine_envelopes, and its first checkpoint
 _ENVELOPE_CHUNK = 16
@@ -297,30 +298,30 @@ def _padded_cells(geom, x, rows, out):
     np.add(col, rows, out=out, casting="unsafe")
 
 
-def _block_orbit(skew, pts, rounds):
-    """Transported fiber clouds of the block orbit, round by round.
+def _block_orbit(skew, pts, rounds, inverse):
+    """Transported fiber clouds of one direction of the block orbit.
 
     The n-th image of the half-width block of a cloud W at time 0 is the
     half-width block of f^n(W) shifted down by n*rho, centered at n*rho.
-    Yields (n, img, shift, c) for n = 0, then +n and -n for each round: the
-    annulus image img of the cloud, to be read and not written, whose
-    heights y - shift are the shifted cloud's, and the block phase
-    c = n*rho mod 1, the time of the block's center. Every yielded x is in
-    [0, 1): the cloud is reduced once, and each step is the lean annulus
-    step, which only reduces its output.
+    Yields (img, shift, c) for n = 0, 1, ..., rounds, or n = 0, -1, ...,
+    -rounds when inverse: the annulus image img of the cloud, to be read
+    and not written, whose heights y - shift are the shifted cloud's, and
+    the block phase c = n*rho mod 1, the time of the block's center. Every
+    yielded x is in [0, 1): the cloud is reduced once, and each step is the
+    lean annulus step, which only reduces its output. `refine_envelopes`
+    walks the two directions in two processes (`util._both_ways`);
+    saturation zips them here, since its stale-streak rule needs the union
+    of each round.
     """
     pts = np.array(pts, dtype=float)
     pts[:, 0] = wrap01(pts[:, 0])
-    yield 0, pts, 0.0, 0.0
-    step = skew.spec._annulus_step
-    walk = zip(iterates(step, pts, rounds),
-               iterates(functools.partial(step, inverse=True), pts, rounds))
+    yield pts, 0.0, 0.0
     shifts = np.arange(1, rounds + 1) * skew.rho
-    phases = zip(shifts, wrap01(shifts), wrap01(-shifts))
-    for n, (fwd, bwd), (shift, c_fwd, c_bwd) in zip(itertools.count(1), walk, phases):
-        yield n, fwd, shift, c_fwd
-        # the backward cloud's heights y + shift are y - (-shift), bit for bit
-        yield -n, bwd, -shift, c_bwd
+    if inverse:
+        # the backward cloud's heights y + n*rho are y - (-n*rho), bit for bit
+        shifts = -shifts
+    step = functools.partial(skew.spec._annulus_step, inverse=inverse)
+    yield from zip(iterates(step, pts, rounds), shifts, wrap01(shifts))
 
 
 def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
@@ -378,27 +379,23 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         flat[cells] = True
         return bool(lo <= 0 or hi >= n_y - 1), grew
 
-    orbit = _block_orbit(skew, pts, max_iters)
-    raster_block(*next(orbit)[1:], False)
+    orbit = zip(*(_block_orbit(skew, pts, max_iters, inverse)
+                  for inverse in (False, True)))
+    seed, _ = next(orbit)  # n = 0 in both directions
+    raster_block(*seed, False)
     seed_occ = padded[:, :, 1:-1].copy()
     status = "max-iters"
-    stale = 0
-    rounds = 0
-    edge = grew = False
-    for n, *image in orbit:
-        at_edge, grew = raster_block(*image, grew)
-        edge |= at_edge
-        if n > 0:
-            continue  # a round ends with its backward image
-        rounds = -n
-        if edge:
+    stale = rounds = 0
+    for rounds, (fwd, bwd) in enumerate(orbit, 1):
+        edge, grew = raster_block(*fwd, False)
+        at_edge, grew = raster_block(*bwd, grew)
+        if edge or at_edge:
             status = "window-exhausted"
             break
         stale = 0 if grew else stale + 1
         if stale >= _PATIENCE:
             status = "fixed-point"
             break
-        grew = False
     return padded[:, :, 1:-1], seed_occ, status, rounds
 
 
@@ -417,6 +414,40 @@ def refine_envelopes(skew, fiber_points, geom):
     last half of the walk, or else at ``_ENVELOPE_ROUNDS``. On the measured
     maps no row changed later than twice the round of the change before it.
 
+    The forward and the backward walk keep bucket tables of their own
+    (`_envelope_buckets`) and run as the two halves of `util._both_ways`,
+    in two processes where it forks. At each checkpoint the two halves'
+    tables are merged by np.minimum and np.maximum, which are exact, so the
+    envelopes and the rounds are those of one walk here, bit for bit.
+    """
+    n_t, n_x = geom.n_t, geom.n_x
+    t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
+    y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
+    # the results come first in the heap: the bucket tables and chunks freed
+    # above them do not stay resident under the later region stages
+    env_min = np.empty((n_t, n_x))
+    env_max = np.empty((n_t, n_x))
+    halves = _both_ways(*(_envelope_buckets(skew, fiber_points, geom, inverse)
+                          for inverse in (False, True)))
+    rows = None
+    with contextlib.closing(halves):
+        for (walked, low, high), (_, b_low, b_high) in halves:
+            _unfold_buckets(np.minimum(low, b_low), np.minimum, t_centers, env_min)
+            _unfold_buckets(np.maximum(high, b_high), np.maximum, t_centers,
+                            env_max)
+            new = np.stack([y_centers.searchsorted(env_min, "left"),
+                            y_centers.searchsorted(env_max, "right")])
+            if walked == _ENVELOPE_ROUNDS or np.array_equal(new, rows):
+                return env_min, env_max, walked
+            rows = new
+
+
+def _envelope_buckets(skew, fiber_points, geom, inverse):
+    """One direction of `refine_envelopes`: yields (rounds, low, high) after
+    16, 32, 64, ... rounds and at ``_ENVELOPE_ROUNDS``, low and high its
+    bucket tables of the seed image and the images of those rounds, to be
+    read before the next item is asked for.
+
     Phase buckets spare each image an (n_t, n_x) update. An image at block
     phase c puts a column extreme v at v - u in fiber t, where
     u = t_c - c - k is the fiber center's flow offset and k = round(t_c - c)
@@ -432,30 +463,26 @@ def refine_envelopes(skew, fiber_points, geom):
     """
     n_t, n_x = geom.n_t, geom.n_x
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
-    y_centers = geom.centers(0, 0, np.arange(geom.n_y))[2]
-    # the results come first in the heap: the bucket tables and chunks freed
-    # above them do not stay resident under the later region stages
-    env_min = np.empty((n_t, n_x))
-    env_max = np.empty((n_t, n_x))
     low = np.full((2 * n_t, n_x), np.inf)
     high = np.full((2 * n_t, n_x), -np.inf)
     # work arrays, allocated once: a chunk's images as the orbit gives them,
-    # and (len(fiber_points), 2 * chunk) tables with a point's images side
-    # by side, so that each scatter reads one block of rows. min and max are
+    # and (len(fiber_points), chunk) tables with a point's images side by
+    # side, so that each scatter reads one block of rows. min and max are
     # exact, so the order in which images reach the bucket tables does not
     # matter
-    size = 2 * _ENVELOPE_CHUNK
+    size = _ENVELOPE_CHUNK + 1
     images = np.empty((size, len(fiber_points), 2))
     jx = np.empty((len(fiber_points), size))
     lifted = np.empty_like(jx)
     cells = np.empty(jx.shape, dtype=np.int64)
     shift = np.empty(size)
     c = np.empty(size)
-    orbit = _block_orbit(skew, fiber_points, _ENVELOPE_ROUNDS)
-    # the seed image is a chunk of its own, so that chunks end on whole rounds
-    k, walked, check, rows = 1, 0, _ENVELOPE_CHUNK, None
+    orbit = _block_orbit(skew, fiber_points, _ENVELOPE_ROUNDS, inverse)
+    # the first chunk holds the seed image, n = 0, besides its rounds, so
+    # that chunks end on whole rounds
+    k, walked, check = 1 + min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS), -1, _ENVELOPE_CHUNK
     while True:
-        for i, (_, img, s_i, c_i) in enumerate(itertools.islice(orbit, k)):
+        for i, (img, s_i, c_i) in enumerate(itertools.islice(orbit, k)):
             images[i] = img
             shift[i], c[i] = s_i, c_i
         x, y = images[:k, :, 0].T, images[:k, :, 1].T
@@ -472,16 +499,13 @@ def refine_envelopes(skew, fiber_points, geom):
         np.add(v, c[:k], out=v)
         np.minimum.at(low.reshape(-1), fcells.ravel(), v.ravel())
         np.maximum.at(high.reshape(-1), fcells.ravel(), v.ravel())
-        walked += k // 2
+        walked += k
         if walked in (check, _ENVELOPE_ROUNDS):
-            _unfold_buckets(low, np.minimum, t_centers, env_min)
-            _unfold_buckets(high, np.maximum, t_centers, env_max)
-            new = np.stack([y_centers.searchsorted(env_min, "left"),
-                            y_centers.searchsorted(env_max, "right")])
-            if walked == _ENVELOPE_ROUNDS or np.array_equal(new, rows):
-                return env_min, env_max, walked
-            rows, check = new, 2 * check
-        k = 2 * min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS - walked)
+            yield walked, low, high
+            if walked == _ENVELOPE_ROUNDS:
+                return
+            check *= 2
+        k = min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS - walked)
 
 
 def _unfold_buckets(table, best, t_centers, out):

@@ -1,8 +1,13 @@
-"""Shared numeric helpers: the orbit driver, circle arithmetic, metrics, sampling."""
+"""Shared numeric helpers: the orbit driver, the two-process walk, circle
+arithmetic, metrics, sampling."""
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 
 import numpy as np
 
@@ -58,6 +63,84 @@ def nth_iterate(step, z, n):
     for z in iterates(step, z, n):
         pass
     return z
+
+
+def _can_fork():
+    """Whether `_both_ways` runs its backward half in a child process: the
+    platform has os.fork, at least two cores are ours, and this process
+    runs one Python thread, since forking a threaded process is unsafe.
+    Threads started outside Python are not counted: numpy's OpenBLAS pool
+    is stopped around a fork by OpenBLAS itself."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _both_ways(forward, backward):
+    """The items of two generators in pairs, as ``zip`` gives them.
+
+    Where `_can_fork`, the backward generator runs in a child made by
+    os.fork, which sends each item back pickled over a pipe, while the
+    forward one runs here; otherwise both run here. The child computes what
+    this process would, under the same numpy errstate and warning filters,
+    so the pairs are the same bit for bit. The child ends by os._exit on
+    every path. When the pairs end, run out, closed early or broken by an
+    exception, the child is killed and reaped. An exception raised in the
+    child is raised here again with its type and message, or as a
+    RuntimeError naming its type when it cannot be pickled; a child that
+    ends without a word raises RuntimeError with its exit code.
+    """
+    if not _can_fork():
+        yield from zip(forward, backward)
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _send_all(backward, read, write)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            for item in forward:
+                try:
+                    kind, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    pid = None
+                    raise RuntimeError(f"the backward half's process ended with "
+                                       f"exit code {code} and no result") from None
+                if kind == "raise":
+                    raise value
+                if kind == "end":
+                    return
+                yield item, value
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _send_all(backward, read, write):
+    """The child of `_both_ways`: send each item of backward, then its end
+    or the exception it raised, and exit without returning."""
+    code = 1
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            try:
+                for item in backward:
+                    pipe.write(pickle.dumps(("item", item), pickle.HIGHEST_PROTOCOL))
+                    pipe.flush()
+                message = ("end", None)
+            except BaseException as exc:
+                message = ("raise", exc)
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    message = ("raise", RuntimeError(f"{type(exc).__name__}: {exc}"))
+            pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def circle_dist(a, b):

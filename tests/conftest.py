@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import torusdyn.util
 from torusdyn.circle import CircleLift
 from torusdyn.gallery import (example_fully_essential,
                               example_unbounded_inessential, suspension_map)
@@ -16,6 +19,48 @@ def diameter_table(geo, n_range=50):
     """Diameters of the blown-up domains n = -n_range..n_range of a surgery
     geometry, by n."""
     return {n: geo.domain_diameter(n) for n in range(-n_range, n_range + 1)}
+
+
+@pytest.fixture
+def both_schedules():
+    """A function that calls ``run()`` twice, with ``util._both_ways``
+    forced to fork its backward half into a child and forced to keep it in
+    this process, and returns the two results, forked first."""
+    def call(run):
+        out = []
+        for forks in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(torusdyn.util, "_can_fork", lambda: forks)
+                out.append(run())
+        return out
+    return call
+
+
+@pytest.fixture
+def fork_pids(monkeypatch):
+    """Force ``util._both_ways`` to fork, and list the pid of every child
+    it makes, as a wrapped os.fork sees it."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(torusdyn.util, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    """Every pid is of a child that has been waited for: none is left
+    running, nor as a zombie."""
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -86,6 +86,14 @@ MUTANTS = (
     Mutant("stacked-heights-split-by-point", "src/torusdyn/factor.py",
            "tol=tol)[0].reshape(3, -1)", "tol=tol)[0].reshape(-1, 3).T",
            ("tests/test_factor.py::test_reports_match_separate_height_calls",), 120),
+    Mutant("envelope-merge-drops-backward", "src/torusdyn/skew.py",
+           "_unfold_buckets(np.minimum(low, b_low), np.minimum",
+           "_unfold_buckets(low, np.minimum",
+           ("tests/test_skew.py::test_refine_envelopes_matches_dense_update",), 120),
+    Mutant("walk-drops-backward-records", "src/torusdyn/rotation.py",
+           "                        p.records[1] = record\n",
+           "                        pass\n",
+           ("tests/test_orbit_driver.py::test_walk_schedules_agree",), 120),
 )
 
 

@@ -348,3 +348,43 @@ def test_shared_walk_keeps_the_probe_errors(tmp_path, capsys):
                                              r"v = \[1e\+308, 1e\+308\] "
                                              r"is not finite$"):
             walk_probes(ex.torus_map, *bundle)
+
+
+# -- the two halves in two processes -------------------------------------------
+
+
+def walk_bits(spec, args, n_max):
+    prof, scan, times = walk_probes(spec, *gallery_bundle(n_max, *args))
+    return (_bits(prof.value), _bits([r.forward_min for r in scan]),
+            _bits([r.backward_min for r in scan]), times)
+
+
+@pytest.mark.parametrize("name, spec, args",
+                         [c for c in PROBE_CASES if c[0] in ("fully-essential",
+                                                             "unbounded-inessential")],
+                         ids=["fully-essential", "unbounded-inessential"])
+def test_walk_schedules_agree(name, spec, args, both_schedules):
+    # the backward records sent back by a child are those of the walk here,
+    # the recurrence probe walking forwards alone in either schedule
+    for n_max in (1, 5, 3 * B + 7):
+        forked, here = both_schedules(lambda: walk_bits(spec, args, n_max))
+        assert forked == here
+
+
+def test_overflow_is_refused_alike_on_both_schedules(both_schedules):
+    # the child walks under the caller's errstate and warning filters: the
+    # overflow it hides is refused after the walk, and no RuntimeWarning,
+    # raised as an error in the child, comes back in its place
+    ex = example_fully_essential()
+
+    def refusal():
+        with pytest.raises(ValueError) as err:
+            deviation_profile(ex.torus_map, (1e308, 1e308), ex.rho_vertical,
+                              n_max=5, samples=32, seed=SEED)
+        return str(err.value)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forked, here = both_schedules(refusal)
+    assert forked == here == ("the deviation profile along v = [1e+308, 1e+308] "
+                              "is not finite")

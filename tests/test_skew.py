@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import ndimage
 
 import torusdyn.factor
 import torusdyn.skew
+from conftest import assert_reaped
 from labels_reference import (component_names, ndimage_components_meeting,
                               ndimage_label_x_wrapped)
 from torusdyn.circle import CircleLift, build_denjoy
@@ -548,6 +550,64 @@ def test_ring_walk_keeps_two_cells_fewer_on_one_pushed_map(monkeypatch):
         assert tau.status == "window-exhausted"
         assert tau.mask.provenance["refine_rounds"] == 4096
         assert tau.invariance == {"forward": 0, "backward": 0}
+
+
+def envelope_bits(result):
+    env_min, env_max, rounds = result
+    return env_min.tobytes(), env_max.tobytes(), rounds
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 300, 20_000])
+@pytest.mark.parametrize("name", [*sorted(ENVELOPE_SKEWS), "pushed"])
+def test_envelope_schedules_agree(name, cap, monkeypatch, both_schedules):
+    # the two directions' tables are merged by exact min and max, so the
+    # walk in two processes gives every bit of the walk in one
+    monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", cap)
+    skew = (pushed_skew(A, B, (0.4, 0.1), (0.02, -0.01), 0.2) if name == "pushed"
+            else ENVELOPE_SKEWS[name]())
+    geom = geometry_for(skew, center_y=0.0, n_t=15, n_x=16, n_y=32,
+                        half_height=2.0)
+    pts = envelope_cloud(geom, 0.05, 0.15, 64)
+    forked, here = both_schedules(lambda: envelope_bits(
+        refine_envelopes(skew, pts, geom)))
+    assert forked == here
+    assert here[2] <= cap
+
+
+def test_envelope_schedules_agree_on_an_early_stop(both_schedules):
+    # rigid 32x32x64 stops at a checkpoint, 512 rounds, long before the cap
+    skew = ENVELOPE_SKEWS["rigid"]()
+    geom = geometry_for(skew, n_t=32, n_x=32, n_y=64)
+    pts = envelope_cloud(geom, 0.5, 0.15, 256)
+    forked, here = both_schedules(lambda: envelope_bits(
+        refine_envelopes(skew, pts, geom)))
+    assert forked == here
+    assert here[2] == 512
+
+
+def test_envelope_walk_leaves_no_child(fork_pids, monkeypatch):
+    skew = ENVELOPE_SKEWS["rigid"]()
+    geom = geometry_for(skew, n_t=32, n_x=32, n_y=64)
+    pts = envelope_cloud(geom, 0.5, 0.15, 256)
+    # a stop at a checkpoint, while the backward half may still be walking
+    assert refine_envelopes(skew, pts, geom)[2] == 512
+    # a return at the cap
+    monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", 40)
+    assert refine_envelopes(skew, pts, geom)[2] == 40
+    # an exception in the backward half
+    calls = itertools.count()
+    inverse = skew.spec.eval_inverse
+
+    def failing_inverse(w):
+        if next(calls) == 20:
+            raise ValueError("no inverse after 20 steps")
+        return inverse(w)
+
+    monkeypatch.setattr(skew.spec, "eval_inverse", failing_inverse)
+    with pytest.raises(ValueError, match=r"^no inverse after 20 steps$"):
+        refine_envelopes(skew, pts, geom)
+    assert len(fork_pids) == 3
+    assert_reaped(fork_pids)
 
 
 # geometries of the region build, as the CLI's golden runs and the tests

@@ -7,6 +7,9 @@
   ``np.fmod``, ``np.remainder``, ``math.fmod`` or ``divmod`` by 1) appears.
 - The library never prints: no module but ``cli.py`` calls ``print`` or
   touches ``sys.stdout`` or ``sys.stderr``.
+- The two halves of a walk run in two processes through one fork:
+  ``os.fork`` occurs once, in ``util._both_ways``, and no module imports
+  ``multiprocessing`` or ``concurrent.futures``.
 """
 
 import ast
@@ -94,6 +97,43 @@ def print_breaches(name, tree):
     return [f"{name}:{n}" for n in sorted(set(out))]
 
 
+def fork_sites(name, tree):
+    """Where a module names os.fork, as name:function, the innermost
+    function around each site."""
+    spans = sorted(((fn.end_lineno - fn.lineno, fn.lineno, fn.end_lineno, fn.name)
+                    for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)))
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fork"
+                and getattr(node.value, "id", None) == "os"):
+            out.append(f"{name}:" + next((f for _, a, b, f in spans
+                                          if a <= node.lineno <= b), "<module>"))
+    return out
+
+
+def pool_imports(name, tree):
+    """Where a module imports multiprocessing or concurrent.futures."""
+    pools = ("multiprocessing", "concurrent")
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bad = any(a.name.split(".")[0] in pools for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").split(".")[0] in pools
+        else:
+            continue
+        if bad:
+            out.append(f"{name}:{node.lineno}")
+    return out
+
+
+def test_one_fork_and_no_process_pool():
+    trees = sources()
+    assert [s for name, tree in trees for s in fork_sites(name, tree)] == \
+        ["util.py:_both_ways"]
+    assert [b for name, tree in trees for b in pool_imports(name, tree)] == []
+
+
 def test_no_module_imports_scipy():
     assert [b for name, tree in sources() for b in scipy_breaches(name, tree)] == []
 
@@ -151,3 +191,15 @@ def test_scans_catch_breaches():
                        "os.stderr\n"
                        "logging.getLogger('torusdyn').info('x')\n")
     assert print_breaches("m.py", prints) == [f"m.py:{n}" for n in (1, 2, 3, 4, 5)]
+    forks = ast.parse("pid = os.fork()\n"
+                      "def spawn():\n"
+                      "    return os.fork()\n"
+                      "hasattr(os, 'fork')\n"
+                      "self.fork()\n")
+    assert sorted(fork_sites("m.py", forks)) == ["m.py:<module>", "m.py:spawn"]
+    pools = ast.parse("import multiprocessing\n"
+                      "from concurrent.futures import ProcessPoolExecutor\n"
+                      "import multiprocessing.pool as mp\n"
+                      "from .multiprocessing_free import x\n"
+                      "import concurrency\n")
+    assert pool_imports("m.py", pools) == [f"m.py:{n}" for n in (1, 2, 3)]

@@ -1,8 +1,13 @@
+import itertools
+import os
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torusdyn.util import circle_dist, torus_dist, wrap01
+from conftest import assert_reaped
+from torusdyn.util import _both_ways, circle_dist, torus_dist, wrap01
 
 TINY = 2.0 ** -60
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
@@ -97,3 +102,74 @@ def test_wrap01_is_the_where_form(xs):
             else:
                 assert type(out) is float
     assert bits(xs) == bits(before)
+
+
+# -- the two halves of a walk ----------------------------------------------------
+
+
+def counting(stop, fail_at=None):
+    for i in range(stop):
+        if i == fail_at:
+            raise ValueError(f"the half failed at item {i}")
+        yield i
+
+
+def odd_floats(n):
+    """Arrays whose bits a lossy transfer would change: signed zeros, a
+    subnormal, a NaN payload and the infinities."""
+    for i in range(n):
+        a = np.array([-0.0, 5e-324, np.inf, -np.inf, 0.1 * i])
+        a = np.concatenate([a, np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f")])
+        yield a
+
+
+@pytest.mark.parametrize("n_forward, n_backward", [(5, 5), (3, 6), (6, 3), (0, 4),
+                                                   (4, 0)])
+def test_both_ways_pairs_items_as_zip_does(n_forward, n_backward, fork_pids):
+    got = list(_both_ways(counting(n_forward), odd_floats(n_backward)))
+    want = list(zip(range(n_forward), odd_floats(n_backward)))
+    assert [(i, a.tobytes()) for i, a in got] == [(i, a.tobytes()) for i, a in want]
+    assert_reaped(fork_pids)
+
+
+def test_both_ways_raises_the_backward_exception(fork_pids):
+    pairs = _both_ways(counting(5), counting(5, fail_at=2))
+    assert [next(pairs), next(pairs)] == [(0, 0), (1, 1)]
+    with pytest.raises(ValueError, match=r"^the half failed at item 2$"):
+        next(pairs)
+    assert_reaped(fork_pids)
+
+
+def test_both_ways_names_an_exception_that_cannot_be_pickled(fork_pids):
+    class LocalError(Exception):
+        pass
+
+    def fails():
+        yield 0
+        raise LocalError("a class pickle cannot find")
+
+    with pytest.raises(RuntimeError, match=r"^LocalError: a class pickle cannot find$"):
+        list(_both_ways(counting(5), fails()))
+    assert_reaped(fork_pids)
+
+
+def test_both_ways_names_the_exit_code_of_a_silent_child(fork_pids):
+    def dies():
+        yield 0
+        os._exit(3)
+
+    with pytest.raises(RuntimeError, match=r"exit code 3 "):
+        list(_both_ways(counting(5), dies()))
+    assert_reaped(fork_pids)
+
+
+def test_both_ways_stopped_early_leaves_no_child(fork_pids):
+    # the child runs ahead until the pipe is full; closing the pairs kills it
+    pairs = _both_ways(itertools.count(), itertools.count())
+    assert list(itertools.islice(pairs, 3)) == [(0, 0), (1, 1), (2, 2)]
+    pairs.close()
+    # and a forward half that raises ends the child too
+    with pytest.raises(ValueError, match=r"^the half failed at item 1$"):
+        list(_both_ways(counting(5, fail_at=1), itertools.count()))
+    assert len(fork_pids) == 2
+    assert_reaped(fork_pids)
