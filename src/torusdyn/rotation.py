@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .util import (_both_ways, finite_multiples, iterates, lattice_points_2d,
-                   torus_dist, wrap01)
+from .util import (_both_ways, finite_multiples, iterate_blocks, iterates,
+                   lattice_points_2d, torus_dist, wrap01)
 
 
 @dataclass
@@ -262,8 +261,8 @@ def _walk(spec, probes, inverse):
     """One direction of `walk_probes`, a generator that yields once, when
     the walk is done: the probes' backward records, or None forwards. The
     stack is cut at each probe's last step and walked on with the rows of
-    the probes that remain. Each stage fills one buffer with a block of
-    steps at a time, and blocks end at the stage's cut."""
+    the probes that remain. Each stage steps through `util.iterate_blocks`,
+    so its blocks end at the stage's cut."""
     lift = spec.eval_inverse if inverse else spec.eval_lift
     # lift rows first: the torus rows are one tail, reduced by one wrap01
     live = sorted((p for p in probes if p.steps > 0), key=lambda p: p.torus)
@@ -275,16 +274,11 @@ def _walk(spec, probes, inverse):
         stop = min(p.steps for p in live)
         step = _stack_step(lift, sum(len(p.z0) for p in live if not p.torus))
         z = np.concatenate(rows)
-        orbit = iterates(step, z, stop - done)
         width = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // max(z.nbytes, 1)))
-        block = np.empty((min(width, stop - done), *z.shape))
-        for n0 in range(done + 1, stop + 1, len(block)):
-            filled = block[:min(len(block), stop + 1 - n0)]
-            for i, w in enumerate(islice(orbit, len(filled))):
-                filled[i] = w
+        for n0, block in iterate_blocks(step, z, stop - done, width):
             for p, a, b in spans:
-                p._record(n0, filled[:, a:b], inverse)
-        rows = [filled[-1, a:b] for p, a, b in spans if p.steps > stop]
+                p._record(done + n0, block[:, a:b], inverse)
+        rows = [block[-1, a:b] for p, a, b in spans if p.steps > stop]
         live = [p for p in live if p.steps > stop]
         done = stop
     yield [p.records[1] for p in probes] if inverse else None

@@ -197,20 +197,6 @@ def rle_encode(bits):
     return [0] + runs if bits.flat[0] else runs
 
 
-def rle_decode(runs, size):
-    out = np.zeros(size, dtype=bool)
-    pos = 0
-    val = False
-    for r in runs:
-        if val:
-            out[pos:pos + r] = True
-        pos += r
-        val = not val
-    if pos != size:
-        raise ValueError("run lengths do not match the size")
-    return out
-
-
 def dump_mask(path, mask, config):
     geom = mask.geom
     payload = {

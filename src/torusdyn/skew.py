@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rotation import _positive_n_max
-from .util import (_both_ways, circle_dist, finite_multiples, iterates,
-                   nth_iterate, skew_dist, wrap01)
+from .util import (_both_ways, circle_dist, finite_multiples, iterate_blocks,
+                   iterates, nth_iterate, skew_dist, wrap01)
 
 # block-orbit rounds per chunk of refine_envelopes, and its first checkpoint
 _ENVELOPE_CHUNK = 16
@@ -298,32 +298,6 @@ def _padded_cells(geom, x, rows, out):
     np.add(col, rows, out=out, casting="unsafe")
 
 
-def _block_orbit(skew, pts, rounds, inverse):
-    """Transported fiber clouds of one direction of the block orbit.
-
-    The n-th image of the half-width block of a cloud W at time 0 is the
-    half-width block of f^n(W) shifted down by n*rho, centered at n*rho.
-    Yields (img, shift, c) for n = 0, 1, ..., rounds, or n = 0, -1, ...,
-    -rounds when inverse: the annulus image img of the cloud, to be read
-    and not written, whose heights y - shift are the shifted cloud's, and
-    the block phase c = n*rho mod 1, the time of the block's center. Every
-    yielded x is in [0, 1): the cloud is reduced once, and each step is the
-    lean annulus step, which only reduces its output. `refine_envelopes`
-    walks the two directions in two processes (`util._both_ways`);
-    saturation zips them here, since its stale-streak rule needs the union
-    of each round.
-    """
-    pts = np.array(pts, dtype=float)
-    pts[:, 0] = wrap01(pts[:, 0])
-    yield pts, 0.0, 0.0
-    shifts = np.arange(1, rounds + 1) * skew.rho
-    if inverse:
-        # the backward cloud's heights y + n*rho are y - (-n*rho), bit for bit
-        shifts = -shifts
-    step = functools.partial(skew.spec._annulus_step, inverse=inverse)
-    yield from zip(iterates(step, pts, rounds), shifts, wrap01(shifts))
-
-
 def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     """Saturate a half-width block seed by transporting its fiber cloud.
 
@@ -337,10 +311,19 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     an image reaches the window's top or bottom row or lies beyond it
     ("window-exhausted").
     Returns (occ, seed_occ, status, rounds), seed_occ being the seed block.
+
+    The n-th image of the half-width block of a cloud W at time 0 is the
+    half-width block of f^n(W) shifted down by n*rho, centered at the block
+    phase c = n*rho mod 1; backwards the shift is -(n*rho), so that the
+    heights y + n*rho are y - shift, bit for bit. Every x the raster reads
+    is in [0, 1): the cloud is reduced once, and each step is the lean
+    annulus step, which only reduces its output. The two directions are
+    zipped here, since the stale-streak rule needs the union of each round.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    pts = np.asarray(fiber_points, dtype=float)
+    pts = np.array(fiber_points, dtype=float)
+    pts[:, 0] = wrap01(pts[:, 0])
     n_t, n_x, n_y = geom.n_t, geom.n_x, geom.n_y
     # rows 0 and n_y + 1 guard the window: heights beyond it are clipped
     # into them, and being marked from the start they never count as growth
@@ -379,16 +362,17 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         flat[cells] = True
         return bool(lo <= 0 or hi >= n_y - 1), grew
 
-    orbit = zip(*(_block_orbit(skew, pts, max_iters, inverse)
-                  for inverse in (False, True)))
-    seed, _ = next(orbit)  # n = 0 in both directions
-    raster_block(*seed, False)
+    raster_block(pts, 0.0, 0.0, False)  # n = 0 in both directions
     seed_occ = padded[:, :, 1:-1].copy()
     status = "max-iters"
     stale = rounds = 0
+    orbit = zip(*(iterates(functools.partial(skew.spec._annulus_step,
+                                             inverse=inverse), pts, max_iters)
+                  for inverse in (False, True)))
     for rounds, (fwd, bwd) in enumerate(orbit, 1):
-        edge, grew = raster_block(*fwd, False)
-        at_edge, grew = raster_block(*bwd, grew)
+        shift = rounds * skew.rho
+        edge, grew = raster_block(fwd, shift, wrap01(shift), False)
+        at_edge, grew = raster_block(bwd, -shift, wrap01(-shift), grew)
         if edge or at_edge:
             status = "window-exhausted"
             break
@@ -446,7 +430,10 @@ def _envelope_buckets(skew, fiber_points, geom, inverse):
     """One direction of `refine_envelopes`: yields (rounds, low, high) after
     16, 32, 64, ... rounds and at ``_ENVELOPE_ROUNDS``, low and high its
     bucket tables of the seed image and the images of those rounds, to be
-    read before the next item is asked for.
+    read before the next item is asked for. The seed image, its x reduced
+    once, is read first and alone; the images of rounds 1, 2, ... follow in
+    chunks of ``_ENVELOPE_CHUNK`` from `util.iterate_blocks`, each at the
+    shift and phase of ``saturate_block_orbit``.
 
     Phase buckets spare each image an (n_t, n_x) update. An image at block
     phase c puts a column extreme v at v - u in fiber t, where
@@ -465,29 +452,27 @@ def _envelope_buckets(skew, fiber_points, geom, inverse):
     t_centers = geom.centers(np.arange(n_t), 0, 0)[0]
     low = np.full((2 * n_t, n_x), np.inf)
     high = np.full((2 * n_t, n_x), -np.inf)
-    # work arrays, allocated once: a chunk's images as the orbit gives them,
-    # and (len(fiber_points), chunk) tables with a point's images side by
-    # side, so that each scatter reads one block of rows. min and max are
-    # exact, so the order in which images reach the bucket tables does not
-    # matter
-    size = _ENVELOPE_CHUNK + 1
-    images = np.empty((size, len(fiber_points), 2))
-    jx = np.empty((len(fiber_points), size))
+    # work arrays, allocated once: (len(fiber_points), chunk) tables with a
+    # point's images side by side, so that each scatter reads one block of
+    # rows. min and max are exact, so the order in which images reach the
+    # bucket tables does not matter
+    jx = np.empty((len(fiber_points), _ENVELOPE_CHUNK))
     lifted = np.empty_like(jx)
     cells = np.empty(jx.shape, dtype=np.int64)
-    shift = np.empty(size)
-    c = np.empty(size)
-    orbit = _block_orbit(skew, fiber_points, _ENVELOPE_ROUNDS, inverse)
-    # the first chunk holds the seed image, n = 0, besides its rounds, so
-    # that chunks end on whole rounds
-    k, walked, check = 1 + min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS), -1, _ENVELOPE_CHUNK
-    while True:
-        for i, (img, s_i, c_i) in enumerate(itertools.islice(orbit, k)):
-            images[i] = img
-            shift[i], c[i] = s_i, c_i
-        x, y = images[:k, :, 0].T, images[:k, :, 1].T
+    seed = np.array(fiber_points, dtype=float)
+    seed[:, 0] = wrap01(seed[:, 0])
+    step = functools.partial(skew.spec._annulus_step, inverse=inverse)
+    orbit = iterate_blocks(step, seed, _ENVELOPE_ROUNDS, _ENVELOPE_CHUNK)
+    check = _ENVELOPE_CHUNK
+    for n0, images in itertools.chain([(0, seed[None])], orbit):
+        k = len(images)
+        shift = np.arange(n0, n0 + k) * skew.rho
+        if inverse:
+            shift = -shift
+        c = wrap01(shift)
+        x, y = images[:, :, 0].T, images[:, :, 1].T
         fx, v, fcells = jx[:, :k], lifted[:, :k], cells[:, :k]
-        pattern = np.round(t_centers[None, :] - c[:k, None]).sum(axis=1)
+        pattern = np.round(t_centers[None, :] - c[:, None]).sum(axis=1)
         # geom.x_cell without its wrap01: the orbit's x is already in [0, 1)
         np.multiply(x, n_x, out=fx)
         np.floor(fx, out=fx)
@@ -495,17 +480,14 @@ def _envelope_buckets(skew, fiber_points, geom, inverse):
         np.add(fx, (pattern + n_t) * n_x, out=fx)
         fcells[...] = fx
         # the shifted height plus the phase, (y - shift) + c
-        np.subtract(y, shift[:k], out=v)
-        np.add(v, c[:k], out=v)
+        np.subtract(y, shift, out=v)
+        np.add(v, c, out=v)
         np.minimum.at(low.reshape(-1), fcells.ravel(), v.ravel())
         np.maximum.at(high.reshape(-1), fcells.ravel(), v.ravel())
-        walked += k
+        walked = n0 + k - 1
         if walked in (check, _ENVELOPE_ROUNDS):
             yield walked, low, high
-            if walked == _ENVELOPE_ROUNDS:
-                return
             check *= 2
-        k = min(_ENVELOPE_CHUNK, _ENVELOPE_ROUNDS - walked)
 
 
 def _unfold_buckets(table, best, t_centers, out):

@@ -8,6 +8,7 @@ import os
 import pickle
 import signal
 import threading
+from itertools import islice
 
 import numpy as np
 
@@ -56,6 +57,21 @@ def iterates(step, z, n):
     for _ in range(int(n)):
         z = step(z)
         yield z
+
+
+def iterate_blocks(step, z, n, width):
+    """The n iterates of z under step in blocks of up to width steps: yields
+    (n0, block) for n0 = 1, 1 + width, ..., block[i] being iterate n0 + i.
+    Every block is a view of one buffer, refilled for the next, so it is to
+    be read before the next is asked for."""
+    n = int(n)
+    orbit = iterates(step, z, n)
+    buffer = np.empty((min(width, n), *np.shape(z)))
+    for n0 in range(1, n + 1, width):
+        block = buffer[:n + 1 - n0]
+        for i, w in enumerate(islice(orbit, len(block))):
+            block[i] = w
+        yield n0, block
 
 
 def nth_iterate(step, z, n):

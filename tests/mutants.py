@@ -94,6 +94,13 @@ MUTANTS = (
            "                        p.records[1] = record\n",
            "                        pass\n",
            ("tests/test_orbit_driver.py::test_walk_schedules_agree",), 120),
+    Mutant("block-driver-last-block-short", "src/torusdyn/util.py",
+           "block = buffer[:n + 1 - n0]", "block = buffer[:n - n0]",
+           ("tests/test_orbit_driver.py::test_block_edges_match_reference_loops",),
+           120),
+    Mutant("envelope-walk-drops-seed", "src/torusdyn/skew.py",
+           "itertools.chain([(0, seed[None])], orbit)", "itertools.chain([], orbit)",
+           ("tests/test_skew.py::test_refine_envelopes_matches_dense_update",), 120),
 )
 
 

@@ -7,11 +7,25 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from torusdyn.serialize import (circle_lift_from_definition, dump_mask,
-                                rle_decode, rle_encode,
-                                torus_map_from_definition, write_csv,
-                                write_json)
+                                rle_encode, torus_map_from_definition,
+                                write_csv, write_json)
 from torusdyn.skew import GridGeometry, GridMask
 from torusdyn.util import GOLDEN_MEAN
+
+
+def rle_decode(runs, size):
+    """The flat boolean array of size cells whose runs ``rle_encode`` gave."""
+    out = np.zeros(size, dtype=bool)
+    pos = 0
+    val = False
+    for r in runs:
+        if val:
+            out[pos:pos + r] = True
+        pos += r
+        val = not val
+    if pos != size:
+        raise ValueError("run lengths do not match the size")
+    return out
 
 
 def load_mask(path):

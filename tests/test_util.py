@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_reaped
-from torusdyn.util import _both_ways, circle_dist, torus_dist, wrap01
+from torusdyn.util import (_both_ways, circle_dist, iterate_blocks, iterates,
+                           torus_dist, wrap01)
 
 TINY = 2.0 ** -60
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
@@ -102,6 +103,31 @@ def test_wrap01_is_the_where_form(xs):
             else:
                 assert type(out) is float
     assert bits(xs) == bits(before)
+
+
+# -- the block form of the orbit driver -----------------------------------------
+
+
+def odd_step(z):
+    """A row-wise map whose iterates carry full-width mantissas."""
+    return np.sin(3.0 * z) + 0.7 * z[::-1]
+
+
+@pytest.mark.parametrize("width", [1, 3, 64])
+def test_iterate_blocks_stack_to_the_iterates(width):
+    z = np.array([[0.1, -0.2], [0.7, 0.3], [-0.0, 5e-324]])
+    for n in (0, 1, width - 1, width, width + 1, 2 * width + 3):
+        # each block is read before the next is asked for
+        blocks = [(n0, block.copy())
+                  for n0, block in iterate_blocks(odd_step, z, n, width)]
+        full, rest = divmod(n, width)
+        starts = [1 + j * width for j in range(full + (rest > 0))]
+        assert [n0 for n0, _ in blocks] == starts
+        assert [len(b) for _, b in blocks] == [width] * full + [rest] * (rest > 0)
+        want = np.array(list(iterates(odd_step, z, n))).reshape(n, *z.shape)
+        got = np.concatenate([b for _, b in blocks] or [want[:0]])
+        assert got.tobytes() == want.tobytes()
+    assert list(iterate_blocks(odd_step, z, 0, width)) == []
 
 
 # -- the two halves of a walk ----------------------------------------------------
