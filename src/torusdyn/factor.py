@@ -5,10 +5,12 @@ family of separating continua in the time-zero fiber, evaluate the height
 function h(z) = inf{s : z below the s-th continuum} by bisection, verify its
 equivariances, and project to a torus-to-circle factor map with measured
 semi-conjugacy defect. Each s value of the ladder is independent. The fill
-at time s translates a band label of its t cell; the bisection reads
-membership straight from the bands, labeled together per step and cached in
-the region's fill cache, and only the continua and the ladder paste fills,
-memoized on their key.
+at time s translates a band label of its t cell. The region's band table
+stores each labeled band once, back to back in one flat array, and both
+bisections read membership from it: ``heights`` with one gather per step,
+after labeling the bands the step misses together, and ``evaluate_h``
+through a memo of its keys. Only the continua and the ladder paste fills,
+memoized on their key, and the continua read only the band's rows of theirs.
 """
 
 from __future__ import annotations
@@ -118,66 +120,179 @@ def _fill_key(geom, s):
                             else np.rint(shift))
 
 
-def _bands(tau, keys):
-    """Lower fills of the bands of keys (it, shift), each as ``(lo, band,
-    top)``, or None when the translated obstruction leaves the window or the
-    fiber is empty. The band is window rows [lo, lo + band.shape[1]): the
-    obstruction's rows and one free guard row on each side that the window
-    holds. The free rows below and above it each form one component with its
-    edge row, so the rows below are filled, and the rows above when ``top``,
-    its top row meeting the fill. Bands are cached in ``tau._fills`` by
-    fiber row range: an obstruction inside the window is one band per t
-    cell at every shift; one clipped by a window edge, one per clipped range.
+class _BandTable:
+    """The labeled bands of one region, each stored once, and the indexes
+    that find the band of a fill key (it, shift).
 
-    The bands missing from the cache are labeled in one call: stacked, each
-    padded with occupied rows above its top guard row. Layers have no links,
-    so each is labeled alone, and each is kept as a compact copy.
+    The key's obstruction is fiber ``it`` translated up ``shift`` rows. Its
+    band is fiber rows [r0, r1]: the occupied rows and the free guard row on
+    each side that the window holds, so window rows [r0 + shift, r1 + shift].
+    The free rows below and above the obstruction each form one component
+    with its edge row, so the rows below the band are filled, and the rows
+    above it when ``top``, its top row meeting the fill. An obstruction
+    inside the window has one band per t cell at every shift, its interior
+    band, found by t cell (``interior``); one clipped by a window edge has
+    one band per clipped row range, found by that range (``codes``, sorted,
+    and ``code_ids``). There is no band when the obstruction leaves the
+    window or the fiber is empty.
+
+    Band b is ``cells[offset[b]:offset[b] + n_x * height[b]]``, its
+    (n_x, height[b]) cells in raster order, of fiber rows from ``bottom[b]``
+    on; the bands lie back to back in ``cells``, which grows to fit them.
+    ``rows`` holds each fiber's first and last occupied rows ((n_y, -1) for
+    an empty fiber), built once from occ. ``memo`` maps the keys of the
+    one-point bisection to ``entry``'s result. The table lives in the
+    region's fill cache, so clearing that cache clears the table too.
     """
-    fills, n_y, occ = tau._fills, tau.geom.n_y, tau.mask.occ
-    found, missing = [], {}
-    for it, shift in keys:
-        rows = fills.get(("rows", it))
-        if rows is None:
-            # the first and last occupied rows; those of an empty fiber,
-            # (n_y, -1), leave the window at every shift
-            occupied = np.flatnonzero(occ[it].any(axis=0))
-            rows = fills["rows", it] = ((int(occupied[0]), int(occupied[-1]))
-                                        if occupied.size else (n_y, -1))
-        if rows[1] + shift < 0 or rows[0] + shift >= n_y:
-            found.append(None)
-            continue
-        # fiber rows [r0, r1]: the occupied rows and the guard rows in the window
-        r0, r1 = max(rows[0] - 1, -shift), min(rows[1] + 1, n_y - 1 - shift)
-        key = "band", it, r0, r1
-        if key not in fills:
-            missing[key] = r1 - r0 + 1
-        found.append((r0 + shift, key))
-    if missing:
-        free = np.zeros((len(missing), occ.shape[1], max(missing.values())), dtype=bool)
-        for layer, (_, it, r0, r1) in zip(free, missing):
-            layer[:, :r1 - r0 + 1] = True
-            c0, c1 = max(r0, 0), min(r1 + 1, n_y)  # rows off the fiber are free
-            layer[:, c0 - r0:c1 - r0] = ~occ[it, :, c0:c1]
+
+    def __init__(self, occ):
+        self.occ = occ
+        n_t, self.n_x, self.n_y = occ.shape
+        occupied = occ.any(axis=1)
+        some = occupied.any(axis=1)
+        self.first = np.where(some, occupied.argmax(axis=1), self.n_y)
+        self.last = np.where(some, self.n_y - 1 - occupied[:, ::-1].argmax(axis=1), -1)
+        self.rows = list(zip(self.first.tolist(), self.last.tolist()))
+        self.cells = np.empty(0, dtype=bool)
+        self.offset, self.height, self.bottom = (np.empty(0, dtype=np.int64)
+                                                 for _ in range(3))
+        self.top = np.empty(0, dtype=bool)
+        self.interior = np.full(n_t, -1)
+        self.codes, self.code_ids = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        self.memo = {}
+
+    def _code(self, it, r0, r1):
+        """One integer per band, from its fiber and row range: r0 is in
+        [-1, n_y) and r1 in [0, n_y]."""
+        width = self.n_y + 2
+        return (it * width + r0 + 1) * width + r1
+
+    def find(self, it, shift):
+        """``(b, r0, height)`` of the keys of the arrays it and shift: each
+        key's band id, -1 where it has none, and its band's first fiber row
+        and height. The missing bands are labeled together (``_label``)."""
+        f, l = self.first[it], self.last[it]
+        r0 = np.maximum(f - 1, -shift)
+        r1 = np.minimum(l + 1, self.n_y - 1 - shift)
+        inside = (l + shift >= 0) & (f + shift < self.n_y)
+        interior = inside & (r0 == f - 1) & (r1 == l + 1)
+        del f, l
+        b = self._ids(it, r0, r1, interior, inside)
+        missing = inside & (b < 0)
+        if missing.any():
+            keys = it[missing], r0[missing], r1[missing], interior[missing]
+            self._label(*keys)
+            b[missing] = self._ids(*keys, True)
+        return b, r0, r1 - r0 + 1
+
+    def _ids(self, it, r0, r1, interior, inside):
+        """Band ids of fiber rows [r0, r1] of fibers it, -1 where the table
+        holds none: by t cell where ``interior``, by row range where
+        ``inside`` and not interior."""
+        b = np.where(interior, self.interior[it], -1)
+        clipped = inside & ~interior
+        if self.codes.size and clipped.any():
+            code = self._code(it[clipped], r0[clipped], r1[clipped])
+            at = self.codes.searchsorted(code).clip(max=self.codes.size - 1)
+            b[clipped] = np.where(self.codes[at] == code, self.code_ids[at], -1)
+        return b
+
+    def _label(self, it, r0, r1, interior):
+        """Label the bands of fiber rows [r0, r1] of fibers it, duplicates
+        among them, in one ``_components_meeting`` call and store them. The
+        stack holds each band once, padded with occupied rows above its top
+        row; layers have no links, so each is labeled alone, and only the
+        band's own rows are stored."""
+        code, first = np.unique(self._code(it, r0, r1), return_index=True)
+        it, r0, height, interior = it[first], r0[first], (r1 - r0 + 1)[first], interior[first]
+        sizes = self.n_x * height
+        offset = self.cells.size + sizes.cumsum() - sizes
+        # grown in place, by realloc, before the stack is made, so that it
+        # moves past as few temporaries as it can
+        self.cells.resize(self.cells.size + int(sizes.sum()))
+        free = np.zeros((it.size, self.n_x, int(height.max())), dtype=bool)
+        for layer, t, r, h in zip(free, it.tolist(), r0.tolist(), height.tolist()):
+            layer[:, :h] = True
+            c0, c1 = max(r, 0), min(r + h, self.n_y)  # rows off the fiber are free
+            layer[:, c0 - r:c1 - r] = ~self.occ[t, :, c0:c1]
         labeled = _components_meeting(free, np.s_[:, :, 0])
-        for layer, (key, height) in zip(labeled, missing.items()):
-            band = layer[:, :height].copy()
-            fills[key] = band, bool(band[:, -1].any())
-    return [None if got is None else (got[0], *fills[got[1]]) for got in found]
+        del free
+        top = labeled[np.arange(it.size), :, height - 1].any(axis=1)
+        for layer, o, h in zip(labeled, offset.tolist(), height.tolist()):
+            self.cells[o:o + self.n_x * h].reshape(self.n_x, h)[...] = layer[:, :h]
+        del labeled
+        ids = self.offset.size + np.arange(it.size)
+        self.offset = np.concatenate([self.offset, offset])
+        self.height = np.concatenate([self.height, height])
+        self.bottom = np.concatenate([self.bottom, r0])
+        self.top = np.concatenate([self.top, top])
+        self.interior[it[interior]] = ids[interior]
+        codes = np.concatenate([self.codes, code[~interior]])
+        order = codes.argsort(kind="stable")
+        self.codes = codes[order]
+        self.code_ids = np.concatenate([self.code_ids, ids[~interior]])[order]
+
+    def read(self, it, shift, x, y):
+        """Membership of window cells (x, y) in the lower fills of keys (it,
+        shift), arrays of one length: one gather from ``cells``. With no
+        band, or one whose top row meets the fill, the fill does not
+        separate: the cell is on one side of the continuum, decided by the
+        translation sign. Rows below the band read its free bottom guard
+        row, all filled; rows above it its free top guard row, empty as the
+        fill separates. A band clipped by a window edge has no rows beyond
+        it."""
+        b, r0, height = self.find(it, shift)
+        out = shift >= 0
+        band = b >= 0
+        band[band] = ~self.top[b[band]]
+        if band.any():
+            b, row, height = b[band], y[band] - shift[band], height[band]
+            row -= r0[band]
+            del r0
+            np.clip(row, 0, height - 1, out=row)
+            row += x[band] * height
+            row += self.offset[b]
+            out[band] = self.cells[row]
+        return out
+
+    def entry(self, it, shift):
+        """``(offset, height, lo, top)`` of the band of the key (it, shift),
+        Python ints, lo its first window row, or None: memoized per key, so
+        a repeated key costs one dict hit."""
+        key = it, shift
+        got = self.memo.get(key, False)
+        if got is False:
+            got = self.memo[key] = self._entry(it, shift)
+        return got
+
+    def _entry(self, it, shift):
+        f, l = self.rows[it]
+        if l + shift < 0 or f + shift >= self.n_y:
+            return None
+        r0, r1 = max(f - 1, -shift), min(l + 1, self.n_y - 1 - shift)
+        if (r0, r1) == (f - 1, l + 1):
+            b = int(self.interior[it])
+        else:
+            code = self._code(it, r0, r1)
+            at = int(self.codes.searchsorted(code))
+            b = (int(self.code_ids[at]) if at < self.codes.size and self.codes[at] == code
+                 else -1)
+        if b < 0:
+            b = int(self.find(np.array([it]), np.array([shift]))[0][0])
+        return int(self.offset[b]), r1 - r0 + 1, r0 + shift, bool(self.top[b])
+
+    def band(self, got):
+        """The (n_x, height) cells of an ``entry``."""
+        offset, height = got[:2]
+        return self.cells[offset:offset + self.n_x * height].reshape(self.n_x, height)
 
 
-def _band_member(got, shift, x, y):
-    """Membership of window cells (x, y) in the lower fill of a key of the
-    given shift, from its band ``got`` (``_bands``). With no band, or one
-    whose top row meets the fill, the fill does not separate: every cell is
-    on one side of the continuum, decided by the translation sign. Rows below
-    the band read its free bottom guard row, all filled; rows above it its
-    free top guard row, empty as the fill separates. A band clipped by a
-    window edge has no rows beyond it.
-    """
-    if got is None or got[2]:
-        return shift >= 0
-    lo, band, _ = got
-    return band[x, np.minimum(np.maximum(y - lo, 0), band.shape[1] - 1)]
+def _band_table(tau):
+    """The region's band table, made on first use in its fill cache."""
+    table = tau._fills.get("bands")
+    if table is None:
+        table = tau._fills["bands"] = _BandTable(tau.mask.occ)
+    return table
 
 
 def lower_component(tau, s):
@@ -187,16 +302,20 @@ def lower_component(tau, s):
     exactly s (rasterized once); the fill grows from the bottom window row
     through 4-adjacency with x wrap. A fill touching the top row is returned
     flagged not separating. The fill is pasted from the key's band
-    (``_bands``), every row filled when there is none, and memoized per key.
+    (``_BandTable``), every row filled when there is none, and memoized per
+    key.
     """
     it, shift = map(int, _fill_key(tau.geom, s))
     out = tau._fills.get((it, shift))
     if out is None:
+        table = _band_table(tau)
         fill = np.ones((tau.geom.n_x, tau.geom.n_y), dtype=bool)
-        # no band: every row is filled, and the fill is not separating
-        lo, band, top = _bands(tau, [(it, shift)])[0] or (0, fill[:, :0], True)
-        fill[:, lo:lo + band.shape[1]] = band
-        fill[:, lo + band.shape[1]:] = top
+        got = table.entry(it, shift)
+        top = got is None or got[3]
+        if got is not None:
+            lo, height = got[2], got[1]
+            fill[:, lo:lo + height] = table.band(got)
+            fill[:, lo + height:] = top
         out = tau._fills[it, shift] = FiberFill(fill=fill, separating=not top,
                                                 shift_cells=shift)
     return out
@@ -215,12 +334,25 @@ class ContinuumApprox:
 
 
 def continuum_Cs(tau, s):
-    """Boundary cells of the lower fill: obstruction cells 4-adjacent to it."""
+    """Boundary cells of the lower fill: obstruction cells 4-adjacent to it.
+
+    They lie within the rows of the key's band. The rows below the band are
+    all filled. The rows above it, if any, are all filled when its top row
+    meets the fill, and that top row, a free guard row, is then all filled
+    too; otherwise they are all empty. So the boundary is computed on the
+    band's rows and the one row below them, in the fill of
+    ``lower_component``, and a key with no band has none.
+    """
     fl = lower_component(tau, s)
-    grown = fl.fill.copy()
-    _or_shifted(grown, fl.fill, 0, wrap=True)
-    _or_shifted(grown, fl.fill, 1, wrap=False)
-    ix, iy = np.nonzero(grown & ~fl.fill)
+    got = _band_table(tau).entry(*map(int, _fill_key(tau.geom, s)))
+    lo, height = (0, 0) if got is None else (got[2], got[1])
+    start = max(lo - 1, 0)
+    rows = fl.fill[:, start:lo + height]
+    grown = rows.copy()
+    _or_shifted(grown, rows, 0, wrap=True)
+    _or_shifted(grown, rows, 1, wrap=False)
+    ix, iy = np.nonzero(grown & ~rows)
+    iy += start
     _, xs, ys = tau.geom.centers(0, ix, iy)
     return ContinuumApprox(points=np.column_stack([xs, ys]), fill=fl)
 
@@ -245,9 +377,10 @@ def evaluate_h(tau, z, tol=None):
 
     The value and ``ordering_ok`` are those of ``heights(tau, [z], tol)``,
     bit for bit: the point is bisected in Python floats with the same steps,
-    the same fill keys (``_fill_key``), the same band cache (``_bands``) and
-    the same reading of a band (``_band_member``), which spares the array
-    bookkeeping of a step for one point.
+    the same fill keys (``_fill_key``) and the same bands, read by the same
+    rule (``_BandTable.read``). A step resolves its key in Python floats and
+    finds its band with one dict hit (``_BandTable.entry``), which spares
+    the array bookkeeping of a step for one point.
     """
     geom = tau.geom
     tol = _resolve_tol(geom, tol)
@@ -259,12 +392,17 @@ def evaluate_h(tau, z, tol=None):
     ix, iy = int(geom.x_cell(z[:, 0])[0]), int(geom.y_cell(z[:, 1])[0])
     below = iy < 0
     within = not below and iy < geom.n_y
+    table = _band_table(tau)
 
     def member(s):
         if not within:
             return below
         it, shift = _fill_key(geom, s)
-        return _band_member(_bands(tau, [(it, shift)])[0], shift, ix, iy)
+        got = table.entry(it, shift)
+        if got is None or got[3]:
+            return shift >= 0
+        offset, height, lo, _ = got
+        return bool(table.cells[offset + ix * height + min(max(iy - lo, 0), height - 1)])
 
     y = float(z[0, 1])
     span = geom.y_max - geom.y_min
@@ -287,10 +425,9 @@ def heights(tau, z, tol=None):
 
     All points of the (m, 2) array ``z`` are bisected together. Points
     below the window are always members and points above never are, tested
-    once per call. Each step sorts the other active points by rasterization
-    key, fetches the bands of all its keys with one ``_bands`` call, which
-    labels the missing ones together, and reads each band
-    (``_band_member``) for a slice of that order. A point stops at ``tol``
+    once per call. Each step reads the other active points from the
+    region's band table (``_BandTable.read``) with one gather; the bands its
+    keys miss are labeled together first. A point stops at ``tol``
     (half a y cell by default) or when its midpoint equals an end of its
     bracket, so a ``tol`` below the float spacing ends too. Membership is
     monotone in s up to rasterization jitter; a violated initial bracket is
@@ -305,25 +442,16 @@ def heights(tau, z, tol=None):
     # are always members, points above never are, only the rest read bands
     below = iy < 0
     within = ~below & (iy < geom.n_y)
-    n_t = geom.n_t
+    table = _band_table(tau)
 
     def member(s, p):
         """Membership of points ``p`` in the lower components at times ``s``."""
         out = below[p]
         q = within[p].nonzero()[0]
-        if not q.size:
-            return out
-        # one group per fill key: a slice of the points sorted by key
-        it, shift = _fill_key(geom, s[q])
-        key = n_t * shift.astype(np.int64) + it
-        order = key.argsort(kind="stable")
-        q, key = q[order], key[order]
-        x, y = ix[p[q]], iy[p[q]]
-        starts = [0, *((key[1:] != key[:-1]).nonzero()[0] + 1).tolist()]
-        keys = [divmod(k, n_t)[::-1] for k in key[starts].tolist()]  # (it, shift)
-        for g0, g1, (_, shift), got in zip(starts, [*starts[1:], q.size], keys,
-                                           _bands(tau, keys)):
-            out[q[g0:g1]] = _band_member(got, shift, x[g0:g1], y[g0:g1])
+        if q.size:
+            it, shift = _fill_key(geom, s[q])
+            pq = p[q]
+            out[q] = table.read(it, shift.astype(np.int64), ix[pq], iy[pq])
         return out
 
     span = geom.y_max - geom.y_min
@@ -359,8 +487,8 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     Reports max |h(z + (0,1)) - h(z) - 1| and |h(f z) - h(z) - rho| over
     samples, and counts ladder pairs s < s' (at least two y cells apart)
     whose lower components fail strict inclusion. The bands of all rungs
-    are fetched with one ``_bands`` call, which labels the missing ones
-    together, before the rungs' fills are pasted; the fills are compared
+    are found with one ``_BandTable.find`` call, which labels the missing
+    ones together, before the rungs' fills are pasted; the fills are compared
     packed to bits, which counts the same pairs as the boolean fills.
     """
     geom = tau.geom
@@ -372,7 +500,8 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
     h0, h1, h2 = heights(tau, np.vstack([z, z + [0.0, 1.0], skew.spec.annulus_map(z)]),
                          tol=tol)[0].reshape(3, -1)
     ladder = np.arange(s_ladder) / s_ladder
-    _bands(tau, [_fill_key(geom, s) for s in ladder.tolist()])
+    it, shift = _fill_key(geom, ladder)
+    _band_table(tau).find(it, shift.astype(np.int64))
     # each rung's fill packed to bits; the zero padding bits of the last byte
     # are the same on both sides, so they add to neither test
     fills = np.empty((ladder.size, (geom.n_x * geom.n_y + 7) // 8), dtype=np.uint8)

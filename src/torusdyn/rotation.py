@@ -243,7 +243,8 @@ def walk_probes(spec, *probes):
         if not back:
             next(forward)
         else:
-            halves = _both_ways(forward, _walk(spec, back, True))
+            work = sum(p.steps * len(p.z0) for p in back)
+            halves = _both_ways(forward, _walk(spec, back, True), work)
             with contextlib.closing(halves):
                 for _, records in halves:
                     for p, record in zip(back, records):

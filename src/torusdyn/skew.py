@@ -411,8 +411,10 @@ def refine_envelopes(skew, fiber_points, geom):
     # above them do not stay resident under the later region stages
     env_min = np.empty((n_t, n_x))
     env_max = np.empty((n_t, n_x))
+    # the walk's length is known only as it runs: its cap bounds the work
     halves = _both_ways(*(_envelope_buckets(skew, fiber_points, geom, inverse)
-                          for inverse in (False, True)))
+                          for inverse in (False, True)),
+                        _ENVELOPE_ROUNDS * len(fiber_points))
     rows = None
     with contextlib.closing(halves):
         for (walked, low, high), (_, b_low, b_high) in halves:

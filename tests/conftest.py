@@ -30,7 +30,7 @@ def both_schedules():
         out = []
         for forks in (True, False):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(torusdyn.util, "_can_fork", lambda: forks)
+                mp.setattr(torusdyn.util, "_can_fork", lambda work: forks)
                 out.append(run())
         return out
     return call
@@ -49,7 +49,7 @@ def fork_pids(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(torusdyn.util, "_can_fork", lambda: True)
+    monkeypatch.setattr(torusdyn.util, "_can_fork", lambda work: True)
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
 

@@ -9,10 +9,12 @@ must fail once it is made and a time limit for running them. Run
 to check every entry, or the named ones. For each entry the runner copies
 the tree to a temporary directory, applies the edit to the copy, runs the
 entry's tests there (Hypothesis seeded, so a run repeats) and prints
-``killed`` or ``survived`` with the seconds taken. A test failure or a
-collection error kills the mutant. A run that reaches the time limit kills
-it only when the entry says ``timeout_kills``, for an edit that makes a
-loop run forever. The runner exits 1 unless every entry is killed.
+``killed``, ``survived`` or ``error`` with the seconds taken. A test
+failure kills the mutant. A collection error is an ``error``: the named
+tests did not run, so they did not catch the edit. A run that reaches the
+time limit kills it only when the entry says ``timeout_kills``, for an edit
+that makes a loop run forever. The runner exits 1 unless every entry is
+killed.
 
 ``tests/test_mutants.py`` checks in the Tier-1 suite that each ``old`` text
 occurs exactly once and that each test id is collected. A change that
@@ -56,10 +58,17 @@ MUTANTS = (
     Mutant("ladder-subset-not-complemented", "src/torusdyn/factor.py",
            "subset = ~(f & ~later).any(axis=1)", "subset = (f & ~later).any(axis=1)",
            ("tests/test_factor.py::test_packed_ladder_check_matches_boolean",), 120),
+    # the bisection steps have no key groups now: a point reads the band
+    # stored before its own
     Mutant("height-group-boundary-plus-one", "src/torusdyn/factor.py",
-           "(key[1:] != key[:-1]).nonzero()[0] + 1)",
-           "(key[1:] != key[:-1]).nonzero()[0] + 2)",
+           "row += self.offset[b]\n", "row += self.offset[b - 1]\n",
            ("tests/test_factor.py::test_sliced_groups_match_split_groups",), 120),
+    Mutant("table-read-row-clamp-past-band", "src/torusdyn/factor.py",
+           "np.clip(row, 0, height - 1, out=row)", "np.clip(row, 0, height, out=row)",
+           ("tests/test_factor.py::test_table_read_matches_per_group_reference",), 120),
+    Mutant("one-point-memo-without-shift", "src/torusdyn/factor.py",
+           "        key = it, shift\n", "        key = it\n",
+           ("tests/test_factor.py::test_one_point_memo_matches_heights",), 120),
     Mutant("evaluate-h-no-moved-stop", "src/torusdyn/factor.py",
            "bisect = b - a > tol and moved", "bisect = b - a > tol",
            ("tests/test_factor.py::test_heights_end_below_float_spacing",), 60,
@@ -101,6 +110,10 @@ MUTANTS = (
     Mutant("envelope-walk-drops-seed", "src/torusdyn/skew.py",
            "itertools.chain([(0, seed[None])], orbit)", "itertools.chain([], orbit)",
            ("tests/test_skew.py::test_refine_envelopes_matches_dense_update",), 120),
+    Mutant("fork-floor-dropped", "src/torusdyn/util.py",
+           "return (work >= _FORK_WORK and hasattr(os, \"fork\")",
+           "return (hasattr(os, \"fork\")",
+           ("tests/test_util.py::test_short_walks_stay_in_this_process",), 120),
 )
 
 
@@ -112,7 +125,8 @@ def _ignore(directory, names):
 def run(mutant, workdir):
     """Apply one mutant to a copy of the tree under workdir and run its
     tests: ``(status, seconds, summary)``, status one of killed, survived or
-    error (the tests could not be selected or the run broke down), summary
+    error (the tests could not be selected, their module
+    failed to import, or the run broke down), summary
     pytest's last line."""
     tree = pathlib.Path(workdir) / mutant.name
     shutil.copytree(ROOT, tree, ignore=_ignore)
@@ -141,9 +155,12 @@ def run(mutant, workdir):
         status = "killed" if mutant.timeout_kills else "survived"
         return status, seconds, f"timed out after {mutant.seconds} s"
     summary = (out.strip().splitlines() or [""])[-1].strip("= ")
-    # 1: a test failed; 2: the run was interrupted; 4: a named test is not
-    # found, which after a collection error means its module did not import
-    if code in (1, 2) or (code == 4 and "ERROR collecting" in out):
+    # a module that does not import leaves its named tests unrun, whatever
+    # the exit code (2, or 4 when a named test is then not found)
+    if "ERROR collecting" in out:
+        return "error", seconds, summary
+    # 1: a test failed; 2: the run was interrupted
+    if code in (1, 2):
         return "killed", seconds, summary
     return ("survived" if code == 0 else "error"), seconds, summary
 

@@ -14,7 +14,8 @@ from labels_reference import component_names, ndimage_components_meeting
 from torusdyn.circle import CircleLift
 from torusdyn.factor import (FactorMap, FiberFill, TauRegion, build_tau, continuum_Cs,
                              evaluate_h, heights, lower_component,
-                             project_to_torus_factor, verify_equivariance, _bands)
+                             project_to_torus_factor, verify_equivariance,
+                             _band_table)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
 from torusdyn.torus import (ComposedMap, DiskPush, RigidTranslation, SuspensionMap,
                             TorusMapSpec)
@@ -183,6 +184,25 @@ def key_kind(tau, it, shift):
     return "clipped"
 
 
+def cached_bands(tau):
+    """The bands of the region's band table by fiber row range (it, r0, r1),
+    each as ``(band, top)``: the interior ones by t cell, the clipped ones by
+    their row range codes."""
+    table = tau._fills["bands"]
+    width = tau.geom.n_y + 2
+    found = {}
+    for it, b in enumerate(table.interior.tolist()):
+        if b >= 0:
+            found[it, int(table.bottom[b]), int(table.bottom[b] + table.height[b] - 1)] = b
+    for code, b in zip(table.codes.tolist(), table.code_ids.tolist()):
+        key = code // width // width, code // width % width - 1, code % width
+        assert key[1:] == (table.bottom[b], table.bottom[b] + table.height[b] - 1)
+        found[key] = b
+    assert sorted(found.values()) == list(range(table.offset.size))
+    return {key: (table.band((table.offset[b], table.height[b])), bool(table.top[b]))
+            for key, b in found.items()}
+
+
 def swept_keys(tau):
     """One s per (t cell, shift) key met by a sweep of s at h_y / 7 over
     [-2 span - 1, 2 span + 1]."""
@@ -240,7 +260,7 @@ def test_heights_independent_of_order_and_cache(tau_susp_small, monkeypatch):
                          rng.uniform(geom.y_min - 0.2, geom.y_max + 0.2, 40)])
     tau._fills.clear()
     cold = heights(tau, z)
-    assert any(k[0] == "band" for k in tau._fills)
+    assert cached_bands(tau)
     warm = heights(tau, z)
     tau._fills.clear()
     back = [a[::-1] for a in heights(tau, z[::-1])]
@@ -278,7 +298,7 @@ def test_heights_keep_no_fill(tau_susp_small):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torusdyn.factor, "lower_component", None)
         heights(tau, z)
-    assert any(k[0] == "band" for k in tau._fills)
+    assert cached_bands(tau)
     assert not any(isinstance(v, FiberFill) for v in tau._fills.values())
     tau._fills.clear()
 
@@ -294,7 +314,7 @@ def test_equivariance_labels_one_band_per_t_cell(tau_susp_small, monkeypatch):
     verify_equivariance(tau, samples=24, s_ladder=32)
     # bands are cached by fiber row range: the interior range of a t cell is
     # its occupied rows and a guard row each side, any other range is clipped
-    bands = [k[1:] for k in tau._fills if k[0] == "band"]
+    bands = list(cached_bands(tau))
     rows = {it: np.flatnonzero(tau.mask.occ[it].any(axis=0)) for it, _, _ in bands}
     interior = sum((r0, r1) == (rows[it][0] - 1, rows[it][-1] + 1)
                    for it, r0, r1 in bands)
@@ -549,7 +569,8 @@ def reference_ladder_check(tau, s_ladder):
 def reference_heights(tau, z, tol=None):
     """``heights`` with the membership of its bisection before the groups
     were slices of the key-sorted points and the window tests were hoisted
-    out of the step: groups by ``np.split`` and a per-group row test."""
+    out of the step: groups by ``np.split`` and a per-group row test, each
+    group's band labeled alone (``reference_band``)."""
     geom = tau.geom
     tol = 0.5 * geom.h_y if tol is None else tol
     z = np.asarray(z, dtype=float).reshape(-1, 2)
@@ -565,11 +586,11 @@ def reference_heights(tau, z, tol=None):
         order = np.argsort(key, kind="stable")
         cut = np.flatnonzero(np.diff(key[order])) + 1
         for g, j in zip(np.split(q[order], cut), order[np.r_[0, cut]]):
-            got = _bands(tau, [(int(it[j]), int(shift[j]))])[0]
+            got = reference_band(tau, int(it[j]), int(shift[j]))
             if got is None or got[2]:
                 out[g] = shift[j] >= 0
                 continue
-            lo, band, _ = got
+            lo, band = got[:2]
             x, y = ix[p[g]], iy[p[g]] - lo
             hit, inside = y < 0, (y >= 0) & (y < band.shape[1])
             hit[inside] = band[x[inside], y[inside]]
@@ -773,7 +794,8 @@ def test_evaluate_h_takes_exactly_one_point(tau_rigid_small):
 
 def reference_band(tau, it, shift):
     """``(lo, band, top, cache key)`` of one key's band, labeled alone on
-    ndimage, or None: the band cache's one-key body."""
+    ndimage, or None: the band cache's one-key body. The key is
+    ``("band", it, r0, r1)``, the band's fiber row range."""
     n_y, fiber = tau.geom.n_y, tau.mask.occ[it]
     occupied = np.flatnonzero(fiber.any(axis=0))
     if not occupied.size or occupied[-1] + shift < 0 or occupied[0] + shift >= n_y:
@@ -823,24 +845,123 @@ POCKET[1, 2, 5] = False
 def test_batched_bands_match_one_key_labels(rigid_skew, drawn):
     occ, keys, warm = drawn
     tau = region_of(occ, rigid_skew)
-    # the first keys warm the cache, so the second call labels only the rest
-    torusdyn.factor._bands(tau, keys[:warm])
-    got = torusdyn.factor._bands(tau, keys)
+    it, shift = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    # the first keys warm the table, so the second call labels only the rest
+    table = _band_table(tau)
+    table.find(it[:warm], shift[:warm])
+    got = table.find(it, shift)
     want = [reference_band(tau, *key) for key in keys]
-    assert len(got) == len(keys)
-    for g, w in zip(got, want):
-        assert (g is None) == (w is None)
-        if g is not None:
-            assert (g[0], g[1].shape, g[1].tobytes(), g[2]) == \
+    for b, r0, height, sh, w in zip(*got, shift.tolist(), want):
+        assert (b < 0) == (w is None)
+        if w is not None:
+            band = table.band((table.offset[b], height))
+            assert (r0 + sh, band.shape, band.tobytes(), table.top[b]) == \
                 (w[0], w[1].shape, w[1].tobytes(), w[2])
-    # the cache holds exactly the bands one-key labels make, each a compact
-    # array of its own
-    cached = {k: v for k, v in tau._fills.items() if k[0] == "band"}
-    assert set(cached) == {w[3] for w in want if w is not None}
+    # the table holds exactly the bands one-key labels make, each stored once,
+    # back to back and unpadded, in a buffer of its own: no padded stack
+    # stays alive
+    cached = cached_bands(tau)
+    assert set(cached) == {w[3][1:] for w in want if w is not None}
     for w in filter(None, want):
-        band, top = cached[w[3]]
+        band, top = cached[w[3][1:]]
         assert (band.tobytes(), band.shape, top) == (w[1].tobytes(), w[1].shape, w[2])
-        assert band.base is None and band.flags.c_contiguous
+    sizes = occ.shape[1] * table.height
+    assert np.array_equal(table.offset, np.cumsum(sizes) - sizes)
+    assert table.cells.size == sizes.sum()
+    assert table.cells.base is None
+
+
+def reference_member(tau, it, shift, x, y):
+    """Membership of window cells (x, y) in the lower fill of one key, read
+    from its band labeled alone, by the rule of the per-group band reading
+    that the table read replaced: no band, or one whose top row meets the
+    fill, reads the translation sign; other rows clamp to the band's."""
+    got = reference_band(tau, it, shift)
+    if got is None or got[2]:
+        return np.full(len(x), shift >= 0)
+    lo, band = got[:2]
+    return band[x, np.minimum(np.maximum(y - lo, 0), band.shape[1] - 1)]
+
+
+@st.composite
+def band_reads(draw):
+    """``band_keys`` with cells to read under them, (key, x, y) with rows
+    below, inside and above the window."""
+    occ, keys, warm = draw(band_keys())
+    n_x, n_y = occ.shape[1:]
+    cell = st.tuples(st.sampled_from(keys), st.integers(0, n_x - 1),
+                     st.integers(-2, n_y + 1))
+    return occ, draw(st.lists(cell, min_size=1, max_size=24)), keys[:warm]
+
+
+# the pocket fiber at shift 2 reaches the window's top row, so its band is
+# clipped there; shift -9 leaves the window
+@example(drawn=(POCKET, [((0, 0), 1, 0), ((0, 0), 3, 7), ((0, 1), 0, 9),
+                         ((1, 2), 2, 5), ((1, 2), 2, 7), ((1, -9), 0, 3)], []))
+@given(drawn=band_reads())
+@settings(max_examples=200, deadline=None)
+def test_table_read_matches_per_group_reference(rigid_skew, drawn):
+    occ, reads, warm = drawn
+    tau = region_of(occ, rigid_skew)
+    table = _band_table(tau)
+    table.find(*np.array(warm, dtype=np.int64).reshape(-1, 2).T)
+    keys, x, y = zip(*reads)
+    it, shift = np.array(keys, dtype=np.int64).T
+    x, y = np.array(x), np.array(y)
+    want = np.concatenate([reference_member(tau, *key, x[i:i + 1], y[i:i + 1])
+                           for i, key in enumerate(keys)])
+    got = table.read(it, shift, x, y)
+    assert got.dtype == bool and got.tobytes() == want.tobytes()
+
+
+@example(drawn=(POCKET, [(1, 2)], 1), pts=[(0.6, 0.5), (0.1, 0.25)], tol=None)
+@given(drawn=band_keys(),
+       pts=st.lists(st.tuples(XS, HEIGHT_FRACTIONS), min_size=1, max_size=4),
+       tol=st.sampled_from([None, 1e-300, 0.3, "h_y/7"]))
+@settings(max_examples=150, deadline=None)
+def test_one_point_memo_matches_heights(rigid_skew, drawn, pts, tol):
+    occ, keys, warm = drawn
+    tau = region_of(occ, rigid_skew)
+    geom = tau.geom
+    tol = geom.h_y / 7 if tol == "h_y/7" else tol
+    other = np.array(keys[:warm], dtype=np.int64).reshape(-1, 2).T
+    zs = [(x, geom.y_min + v * (geom.y_max - geom.y_min)) for x, v in pts]
+    want = []
+    for z in zs:
+        tau._fills.clear()
+        values, ok = heights(tau, [z], tol=tol)
+        want.append((values.tobytes(), bool(ok[0])))
+        runs = []
+        # a cold cache; then its own keys memoized; then a cleared cache
+        # whose table holds other keys' bands
+        tau._fills.clear()
+        runs.append(evaluate_h(tau, z, tol=tol))
+        runs.append(evaluate_h(tau, z, tol=tol))
+        tau._fills.clear()
+        _band_table(tau).find(*other)
+        runs.append(evaluate_h(tau, z, tol=tol))
+        for got in runs:
+            assert (np.float64(got.value).tobytes(), got.ordering_ok) == want[-1], z
+    # every point again on the memo of all of them
+    for z, w in zip(zs, want):
+        got = evaluate_h(tau, z, tol=tol)
+        assert (np.float64(got.value).tobytes(), got.ordering_ok) == w, z
+    tau._fills.clear()
+
+
+@example(drawn=(POCKET, [], 0), ss=[0.25, 0.125, -0.25, 0.0])
+@given(drawn=band_keys(),
+       ss=st.lists(st.one_of(st.floats(-1.5, 1.5),
+                             st.sampled_from([-1.0, -0.5, 0.0, 0.125, 0.5, 1.0])),
+                   min_size=1, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_continua_match_the_full_fill_boundary(rigid_skew, drawn, ss):
+    tau = region_of(drawn[0], rigid_skew)
+    for s in ss:
+        cs = continuum_Cs(tau, s)
+        assert cs.fill is lower_component(tau, s)
+        _, xs, ys = tau.geom.centers(0, *np.nonzero(boundary_by_rolls(cs.fill.fill)))
+        assert cs.points.tobytes() == np.column_stack([xs, ys]).tobytes(), s
 
 
 def test_ladder_check_memory(rigid_128):

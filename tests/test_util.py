@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import torusdyn.util
 from conftest import assert_reaped
+from torusdyn.rotation import deviation_profile
+from torusdyn.torus import RigidTranslation
 from torusdyn.util import (_both_ways, circle_dist, iterate_blocks, iterates,
                            torus_dist, wrap01)
 
@@ -105,6 +109,23 @@ def test_wrap01_is_the_where_form(xs):
     assert bits(xs) == bits(before)
 
 
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               -TINY, -1e-300, -2.0 ** -53, -1.0, 2.0 ** 53 + 2.0,
+                               -(2.0 ** 53) - 2.0, 0.7, -0.3, 1e300, -1e300,
+                               math.inf, -math.inf, math.nan])
+def test_wrap01_python_floats_match_the_numpy_path(x, monkeypatch):
+    with np.errstate(invalid="ignore"):
+        want = wrap01(np.float64(x))  # a numpy scalar takes the numpy path
+    if math.isfinite(x):
+        # a finite Python float takes no numpy call
+        monkeypatch.setattr(torusdyn.util, "np", None)
+    with np.errstate(invalid="ignore"):
+        got = wrap01(x)
+    assert type(got) is float and bits(got) == bits(want)
+    if math.isfinite(x):
+        assert 0.0 <= got < 1.0 and math.copysign(1.0, got) == 1.0
+
+
 # -- the block form of the orbit driver -----------------------------------------
 
 
@@ -131,6 +152,7 @@ def test_iterate_blocks_stack_to_the_iterates(width):
 
 
 # -- the two halves of a walk ----------------------------------------------------
+# fork_pids forces the fork whatever work a test passes
 
 
 def counting(stop, fail_at=None):
@@ -152,14 +174,14 @@ def odd_floats(n):
 @pytest.mark.parametrize("n_forward, n_backward", [(5, 5), (3, 6), (6, 3), (0, 4),
                                                    (4, 0)])
 def test_both_ways_pairs_items_as_zip_does(n_forward, n_backward, fork_pids):
-    got = list(_both_ways(counting(n_forward), odd_floats(n_backward)))
+    got = list(_both_ways(counting(n_forward), odd_floats(n_backward), 0))
     want = list(zip(range(n_forward), odd_floats(n_backward)))
     assert [(i, a.tobytes()) for i, a in got] == [(i, a.tobytes()) for i, a in want]
     assert_reaped(fork_pids)
 
 
 def test_both_ways_raises_the_backward_exception(fork_pids):
-    pairs = _both_ways(counting(5), counting(5, fail_at=2))
+    pairs = _both_ways(counting(5), counting(5, fail_at=2), 0)
     assert [next(pairs), next(pairs)] == [(0, 0), (1, 1)]
     with pytest.raises(ValueError, match=r"^the half failed at item 2$"):
         next(pairs)
@@ -175,7 +197,7 @@ def test_both_ways_names_an_exception_that_cannot_be_pickled(fork_pids):
         raise LocalError("a class pickle cannot find")
 
     with pytest.raises(RuntimeError, match=r"^LocalError: a class pickle cannot find$"):
-        list(_both_ways(counting(5), fails()))
+        list(_both_ways(counting(5), fails(), 0))
     assert_reaped(fork_pids)
 
 
@@ -185,17 +207,32 @@ def test_both_ways_names_the_exit_code_of_a_silent_child(fork_pids):
         os._exit(3)
 
     with pytest.raises(RuntimeError, match=r"exit code 3 "):
-        list(_both_ways(counting(5), dies()))
+        list(_both_ways(counting(5), dies(), 0))
     assert_reaped(fork_pids)
+
+
+def test_short_walks_stay_in_this_process(monkeypatch):
+    # with _can_fork as it is, a walk below the work floor makes no child,
+    # and one above it makes one where the platform can fork
+    pids = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(1) or fork())
+    rigid = RigidTranslation(0.3, 0.7)
+    short = deviation_profile(rigid, (0, 1), 0.7, n_max=100, samples=64)
+    assert 100 * 64 < torusdyn.util._FORK_WORK and pids == []
+    long = deviation_profile(rigid, (0, 1), 0.7, n_max=2000, samples=64)
+    assert 2000 * 64 >= torusdyn.util._FORK_WORK
+    assert len(pids) == torusdyn.util._can_fork(2000 * 64)
+    assert short.c_est <= long.c_est
 
 
 def test_both_ways_stopped_early_leaves_no_child(fork_pids):
     # the child runs ahead until the pipe is full; closing the pairs kills it
-    pairs = _both_ways(itertools.count(), itertools.count())
+    pairs = _both_ways(itertools.count(), itertools.count(), 0)
     assert list(itertools.islice(pairs, 3)) == [(0, 0), (1, 1), (2, 2)]
     pairs.close()
     # and a forward half that raises ends the child too
     with pytest.raises(ValueError, match=r"^the half failed at item 1$"):
-        list(_both_ways(counting(5, fail_at=1), itertools.count()))
+        list(_both_ways(counting(5, fail_at=1), itertools.count(), 0))
     assert len(fork_pids) == 2
     assert_reaped(fork_pids)
