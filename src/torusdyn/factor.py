@@ -6,11 +6,13 @@ function h(z) = inf{s : z below the s-th continuum} by bisection, verify its
 equivariances, and project to a torus-to-circle factor map with measured
 semi-conjugacy defect. Each s value of the ladder is independent. The fill
 at time s translates a band label of its t cell. The region's band table
-stores each labeled band once, back to back in one flat array, and both
-bisections read membership from it: ``heights`` with one gather per step,
-after labeling the bands the step misses together, and ``evaluate_h``
-through a memo of its keys. Only the continua and the ladder paste fills,
-memoized on their key, and the continua read only the band's rows of theirs.
+stores each labeled band once, back to back in one flat array, and finds
+the band of a fill key (t cell, shift) in one key table. Both bisections
+read membership from it: ``heights`` with one gather per step, after
+labeling the bands the step misses together, and ``evaluate_h`` with one
+read of the key table per step. Only the continua and the ladder paste
+fills, memoized on their key, and the continua read only the band's rows of
+theirs.
 """
 
 from __future__ import annotations
@@ -113,98 +115,91 @@ class FiberFill:
 
 def _fill_key(geom, s):
     """Rasterization key of the fills at times s: the t cell, and the shift
-    in whole y cells, rounded half to even. Arrays give a float shift, a
+    in whole y cells, rounded half to even. Arrays give an int64 shift, a
     Python float s two Python ints."""
     shift = s / geom.h_y
     return geom.t_cell(s), (round(shift) if isinstance(shift, float)
-                            else np.rint(shift))
+                            else np.rint(shift).astype(np.int64))
 
 
 class _BandTable:
-    """The labeled bands of one region, each stored once, and the indexes
-    that find the band of a fill key (it, shift).
+    """The labeled bands of one region, each stored once, and the key table
+    ``band_of`` that finds the band of a fill key (it, shift).
 
     The key's obstruction is fiber ``it`` translated up ``shift`` rows. Its
-    band is fiber rows [r0, r1]: the occupied rows and the free guard row on
-    each side that the window holds, so window rows [r0 + shift, r1 + shift].
-    The free rows below and above the obstruction each form one component
-    with its edge row, so the rows below the band are filled, and the rows
-    above it when ``top``, its top row meeting the fill. An obstruction
-    inside the window has one band per t cell at every shift, its interior
-    band, found by t cell (``interior``); one clipped by a window edge has
-    one band per clipped row range, found by that range (``codes``, sorted,
-    and ``code_ids``). There is no band when the obstruction leaves the
-    window or the fiber is empty.
+    band is fiber rows [r0, r1]: the occupied rows f to l and the free guard
+    row on each side that the window holds, so window rows [r0 + shift,
+    r1 + shift]. The free rows below and above the obstruction each form
+    one component with its edge row, so the rows below the band are filled,
+    and the rows above it when ``top``, its top row meeting the fill. Every
+    shift in [1 - f, n_y - 2 - l] keeps the obstruction inside the window
+    with a free row on each side, and these keys share one band, the t
+    cell's interior band. At any other shift a window edge clips the band,
+    r0 = -shift or r1 = n_y - 1 - shift, so a clipped band has one key.
+    There is no band when the obstruction leaves the window (l + shift < 0
+    or f + shift >= n_y, so at every shift beyond +-n_y) or the fiber is
+    empty.
+
+    ``band_of[it, shift + n_y]`` (int32, shape (n_t, 2 n_y + 1)) is the
+    key's band id, -1 while it is not labeled and -2 where the key has none;
+    a shift beyond +-n_y is read at +-n_y, which holds no band. Its
+    4 n_t (2 n_y + 1) bytes, 263 KB at 128x128x256 and 1.05 MB at
+    256x256x512, are fewer than the grid's n_t n_x n_y when n_x >= 8.
 
     Band b is ``cells[offset[b]:offset[b] + n_x * height[b]]``, its
     (n_x, height[b]) cells in raster order, of fiber rows from ``bottom[b]``
-    on; the bands lie back to back in ``cells``, which grows to fit them.
-    ``rows`` holds each fiber's first and last occupied rows ((n_y, -1) for
-    an empty fiber), built once from occ. ``memo`` maps the keys of the
-    one-point bisection to ``entry``'s result. The table lives in the
-    region's fill cache, so clearing that cache clears the table too.
+    on; the bands lie back to back in ``cells``, which grows to fit them,
+    and ``entries[b]`` holds the four fields as Python ints. The table lives
+    in the region's fill cache, so clearing that cache clears the table too.
     """
 
     def __init__(self, occ):
         self.occ = occ
-        n_t, self.n_x, self.n_y = occ.shape
+        _, self.n_x, self.n_y = occ.shape
         occupied = occ.any(axis=1)
         some = occupied.any(axis=1)
         self.first = np.where(some, occupied.argmax(axis=1), self.n_y)
         self.last = np.where(some, self.n_y - 1 - occupied[:, ::-1].argmax(axis=1), -1)
-        self.rows = list(zip(self.first.tolist(), self.last.tolist()))
+        # l + shift >= 0 and f + shift < n_y, at column shift + n_y
+        col = np.arange(2 * self.n_y + 1)
+        inside = ((col >= (self.n_y - self.last)[:, None])
+                  & (col < (2 * self.n_y - self.first)[:, None]))
+        self.band_of = np.where(inside, np.int32(-1), np.int32(-2))
         self.cells = np.empty(0, dtype=bool)
         self.offset, self.height, self.bottom = (np.empty(0, dtype=np.int64)
                                                  for _ in range(3))
         self.top = np.empty(0, dtype=bool)
-        self.interior = np.full(n_t, -1)
-        self.codes, self.code_ids = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        self.memo = {}
-
-    def _code(self, it, r0, r1):
-        """One integer per band, from its fiber and row range: r0 is in
-        [-1, n_y) and r1 in [0, n_y]."""
-        width = self.n_y + 2
-        return (it * width + r0 + 1) * width + r1
+        self.entries = []
 
     def find(self, it, shift):
-        """``(b, r0, height)`` of the keys of the arrays it and shift: each
-        key's band id, -1 where it has none, and its band's first fiber row
-        and height. The missing bands are labeled together (``_label``)."""
-        f, l = self.first[it], self.last[it]
-        r0 = np.maximum(f - 1, -shift)
-        r1 = np.minimum(l + 1, self.n_y - 1 - shift)
-        inside = (l + shift >= 0) & (f + shift < self.n_y)
-        interior = inside & (r0 == f - 1) & (r1 == l + 1)
-        del f, l
-        b = self._ids(it, r0, r1, interior, inside)
-        missing = inside & (b < 0)
+        """Band ids of the keys of the int64 arrays it and shift, -2 where a
+        key has none: one gather from ``band_of``, after labeling the
+        missing bands together (``_label``)."""
+        col = np.clip(shift + self.n_y, 0, 2 * self.n_y)
+        b = self.band_of[it, col]
+        missing = b == -1
         if missing.any():
-            keys = it[missing], r0[missing], r1[missing], interior[missing]
-            self._label(*keys)
-            b[missing] = self._ids(*keys, True)
-        return b, r0, r1 - r0 + 1
-
-    def _ids(self, it, r0, r1, interior, inside):
-        """Band ids of fiber rows [r0, r1] of fibers it, -1 where the table
-        holds none: by t cell where ``interior``, by row range where
-        ``inside`` and not interior."""
-        b = np.where(interior, self.interior[it], -1)
-        clipped = inside & ~interior
-        if self.codes.size and clipped.any():
-            code = self._code(it[clipped], r0[clipped], r1[clipped])
-            at = self.codes.searchsorted(code).clip(max=self.codes.size - 1)
-            b[clipped] = np.where(self.codes[at] == code, self.code_ids[at], -1)
+            it, col = it[missing], col[missing]
+            self._label(it, col - self.n_y)
+            b[missing] = self.band_of[it, col]
         return b
 
-    def _label(self, it, r0, r1, interior):
-        """Label the bands of fiber rows [r0, r1] of fibers it, duplicates
-        among them, in one ``_components_meeting`` call and store them. The
-        stack holds each band once, padded with occupied rows above its top
-        row; layers have no links, so each is labeled alone, and only the
-        band's own rows are stored."""
-        code, first = np.unique(self._code(it, r0, r1), return_index=True)
-        it, r0, height, interior = it[first], r0[first], (r1 - r0 + 1)[first], interior[first]
+    def _label(self, it, shift):
+        """Label the bands of keys (it, shift), duplicates among them, in one
+        ``_components_meeting`` call, store them and enter them in
+        ``band_of``. The stack holds each band once, padded with occupied
+        rows above its top row; layers have no links, so each is labeled
+        alone, and only the band's own rows are stored."""
+        n_y = self.n_y
+        f, l = self.first[it], self.last[it]
+        interior = (shift >= 1 - f) & (shift <= n_y - 2 - l)
+        # one band per t cell's interior shifts and per clipped key, in
+        # descending shift, so in the order of their fiber row ranges
+        _, first = np.unique(it * (2 * n_y + 1) - np.where(interior, 1 - f, shift),
+                             return_index=True)
+        it, shift, f, l, interior = (a[first] for a in (it, shift, f, l, interior))
+        r0 = np.maximum(f - 1, -shift)
+        height = np.minimum(l + 1, n_y - 1 - shift) - r0 + 1
         sizes = self.n_x * height
         offset = self.cells.size + sizes.cumsum() - sizes
         # grown in place, by realloc, before the stack is made, so that it
@@ -213,7 +208,7 @@ class _BandTable:
         free = np.zeros((it.size, self.n_x, int(height.max())), dtype=bool)
         for layer, t, r, h in zip(free, it.tolist(), r0.tolist(), height.tolist()):
             layer[:, :h] = True
-            c0, c1 = max(r, 0), min(r + h, self.n_y)  # rows off the fiber are free
+            c0, c1 = max(r, 0), min(r + h, n_y)  # rows off the fiber are free
             layer[:, c0 - r:c1 - r] = ~self.occ[t, :, c0:c1]
         labeled = _components_meeting(free, np.s_[:, :, 0])
         del free
@@ -226,11 +221,10 @@ class _BandTable:
         self.height = np.concatenate([self.height, height])
         self.bottom = np.concatenate([self.bottom, r0])
         self.top = np.concatenate([self.top, top])
-        self.interior[it[interior]] = ids[interior]
-        codes = np.concatenate([self.codes, code[~interior]])
-        order = codes.argsort(kind="stable")
-        self.codes = codes[order]
-        self.code_ids = np.concatenate([self.code_ids, ids[~interior]])[order]
+        self.entries += zip(offset.tolist(), height.tolist(), r0.tolist(), top.tolist())
+        self.band_of[it[~interior], shift[~interior] + n_y] = ids[~interior]
+        for t, f, l, b in zip(*(a[interior].tolist() for a in (it, f, l, ids))):
+            self.band_of[t, n_y + 1 - f:2 * n_y - 1 - l] = b
 
     def read(self, it, shift, x, y):
         """Membership of window cells (x, y) in the lower fills of keys (it,
@@ -241,14 +235,15 @@ class _BandTable:
         row, all filled; rows above it its free top guard row, empty as the
         fill separates. A band clipped by a window edge has no rows beyond
         it."""
-        b, r0, height = self.find(it, shift)
+        b = self.find(it, shift)
         out = shift >= 0
         band = b >= 0
         band[band] = ~self.top[b[band]]
         if band.any():
-            b, row, height = b[band], y[band] - shift[band], height[band]
-            row -= r0[band]
-            del r0
+            b = b[band]
+            height = self.height[b]
+            row = y[band] - shift[band]
+            row -= self.bottom[b]
             np.clip(row, 0, height - 1, out=row)
             row += x[band] * height
             row += self.offset[b]
@@ -257,29 +252,16 @@ class _BandTable:
 
     def entry(self, it, shift):
         """``(offset, height, lo, top)`` of the band of the key (it, shift),
-        Python ints, lo its first window row, or None: memoized per key, so
-        a repeated key costs one dict hit."""
-        key = it, shift
-        got = self.memo.get(key, False)
-        if got is False:
-            got = self.memo[key] = self._entry(it, shift)
-        return got
-
-    def _entry(self, it, shift):
-        f, l = self.rows[it]
-        if l + shift < 0 or f + shift >= self.n_y:
-            return None
-        r0, r1 = max(f - 1, -shift), min(l + 1, self.n_y - 1 - shift)
-        if (r0, r1) == (f - 1, l + 1):
-            b = int(self.interior[it])
-        else:
-            code = self._code(it, r0, r1)
-            at = int(self.codes.searchsorted(code))
-            b = (int(self.code_ids[at]) if at < self.codes.size and self.codes[at] == code
-                 else -1)
+        Python ints, lo its first window row, or None: one read of
+        ``band_of``, and ``find`` only for a band not labeled yet."""
+        col = shift + self.n_y
+        b = self.band_of.item(it, col if 0 <= col <= 2 * self.n_y else 0)
+        if b == -1:
+            b = int(self.find(np.array([it]), np.array([shift]))[0])
         if b < 0:
-            b = int(self.find(np.array([it]), np.array([shift]))[0][0])
-        return int(self.offset[b]), r1 - r0 + 1, r0 + shift, bool(self.top[b])
+            return None
+        offset, height, bottom, top = self.entries[b]
+        return offset, height, bottom + shift, top
 
     def band(self, got):
         """The (n_x, height) cells of an ``entry``."""
@@ -372,6 +354,15 @@ def _resolve_tol(geom, tol):
     return tol
 
 
+def _finite_points(z):
+    """Query points as a float array, refused when a coordinate is NaN or
+    infinite: no cell holds such a point."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("height query points must be finite")
+    return z
+
+
 def evaluate_h(tau, z, tol=None):
     """Height of one annulus point z, of shape (2,) or (1, 2).
 
@@ -379,12 +370,14 @@ def evaluate_h(tau, z, tol=None):
     bit for bit: the point is bisected in Python floats with the same steps,
     the same fill keys (``_fill_key``) and the same bands, read by the same
     rule (``_BandTable.read``). A step resolves its key in Python floats and
-    finds its band with one dict hit (``_BandTable.entry``), which spares
-    the array bookkeeping of a step for one point.
+    finds its band with one read of the key table (``_BandTable.entry``),
+    which spares the array bookkeeping of a step for one point. A point with
+    a NaN or infinite coordinate is refused with ``ValueError``, as by
+    ``heights``.
     """
     geom = tau.geom
     tol = _resolve_tol(geom, tol)
-    z = np.asarray(z, dtype=float)
+    z = _finite_points(z)
     if z.shape not in ((2,), (1, 2)):
         raise ValueError(f"evaluate_h takes one point of shape (2,) or (1, 2), "
                          f"not {z.shape}")
@@ -431,12 +424,13 @@ def heights(tau, z, tol=None):
     (half a y cell by default) or when its midpoint equals an end of its
     bracket, so a ``tol`` below the float spacing ends too. Membership is
     monotone in s up to rasterization jitter; a violated initial bracket is
-    reported in ``ordering_ok`` instead of raising. ``evaluate_h`` bisects
-    one point with the same steps in Python floats.
+    reported in ``ordering_ok`` instead of raising. A point with a NaN or
+    infinite coordinate is refused with ``ValueError``. ``evaluate_h``
+    bisects one point with the same steps in Python floats.
     """
     geom = tau.geom
     tol = _resolve_tol(geom, tol)
-    z = np.asarray(z, dtype=float).reshape(-1, 2)
+    z = _finite_points(z).reshape(-1, 2)
     ix, iy = geom.x_cell(z[:, 0]), geom.y_cell(z[:, 1])
     # a point's window test is the same at every s: points below the window
     # are always members, points above never are, only the rest read bands
@@ -451,7 +445,7 @@ def heights(tau, z, tol=None):
         if q.size:
             it, shift = _fill_key(geom, s[q])
             pq = p[q]
-            out[q] = table.read(it, shift.astype(np.int64), ix[pq], iy[pq])
+            out[q] = table.read(it, shift, ix[pq], iy[pq])
         return out
 
     span = geom.y_max - geom.y_min
@@ -501,7 +495,7 @@ def verify_equivariance(tau, samples=128, tol=None, s_ladder=64, seed=0):
                          tol=tol)[0].reshape(3, -1)
     ladder = np.arange(s_ladder) / s_ladder
     it, shift = _fill_key(geom, ladder)
-    _band_table(tau).find(it, shift.astype(np.int64))
+    _band_table(tau).find(it, shift)
     # each rung's fill packed to bits; the zero padding bits of the last byte
     # are the same on both sides, so they add to neither test
     fills = np.empty((ladder.size, (geom.n_x * geom.n_y + 7) // 8), dtype=np.uint8)

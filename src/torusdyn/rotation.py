@@ -225,7 +225,8 @@ def walk_probes(spec, *probes):
     step whatever the number of probes. Every map kind evaluates row by
     row, so each result is bit for bit that of its probe walked alone. Lift
     rows step by ``eval_lift`` or ``eval_inverse``; after each step the
-    torus rows get one ``wrap01``, which is ``_torus_step``. The iterates
+    torus rows get one ``wrap01`` (``_stack_step``), so a torus row steps
+    as ``eval_torus`` does on points already in [0, 1). The iterates
     are gathered in blocks of consecutive steps, and each probe records a
     block in one call, ``_record(n0, z, inverse)`` with ``z[i]`` its rows
     after step n0 + i. A probe leaves the stack after its last step; one

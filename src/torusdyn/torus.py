@@ -52,12 +52,7 @@ class TorusMapSpec:
 
     def eval_torus(self, z):
         """Induced map on T^2 (representatives in [0,1))."""
-        return self._torus_step(wrap01(z))
-
-    def _torus_step(self, w, inverse=False):
-        """eval_torus of points already in [0, 1), where the input reduction
-        is the identity: the lift, then one wrap01."""
-        return wrap01(self.eval_inverse(w) if inverse else self.eval_lift(w))
+        return wrap01(self.eval_lift(wrap01(z)))
 
     def annulus_map(self, z, inverse=False):
         """Induced map on the annulus T x R (second coordinate unrolled)."""

@@ -66,9 +66,13 @@ MUTANTS = (
     Mutant("table-read-row-clamp-past-band", "src/torusdyn/factor.py",
            "np.clip(row, 0, height - 1, out=row)", "np.clip(row, 0, height, out=row)",
            ("tests/test_factor.py::test_table_read_matches_per_group_reference",), 120),
-    Mutant("one-point-memo-without-shift", "src/torusdyn/factor.py",
-           "        key = it, shift\n", "        key = it\n",
-           ("tests/test_factor.py::test_one_point_memo_matches_heights",), 120),
+    Mutant("key-table-interior-range-one-past", "src/torusdyn/factor.py",
+           "n_y + 1 - f:2 * n_y - 1 - l", "n_y + 1 - f:2 * n_y - l",
+           ("tests/test_factor.py::test_key_table_enters_each_band_under_its_keys",),
+           120),
+    Mutant("clipped-keys-deduped-by-t-cell", "src/torusdyn/factor.py",
+           "np.where(interior, 1 - f, shift)", "np.where(interior, 1 - f, n_y)",
+           ("tests/test_factor.py::test_batched_bands_match_one_key_labels",), 120),
     Mutant("evaluate-h-no-moved-stop", "src/torusdyn/factor.py",
            "bisect = b - a > tol and moved", "bisect = b - a > tol",
            ("tests/test_factor.py::test_heights_end_below_float_spacing",), 60,

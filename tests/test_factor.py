@@ -186,18 +186,17 @@ def key_kind(tau, it, shift):
 
 def cached_bands(tau):
     """The bands of the region's band table by fiber row range (it, r0, r1),
-    each as ``(band, top)``: the interior ones by t cell, the clipped ones by
-    their row range codes."""
+    each as ``(band, top)``, read from its key table: every key entered
+    there names the band of its own row range, and every band is entered."""
     table = tau._fills["bands"]
-    width = tau.geom.n_y + 2
+    n_y = tau.geom.n_y
     found = {}
-    for it, b in enumerate(table.interior.tolist()):
-        if b >= 0:
-            found[it, int(table.bottom[b]), int(table.bottom[b] + table.height[b] - 1)] = b
-    for code, b in zip(table.codes.tolist(), table.code_ids.tolist()):
-        key = code // width // width, code // width % width - 1, code % width
+    for it, col in zip(*np.nonzero(table.band_of >= 0)):
+        b, shift = int(table.band_of[it, col]), int(col) - n_y
+        rows = np.flatnonzero(tau.mask.occ[it].any(axis=0))
+        key = int(it), int(max(rows[0] - 1, -shift)), int(min(rows[-1] + 1, n_y - 1 - shift))
         assert key[1:] == (table.bottom[b], table.bottom[b] + table.height[b] - 1)
-        found[key] = b
+        assert found.setdefault(key, b) == b
     assert sorted(found.values()) == list(range(table.offset.size))
     return {key: (table.band((table.offset[b], table.height[b])), bool(table.top[b]))
             for key, b in found.items()}
@@ -781,6 +780,25 @@ def test_evaluate_h_matches_heights(built_regions, rigid_skew, name, pts, tol, w
     tau._fills.clear()
 
 
+def test_height_queries_refuse_non_finite_points(tau_rigid_small):
+    # a NaN or infinite coordinate has no cell: one such point refuses the
+    # call, with the same ValueError from both functions
+    tau = tau_rigid_small
+    for bad in (np.nan, np.inf, -np.inf):
+        for z in ((bad, 0.1), (0.3, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                heights(tau, [z])
+            with pytest.raises(ValueError, match="finite"):
+                heights(tau, [(0.3, 0.1), z])
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_h(tau, z)
+    # a huge finite x still answers, at its cell
+    got = evaluate_h(tau, (1e300, 0.1))
+    values, ok = heights(tau, [(1e300, 0.1)])
+    assert np.float64(got.value).tobytes() == values.tobytes()
+    assert got == evaluate_h(tau, (wrap01(1e300), 0.1))
+
+
 def test_evaluate_h_takes_exactly_one_point(tau_rigid_small):
     # four numbers used to be read as two points, the first one's height
     # returned
@@ -851,11 +869,11 @@ def test_batched_bands_match_one_key_labels(rigid_skew, drawn):
     table.find(it[:warm], shift[:warm])
     got = table.find(it, shift)
     want = [reference_band(tau, *key) for key in keys]
-    for b, r0, height, sh, w in zip(*got, shift.tolist(), want):
+    for b, sh, w in zip(got, shift.tolist(), want):
         assert (b < 0) == (w is None)
         if w is not None:
-            band = table.band((table.offset[b], height))
-            assert (r0 + sh, band.shape, band.tobytes(), table.top[b]) == \
+            band = table.band((table.offset[b], table.height[b]))
+            assert (table.bottom[b] + sh, band.shape, band.tobytes(), table.top[b]) == \
                 (w[0], w[1].shape, w[1].tobytes(), w[2])
     # the table holds exactly the bands one-key labels make, each stored once,
     # back to back and unpadded, in a buffer of its own: no padded stack
@@ -869,6 +887,56 @@ def test_batched_bands_match_one_key_labels(rigid_skew, drawn):
     assert np.array_equal(table.offset, np.cumsum(sizes) - sizes)
     assert table.cells.size == sizes.sum()
     assert table.cells.base is None
+
+
+FAR = (-2**63, -2**62, 2**62, 2**63 - 1)
+
+
+@example(drawn=(POCKET, [(0, 0), (1, 2)], 0))
+@given(drawn=band_keys())
+@settings(max_examples=200, deadline=None)
+def test_key_table_enters_each_band_under_its_keys(rigid_skew, drawn):
+    occ, keys, _ = drawn
+    tau = region_of(occ, rigid_skew)
+    n_t, n_y = occ.shape[0], occ.shape[2]
+    table = _band_table(tau)
+
+    def check():
+        # an interior band under every shift of [1 - f, n_y - 2 - l], a
+        # clipped band under one key only; no band exactly where a key has
+        # none, the columns of shifts +-n_y and every shift of an empty fiber
+        shifts = np.arange(-n_y, n_y + 1)
+        for it in range(n_t):
+            rows = np.flatnonzero(occ[it].any(axis=0))
+            none = (np.ones_like(shifts, dtype=bool) if not rows.size else
+                    (rows[-1] + shifts < 0) | (rows[0] + shifts >= n_y))
+            assert np.array_equal(table.band_of[it] == -2, none), it
+        for b in range(table.offset.size):
+            entered = np.argwhere(table.band_of == b)
+            assert entered.size, b
+            it = entered[0, 0]
+            assert (entered[:, 0] == it).all()
+            rows = np.flatnonzero(occ[it].any(axis=0))
+            f, l = int(rows[0]), int(rows[-1])
+            got = (entered[:, 1] - n_y).tolist()
+            if (table.bottom[b], table.height[b]) == (f - 1, l - f + 3):
+                assert got == list(range(1 - f, n_y - 1 - l)), b
+            else:
+                assert len(got) == 1, b
+
+    it, shift = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+    table.find(it, shift)
+    assert (table.band_of[it, np.clip(shift + n_y, 0, 2 * n_y)] != -1).all()
+    check()
+    # every key of the drawn shifts, -n_y - 2 to n_y + 2, and far beyond
+    every = [(t, sh) for t in range(n_t) for sh in range(-n_y - 2, n_y + 3)]
+    it, shift = np.array(every, dtype=np.int64).T
+    got = table.find(it, shift)
+    assert np.array_equal(got == -2, [reference_band(tau, *key) is None for key in every])
+    check()
+    it, shift = np.repeat(np.arange(n_t), len(FAR)), np.tile(np.array(FAR), n_t)
+    assert (table.find(it, shift) == -2).all()
+    assert all(table.entry(t, sh) is None for t in range(n_t) for sh in FAR)
 
 
 def reference_member(tau, it, shift, x, y):
@@ -932,7 +1000,7 @@ def test_one_point_memo_matches_heights(rigid_skew, drawn, pts, tol):
         values, ok = heights(tau, [z], tol=tol)
         want.append((values.tobytes(), bool(ok[0])))
         runs = []
-        # a cold cache; then its own keys memoized; then a cleared cache
+        # a cold cache; then its own keys' bands labeled; then a cleared cache
         # whose table holds other keys' bands
         tau._fills.clear()
         runs.append(evaluate_h(tau, z, tol=tol))
@@ -942,7 +1010,7 @@ def test_one_point_memo_matches_heights(rigid_skew, drawn, pts, tol):
         runs.append(evaluate_h(tau, z, tol=tol))
         for got in runs:
             assert (np.float64(got.value).tobytes(), got.ordering_ok) == want[-1], z
-    # every point again on the memo of all of them
+    # every point again on the bands of all of them
     for z, w in zip(zs, want):
         got = evaluate_h(tau, z, tol=tol)
         assert (np.float64(got.value).tobytes(), got.ordering_ok) == w, z

@@ -22,7 +22,7 @@ from torusdyn.rotation import (_BLOCK_BYTES, _BLOCK_STEPS, DeviationProbe,
                                deviation_profile, estimate_rotation_set,
                                horizontal_spread, proximality_scan,
                                recurrence_probe, vertical_rotation_number,
-                               walk_probes)
+                               walk_probes, _stack_step)
 from torusdyn.skew import build_centralized, vertical_orbit_bound
 from torusdyn.torus import DehnTwist, RigidTranslation
 from torusdyn.util import (GOLDEN_MEAN, SQRT2_MINUS_1, iterates,
@@ -196,15 +196,15 @@ def test_orbit_probes_match_reference_loops(spec):
 
 
 def test_torus_steps_match_eval_torus_iterates(spec):
-    # the probes reduce once and step with the lift and one wrap01: wrap01
-    # returns values in [0, 1), never -0.0, and is the identity on them
+    # the probes reduce once and step with the lift and one wrap01 of the
+    # torus rows (``_stack_step``): wrap01 returns values in [0, 1), never
+    # -0.0, and is the identity on them
     z = np.random.default_rng(SEED).uniform(-3.0, 3.0, (SAMPLES, 2))
     z[:2] = [[-0.0, 1.0], [-1e-300, 0.9999999999999999]]
     reduced = wrap01(z)
-    for inverse, eval_torus in ((False, spec.eval_torus),
-                                (True, lambda w: eval_torus_inverse(spec, w))):
-        steps = iterates(lambda w: spec._torus_step(w, inverse=inverse),
-                         reduced, N)
+    for lift, eval_torus in ((spec.eval_lift, spec.eval_torus),
+                             (spec.eval_inverse, lambda w: eval_torus_inverse(spec, w))):
+        steps = iterates(_stack_step(lift, 0), reduced, N)
         for got, want in zip(steps, iterates(eval_torus, z, N)):
             assert got.tobytes() == want.tobytes()
 
