@@ -10,9 +10,9 @@ stores each labeled band once, back to back in one flat array, and finds
 the band of a fill key (t cell, shift) in one key table. Both bisections
 read membership from it: ``heights`` with one gather per step, after
 labeling the bands the step misses together, and ``evaluate_h`` with one
-read of the key table per step. Only the continua and the ladder paste
-fills, memoized on their key, and the continua read only the band's rows of
-theirs.
+read of the key table per step. The continua read their boundaries from
+the band's cells. Only the ladder pastes whole fills, afresh at each call:
+the band table is the region's one cache.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ class FiberFill:
 
     fill: np.ndarray  # bool (n_x, n_y): the lower complement component
     separating: bool
-    shift_cells: int
 
 
 def _fill_key(geom, s):
@@ -150,7 +149,7 @@ class _BandTable:
     (n_x, height[b]) cells in raster order, of fiber rows from ``bottom[b]``
     on; the bands lie back to back in ``cells``, which grows to fit them,
     and ``entries[b]`` holds the four fields as Python ints. The table lives
-    in the region's fill cache, so clearing that cache clears the table too.
+    in the region's cache ``tau._fills``, so clearing it clears the table.
     """
 
     def __init__(self, occ):
@@ -270,7 +269,7 @@ class _BandTable:
 
 
 def _band_table(tau):
-    """The region's band table, made on first use in its fill cache."""
+    """The region's band table, made on first use in ``tau._fills``."""
     table = tau._fills.get("bands")
     if table is None:
         table = tau._fills["bands"] = _BandTable(tau.mask.occ)
@@ -283,24 +282,19 @@ def lower_component(tau, s):
     The obstruction is the time-s-mod-1 fiber of the region translated up by
     exactly s (rasterized once); the fill grows from the bottom window row
     through 4-adjacency with x wrap. A fill touching the top row is returned
-    flagged not separating. The fill is pasted from the key's band
-    (``_BandTable``), every row filled when there is none, and memoized per
-    key.
+    flagged not separating. The fill is pasted afresh from the key's band
+    (``_BandTable``), every row filled when there is none; only the band
+    table is kept.
     """
-    it, shift = map(int, _fill_key(tau.geom, s))
-    out = tau._fills.get((it, shift))
-    if out is None:
-        table = _band_table(tau)
-        fill = np.ones((tau.geom.n_x, tau.geom.n_y), dtype=bool)
-        got = table.entry(it, shift)
-        top = got is None or got[3]
-        if got is not None:
-            lo, height = got[2], got[1]
-            fill[:, lo:lo + height] = table.band(got)
-            fill[:, lo + height:] = top
-        out = tau._fills[it, shift] = FiberFill(fill=fill, separating=not top,
-                                                shift_cells=shift)
-    return out
+    table = _band_table(tau)
+    fill = np.ones((tau.geom.n_x, tau.geom.n_y), dtype=bool)
+    got = table.entry(*map(int, _fill_key(tau.geom, s)))
+    top = got is None or got[3]
+    if got is not None:
+        lo, height = got[2], got[1]
+        fill[:, lo:lo + height] = table.band(got)
+        fill[:, lo + height:] = top
+    return FiberFill(fill=fill, separating=not top)
 
 
 @dataclass
@@ -308,35 +302,33 @@ class ContinuumApprox:
     """Boundary point cloud of the lower component: the separating continuum."""
 
     points: np.ndarray  # (m, 2) cell centers (x, ytil)
-    fill: FiberFill
-
-    @property
-    def separating(self):
-        return self.fill.separating
+    separating: bool
 
 
 def continuum_Cs(tau, s):
     """Boundary cells of the lower fill: obstruction cells 4-adjacent to it.
 
-    They lie within the rows of the key's band. The rows below the band are
-    all filled. The rows above it, if any, are all filled when its top row
-    meets the fill, and that top row, a free guard row, is then all filled
-    too; otherwise they are all empty. So the boundary is computed on the
-    band's rows and the one row below them, in the fill of
-    ``lower_component``, and a key with no band has none.
+    They lie within the rows of the key's band (``_BandTable``). The rows
+    below the band are all filled, and so is its bottom row, a free guard
+    row, unless the window's bottom edge clips the band there. The rows
+    above it, if any, are all filled when its top row meets the fill, and
+    that top row, a free guard row, is then all filled too; otherwise they
+    are all empty. So the boundary is computed on the band's own cells, and
+    a key with no band has none. ``separating`` is that of
+    ``lower_component``.
     """
-    fl = lower_component(tau, s)
-    got = _band_table(tau).entry(*map(int, _fill_key(tau.geom, s)))
-    lo, height = (0, 0) if got is None else (got[2], got[1])
-    start = max(lo - 1, 0)
-    rows = fl.fill[:, start:lo + height]
+    table = _band_table(tau)
+    got = table.entry(*map(int, _fill_key(tau.geom, s)))
+    if got is None:
+        return ContinuumApprox(points=np.empty((0, 2)), separating=False)
+    rows = table.band(got)
     grown = rows.copy()
     _or_shifted(grown, rows, 0, wrap=True)
     _or_shifted(grown, rows, 1, wrap=False)
     ix, iy = np.nonzero(grown & ~rows)
-    iy += start
+    iy += got[2]
     _, xs, ys = tau.geom.centers(0, ix, iy)
-    return ContinuumApprox(points=np.column_stack([xs, ys]), fill=fl)
+    return ContinuumApprox(points=np.column_stack([xs, ys]), separating=not got[3])
 
 
 @dataclass

@@ -198,8 +198,10 @@ class GridGeometry:
         return _wrapped_cell(x, self.n_x)
 
     def y_cell(self, y):
-        """Cell index of a height; may fall outside [0, n_y)."""
-        return np.floor((np.asarray(y, dtype=float) - self.y_min) / self.h_y).astype(np.int64)
+        """Cell index of a height, clipped into the guard rows -1 and n_y."""
+        h = np.array(y, dtype=float)
+        _guard_rows(h, self)
+        return h.astype(np.int64)
 
     def centers(self, it, ix, iy):
         t = (np.asarray(it) + 0.5) * self.h_t
@@ -277,8 +279,8 @@ def ball_fiber(center, radius):
 
 
 def _guard_rows(h, geom):
-    """geom.y_cell of the heights h, in place in h and clipped into the rows
-    -1 and n_y that guard the window."""
+    """geom.y_cell of the heights h, in place in h as floats: rows clipped
+    into -1 and n_y, the rows that guard the window."""
     np.subtract(h, geom.y_min, out=h)
     np.divide(h, geom.h_y, out=h)
     np.floor(h, out=h)

@@ -118,6 +118,16 @@ MUTANTS = (
            "return (work >= _FORK_WORK and hasattr(os, \"fork\")",
            "return (hasattr(os, \"fork\")",
            ("tests/test_util.py::test_short_walks_stay_in_this_process",), 120),
+    # a continuum read on its band as if y wrapped like x: the top guard row
+    # of a separating fill meets the filled bottom one
+    Mutant("continuum-band-wraps-in-y", "src/torusdyn/factor.py",
+           "_or_shifted(grown, rows, 1, wrap=False)", "_or_shifted(grown, rows, 1, wrap=True)",
+           ("tests/test_factor.py::test_continuum_is_the_fill_boundary",), 120),
+    Mutant("y-cell-unclipped", "src/torusdyn/skew.py",
+           "        _guard_rows(h, self)\n",
+           "        h = np.floor((h - self.y_min) / self.h_y)\n",
+           ("tests/test_factor.py::test_far_heights_stay_on_their_side_of_the_window",),
+           120),
 )
 
 

@@ -97,12 +97,12 @@ def test_benchmark_counter_hooks_read_real_results():
     tracer._after_saturate_block_orbit(0, (skew, pts, tau.geom), {}, saturated)
     tracer._after_build_tau(1, (skew, (0.5, 0.0)), {}, tau)
     tracer._after_invariance_defect(2, (skew, tau.mask), {}, inv)
-    # two calls with one fill key: the second is a cache hit
+    # two calls with one fill key: no fill is kept, so both are misses
     for i in (3, 4):
         tracer._after_lower_component(i, (tau, 0.3), {}, lower_component(tau, 0.3))
     assert tracer.rounds == 12
     assert tracer.region_cells == tracer.invariance_cells == tau.mask.count > 0
-    assert list(tracer.fill_miss_spans) == [3]
+    assert list(tracer.fill_miss_spans) == [3, 4]
 
 
 def test_benchmark_repetitions_start_cold(monkeypatch):

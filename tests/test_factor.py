@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from torusdyn.circle import CircleLift
 from torusdyn.factor import (FactorMap, FiberFill, TauRegion, build_tau, continuum_Cs,
                              evaluate_h, heights, lower_component,
                              project_to_torus_factor, verify_equivariance,
-                             _band_table)
+                             _band_table, _fill_key)
 from torusdyn.skew import GridGeometry, GridMask, build_centralized
 from torusdyn.torus import (ComposedMap, DiskPush, RigidTranslation, SuspensionMap,
                             TorusMapSpec)
@@ -116,7 +117,7 @@ def test_lower_component_unit_shift(tau_rigid_small):
     m = round(1.0 / tau.geom.h_y)
     f0 = lower_component(tau, 0.31)
     f1 = lower_component(tau, 1.31)
-    assert f1.shift_cells - f0.shift_cells == m
+    assert _fill_key(tau.geom, 1.31)[1] - _fill_key(tau.geom, 0.31)[1] == m
     assert f0.separating and f1.separating
     shifted = np.zeros_like(f0.fill)
     shifted[:, m:] = f0.fill[:, :-m]
@@ -169,8 +170,7 @@ def reference_lower_component(tau, s):
     member[lab[:, 0]] = True
     member[0] = False
     fill = member[lab]
-    return FiberFill(fill=fill, separating=not fill[:, -1].any(),
-                     shift_cells=shift)
+    return FiberFill(fill=fill, separating=not fill[:, -1].any())
 
 
 def key_kind(tau, it, shift):
@@ -245,9 +245,10 @@ def test_fills_match_full_labels(fill_regions):
         kinds = {key_kind(tau, *key) for key in keys}
         assert kinds == {"interior", "clipped", "outside"}, name
         for key, s in keys.items():
+            assert tuple(map(int, _fill_key(tau.geom, s))) == key, (name, s)
             got, want = lower_component(tau, s), reference_lower_component(tau, s)
-            assert (got.fill.tobytes(), got.separating, got.shift_cells) == \
-                (want.fill.tobytes(), want.separating, want.shift_cells), (name, key)
+            assert (got.fill.tobytes(), got.separating) == \
+                (want.fill.tobytes(), want.separating), (name, key)
         tau._fills.clear()
 
 
@@ -283,6 +284,28 @@ def test_heights_independent_of_order_and_cache(tau_susp_small, monkeypatch):
         for s in pair:
             lower_component(tau, s)
     assert len(labels) == 2
+    tau._fills.clear()
+
+
+def test_reports_keep_only_the_band_table(tau_susp_small):
+    # no fill is memoized: after the height queries, the ladder and the
+    # continua the region's cache holds the band table alone, and the
+    # continua read their bands without asking for a fill
+    tau = tau_susp_small
+    geom = tau.geom
+    rng = np.random.default_rng(11)
+    z = np.column_stack([rng.uniform(0.0, 1.0, 32),
+                         rng.uniform(geom.y_min, geom.y_max, 32)])
+    tau._fills.clear()
+    heights(tau, z)
+    evaluate_h(tau, z[0])
+    project_to_torus_factor(tau, grid=(8, 4))
+    verify_equivariance(tau, samples=16, s_ladder=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusdyn.factor, "lower_component", None)
+        cs = [continuum_Cs(tau, j / 16) for j in range(16)]
+    assert any(c.points.size for c in cs)
+    assert list(tau._fills) == ["bands"]
     tau._fills.clear()
 
 
@@ -350,19 +373,27 @@ def boundary_by_rolls(fill):
     return grown & ~fill
 
 
-@given(fill=arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))))
+@given(fiber=arrays(bool, st.tuples(st.integers(1, 10), st.integers(1, 10))))
 @settings(max_examples=200, deadline=None)
-def test_continuum_is_the_fill_boundary(fill):
-    geom = GridGeometry(1, *fill.shape, -1.0, 1.0)
-    tau = TauRegion(mask=GridMask(geom, fill[None]), skew=None, status="",
+def test_continuum_is_the_fill_boundary(fiber):
+    # an arbitrary one-fiber obstruction at every shift from below the window
+    # to above it: interior keys, keys a window edge clips and keys with no band
+    geom = GridGeometry(1, *fiber.shape, -1.0, 1.0)
+    tau = TauRegion(mask=GridMask(geom, fiber[None]), skew=None, status="",
                     invariance={}, recurrence_times=[])
-    fill.flags.writeable = False  # a memoized fill must not be written
-    fl = FiberFill(fill=fill, separating=True, shift_cells=0)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(torusdyn.factor, "lower_component", lambda tau, s: fl)
-        cs = continuum_Cs(tau, 0.0)
-    _, xs, ys = geom.centers(0, *np.nonzero(boundary_by_rolls(fill)))
-    assert cs.points.tobytes() == np.column_stack([xs, ys]).tobytes()
+    kinds = set()
+    for shift in range(-geom.n_y - 1, geom.n_y + 2):
+        s = shift * geom.h_y
+        kinds.add(key_kind(tau, 0, shift))
+        cs = continuum_Cs(tau, s)
+        want = reference_lower_component(tau, s)
+        _, xs, ys = geom.centers(0, *np.nonzero(boundary_by_rolls(want.fill)))
+        assert cs.points.tobytes() == np.column_stack([xs, ys]).tobytes(), shift
+        assert cs.separating == want.separating, shift
+    rows = np.flatnonzero(fiber.any(axis=0))
+    assert "outside" in kinds
+    assert ("clipped" in kinds) == bool(rows.size)
+    assert ("interior" in kinds) == bool(rows.size and rows[-1] - rows[0] <= geom.n_y - 3)
 
 
 def test_continuum_ladder_disjoint(tau_rigid_small):
@@ -465,7 +496,7 @@ def _reference_height(tau, z, tol, fill_of=lower_component):
             return False
         fl = fill_of(tau, s)
         if not fl.separating:
-            return fl.shift_cells >= 0
+            return _fill_key(geom, s)[1] >= 0
         return bool(fl.fill[ix, iy])
 
     span = geom.y_max - geom.y_min
@@ -536,6 +567,27 @@ def test_heights_end_below_float_spacing(tau_rigid_small):
     coarse = evaluate_h(tau_rigid_small, (0.3, 0.7))
     assert fine.ordering_ok
     assert abs(fine.value - coarse.value) <= tau_rigid_small.geom.h_y
+
+
+def test_far_heights_stay_on_their_side_of_the_window(tau_rigid_small):
+    # a height 2**63 cells or more above the window used to wrap round to row
+    # -2**63 in the int64 cast, with a warning, and be read as below it
+    tau = tau_rigid_small
+    geom = tau.geom
+    far = np.array([1e17, 1e18, 1e19, 1e300])
+    y = np.concatenate([far, -far])
+    z = np.column_stack([np.full(y.size, 0.3), y])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = geom.y_cell(y)
+        values, ok = heights(tau, z)
+        one = [evaluate_h(tau, p) for p in z]
+    # row n_y is above the window, where a point is a member at no s, and
+    # row -1 below it, where it is one at every s
+    assert rows.tolist() == [geom.n_y] * far.size + [-1] * far.size
+    # y +- the window's span rounds to y: the bracket is one point
+    assert values.tobytes() == y.tobytes() and not ok.any()
+    assert [(h.value, h.ordering_ok) for h in one] == [(v, False) for v in y.tolist()]
 
 
 def test_heights_reject_nonpositive_tol(tau_rigid_small):
@@ -1027,9 +1079,10 @@ def test_continua_match_the_full_fill_boundary(rigid_skew, drawn, ss):
     tau = region_of(drawn[0], rigid_skew)
     for s in ss:
         cs = continuum_Cs(tau, s)
-        assert cs.fill is lower_component(tau, s)
-        _, xs, ys = tau.geom.centers(0, *np.nonzero(boundary_by_rolls(cs.fill.fill)))
+        fl = lower_component(tau, s)
+        _, xs, ys = tau.geom.centers(0, *np.nonzero(boundary_by_rolls(fl.fill)))
         assert cs.points.tobytes() == np.column_stack([xs, ys]).tobytes(), s
+        assert cs.separating == fl.separating, s
 
 
 def test_ladder_check_memory(rigid_128):
@@ -1038,7 +1091,7 @@ def test_ladder_check_memory(rigid_128):
     # at 1.6 MB
     tau = rigid_128[0.0]
     tau._fills.clear()
-    verify_equivariance(tau, samples=128, s_ladder=128)  # fills and bands cached
+    verify_equivariance(tau, samples=128, s_ladder=128)  # bands labeled
     tracemalloc.start()
     try:
         eq = verify_equivariance(tau, samples=128, s_ladder=128)
