@@ -54,6 +54,10 @@ _COUNT_MINIMUMS = {"rotnum": {"n": 1}, "deviations": {"samples": 1, "nmax": 1},
                    "double-factor": {"grid": 1, "max-iters": 0}}
 
 
+_MAX_ITERS_HELP = ("saturation rounds each way before the region is extended "
+                   "to its envelopes (default 0: the seed raster alone)")
+
+
 class UsageError(Exception):
     pass
 
@@ -448,7 +452,7 @@ def build_parser():
     s.add_argument("--sladder", type=int, default=64)
     s.add_argument("--tol", type=parse_number, default=None)
     s.add_argument("--grid", type=int, default=48)
-    s.add_argument("--max-iters", type=int, default=240)
+    s.add_argument("--max-iters", type=int, default=0, help=_MAX_ITERS_HELP)
     s.add_argument("--c-est", type=parse_number, default=None)
     _add_common(s)
     s.set_defaults(func=cmd_factor)
@@ -469,7 +473,7 @@ def build_parser():
                         help="paired transverse factors for pseudo-rotations")
     s.add_argument("--resolution", default="128,128,256")
     s.add_argument("--grid", type=int, default=32)
-    s.add_argument("--max-iters", type=int, default=240)
+    s.add_argument("--max-iters", type=int, default=0, help=_MAX_ITERS_HELP)
     _add_common(s)
     s.set_defaults(func=cmd_double_factor)
     return p, subs.choices

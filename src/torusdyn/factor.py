@@ -17,6 +17,7 @@ the band table is the region's one cache.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,19 +51,24 @@ class TauRegion:
 
 
 def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
-              half_height=None, max_iters=240, seed=0):
-    """Saturate the half-width block over a ball at the given annulus point.
+              half_height=None, max_iters=0, seed=0):
+    """The invariant region of the half-width block over a ball at the
+    given annulus point: the seed block's raster (the n = 0 image, also
+    ``component_of``'s seed) extended to the region's vertical envelopes,
+    closed, and cut to the seed's component.
 
-    The seed point should come with recurrence evidence; an empty probe
-    result is attached as a warning, not a rejection. Window exhaustion is
-    propagated in the status and leaves the partial mask available. The
-    mask is extended to the region's vertical envelopes, tracked in real
-    arithmetic until the extended rows stop changing over the last half of
-    the walk (checked at 16, 32, 64, ... rounds, capped at 20,000); the
-    provenance key ``refine_rounds`` records the rounds walked. The walk
-    follows the seed ball's 1,024-point boundary ring alone: each block
-    image is the closed disk bounded by the image of the ball's boundary
-    circle, so its extremes over any vertical strip lie on that curve.
+    The envelopes are tracked in real arithmetic until the extended rows
+    stop changing over the last half of the walk (checked at 16, 32, 64,
+    ... rounds, capped at 20,000); the provenance key ``refine_rounds``
+    records the rounds walked. The walk follows the seed ball's 1,024-point
+    boundary ring alone: each block image is the closed disk bounded by the
+    image of the ball's boundary circle, so its extremes over any vertical
+    strip lie on that curve. ``max_iters`` saturation rounds (none by
+    default) first add the rasters of as many block images each way, cells
+    one row below or above a column's envelope rows. Window exhaustion is
+    propagated in the status and leaves the region available. The seed
+    point should come with recurrence evidence; an empty probe result is
+    attached as a warning, not a rejection.
     """
     if not (0.0 < ball_radius <= 1.0):
         raise ValueError("ball radius must be in (0, 1]")
@@ -75,7 +81,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     warnings = []
     if not times:
         warnings.append("no recurrence evidence for the seed point")
-    # saturation's fiber cloud: cell centers of the rasterized seed ball
+    # the seed block's fiber cloud: cell centers of the rasterized seed ball
     pred = ball_fiber((x0, y0), ball_radius)
     _, X, Y = geom.centers(0, *np.indices((geom.n_x, geom.n_y)))
     inside = pred(X, Y)
@@ -147,9 +153,10 @@ class _BandTable:
 
     Band b is ``cells[offset[b]:offset[b] + n_x * height[b]]``, its
     (n_x, height[b]) cells in raster order, of fiber rows from ``bottom[b]``
-    on; the bands lie back to back in ``cells``, which grows to fit them,
-    and ``entries[b]`` holds the four fields as Python ints. The table lives
-    in the region's cache ``tau._fills``, so clearing it clears the table.
+    on; the bands lie back to back in the first ``used`` cells of
+    ``cells``, a buffer replaced by a longer one when they outgrow it, and
+    ``entries[b]`` holds the four fields as Python ints. The table lives in
+    the region's cache ``tau._fills``, so clearing it clears the table.
     """
 
     def __init__(self, occ):
@@ -165,6 +172,7 @@ class _BandTable:
                   & (col < (2 * self.n_y - self.first)[:, None]))
         self.band_of = np.where(inside, np.int32(-1), np.int32(-2))
         self.cells = np.empty(0, dtype=bool)
+        self.used = 0
         self.offset, self.height, self.bottom = (np.empty(0, dtype=np.int64)
                                                  for _ in range(3))
         self.top = np.empty(0, dtype=bool)
@@ -200,10 +208,17 @@ class _BandTable:
         r0 = np.maximum(f - 1, -shift)
         height = np.minimum(l + 1, n_y - 1 - shift) - r0 + 1
         sizes = self.n_x * height
-        offset = self.cells.size + sizes.cumsum() - sizes
-        # grown in place, by realloc, before the stack is made, so that it
-        # moves past as few temporaries as it can
-        self.cells.resize(self.cells.size + int(sizes.sum()))
+        offset = self.used + sizes.cumsum() - sizes
+        self.used += int(sizes.sum())
+        if self.used > self.cells.size:
+            # a fresh buffer at least four times as long, made before the
+            # stack: views of the old one stay valid, and each table copies
+            # O(final size) in all. An anonymous map holds only the pages
+            # written, and is unmapped with its last view
+            grown = np.frombuffer(mmap.mmap(-1, max(self.used, 4 * self.cells.size)),
+                                  dtype=bool)
+            grown[:offset[0]] = self.cells[:offset[0]]
+            self.cells = grown
         free = np.zeros((it.size, self.n_x, int(height.max())), dtype=bool)
         for layer, t, r, h in zip(free, it.tolist(), r0.tolist(), height.tolist()):
             layer[:, :h] = True

@@ -6,9 +6,11 @@ subtracted, so bounded fiber orbits correspond to bounded vertical
 deviations of the torus map. The diagonal flow (t, x, ytil) ->
 (t + u, x, ytil - u) commutes with it and is an isometry; orbits of fiber
 sets under both generate the invariant regions the factor construction
-needs. Saturation transports the fiber cloud of a half-width block seed
-forwards and backwards and rasterizes each image block into a boolean
-occupancy grid.
+needs. The region build rasterizes the fiber cloud of a half-width block
+seed into a boolean occupancy grid and extends each (t, x) column to the
+block orbit's vertical envelopes, tracked in real arithmetic. Saturation,
+run only for an explicit round count, also transports the cloud forwards
+and backwards and rasterizes each image block.
 """
 
 from __future__ import annotations
@@ -313,6 +315,8 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     an image reaches the window's top or bottom row or lies beyond it
     ("window-exhausted").
     Returns (occ, seed_occ, status, rounds), seed_occ being the seed block.
+    At max_iters = 0 occ is the seed block's raster alone, status
+    "max-iters" and rounds 0: the default region build starts from it.
 
     The n-th image of the half-width block of a cloud W at time 0 is the
     half-width block of f^n(W) shifted down by n*rho, centered at the block

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import sys
 
 import pytest
 
@@ -52,6 +54,19 @@ def fork_pids(monkeypatch):
     monkeypatch.setattr(torusdyn.util, "_can_fork", lambda work: True)
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+@contextlib.contextmanager
+def hooked(install):
+    """Run the block under a do-nothing profile or trace hook, installed by
+    ``sys.setprofile`` or ``sys.settrace``, as cProfile and trace do."""
+    get = sys.getprofile if install is sys.setprofile else sys.gettrace
+    before = get()
+    install(lambda *args: None)
+    try:
+        yield
+    finally:
+        install(before)
 
 
 def assert_reaped(pids):

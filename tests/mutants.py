@@ -123,6 +123,20 @@ MUTANTS = (
     Mutant("continuum-band-wraps-in-y", "src/torusdyn/factor.py",
            "_or_shifted(grown, rows, 1, wrap=False)", "_or_shifted(grown, rows, 1, wrap=True)",
            ("tests/test_factor.py::test_continuum_is_the_fill_boundary",), 120),
+    # the region build then starts from no cell, and the seed's component
+    # is empty
+    Mutant("default-no-seed-raster", "src/torusdyn/skew.py",
+           "    raster_block(pts, 0.0, 0.0, False)  # n = 0 in both directions\n",
+           "    pass  # n = 0 in both directions\n",
+           ("tests/test_skew.py::test_default_rigid_build_is_the_saturated_build",),
+           120),
+    # the band of the extension starts past a row whose center is the least
+    # lower envelope, which the test draws
+    Mutant("extend-wrong-side", "src/torusdyn/skew.py",
+           'a = y_centers.searchsorted(env_min, "left").min()',
+           'a = y_centers.searchsorted(env_min, "right").min()',
+           ("tests/test_skew.py::test_band_stages_match_full_grid_references",),
+           120),
     Mutant("y-cell-unclipped", "src/torusdyn/skew.py",
            "        _guard_rows(h, self)\n",
            "        h = np.floor((h - self.y_min) / self.h_y)\n",

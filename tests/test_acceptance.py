@@ -36,13 +36,13 @@ def verdict(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def tau_susp(skew31):
     return build_tau(skew31, (0.5, 0.0), ball_radius=0.15,
-                     n_t=256, n_x=256, n_y=512, max_iters=240, seed=0)
+                     n_t=256, n_x=256, n_y=512, seed=0)
 
 
 @pytest.fixture(scope="module")
 def tau_rigid(skew_rigid):
     return build_tau(skew_rigid, (0.5, 0.0), ball_radius=0.15,
-                     n_t=256, n_x=256, n_y=512, max_iters=240, seed=0)
+                     n_t=256, n_x=256, n_y=512, seed=0)
 
 
 def test_criterion_1_rotation_number_bound():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import shutil
+import sys
 import warnings
 from unittest import mock
 
@@ -11,6 +12,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import cli_golden
 from cli_golden import RIGID, RUNS
+from conftest import hooked
 from torusdyn import cli
 from torusdyn.cli import main
 
@@ -244,6 +246,26 @@ def test_rotnum_denjoy_cli(tmp_path):
                                   "gallery-unbounded-inessential-4"])
 def test_golden_runs(tmp_path, name):
     run_golden(name, tmp_path)
+
+
+def test_factor_default_runs_no_saturation_round(tmp_path):
+    # the golden suspension run gives no --max-iters: its region is the seed
+    # raster extended to the envelopes, and both files say so
+    run_golden("factor-suspension", tmp_path)
+    doc = json.loads((tmp_path / "region.json").read_text())
+    assert doc["config"]["max-iters"] == 0
+    assert doc["result"]["provenance"]["iterations"] == 0
+    doc = json.loads((tmp_path / "defects.json").read_text())
+    assert doc["config"]["max-iters"] == 0
+
+
+def test_factor_under_a_profile_hook_writes_the_golden_files(tmp_path):
+    # python -m cProfile installs a profile hook, which holds a reference to
+    # every method it sees called: the run must not depend on refcounts
+    with hooked(sys.setprofile):
+        code = run(RUNS["factor-rigid"] + ["--out", str(tmp_path)])
+    assert code == 0
+    cli_golden.check("factor-rigid", tmp_path)
 
 
 def test_factor_empty_ladder_check_exits_2(tmp_path, capsys):

@@ -968,10 +968,11 @@ def test_invariance_end_cells_match_the_full_check(occ, spec, rho):
 
 def test_invariance_defect_of_a_pushed_region(monkeypatch):
     # the rigid region pushed by a small disk is invariant up to a few cells:
-    # the per-direction counts are nonzero and equal the per-sample body's
+    # the per-direction counts are nonzero and equal the per-sample body's.
+    # With no envelope rounds the region is the 240 saturation rounds' alone
     monkeypatch.setattr(torusdyn.skew, "_ENVELOPE_ROUNDS", 0)
     skew = build_centralized(ComposedMap([RigidTranslation(A, B), PUSH]), B)
-    tau = build_tau(skew, (0.5, 0.0), n_t=64, n_x=64, n_y=128)
+    tau = build_tau(skew, (0.5, 0.0), n_t=64, n_x=64, n_y=128, max_iters=240)
     assert tau.invariance == {"forward": 1, "backward": 4}
     assert invariance_per_sample(skew, tau.mask) == tau.invariance
 
@@ -1082,3 +1083,68 @@ def test_component_of_labels_only_the_band():
         tracemalloc.stop()
     assert mask.occ[:, :, 500].any()
     assert peak < 4 * occ.size / 4
+
+
+# -- the default region: the seed raster extended to the envelopes ------------
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_default_rigid_build_is_the_saturated_build(n):
+    # with no saturation round the rigid region is already the slab
+    # |y| <= r + 1/2, and 240 rounds add no cell to it
+    skew = build_centralized(RigidTranslation(A, B), B)
+    default, saturated = (build_tau(skew, (0.5, 0.0), n_t=n, n_x=n, n_y=2 * n,
+                                    max_iters=k) for k in (0, 240))
+    ys = default.geom.centers(0, 0, np.arange(2 * n))[2]
+    slab = np.broadcast_to(np.abs(ys) <= 0.15 + 0.5, default.mask.occ.shape)
+    assert np.array_equal(default.mask.occ, slab)
+    assert np.array_equal(saturated.mask.occ, slab)
+    assert default.mask.provenance["iterations"] == 0
+    assert default.status == "max-iters"
+    assert default.invariance == saturated.invariance == {"forward": 0, "backward": 0}
+
+
+SATURATED_SKEWS = {
+    "suspension": lambda: build_centralized(
+        SuspensionMap(CircleLift.rigid(A), CircleLift.rigid(B)), A * B, c_est=B),
+    # a push that moves the rigid region's fibers: not column-wise
+    "pushed-rigid": lambda: build_centralized(
+        ComposedMap([DiskPush((0.47, 0.2), (0.53, 0.2), 0.2), RigidTranslation(A, B)]),
+        B, c_est=0.0),
+}
+
+
+# the cells that 240 rounds add, as measured: none for the pushed map below
+# 128, so that size is checked too
+@pytest.mark.parametrize("name, n, added", [
+    ("suspension", 32, 316), ("suspension", 64, 56), ("pushed-rigid", 32, 0),
+    ("pushed-rigid", 64, 0), ("pushed-rigid", 128, 1771)])
+def test_saturation_adds_only_rows_next_to_the_envelope_rows(name, n, added,
+                                                             monkeypatch):
+    # every cell that 240 saturation rounds add to the default region lies
+    # one row below or above the rows [lo, hi) its column gains from the
+    # envelopes, in a column that has envelopes. The envelope walk does not
+    # depend on the rounds, so both builds take the first's; the invariance
+    # check, asserted elsewhere, is skipped
+    walks = []
+    walk = torusdyn.factor.refine_envelopes
+
+    def walk_once(*args):
+        if not walks:
+            walks.append(walk(*args))
+        return walks[0]
+
+    monkeypatch.setattr(torusdyn.factor, "refine_envelopes", walk_once)
+    monkeypatch.setattr(torusdyn.factor, "invariance_defect", lambda *args: {})
+    skew = SATURATED_SKEWS[name]()
+    default, saturated = (build_tau(skew, (0.5, 0.0), n_t=n, n_x=n, n_y=2 * n,
+                                    max_iters=k) for k in (0, 240))
+    env_min, env_max, _ = walks[0]
+    y_centers = default.geom.centers(0, 0, np.arange(2 * n))[2]
+    lo = y_centers.searchsorted(env_min, "left")
+    hi = y_centers.searchsorted(env_max, "right")
+    assert not (default.mask.occ & ~saturated.mask.occ).any()
+    it, ix, iy = np.nonzero(saturated.mask.occ & ~default.mask.occ)
+    assert ((iy == lo[it, ix] - 1) | (iy == hi[it, ix])).all()
+    assert np.isfinite(env_min[it, ix]).all()
+    assert it.size == added
