@@ -366,6 +366,7 @@ def cmd_double_factor(args):
             raise WindowExhausted(f"{label} pipeline exhausted the window")
         fms.append(project_to_torus_factor(tau, grid=(args.grid, args.grid)))
         cells.append(tau.geom.h_y)
+        del tau  # one region at a time: the factor map holds none of it
     fm_v, fm_h = fms
     joint = combine_transverse_factors(fm_v, fm_h, spec, (rho1, rho2),
                                        seed=args.seed)

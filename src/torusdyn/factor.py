@@ -81,15 +81,19 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     warnings = []
     if not times:
         warnings.append("no recurrence evidence for the seed point")
-    # the seed block's fiber cloud: cell centers of the rasterized seed ball
-    pred = ball_fiber((x0, y0), ball_radius)
-    _, X, Y = geom.centers(0, *np.indices((geom.n_x, geom.n_y)))
-    inside = pred(X, Y)
+    # the seed block's fiber cloud: cell centers of the rasterized seed ball,
+    # from the rows it can reach, |y_c - y0| < r, and one more on each side
+    rows = np.floor((np.array([y0 - ball_radius, y0 + ball_radius]) - geom.y_min)
+                    / geom.h_y) + [-1, 2]
+    lo, hi = np.clip(rows, 0, geom.n_y).astype(int)
+    ix, iy = np.indices((geom.n_x, hi - lo))
+    _, X, Y = geom.centers(0, ix, iy + lo)
+    inside = ball_fiber((x0, y0), ball_radius)(X, Y)
     pts = np.column_stack([X[inside], Y[inside]])
     if not len(pts):
         raise ValueError(f"the seed ball of radius {ball_radius!r} covers no "
                          f"cell center (y cells are {geom.h_y!r} high)")
-    occ, seed_occ, status, rounds = saturate_block_orbit(
+    occ, seed_cells, status, rounds = saturate_block_orbit(
         skew, pts, geom, max_iters=max_iters)
     # boundary circle samples: every block image's vertical extremes lie on
     # the image of this circle
@@ -104,7 +108,7 @@ def build_tau(skew, seed_point, ball_radius=0.15, n_t=256, n_x=256, n_y=512,
     mask = GridMask(geom, occ, provenance={
         "seed": {"point": (x0, y0), "radius": ball_radius, "block_halfwidth": 0.5},
         "iterations": rounds, "refine_rounds": refine_rounds, "status": status})
-    component_of(mask, seed_occ)  # clears the other components in mask.occ
+    component_of(mask, seed_cells)  # clears the other components in mask.occ
     inv = invariance_defect(skew, mask)
     return TauRegion(mask=mask, skew=skew, status=status, invariance=inv,
                      recurrence_times=times, warnings=warnings)
@@ -224,7 +228,8 @@ class _BandTable:
             layer[:, :h] = True
             c0, c1 = max(r, 0), min(r + h, n_y)  # rows off the fiber are free
             layer[:, c0 - r:c1 - r] = ~self.occ[t, :, c0:c1]
-        labeled = _components_meeting(free, np.s_[:, :, 0])
+        # seeded by each layer's bottom row
+        labeled = _components_meeting(free, np.arange(it.size * self.n_x) * free.shape[2])
         del free
         top = labeled[np.arange(it.size), :, height - 1].any(axis=1)
         for layer, o, h in zip(labeled, offset.tolist(), height.tolist()):

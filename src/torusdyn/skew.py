@@ -314,9 +314,13 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
     consecutive rounds ("fixed-point"), at max_iters ("max-iters"), or when
     an image reaches the window's top or bottom row or lies beyond it
     ("window-exhausted").
-    Returns (occ, seed_occ, status, rounds), seed_occ being the seed block.
-    At max_iters = 0 occ is the seed block's raster alone, status
-    "max-iters" and rounds 0: the default region build starts from it.
+    Returns (occ, seed, status, rounds). seed holds the flat indices into
+    occ of the seed block's raster, the n = 0 image, sorted and unique:
+    the cells that image marks, its heights clipped into the guard rows
+    dropped. They are int32 below 2**31 cells, as in ``_label_x_wrapped``;
+    no dense copy of the seed is kept. At max_iters = 0 occ is the seed
+    block's raster alone, status "max-iters" and rounds 0: the default
+    region build starts from it.
 
     The n-th image of the half-width block of a cloud W at time 0 is the
     half-width block of f^n(W) shifted down by n*rho, centered at the block
@@ -369,7 +373,15 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         return bool(lo <= 0 or hi >= n_y - 1), grew
 
     raster_block(pts, 0.0, 0.0, False)  # n = 0 in both directions
-    seed_occ = padded[:, :, 1:-1].copy()
+    # a cell at padded index p, in line p // (n_y + 2), is p - 1 - 2 * line
+    # in occ
+    seed = cells[(yy >= 0) & (yy < n_y)]
+    seed -= 1 + 2 * (seed // (n_y + 2))
+    seed = seed.astype(np.int32 if n_t * n_x * n_y < 2**31 else np.int64)
+    # sorted and deduplicated by hand: np.unique's hash table can take
+    # several times the seed's bytes
+    seed.sort()
+    seed = seed[np.concatenate(([True], seed[1:] != seed[:-1]))]
     status = "max-iters"
     stale = rounds = 0
     orbit = zip(*(iterates(functools.partial(skew.spec._annulus_step,
@@ -386,7 +398,7 @@ def saturate_block_orbit(skew, fiber_points, geom, max_iters=300):
         if stale >= _PATIENCE:
             status = "fixed-point"
             break
-    return padded[:, :, 1:-1], seed_occ, status, rounds
+    return padded[:, :, 1:-1], seed, status, rounds
 
 
 def refine_envelopes(skew, fiber_points, geom):
@@ -675,46 +687,75 @@ def _union(root, a, b):
             root = root.take(root)
 
 
-def _components_meeting(occ, seed, links=()):
-    """Cells of occ whose component (``_label_x_wrapped``) meets occ[seed];
-    ``seed`` is any index of occ. The runs met are expanded straight into
-    the boolean result."""
+def _seeded_runs(occ, seed, links=()):
+    """(runs, met): the runs of occ (``_label_x_wrapped``) and, per run,
+    whether its component holds a seed, a flat index into occ.
+
+    One ``searchsorted`` on the run table, the runs' starts and stops in
+    one sorted list, finds each seed's run: a seed at position i of it lies
+    in run i // 2 when i is odd. A seed in a gap, at an even position, is
+    ignored.
+    """
     runs, root = _label_x_wrapped(occ, links)
-    picked = np.zeros(occ.shape, dtype=bool)
-    picked[seed] = occ[seed]
-    first = runs[:, 0].searchsorted(np.flatnonzero(picked), side="right") - 1
-    del picked  # freed before the result is made
+    i = runs.reshape(-1).searchsorted(
+        np.asarray(seed).astype(runs.dtype, copy=False), side="right")
+    i = i[i % 2 == 1]
     hit = np.zeros(len(root), dtype=bool)
-    hit[root.take(first)] = True
+    hit[root.take(i // 2)] = True
+    return runs, hit.take(root)
+
+
+def _components_meeting(occ, seed, links=()):
+    """Cells of occ whose component (``_label_x_wrapped``) holds a seed, a
+    flat index into occ; seeds off occ are ignored (``_seeded_runs``). The
+    runs met are expanded straight into the boolean result, and no grid of
+    the seeds is made."""
+    runs, met = _seeded_runs(occ, seed, links)
     # the result alternates between the gaps and the runs, a run set when
-    # its component is hit
+    # its component is met
     bounds = np.empty(2 * len(runs) + 2, dtype=runs.dtype)
     bounds[0], bounds[1:-1], bounds[-1] = 0, runs.ravel(), occ.size
     cells = np.zeros(len(bounds) - 1, dtype=bool)
-    cells[1::2] = hit.take(root)
+    cells[1::2] = met
     return np.repeat(cells, np.diff(bounds)).reshape(occ.shape)
 
 
-def component_of(mask, seed_occ):
-    """Cells of the connected component(s) meeting the seed set. Cells of
-    neighboring fibers (t wraps) are adjacent when their y intervals overlap
-    after flow transport over one t cell width: the link shifts are the
-    floor and the ceiling of ``GridGeometry.fiber_shift_cells``, one shift
-    when it is an integer.
+def component_of(mask, seed):
+    """Cells of the connected component(s) meeting the seed: flat indices
+    into ``mask.occ``, or a bool grid of its shape, taken once by
+    ``np.flatnonzero``. Cells of neighboring fibers (t wraps) are adjacent
+    when their y intervals overlap after flow transport over one t cell
+    width: the link shifts are the floor and the ceiling of
+    ``GridGeometry.fiber_shift_cells``, one shift when it is an integer.
 
-    Only the occupied rows, the band, are labeled, and the cells of other
-    components are cleared in ``mask.occ`` itself, which is returned. The
-    band's components are the whole grid's: the cells off it are empty, and
-    flow links join rows of the band only.
+    Only the occupied rows, the band, are labeled, and the runs of the
+    components no seed meets are cleared in ``mask.occ`` itself, which is
+    returned: no band-sized seed grid or result is made. The band's
+    components are the whole grid's: the cells off it are empty, and flow
+    links join rows of the band only.
     """
     occ = mask.occ
+    seed = np.asarray(seed)
+    if seed.dtype == bool:
+        seed = np.flatnonzero(seed)
     rows = np.flatnonzero(occ.any(axis=(0, 1)))
     if not len(rows):
         return occ
-    band = np.s_[:, :, rows[0]:rows[-1] + 1]
+    a, b = int(rows[0]), int(rows[-1]) + 1
+    band = occ[:, :, a:b]
+    # the seeds' flat indices into the band, in the seeds' dtype; seeds off
+    # it are off occ
+    line, row = np.divmod(seed, occ.shape[-1])
+    seed = (line * (b - a) + row - a)[(row >= a) & (row < b)]
+    del line, row  # freed before the band is labeled
     sigma = mask.geom.fiber_shift_cells()
-    occ[band] = _components_meeting(occ[band], seed_occ[band],
-                                    links={int(np.floor(sigma)), int(np.ceil(sigma))})
+    runs, met = _seeded_runs(band, seed,
+                             links={int(np.floor(sigma)), int(np.ceil(sigma))})
+    start, stop = runs[~met].T
+    size = stop - start
+    # each cleared cell's flat index into the band, run by run
+    cells = np.repeat(start - (size.cumsum() - size), size) + np.arange(size.sum())
+    band[np.unravel_index(cells, band.shape)] = False
     return occ
 
 

@@ -137,6 +137,15 @@ MUTANTS = (
            'a = y_centers.searchsorted(env_min, "right").min()',
            ("tests/test_skew.py::test_band_stages_match_full_grid_references",),
            120),
+    # the seed keeps the bottom guard row: a cell clipped into it stands for
+    # the last row of the line before
+    Mutant("seed-keeps-guard-row", "src/torusdyn/skew.py",
+           "seed = cells[(yy >= 0) & (yy < n_y)]", "seed = cells[(yy >= -1) & (yy < n_y)]",
+           ("tests/test_skew.py::test_saturate_matches_allocating_reference",), 120),
+    # no run-stop check: a seed in a gap joins the run before it
+    Mutant("seed-in-gap-joins-run", "src/torusdyn/skew.py",
+           "    i = i[i % 2 == 1]\n", "    i = i[i > 0] - 1\n",
+           ("tests/test_skew.py::test_run_labels_match_ndimage",), 120),
     Mutant("y-cell-unclipped", "src/torusdyn/skew.py",
            "        _guard_rows(h, self)\n",
            "        h = np.floor((h - self.y_min) / self.h_y)\n",

@@ -91,6 +91,8 @@ def test_benchmark_counter_hooks_read_real_results():
     tau = build_tau(skew, (0.5, 0.0), n_t=8, n_x=8, n_y=16)
     pts = np.array([[0.5, 0.0], [0.55, 0.1]])
     saturated = saturate_block_orbit(skew, pts, tau.geom, max_iters=12)
+    # the seed comes back as the flat indices of its cells, not as a grid
+    assert saturated[1].dtype == np.int32 and saturated[1].ndim == 1
     assert saturated[2:] == ("max-iters", 12)
     inv = invariance_defect(skew, tau.mask)
     tracer = load_tracer()("hooks")

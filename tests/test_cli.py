@@ -4,6 +4,7 @@ import json
 import shutil
 import sys
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -226,6 +227,22 @@ def test_double_factor_rigid_small(tmp_path):
     res = doc["result"]
     assert res["vertical_defect_max"] <= 2 * res["cell_heights"][0]
     assert res["horizontal_defect_max"] <= 2 * res["cell_heights"][1]
+
+
+def test_double_factor_builds_one_region_at_a_time(tmp_path, monkeypatch):
+    # the vertical region is dropped before the horizontal build starts: the
+    # factor map holds no reference to it
+    real, regions, alive = cli.build_tau, [], []
+
+    def build(*args, **kwargs):
+        alive.append([ref() is not None for ref in regions])
+        tau = real(*args, **kwargs)
+        regions.append(weakref.ref(tau))
+        return tau
+
+    monkeypatch.setattr(cli, "build_tau", build)
+    run_golden("double-factor-rigid", tmp_path)
+    assert alive == [[], [False]]
 
 
 def test_rotnum_denjoy_cli(tmp_path):

@@ -1155,6 +1155,69 @@ def test_rigid_region_is_the_slab(rigid_128):
     assert tau.mask.provenance["refine_rounds"] == 20_000
 
 
+def test_region_build_holds_one_grid():
+    # Bound: twice the grid's bytes. The build's one grid is the padded
+    # occupancy grid, n_t n_x (n_y + 2) bytes. Beside it live the seed's flat
+    # indices, 4 bytes a seed cell, the band's run marks, a third of the grid
+    # in this slab (|y| <= 0.65 in a window of half height 2), and per-column
+    # and per-fiber work arrays. A dense seed grid kept beside the padded one
+    # would alone make two grids' bytes. The envelope walk's per-column work
+    # arrays take 0.7 to 0.9 of a 128x128x256 grid, so the grid is 512 rows
+    # high: they weigh half as much, and a walk forked or not stays in bound.
+    skew = build_centralized(RigidTranslation(A, B), B)
+    n_t, n_x, n_y = 128, 128, 512
+    tracemalloc.start()
+    try:
+        tau = build_tau(skew, (0.5, 0.0), n_t=n_t, n_x=n_x, n_y=n_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau.mask.count > 0
+    assert peak < 2 * n_t * n_x * n_y, peak
+
+
+class _CloudTaken(Exception):
+    """Stops a region build once its seed cloud is made."""
+
+
+@given(y0=st.floats(-3.0, 3.0), radius=st.floats(0.02, 1.0),
+       n=st.sampled_from((8, 16, 31)), half_height=st.sampled_from((None, 1.0)))
+@example(y0=0.0, radius=1.0, n=16, half_height=1.0)  # the ball spans the window
+@settings(max_examples=60, deadline=None)
+def test_seed_cloud_matches_the_whole_fiber_cloud(y0, radius, n, half_height):
+    # build_tau takes the ball's cell centers from the rows it can reach; the
+    # whole fiber's cell centers inside the ball are the same array, bit for
+    # bit and in the same order
+    skew = build_centralized(RigidTranslation(A, B), B, c_est=0.0)
+    taken = []
+
+    def take(skew, pts, geom, max_iters):
+        taken.append((pts, geom))
+        raise _CloudTaken
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torusdyn.factor, "saturate_block_orbit", take)
+        mp.setattr(torusdyn.factor, "recurrence_probe", lambda *a, **k: [1])
+        try:
+            build_tau(skew, (0.3, y0), ball_radius=radius, n_t=n, n_x=n, n_y=2 * n,
+                      half_height=half_height)
+        except _CloudTaken:
+            pass
+        except ValueError as err:  # the ball covers no cell center
+            assert "covers no cell center" in str(err)
+    geom = torusdyn.skew.geometry_for(skew, center_y=y0, n_t=n, n_x=n, n_y=2 * n,
+                                     half_height=half_height)
+    _, X, Y = geom.centers(0, *np.indices((geom.n_x, geom.n_y)))
+    inside = torusdyn.skew.ball_fiber((0.3, y0), radius)(X, Y)
+    want = np.column_stack([X[inside], Y[inside]])
+    if not taken:
+        assert not len(want)
+        return
+    pts, got_geom = taken[0]
+    assert got_geom == geom
+    assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("radius, missing", [(0.09375, 2048), (0.1, 0)])
 def test_rigid_region_misses_a_slab_edge_on_a_row_of_centers(radius, missing):
     # the envelopes reach the slab's edge |y| = r + 1/2 only in the limit: when

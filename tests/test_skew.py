@@ -189,8 +189,10 @@ def raster(geom, states):
     return occ
 
 
-def block_states(geom, occ):
-    return np.stack(geom.centers(*np.nonzero(occ)), axis=-1)
+def block_states(geom, cells):
+    """Cell-center states of flat cell indices into the grid."""
+    return np.stack(geom.centers(*np.unravel_index(cells, (geom.n_t, geom.n_x, geom.n_y))),
+                    axis=-1)
 
 
 def test_block_image_is_block(rigid_skew):
@@ -213,7 +215,7 @@ def test_saturate_identity_returns_seed():
     geom = geometry_for(skew, n_t=16, n_x=16, n_y=32)
     occ, seed, status, _ = saturate_block_orbit(
         skew, ball_cloud(geom, (0.5, 0.0), 0.12), geom, max_iters=40)
-    assert np.array_equal(occ, seed)
+    assert np.array_equal(np.flatnonzero(occ), seed)
     assert status == "fixed-point"
 
 
@@ -265,7 +267,7 @@ def test_saturate_block_past_window_is_exhausted():
     occ, seed, status, rounds = saturate_block_orbit(
         skew, ball_cloud(geom, (0.5, 0.0), 0.15), geom, max_iters=240)
     assert (status, rounds) == ("window-exhausted", 1)
-    assert np.array_equal(occ, seed)
+    assert np.array_equal(np.flatnonzero(occ), seed)
     tau = build_tau(skew, (0.5, 0.0), n_t=16, n_x=16, n_y=32)
     assert tau.status == "window-exhausted"
 
@@ -326,6 +328,11 @@ SATURATE_CASES = {
                     (16, 16, 32), {}, 240),
     "identity": (lambda: build_centralized(RigidTranslation(0, 0), 0.0),
                  (16, 16, 32), {}, 40),
+    # the seed block reaches below the window: its lowest heights fall in
+    # the bottom guard row, which the seed drops
+    "seed-below-window": (lambda: build_centralized(RigidTranslation(A, B), B,
+                                                    c_est=0.0),
+                          (16, 16, 32), {"half_height": 1.0, "center_y": 0.6}, 60),
     "odd-grid": (lambda: build_centralized(RigidTranslation(A, B), B, c_est=0.0),
                  (31, 32, 64), {}, 60),
 }
@@ -340,11 +347,14 @@ def test_saturate_matches_allocating_reference(name):
     occ, seed, status, rounds = reference_saturate(skew, pts, geom, max_iters)
     assert status == {"window-exhausted": "window-exhausted",
                       "past-window": "window-exhausted",
+                      "seed-below-window": "window-exhausted",
                       "identity": "fixed-point"}.get(name, "max-iters")
     got = saturate_block_orbit(skew, pts, geom, max_iters=max_iters)
-    assert got[0].shape == got[1].shape == (n_t, n_x, n_y)
+    assert got[0].shape == (n_t, n_x, n_y)
     assert got[0].tobytes() == occ.tobytes()
-    assert got[1].tobytes() == seed.tobytes()
+    # the seed is kept as the flat indices of the dense seed grid's cells
+    assert got[1].dtype == np.int32
+    assert np.array_equal(got[1], np.flatnonzero(seed))
     assert got[2:] == (status, rounds)
 
 
@@ -500,7 +510,7 @@ def test_ring_walk_lies_inside_the_full_cloud_walk(skew, n_t, n_x, center, radiu
                         half_height=2.0)
     pts = ball_cloud(geom, center, radius)
     assume(len(pts))
-    occ, seed_occ, *_ = saturate_block_orbit(skew, pts, geom, max_iters=max_iters)
+    occ, seed, *_ = saturate_block_orbit(skew, pts, geom, max_iters=max_iters)
     ring = seed_ring(center, radius)
     with pytest.MonkeyPatch.context() as mp:
         # the first checkpoint is the cap: both walks take exactly `rounds`
@@ -514,7 +524,7 @@ def test_ring_walk_lies_inside_the_full_cloud_walk(skew, n_t, n_x, center, radiu
     for env_min, env_max in (inner, outer):
         mask = GridMask(geom, close_fibers(
             extend_to_envelopes(occ.copy(), geom, env_min, env_max)))
-        component_of(mask, seed_occ)
+        component_of(mask, seed)
         regions.append(mask.occ)
     assert not (regions[0] & ~regions[1]).any()
 
@@ -762,9 +772,14 @@ def test_run_labels_match_ndimage(case):
     lab, root = ndimage_label_x_wrapped(occ, links)
     # the same partition, named in the raster order of the first cells
     assert np.array_equal(dense_names(component_names(occ, links)), dense_names(root[lab]))
-    for s in (seed, np.s_[..., 0]):
-        assert np.array_equal(_components_meeting(occ, s, links),
-                              ndimage_components_meeting(occ, s, links))
+    bottom = np.zeros_like(occ)
+    bottom[..., 0] = True
+    for grid in (seed, bottom):
+        # flat seeds, off occ among them, each twice and in descending order
+        flat = np.flatnonzero(grid)
+        flat = np.concatenate([flat, flat])[::-1]
+        assert np.array_equal(_components_meeting(occ, flat, links),
+                              ndimage_components_meeting(occ, grid, links))
 
 
 @given(data=st.data(), n_t=st.integers(1, 4), n_x=st.integers(1, 5),
@@ -780,7 +795,11 @@ def test_component_of_matches_flood_fill(data, n_t, n_x, n_y, sigma):
     seed = data.draw(bits((n_t, n_x, n_y)))
     ref = flood_fill_labels(occ, {int(np.floor(sigma)), int(np.ceil(sigma))})
     want = np.isin(ref, ref[seed & occ]) & occ
-    assert np.array_equal(component_of(GridMask(geom, occ), seed), want)
+    assert np.array_equal(component_of(GridMask(geom, occ.copy()), seed), want)
+    # the same seeds as int32 flat indices, each twice and in descending order
+    flat = np.flatnonzero(seed).astype(np.int32)
+    assert np.array_equal(component_of(GridMask(geom, occ), np.concatenate([flat, flat])[::-1]),
+                          want)
 
 
 def test_snapped_windows_link_by_the_exact_shift(rigid_skew):
